@@ -10,8 +10,10 @@
 // same buffer:
 //
 //   generate  — the producer path's bulk generation (a DhTrng source
-//               drained bit-by-bit and packed MSB-first into bytes,
-//               exactly the shape of EntropyPool::producer_loop)
+//               drained bit-by-bit and packed MSB-first into bytes; the
+//               pool's producer fills a BitStream through
+//               TrngSource::generate and packs it a word at a time, so
+//               for a scalar source the per-bit cost is the same)
 //   track     — SourceTracker::feed_bytes over the generated buffer
 //   snapshot  — the CERT-verb cost: merge four per-producer trackers and
 //               take the pool-wide snapshot (reported, not gated)
@@ -90,8 +92,9 @@ int main(int argc, char** argv) {
 
   const TrackerConfig cfg;  // pool defaults: 128-bit blocks, 1024-bit windows
 
-  // Generation lane: drain a DhTrng source bit-by-bit and pack MSB-first,
-  // exactly the byte-assembly shape of EntropyPool::producer_loop.  The
+  // Generation lane: drain a DhTrng source bit-by-bit and pack MSB-first
+  // — the same bytes EntropyPool's producer publishes, at the same
+  // per-bit generation cost (next_bit dominates either packing).  The
   // source is stateful across reps (each rep generates fresh bits), which
   // is also what the producer loop does.
   dhtrng::core::DhTrngConfig core_cfg;

@@ -297,10 +297,7 @@ void DhTrngSoA::generate(support::BitStream& out, std::size_t nbits) {
     --left;
   }
   while (left >= kSoaLanes) {
-    const std::uint64_t w = next_word();
-    for (unsigned b = 0; b < kSoaLanes; ++b) {
-      out.push_back(((w >> b) & 1u) != 0);
-    }
+    out.append_word(next_word(), kSoaLanes);
     left -= kSoaLanes;
   }
   while (left > 0) {

@@ -19,6 +19,11 @@ EntropyPool::EntropyPool(EntropyPoolConfig config, SourceFactory factory)
     throw std::invalid_argument("EntropyPool: block_bits must be a positive "
                                 "multiple of 8");
   }
+  if (config_.buffer_bytes < config_.block_bits / 8) {
+    // Blocks are published whole; one that cannot fit would never land.
+    throw std::invalid_argument("EntropyPool: buffer_bytes must hold at "
+                                "least one block");
+  }
   // Clamp the tracker geometry to the largest power of two dividing
   // block_bits (>= 8 since block_bits is a multiple of 8): producers feed
   // whole blocks, so this keeps every tracker permanently block- and
@@ -77,34 +82,23 @@ std::uint64_t EntropyPool::derived_seed(std::size_t index,
 
 void EntropyPool::producer_loop(std::size_t index) {
   ProducerState& st = *states_[index];
+  support::BitStream bits;
+  bits.reserve(config_.block_bits);
   std::vector<std::uint8_t> block(config_.block_bits / 8);
 
   while (!stopping_.load(std::memory_order_acquire)) {
-    // Generate and health-test one block.  The monitor is sticky once
-    // alarmed, so `healthy` reflects the whole block.  Bits are batched
-    // into 64-sample words (LSB-first emission order) so the RCT/APT run
-    // their word-parallel feed path; the alarm decisions are identical to
-    // per-bit feeding.
+    // Generate and health-test one block.  The stream's words are already
+    // the RCT/APT's LSB-first 64-sample feed (the tail word carries the
+    // remaining block_bits % 64 samples).  The monitor is sticky once
+    // alarmed, so `healthy` reflects the whole block.
+    bits.clear();
+    st.source->generate(bits, config_.block_bits);
     bool healthy = true;
-    std::uint64_t health_acc = 0;
-    std::size_t health_n = 0;
-    for (std::size_t byte = 0; byte < block.size(); ++byte) {
-      std::uint8_t v = 0;
-      for (int b = 0; b < 8; ++b) {
-        const bool bit = st.source->next_bit();
-        v = static_cast<std::uint8_t>((v << 1) | (bit ? 1u : 0u));
-        if (bit) health_acc |= std::uint64_t{1} << health_n;
-        ++health_n;
-      }
-      block[byte] = v;
-      if (health_n == 64) {
-        healthy = st.monitor.feed_word(health_acc, 64) && healthy;
-        health_acc = 0;
-        health_n = 0;
-      }
-    }
-    if (health_n != 0) {
-      healthy = st.monitor.feed_word(health_acc, health_n) && healthy;
+    std::size_t left = config_.block_bits;
+    for (const std::uint64_t word : bits.words()) {
+      const std::size_t n = std::min<std::size_t>(left, 64);
+      healthy = st.monitor.feed_word(word, n) && healthy;
+      left -= n;
     }
 
     if (!healthy) {
@@ -120,13 +114,16 @@ void EntropyPool::producer_loop(std::size_t index) {
         }
         return;
       }
+      // Counted before the rebuild, so an observer that sees the new
+      // source being built also sees the reseed.
+      reseeds_.fetch_add(1, std::memory_order_relaxed);
       st.source = factory_(index, derived_seed(index, ++st.reseed_sequence));
       st.monitor.reset();
-      reseeds_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
 
     st.consecutive_alarms = 0;
+    bits.pack_bytes(block);
     if (config_.certify) {
       // The block passed the health gate, so it is part of the served
       // stream — exactly what the online certification tracks.  Whole
@@ -135,22 +132,34 @@ void EntropyPool::producer_loop(std::size_t index) {
       std::lock_guard<std::mutex> lock(st.tracker_mutex);
       st.tracker.feed_bytes(block.data(), block.size());
     }
-    for (std::uint8_t v : block) {
-      if (!buffer_.push(v)) return;  // pool stopped while we were blocked
-    }
+    // Counted before publishing so the counter never trails what
+    // consumers have already taken; a block dropped at stop is uncounted.
     bytes_produced_.fetch_add(block.size(), std::memory_order_relaxed);
+    if (!buffer_.push(block)) {  // pool stopped while we were blocked
+      bytes_produced_.fetch_sub(block.size(), std::memory_order_relaxed);
+      return;
+    }
   }
 }
 
 std::vector<std::uint8_t> EntropyPool::get_bytes(std::size_t n) {
-  std::vector<std::uint8_t> out;
-  out.reserve(n);
-  while (out.size() < n) {
-    std::optional<std::uint8_t> byte = buffer_.pop();
-    if (!byte) throw EntropyExhausted();  // closed and drained
-    out.push_back(*byte);
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t got = 0; got < n;) {
+    const std::size_t k =
+        buffer_.take(std::span<std::uint8_t>(out).subspan(got));
+    if (k == 0) throw EntropyExhausted();  // closed and drained
+    got += k;
   }
   return out;
+}
+
+std::size_t EntropyPool::try_get_bytes(std::span<std::uint8_t> out,
+                                       Doorbell* doorbell) {
+  const std::size_t got = buffer_.try_take(out, doorbell);
+  // A short take left the buffer empty; closed on top of that means no
+  // byte will ever arrive (drained() is monotone, so no race either way).
+  if (got < out.size() && buffer_.drained()) throw EntropyExhausted();
+  return got;
 }
 
 void EntropyPool::stop() {

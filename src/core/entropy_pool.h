@@ -1,7 +1,16 @@
 // Health-gated parallel entropy service: N producer threads each drive an
 // independent TrngSource, run the SP 800-90B continuous health tests
 // (stats/health.h RCT + APT) over every bit they emit, and feed a bounded
-// shared buffer that consumers drain via get_bytes().
+// shared buffer (core/block_channel.h) that consumers drain via
+// get_bytes() (blocking) or try_get_bytes() (non-blocking, with an
+// optional readiness Doorbell).
+//
+// Hand-off granularity: a producer fills one whole block through
+// TrngSource::generate (the word path for DhTrngSoA), health-tests it
+// word by word, packs it MSB-first and publishes it with one lock and one
+// notify.  A single producer's output is therefore exactly its source's
+// stream packed MSB-first; with several producers the stream interleaves
+// whole blocks (never bytes) in publish order.
 //
 // Failure policy (the deployment behaviour SP 800-90B section 4.3 asks an
 // entropy source to document):
@@ -22,22 +31,24 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "core/block_channel.h"
 #include "core/dhtrng.h"
 #include "core/dhtrng_soa.h"
 #include "core/trng.h"
 #include "stats/health.h"
 #include "stats/streaming.h"
-#include "support/ring_buffer.h"
 
 namespace dhtrng::core {
 
 struct EntropyPoolConfig {
   std::size_t producers = 4;
   /// Bounded buffer capacity; full buffer backpressures the producers.
+  /// Must hold at least one block (block_bits / 8 bytes).
   std::size_t buffer_bytes = 1 << 16;
   /// Production granularity: bits generated and health-tested per push.
   /// Must be a multiple of 8.
@@ -123,6 +134,17 @@ class EntropyPool {
   /// and the buffered remainder cannot cover the request.
   std::vector<std::uint8_t> get_bytes(std::size_t n);
 
+  /// Non-blocking draw: copies up to out.size() buffered health-tested
+  /// bytes into `out` and returns how many (possibly 0).  When it comes up
+  /// short and `doorbell` is non-null, the doorbell is armed with the
+  /// shortfall and rung once, from a producer thread, when the buffer
+  /// covers it (or is too full to take another block, or the pool closes)
+  /// — callers then retry with the rest of their span.  Throws
+  /// EntropyExhausted once the buffer is closed and drained short of the
+  /// request (bytes copied by that call are lost with it).
+  std::size_t try_get_bytes(std::span<std::uint8_t> out,
+                            Doorbell* doorbell = nullptr);
+
   /// Stop producers and wake blocked consumers; idempotent (the destructor
   /// calls it).  After stop(), get_bytes() drains the buffer then throws.
   void stop();
@@ -176,7 +198,7 @@ class EntropyPool {
   EntropyPoolConfig config_;
   stats::streaming::TrackerConfig tracker_config_;  ///< clamped to block_bits
   SourceFactory factory_;
-  support::RingBuffer<std::uint8_t> buffer_;
+  BlockChannel buffer_;
   std::vector<std::unique_ptr<ProducerState>> states_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> retired_count_{0};

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -52,7 +53,7 @@ EntropyServer::EntropyServer(EntropyServerConfig config,
                                       : Poller::Backend::Auto;
   shards_.reserve(nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(backend));
+    shards_.push_back(std::make_unique<Shard>(backend, metrics_));
     shards_.back()->index = i;
   }
 
@@ -132,9 +133,11 @@ EntropyServer::~EntropyServer() { stop(); }
 void EntropyServer::stop() {
   std::lock_guard<std::mutex> lock(stop_mutex_);
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  // Stop the pool first: a shard blocked inside a draw (pool buffer
-  // empty) observes EntropyExhausted and returns to its loop, where the
-  // doorbell below is waiting.
+  // Stop the pool first: closing it rings the doorbell of every shard
+  // with a short draw armed, and a shard blocked in a DRBG reseed draw
+  // observes EntropyExhausted and returns to its loop, where the wake
+  // below is waiting.  Parked GETs are answered ShuttingDown on the way
+  // out of the loop.
   pool_.stop();
   for (auto& shard : shards_) shard->wake.notify();
   for (auto& shard : shards_) {
@@ -229,6 +232,12 @@ void EntropyServer::shard_loop(Shard& shard) {
       if (was_listener) continue;
       auto it = shard.conns.find(event.fd);
       if (it == shard.conns.end()) continue;  // closed earlier this batch
+      if (it->second->get.active && event.hangup) {
+        // Reset while parked (read interest is off, so this is the only
+        // way we learn of it): nobody is left to answer.
+        close_connection(shard, event.fd);
+        continue;
+      }
       if (event.readable || event.hangup) {
         handle_readable(shard, *it->second);
         it = shard.conns.find(event.fd);
@@ -237,7 +246,21 @@ void EntropyServer::shard_loop(Shard& shard) {
       if (event.writable) flush_writes(shard, *it->second);
     }
 
+    resume_parked(shard);
     service_subscriptions(shard);
+  }
+
+  // Shutdown: every parked GET gets its one response (best-effort
+  // non-blocking flush) before the connections close.
+  std::vector<int> parked;
+  parked.swap(shard.parked);
+  for (int fd : parked) {
+    auto it = shard.conns.find(fd);
+    if (it == shard.conns.end()) continue;
+    Connection& conn = *it->second;
+    conn.get = PendingDraw{};
+    enqueue_error(shard, conn, Status::ShuttingDown, "server stopping");
+    flush_writes(shard, conn);
   }
 
   // Shutdown: close adopted-but-unattached fds (they hold slots), then
@@ -331,6 +354,7 @@ void EntropyServer::close_connection(Shard& shard, int fd) {
   if (it == shard.conns.end()) return;
   Connection& conn = *it->second;
   if (conn.subscribed) end_subscription(conn);
+  if (conn.get.active) std::erase(shard.parked, fd);
   shard.poller.del(fd);
   conn.sock.close();
   shard.conns.erase(it);
@@ -345,34 +369,11 @@ void EntropyServer::close_connection(Shard& shard, int fd) {
 void EntropyServer::handle_readable(Shard& shard, Connection& conn) {
   const int fd = conn.sock.fd();
   std::uint8_t buf[16384];
-  while (!conn.read_closed) {
+  while (!conn.read_closed && !conn.get.active) {
     const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
     if (r > 0) {
       conn.assembler.feed(buf, static_cast<std::size_t>(r));
-      std::vector<std::uint8_t> payload;
-      while (!conn.close_after_flush && conn.assembler.next(payload)) {
-        serve_payload(shard, conn, payload);
-      }
-      if (!conn.close_after_flush &&
-          conn.assembler.error() != FrameAssembler::Error::None) {
-        // Zero-length or oversized request frame: the stream cannot be
-        // trusted past this point, so answer with a structured error and
-        // close once it has flushed.
-        metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        metrics_.count_error(Status::BadRequest);
-        const bool zero =
-            conn.assembler.error() == FrameAssembler::Error::ZeroLength;
-        enqueue_frame(shard, conn,
-                      encode_error_frame(Status::BadRequest,
-                                         zero ? "zero-length frame"
-                                              : "request frame too large"));
-        conn.close_after_flush = true;
-      }
-      if (conn.close_after_flush) {
-        conn.read_closed = true;
-        shard.poller.mod(fd, /*want_read=*/false, conn.want_write);
-        break;
-      }
+      serve_frames(shard, conn);
       continue;
     }
     if (r == 0) {  // peer EOF
@@ -383,7 +384,7 @@ void EntropyServer::handle_readable(Shard& shard, Connection& conn) {
       }
       conn.read_closed = true;
       conn.close_after_flush = true;  // flush queued responses, then close
-      shard.poller.mod(fd, /*want_read=*/false, conn.want_write);
+      update_interest(shard, conn);
       break;
     }
     if (errno == EINTR) continue;
@@ -394,6 +395,36 @@ void EntropyServer::handle_readable(Shard& shard, Connection& conn) {
   flush_writes(shard, conn);
 }
 
+void EntropyServer::serve_frames(Shard& shard, Connection& conn) {
+  std::vector<std::uint8_t> payload;
+  while (!conn.close_after_flush && !conn.get.active &&
+         conn.assembler.next(payload)) {
+    serve_payload(shard, conn, payload);
+  }
+  if (conn.get.active) return;  // the rest waits behind the parked GET
+  if (!conn.close_after_flush &&
+      conn.assembler.error() != FrameAssembler::Error::None) {
+    // Zero-length or oversized request frame: the stream cannot be
+    // trusted past this point, so answer with a structured error and
+    // close once it has flushed.
+    metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    const bool zero =
+        conn.assembler.error() == FrameAssembler::Error::ZeroLength;
+    enqueue_error(shard, conn, Status::BadRequest,
+                  zero ? "zero-length frame" : "request frame too large");
+    conn.close_after_flush = true;
+  }
+  if (conn.close_after_flush && !conn.read_closed) {
+    conn.read_closed = true;
+    update_interest(shard, conn);
+  }
+}
+
+void EntropyServer::update_interest(Shard& shard, Connection& conn) {
+  shard.poller.mod(conn.sock.fd(), !conn.read_closed && !conn.get.active,
+                   conn.want_write);
+}
+
 void EntropyServer::serve_payload(Shard& shard, Connection& conn,
                                   const std::vector<std::uint8_t>& payload) {
   Request request;
@@ -401,18 +432,14 @@ void EntropyServer::serve_payload(Shard& shard, Connection& conn,
       decode_request(payload.data(), payload.size(), request);
   if (err != DecodeError::None) {
     metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    metrics_.count_error(Status::BadRequest);
-    enqueue_frame(shard, conn,
-                  encode_error_frame(Status::BadRequest,
-                                     decode_error_name(err)));
+    enqueue_error(shard, conn, Status::BadRequest, decode_error_name(err));
     conn.close_after_flush = true;
     return;
   }
 
   if (request.op == Opcode::Subscribe) {
     const auto reject = [&](Status status, const char* detail) {
-      metrics_.count_error(status);
-      enqueue_frame(shard, conn, encode_error_frame(status, detail));
+      enqueue_error(shard, conn, status, detail);
     };
     if (stopping_.load(std::memory_order_acquire)) {
       reject(Status::ShuttingDown, "server stopping");
@@ -443,9 +470,7 @@ void EntropyServer::serve_payload(Shard& shard, Connection& conn,
   }
   if (request.op == Opcode::Unsubscribe) {
     if (!conn.subscribed) {
-      metrics_.count_error(Status::BadRequest);
-      enqueue_frame(shard, conn, encode_error_frame(Status::BadRequest,
-                                                    "no active subscription"));
+      enqueue_error(shard, conn, Status::BadRequest, "no active subscription");
       return;
     }
     end_subscription(conn);
@@ -455,50 +480,46 @@ void EntropyServer::serve_payload(Shard& shard, Connection& conn,
     return;
   }
 
-  const Response response = serve_request(request, conn.bucket);
-  enqueue_frame(shard, conn,
-                encode_response_frame(response.status, response.flags,
-                                      response.payload));
-}
-
-Response EntropyServer::serve_request(const Request& request,
-                                      TokenBucket& conn_bucket) {
-  Response response;
-  const auto error = [&](Status status, const std::string& detail) {
-    response.status = status;
-    response.payload.assign(detail.begin(), detail.end());
-    metrics_.count_error(status);
-    return response;
-  };
-
+  if (request.op == Opcode::Get) {
+    serve_get(shard, conn, request);
+    return;
+  }
+  std::string text;
   if (request.op == Opcode::Stats) {
     metrics_.stats_requests.fetch_add(1, std::memory_order_relaxed);
     const core::PoolCertSnapshot cert = pool_.cert_snapshot();
-    const std::string text =
-        render_stats(metrics_, state(), pool_.snapshot(), &cert,
-                     config_.cert, config_.noise_mode_label);
-    response.payload.assign(text.begin(), text.end());
-    return response;
-  }
-  if (request.op == Opcode::Cert) {
+    text = render_stats(metrics_, state(), pool_.snapshot(), &cert,
+                        config_.cert, config_.noise_mode_label);
+  } else {  // Opcode::Cert
     metrics_.cert_requests.fetch_add(1, std::memory_order_relaxed);
-    const std::string text = render_cert(pool_.cert_snapshot(), config_.cert);
-    response.payload.assign(text.begin(), text.end());
-    return response;
+    text = render_cert(pool_.cert_snapshot(), config_.cert);
   }
+  enqueue_frame(shard, conn,
+                encode_response_frame(
+                    Status::Ok, 0,
+                    std::vector<std::uint8_t>(text.begin(), text.end())));
+}
 
+void EntropyServer::serve_get(Shard& shard, Connection& conn,
+                              const Request& request) {
   const std::size_t n = request.n_bytes;
   if (stopping_.load(std::memory_order_acquire)) {
-    return error(Status::ShuttingDown, "server stopping");
+    enqueue_error(shard, conn, Status::ShuttingDown, "server stopping");
+    return;
   }
   if (n > config_.max_request_bytes) {
-    return error(Status::TooLarge, "request above per-request byte budget");
+    enqueue_error(shard, conn, Status::TooLarge,
+                  "request above per-request byte budget");
+    return;
   }
-  if (!conn_bucket.try_acquire(n)) {
-    return error(Status::RateLimited, "per-connection rate limit");
+  if (!conn.bucket.try_acquire(n)) {
+    enqueue_error(shard, conn, Status::RateLimited,
+                  "per-connection rate limit");
+    return;
   }
   if (!global_bucket_.try_acquire(n)) {
-    return error(Status::RateLimited, "global rate limit");
+    enqueue_error(shard, conn, Status::RateLimited, "global rate limit");
+    return;
   }
 
   const ServiceState st = state();
@@ -506,25 +527,86 @@ Response EntropyServer::serve_request(const Request& request,
     // Fail closed: no live noise source behind the service, so refuse —
     // even though gated bytes may remain buffered and the fallback DRBG
     // could keep stretching its last seed.
-    return error(Status::Exhausted, "all entropy producers retired");
+    enqueue_error(shard, conn, Status::Exhausted,
+                  "all entropy producers retired");
+    return;
   }
-  try {
-    if (st == ServiceState::Degraded) {
-      response.payload = draw_degraded(n);
-      response.flags |= kFlagDegraded;
-    } else {
-      response.payload = draw(request.quality, n);
+  if (st == ServiceState::Degraded || request.quality == Quality::Drbg) {
+    const bool degraded = st == ServiceState::Degraded;
+    std::vector<std::uint8_t> payload;
+    try {
+      payload = degraded ? draw_degraded(n) : draw_drbg(n);
+    } catch (const core::EntropyExhausted&) {
+      enqueue_error(shard, conn, Status::Exhausted,
+                    "entropy pool exhausted mid-request");
+      return;
     }
-  } catch (const core::EntropyExhausted&) {
-    return error(Status::Exhausted, "entropy pool exhausted mid-request");
+    metrics_.count_served(request.quality, n, degraded);
+    enqueue_frame(shard, conn,
+                  encode_response_frame(Status::Ok,
+                                        degraded ? kFlagDegraded : 0,
+                                        payload));
+    return;
   }
-  metrics_.count_served(request.quality, n, response.degraded());
-  return response;
+
+  begin_draw(conn.get, request.quality, n);
+  if (finish_get(shard, conn)) return;
+  // The pool is short: park.  Reads stop until the GET completes, so the
+  // frames behind it keep their order; the doorbell resumes it.
+  metrics_.pool_parked_gets.fetch_add(1, std::memory_order_relaxed);
+  shard.parked.push_back(conn.sock.fd());
+  update_interest(shard, conn);
+}
+
+bool EntropyServer::finish_get(Shard& shard, Connection& conn) {
+  PendingDraw& get = conn.get;
+  try {
+    if (!fill_draw(shard, get)) return false;
+  } catch (const core::EntropyExhausted&) {
+    get = PendingDraw{};
+    // The pool closes for good either when stop() begins (stopping_ is
+    // set first) or when the last producer retires.
+    if (stopping_.load(std::memory_order_acquire)) {
+      enqueue_error(shard, conn, Status::ShuttingDown, "server stopping");
+    } else {
+      enqueue_error(shard, conn, Status::Exhausted,
+                    "entropy pool exhausted mid-request");
+    }
+    return true;
+  }
+  metrics_.count_served(get.quality, get.out.size(), false);
+  enqueue_frame(shard, conn, encode_response_frame(Status::Ok, 0, get.out));
+  get = PendingDraw{};
+  return true;
+}
+
+void EntropyServer::resume_parked(Shard& shard) {
+  for (std::size_t i = 0; i < shard.parked.size();) {
+    const int fd = shard.parked[i];
+    Connection& conn = *shard.conns.at(fd);
+    if (!finish_get(shard, conn)) {
+      ++i;
+      continue;
+    }
+    shard.parked.erase(shard.parked.begin() +
+                       static_cast<std::ptrdiff_t>(i));
+    // Frames pipelined behind the GET first (one may park again), then
+    // the socket itself.
+    serve_frames(shard, conn);
+    if (!conn.get.active) update_interest(shard, conn);
+    flush_writes(shard, conn);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
+
+void EntropyServer::enqueue_error(Shard& shard, Connection& conn,
+                                  Status status, const std::string& detail) {
+  metrics_.count_error(status);
+  enqueue_frame(shard, conn, encode_error_frame(status, detail));
+}
 
 void EntropyServer::enqueue_frame(Shard& shard, Connection& conn,
                                   std::vector<std::uint8_t> frame) {
@@ -541,7 +623,7 @@ void EntropyServer::enqueue_frame(Shard& shard, Connection& conn,
     conn.write_q.push_back(std::move(busy));
     conn.close_after_flush = true;
     conn.read_closed = true;
-    shard.poller.mod(conn.sock.fd(), /*want_read=*/false, conn.want_write);
+    update_interest(shard, conn);
     return;
   }
   conn.write_bytes += frame.size();
@@ -571,7 +653,7 @@ void EntropyServer::flush_writes(Shard& shard, Connection& conn) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!conn.want_write) {
           conn.want_write = true;
-          shard.poller.mod(fd, !conn.read_closed, /*want_write=*/true);
+          update_interest(shard, conn);
         }
         return;
       }
@@ -601,7 +683,7 @@ void EntropyServer::flush_writes(Shard& shard, Connection& conn) {
   }
   if (conn.want_write) {
     conn.want_write = false;
-    shard.poller.mod(fd, !conn.read_closed, /*want_write=*/false);
+    update_interest(shard, conn);
   }
 }
 
@@ -612,6 +694,7 @@ void EntropyServer::flush_writes(Shard& shard, Connection& conn) {
 void EntropyServer::end_subscription(Connection& conn) {
   conn.subscribed = false;
   conn.sub_deferred = false;
+  conn.push = PendingDraw{};  // an unfinished push is dropped, never sent
   metrics_.subscriptions_closed.fetch_add(1, std::memory_order_relaxed);
   metrics_.subscriptions_active.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -648,97 +731,136 @@ void EntropyServer::push_subscription(Shard& shard, Connection& conn) {
     end_subscription(conn);
     conn.close_after_flush = true;
     conn.read_closed = true;
-    shard.poller.mod(conn.sock.fd(), /*want_read=*/false, conn.want_write);
+    update_interest(shard, conn);
   };
 
   if (stopping_.load(std::memory_order_acquire)) {
     end_stream(Status::ShuttingDown, "server stopping");
     return;
   }
-  // A push is taken whole or not at all — first the write-queue room
-  // (checked before any tokens are spent), then the buckets — so the
-  // byte accounting identity holds exactly for streams too.
-  const std::size_t frame_bytes =
-      kLenPrefixBytes + kResponseHeaderBytes + conn.sub_chunk;
-  if (conn.write_bytes + frame_bytes > config_.max_write_queue_bytes) {
-    metrics_.subscribe_deferred_backpressure.fetch_add(
-        1, std::memory_order_relaxed);
-    conn.sub_deferred = true;
-    return;
-  }
-  if (!conn.bucket.try_acquire(conn.sub_chunk)) {
-    metrics_.subscribe_deferred_rate.fetch_add(1, std::memory_order_relaxed);
-    conn.sub_deferred = true;
-    return;
-  }
-  if (!global_bucket_.try_acquire(conn.sub_chunk)) {
-    metrics_.subscribe_deferred_rate.fetch_add(1, std::memory_order_relaxed);
-    conn.sub_deferred = true;
-    return;
+  const auto ship = [&](const std::vector<std::uint8_t>& payload,
+                        bool degraded) {
+    const std::uint8_t flags =
+        kFlagPush | (degraded ? kFlagDegraded : std::uint8_t{0});
+    enqueue_frame(shard, conn,
+                  encode_response_frame(Status::Ok, flags, payload));
+    metrics_.count_served(conn.sub_quality, conn.sub_chunk, degraded);
+    metrics_.subscribe_pushes.fetch_add(1, std::memory_order_relaxed);
+    metrics_.subscribe_push_bytes.fetch_add(conn.sub_chunk,
+                                            std::memory_order_relaxed);
+    if (degraded) {
+      metrics_.subscribe_pushes_degraded.fetch_add(1,
+                                                   std::memory_order_relaxed);
+    }
+    conn.sub_deferred = false;
+    conn.sub_due_ns =
+        clock_now_ns() +
+        static_cast<std::uint64_t>(conn.sub_interval_ms) * 1000000u;
+  };
+
+  if (!conn.push.active) {
+    // A push is taken whole or not at all — first the write-queue room
+    // (checked before any tokens are spent), then the buckets — so the
+    // byte accounting identity holds exactly for streams too.
+    const std::size_t frame_bytes =
+        kLenPrefixBytes + kResponseHeaderBytes + conn.sub_chunk;
+    if (conn.write_bytes + frame_bytes > config_.max_write_queue_bytes) {
+      metrics_.subscribe_deferred_backpressure.fetch_add(
+          1, std::memory_order_relaxed);
+      conn.sub_deferred = true;
+      return;
+    }
+    if (!conn.bucket.try_acquire(conn.sub_chunk)) {
+      metrics_.subscribe_deferred_rate.fetch_add(1, std::memory_order_relaxed);
+      conn.sub_deferred = true;
+      return;
+    }
+    if (!global_bucket_.try_acquire(conn.sub_chunk)) {
+      metrics_.subscribe_deferred_rate.fetch_add(1, std::memory_order_relaxed);
+      conn.sub_deferred = true;
+      return;
+    }
+
+    const ServiceState st = state();
+    if (st == ServiceState::Exhausted) {
+      end_stream(Status::Exhausted, "all entropy producers retired");
+      return;
+    }
+    if (st == ServiceState::Degraded || conn.sub_quality == Quality::Drbg) {
+      const bool degraded = st == ServiceState::Degraded;
+      std::vector<std::uint8_t> payload;
+      try {
+        payload = degraded ? draw_degraded(conn.sub_chunk)
+                           : draw_drbg(conn.sub_chunk);
+      } catch (const core::EntropyExhausted&) {
+        end_stream(Status::Exhausted, "entropy pool exhausted mid-push");
+        return;
+      }
+      ship(payload, degraded);
+      return;
+    }
+    begin_draw(conn.push, conn.sub_quality, conn.sub_chunk);
   }
 
-  const ServiceState st = state();
-  if (st == ServiceState::Exhausted) {
-    end_stream(Status::Exhausted, "all entropy producers retired");
-    return;
-  }
-  std::vector<std::uint8_t> payload;
+  // Pool-backed push, paid for when it began: it stays deferred (whole,
+  // never split) until the pool has covered all of it.
   try {
-    payload = st == ServiceState::Degraded ? draw_degraded(conn.sub_chunk)
-                                           : draw(conn.sub_quality,
-                                                  conn.sub_chunk);
+    if (!fill_draw(shard, conn.push)) {
+      conn.sub_deferred = true;
+      return;
+    }
   } catch (const core::EntropyExhausted&) {
     end_stream(Status::Exhausted, "entropy pool exhausted mid-push");
     return;
   }
-  const bool degraded = st == ServiceState::Degraded;
-  const std::uint8_t flags =
-      kFlagPush | (degraded ? kFlagDegraded : std::uint8_t{0});
-  enqueue_frame(shard, conn,
-                encode_response_frame(Status::Ok, flags, payload));
-  metrics_.count_served(conn.sub_quality, conn.sub_chunk, degraded);
-  metrics_.subscribe_pushes.fetch_add(1, std::memory_order_relaxed);
-  metrics_.subscribe_push_bytes.fetch_add(conn.sub_chunk,
-                                          std::memory_order_relaxed);
-  if (degraded) {
-    metrics_.subscribe_pushes_degraded.fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
-  conn.sub_deferred = false;
-  conn.sub_due_ns = clock_now_ns() +
-                    static_cast<std::uint64_t>(conn.sub_interval_ms) * 1000000u;
+  ship(conn.push.out, false);
+  conn.push = PendingDraw{};
 }
 
 // ---------------------------------------------------------------------------
-// Entropy draws (unchanged from the blocking-era server)
+// Entropy draws
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> EntropyServer::draw(Quality quality,
-                                              std::size_t n) {
-  switch (quality) {
-    case Quality::Raw:
-      return pool_.get_bytes(n);
-    case Quality::Conditioned: {
-      // Vetted conditioning (SP 800-90B 3.1.5.1.2): SHA-256 over 64-byte
-      // pool blocks, 2:1 compression — 512 health-gated input bits per
-      // 256 output bits.
-      std::vector<std::uint8_t> out;
-      out.reserve(n);
-      while (out.size() < n) {
-        const auto digest = support::Sha256::hash(pool_.get_bytes(64));
-        const std::size_t take =
-            std::min<std::size_t>(digest.size(), n - out.size());
-        out.insert(out.end(), digest.begin(),
-                   digest.begin() + static_cast<std::ptrdiff_t>(take));
-      }
-      return out;
-    }
-    case Quality::Drbg: {
-      std::lock_guard<std::mutex> lock(drbg_mutex_);
-      return drbg_locked().generate(n);
-    }
+void EntropyServer::begin_draw(PendingDraw& draw, Quality quality,
+                               std::size_t n) {
+  draw.active = true;
+  draw.quality = quality;
+  draw.out.resize(n);
+  draw.filled = 0;
+  draw.input_filled = 0;
+}
+
+bool EntropyServer::fill_draw(Shard& shard, PendingDraw& draw) {
+  const std::size_t n = draw.out.size();
+  if (draw.quality == Quality::Raw) {
+    draw.filled += pool_.try_get_bytes(
+        std::span<std::uint8_t>(draw.out).subspan(draw.filled),
+        &shard.doorbell);
+    return draw.filled == n;
   }
-  throw std::invalid_argument("EntropyServer: unknown quality");
+  // Vetted conditioning (SP 800-90B 3.1.5.1.2): SHA-256 over 64-byte
+  // pool blocks, 2:1 compression — 512 health-gated input bits per 256
+  // output bits.
+  while (draw.filled < n) {
+    draw.input_filled += pool_.try_get_bytes(
+        std::span<std::uint8_t>(draw.input).subspan(draw.input_filled),
+        &shard.doorbell);
+    if (draw.input_filled < draw.input.size()) return false;
+    support::Sha256 sha;
+    sha.update(draw.input.data(), draw.input.size());
+    const support::Sha256::Digest digest = sha.finish();
+    const std::size_t take = std::min(digest.size(), n - draw.filled);
+    std::copy_n(digest.begin(), take,
+                draw.out.begin() + static_cast<std::ptrdiff_t>(draw.filled));
+    draw.filled += take;
+    draw.input_filled = 0;
+  }
+  return true;
+}
+
+std::vector<std::uint8_t> EntropyServer::draw_drbg(std::size_t n) {
+  std::lock_guard<std::mutex> lock(drbg_mutex_);
+  return drbg_locked().generate(n);
 }
 
 std::vector<std::uint8_t> EntropyServer::draw_degraded(std::size_t n) {

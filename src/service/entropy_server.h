@@ -19,12 +19,25 @@
 // Requests on one connection are still answered strictly in order, so
 // response frames can never interleave.
 //
+// Pool draws never block a shard.  A Raw or Conditioned GET takes what
+// the pool has buffered (EntropyPool::try_get_bytes); when that is short
+// the GET *parks* on its connection, keeping its partly filled payload,
+// and the shard arms its doorbell — once the pool holds enough to finish
+// it, the publishing producer rings the shard's WakePipe and the GET
+// resumes where it left off.  While parked, that connection reads no
+// further frames (its read interest is off, so the kernel socket buffer
+// back-pressures the peer), which keeps replies in request order; every
+// other connection on the shard carries on.  stop() answers a parked GET with one ShuttingDown
+// error.  The one remaining blocking point is the HMAC_DRBG (Drbg
+// quality and the DEGRADED fallback): its reseed pulls 64 pool bytes
+// through PoolSource's blocking get_bytes under drbg_mutex_.
+//
 // SUBSCRIBE (protocol.h) turns a connection into a push stream serviced
 // by its shard's loop: pushes draw through the same token buckets and
-// degradation ladder as GET, a push that a bucket or the write queue
-// cannot take whole is deferred (never split, so byte accounting stays
-// exact), and push cadence is timed by the injectable clock so tests can
-// freeze it.
+// degradation ladder as GET, a push that a bucket, the write queue or
+// the pool cannot complete whole is deferred (never split, so byte
+// accounting stays exact), and push cadence is timed by the injectable
+// clock so tests can freeze it.
 //
 // Failure policy (the SP 800-90B section 4.3 deployment behaviour, wired
 // to core::EntropyPool's quarantine/reseed/retire state machine):
@@ -51,6 +64,7 @@
 // per-connection write queue (`max_write_queue_bytes`).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -199,6 +213,18 @@ class EntropyServer {
     std::size_t bit_ = 0;
   };
 
+  /// A Raw or Conditioned pool draw filled across as many non-blocking
+  /// pool hand-offs as it takes: `out` holds the `filled` bytes so far,
+  /// and a Conditioned draw gathers each 64-byte SHA-256 input in `input`.
+  struct PendingDraw {
+    bool active = false;
+    Quality quality = Quality::Raw;
+    std::vector<std::uint8_t> out;
+    std::size_t filled = 0;
+    std::array<std::uint8_t, 64> input{};
+    std::size_t input_filled = 0;
+  };
+
   /// Per-connection state machine, owned by exactly one shard (no lock:
   /// only that shard's loop thread touches it).
   struct Connection {
@@ -219,6 +245,8 @@ class EntropyServer {
     bool want_write = false;        ///< write interest registered
     bool close_after_flush = false; ///< close once write_q drains
     bool read_closed = false;       ///< peer EOF seen; stop reading
+    /// A GET parked for pool bytes (get.active); frames behind it wait.
+    PendingDraw get;
 
     // Subscription stream state (SUBSCRIBE .. UNSUBSCRIBE/disconnect).
     bool subscribed = false;
@@ -227,6 +255,7 @@ class EntropyServer {
     std::uint32_t sub_interval_ms = 0;
     std::uint64_t sub_due_ns = 0;  ///< injectable-clock time of next push
     bool sub_deferred = false;     ///< last push attempt was deferred
+    PendingDraw push;              ///< push still filling from the pool
   };
 
   /// A listener owned by one shard.  `distribute` marks listeners whose
@@ -238,16 +267,38 @@ class EntropyServer {
     bool distribute = false;
   };
 
-  /// One event-loop shard: poller + doorbell + its listeners and
+  /// Armed by a shard whose pool draw came up short; a producer thread
+  /// rings it once the pool can cover the shortfall (or the pool closes),
+  /// which wakes the shard's loop through its WakePipe.
+  class PoolDoorbell final : public core::Doorbell {
+   public:
+    PoolDoorbell(WakePipe& wake, std::atomic<std::uint64_t>& rings)
+        : wake_(wake), rings_(rings) {}
+    void ring() override {
+      rings_.fetch_add(1, std::memory_order_relaxed);
+      wake_.notify();
+    }
+
+   private:
+    WakePipe& wake_;
+    std::atomic<std::uint64_t>& rings_;
+  };
+
+  /// One event-loop shard: poller + wake pipe + its listeners and
   /// connections.  Only `adopted` crosses threads (shard 0 hands
-  /// distributed accepts over) and is mutex-protected.
+  /// distributed accepts over) and is mutex-protected; `doorbell` is rung
+  /// from producer threads and only touches the wake pipe.
   struct Shard {
-    explicit Shard(Poller::Backend backend) : poller(backend) {}
+    Shard(Poller::Backend backend, Metrics& metrics)
+        : poller(backend), doorbell(wake, metrics.pool_doorbell_wakeups) {}
     std::size_t index = 0;
     Poller poller;
     WakePipe wake;
+    PoolDoorbell doorbell;
     std::vector<ShardListener> listeners;
     std::unordered_map<int, std::unique_ptr<Connection>> conns;
+    /// Connections with a parked GET, in parking order.
+    std::vector<int> parked;
     std::mutex adopted_mutex;
     std::vector<int> adopted;
     std::thread thread;
@@ -262,11 +313,23 @@ class EntropyServer {
   /// Attach an accepted (slot-holding) fd to `shard`'s loop.
   void attach_connection(Shard& shard, int fd);
   void handle_readable(Shard& shard, Connection& conn);
+  /// Serve the complete frames buffered in conn's assembler, in order,
+  /// stopping at a GET that parks.
+  void serve_frames(Shard& shard, Connection& conn);
   /// Serve one complete request payload (decode + dispatch + enqueue).
   void serve_payload(Shard& shard, Connection& conn,
                      const std::vector<std::uint8_t>& payload);
-  /// GET/STATS/CERT dispatch shared with the blocking-era semantics.
-  Response serve_request(const Request& request, TokenBucket& conn_bucket);
+  /// GET admission and draw; parks the GET when the pool is short.
+  void serve_get(Shard& shard, Connection& conn, const Request& request);
+  /// Try to finish conn's parked GET; true once it has been answered.
+  bool finish_get(Shard& shard, Connection& conn);
+  /// Retry every parked GET on this shard once, resuming the reads of
+  /// each connection whose GET completes.
+  void resume_parked(Shard& shard);
+  /// Re-register read/write interest (no reads while closed or parked).
+  void update_interest(Shard& shard, Connection& conn);
+  void enqueue_error(Shard& shard, Connection& conn, Status status,
+                     const std::string& detail);
   void enqueue_frame(Shard& shard, Connection& conn,
                      std::vector<std::uint8_t> frame);
   /// Batched non-blocking flush; closes the connection on write error or
@@ -279,8 +342,14 @@ class EntropyServer {
   void end_subscription(Connection& conn);
   void close_connection(Shard& shard, int fd);
 
-  /// Draw `n` bytes at `quality`; throws core::EntropyExhausted.
-  std::vector<std::uint8_t> draw(Quality quality, std::size_t n);
+  /// Start a Raw/Conditioned draw of `n` bytes into `draw`.
+  static void begin_draw(PendingDraw& draw, Quality quality, std::size_t n);
+  /// Advance `draw` without blocking; true once complete.  Arms the
+  /// shard's doorbell when the pool is short.  Throws
+  /// core::EntropyExhausted.
+  bool fill_draw(Shard& shard, PendingDraw& draw);
+  /// Drbg-quality output (may block on a reseed; see file comment).
+  std::vector<std::uint8_t> draw_drbg(std::size_t n);
   /// DEGRADED path: DRBG output, reseeding when pool health changed.
   std::vector<std::uint8_t> draw_degraded(std::size_t n);
   /// DRBG access (lazy instantiation) under drbg_mutex_.

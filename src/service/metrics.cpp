@@ -128,6 +128,8 @@ std::string render_stats(const Metrics& m, ServiceState state,
       << "accept_soft_errors " << v(m.accept_soft_errors) << '\n'
       << "accept_fatal_errors " << v(m.accept_fatal_errors) << '\n'
       << "write_queue_overflows " << v(m.write_queue_overflows) << '\n'
+      << "pool_parked_gets " << v(m.pool_parked_gets) << '\n'
+      << "pool_doorbell_wakeups " << v(m.pool_doorbell_wakeups) << '\n'
       << "subscriptions_opened " << v(m.subscriptions_opened) << '\n'
       << "subscriptions_closed " << v(m.subscriptions_closed) << '\n'
       << "subscriptions_active " << v(m.subscriptions_active) << '\n'

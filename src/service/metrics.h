@@ -11,7 +11,13 @@
 //  * bytes_served_* count entropy bytes actually shipped (rejected and
 //    error responses ship zero);
 //  * connections_active is a gauge and must return to zero when every
-//    client is gone (the protocol tests assert the slot count drains).
+//    client is gone (the protocol tests assert the slot count drains);
+//  * pool_parked_gets counts GETs that found the pool short and parked on
+//    their connection (once per GET, however often it resumes short);
+//    pool_doorbell_wakeups counts doorbell rings — a producer publishing
+//    enough to cover a shard's armed shortfall (or finding the pool full,
+//    or the pool closing).  With one shard, one parked GET and a block
+//    that covers it, both read exactly 1.
 #pragma once
 
 #include <atomic>
@@ -67,6 +73,10 @@ struct Metrics {
   /// Connections closed because their bounded write queue overflowed
   /// (back-pressure: the peer stopped reading faster than we produce).
   std::atomic<std::uint64_t> write_queue_overflows{0};
+
+  // Non-blocking pool hand-off (see the file comment for exact meaning).
+  std::atomic<std::uint64_t> pool_parked_gets{0};       ///< GETs parked
+  std::atomic<std::uint64_t> pool_doorbell_wakeups{0};  ///< doorbell rings
 
   // Subscription streaming (SUBSCRIBE/UNSUBSCRIBE).
   std::atomic<std::uint64_t> subscriptions_opened{0};

@@ -1,5 +1,6 @@
 #include "support/bitstream.h"
 
+#include <array>
 #include <bit>
 #include <cctype>
 #include <stdexcept>
@@ -44,6 +45,20 @@ void BitStream::push_back(bool bit) {
   if ((size_ & 63) == 0) words_.push_back(0);
   if (bit) words_.back() |= 1ULL << (size_ & 63);
   ++size_;
+}
+
+void BitStream::append_word(std::uint64_t bits, std::size_t nbits) {
+  assert(nbits <= 64);
+  if (nbits == 0) return;
+  if (nbits < 64) bits &= (std::uint64_t{1} << nbits) - 1;
+  const std::size_t offset = size_ & 63;
+  if (offset == 0) {
+    words_.push_back(bits);
+  } else {
+    words_.back() |= bits << offset;
+    if (offset + nbits > 64) words_.push_back(bits >> (64 - offset));
+  }
+  size_ += nbits;
 }
 
 void BitStream::append(const BitStream& other) {
@@ -93,11 +108,29 @@ std::uint64_t BitStream::word(std::size_t begin, std::size_t len) const {
 }
 
 std::vector<std::uint8_t> BitStream::to_bytes() const {
-  std::vector<std::uint8_t> out((size_ + 7) / 8, 0);
-  for (std::size_t i = 0; i < size_; ++i) {
-    if ((*this)[i]) out[i >> 3] |= static_cast<std::uint8_t>(0x80u >> (i & 7));
-  }
+  std::vector<std::uint8_t> out((size_ + 7) / 8);
+  pack_bytes(out);
   return out;
+}
+
+void BitStream::pack_bytes(std::span<std::uint8_t> out) const {
+  // Byte k holds stream bits 8k..8k+7, i.e. byte k % 8 of word k / 8,
+  // bit-reversed into MSB-first order.  Bits past size() are zero in the
+  // final word (class invariant), so the last byte is zero-padded.
+  static constexpr auto kReverse = [] {
+    std::array<std::uint8_t, 256> table{};
+    for (unsigned v = 0; v < 256; ++v) {
+      unsigned r = 0;
+      for (unsigned b = 0; b < 8; ++b) r |= ((v >> b) & 1u) << (7 - b);
+      table[v] = static_cast<std::uint8_t>(r);
+    }
+    return table;
+  }();
+  const std::size_t nbytes = (size_ + 7) / 8;
+  assert(out.size() >= nbytes);
+  for (std::size_t k = 0; k < nbytes; ++k) {
+    out[k] = kReverse[(words_[k >> 3] >> ((k & 7) * 8)) & 0xffu];
+  }
 }
 
 std::string BitStream::to_string() const {

@@ -25,6 +25,9 @@ class BitStream {
   static BitStream from_bytes(const std::vector<std::uint8_t>& bytes);
 
   void push_back(bool bit);
+  /// Append the low `nbits` (<= 64) bits of `bits`, LSB first — the word
+  /// counterpart of push_back, one shift-or per word instead of per bit.
+  void append_word(std::uint64_t bits, std::size_t nbits);
   void append(const BitStream& other);
   void clear() { words_.clear(); size_ = 0; }
   void reserve(std::size_t nbits) { words_.reserve((nbits + 63) / 64); }
@@ -67,6 +70,9 @@ class BitStream {
 
   /// Pack to bytes MSB-first (padding the final byte with zeros).
   std::vector<std::uint8_t> to_bytes() const;
+  /// to_bytes() into a caller buffer of at least (size()+7)/8 bytes, so a
+  /// hot loop can reuse one buffer instead of allocating per call.
+  void pack_bytes(std::span<std::uint8_t> out) const;
   std::string to_string() const;
 
   bool operator==(const BitStream& other) const;

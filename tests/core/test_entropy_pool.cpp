@@ -4,10 +4,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/zoo/zoo.h"
 #include "support/fault_sources.h"
 #include "support/rng.h"
 
@@ -64,6 +67,78 @@ TEST(EntropyPool, RejectsBadConfig) {
                std::invalid_argument);
   EXPECT_THROW(EntropyPool({.block_bits = 12}, ideal_factory()),
                std::invalid_argument);
+  // Blocks are published whole: a buffer smaller than one block (4096
+  // bits = 512 bytes) could never accept a push.
+  EXPECT_THROW(EntropyPool({.buffer_bytes = 511, .block_bits = 4096},
+                           ideal_factory()),
+               std::invalid_argument);
+}
+
+// Byte-order contract: a single-producer pool serves exactly its source's
+// own bit stream, packed MSB-first, across block boundaries — at
+// block_bits 768 (not a power of two), 776 (not a multiple of the 64-bit
+// word, so every block ends in a partial health word) and 4096.
+TEST(EntropyPool, SingleProducerServesSourceStreamPackedMsbFirst) {
+  using Make = std::function<std::unique_ptr<TrngSource>(std::uint64_t)>;
+  struct Case {
+    const char* name;
+    Make make;
+    std::size_t bytes;
+  };
+  const Case cases[] = {
+      {"soa-fast",
+       [](std::uint64_t seed) -> std::unique_ptr<TrngSource> {
+         DhTrngSoAConfig cfg;
+         cfg.core.seed = seed;
+         cfg.noise_mode = noise::NoiseMode::Fast;
+         return std::make_unique<DhTrngSoA>(cfg);
+       },
+       8192},
+      {"dhtrng",
+       [](std::uint64_t seed) -> std::unique_ptr<TrngSource> {
+         return std::make_unique<DhTrng>(DhTrngConfig{.seed = seed});
+       },
+       1024},
+      {"neo",
+       [](std::uint64_t seed) -> std::unique_ptr<TrngSource> {
+         ZooOptions opt;
+         opt.seed = seed;
+         return make_zoo_source("neo", opt);
+       },
+       512},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t block_bits :
+         {std::size_t{768}, std::size_t{776}, std::size_t{4096}}) {
+      SCOPED_TRACE(std::string(c.name) + " block_bits " +
+                   std::to_string(block_bits));
+      // The factory's first call happens in the constructor, before the
+      // producer thread starts; a reseed would break the identity anyway
+      // and is asserted absent below.
+      std::uint64_t seed = 0;
+      std::vector<std::uint8_t> served;
+      {
+        EntropyPool pool(
+            {.producers = 1, .buffer_bytes = 1024, .block_bits = block_bits},
+            [&](std::size_t, std::uint64_t s) {
+              seed = s;
+              return c.make(s);
+            });
+        served = pool.get_bytes(c.bytes);
+        pool.stop();
+        ASSERT_EQ(pool.quarantine_events(), 0u);
+      }
+      const std::unique_ptr<TrngSource> replay = c.make(seed);
+      std::vector<std::uint8_t> expected(c.bytes);
+      for (auto& byte : expected) {
+        for (int b = 0; b < 8; ++b) {
+          byte = static_cast<std::uint8_t>((byte << 1) |
+                                           (replay->next_bit() ? 1u : 0u));
+        }
+      }
+      EXPECT_EQ(served, expected);
+    }
+  }
 }
 
 TEST(EntropyPool, ConcurrentConsumersDrainWithoutLossOrDuplication) {

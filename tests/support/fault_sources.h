@@ -10,8 +10,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -133,6 +136,65 @@ class IntermittentDropoutSource final : public dhtrng::core::TrngSource {
   bool stuck_;
   std::uint64_t bit_ = 0;
   std::size_t next_window_ = 0;
+};
+
+/// Gate shared between a test and its StallingSources, counted in bits:
+/// every wait() takes one permit and blocks while none is left.
+/// release(n) grants n more permits; release() opens the gate for good.
+class Latch {
+ public:
+  void release(std::uint64_t permits) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      permits_ += permits;
+    }
+    cv_.notify_all();
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_.store(true, std::memory_order_release);
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    if (open_.load(std::memory_order_acquire)) return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] {
+      return open_.load(std::memory_order_acquire) || permits_ > 0;
+    });
+    if (!open_.load(std::memory_order_acquire)) --permits_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::atomic<bool> open_{false};
+  std::uint64_t permits_ = 0;
+};
+
+/// Healthy Bernoulli(1/2) bits (the IdealSource stream for the same seed),
+/// each emitted only against a `latch` permit: a pool producer over it
+/// publishes exactly the blocks the test pays for, so a test holds the
+/// pool empty (or one block full) for as long as it needs — never on a
+/// timer.
+class StallingSource final : public dhtrng::core::TrngSource {
+ public:
+  StallingSource(std::uint64_t seed, std::shared_ptr<Latch> latch)
+      : rng_(seed), latch_(std::move(latch)) {}
+  std::string name() const override { return "stalling"; }
+  bool next_bit() override {
+    latch_->wait();
+    return rng_.bernoulli(0.5);
+  }
+  void restart() override {}
+  dhtrng::sim::ResourceCounts resources() const override { return {}; }
+  double clock_mhz() const override { return 100.0; }
+  dhtrng::fpga::ActivityEstimate activity() const override { return {}; }
+
+ private:
+  dhtrng::support::Xoshiro256 rng_;
+  std::shared_ptr<Latch> latch_;
 };
 
 /// Decorator scheduling a fault onto any real TrngSource: passes the

@@ -63,6 +63,24 @@ TEST(BitStream, BytesRoundTrip) {
   EXPECT_TRUE(bs[2]);
 }
 
+TEST(BitStream, AppendWordAndPackBytesMatchPerBitForms) {
+  // Word appends at every misaligned offset agree with push_back, and
+  // pack_bytes agrees with to_bytes (zero-padded final byte).
+  Xoshiro256 rng(7);
+  BitStream by_word, by_bit;
+  for (std::size_t nbits : {3u, 64u, 61u, 0u, 17u, 64u, 40u}) {
+    const std::uint64_t w = rng();
+    by_word.append_word(w, nbits);
+    for (std::size_t b = 0; b < nbits; ++b) by_bit.push_back((w >> b) & 1u);
+  }
+  ASSERT_EQ(by_word.size(), by_bit.size());
+  EXPECT_EQ(by_word, by_bit);
+  std::vector<std::uint8_t> packed((by_word.size() + 7) / 8, 0xff);
+  by_word.pack_bytes(packed);
+  EXPECT_EQ(packed, by_bit.to_bytes());
+  EXPECT_EQ(BitStream::from_bytes(packed).slice(0, by_bit.size()), by_bit);
+}
+
 TEST(BitStream, CountOnesInRangeCrossesWords) {
   BitStream bs(200, false);
   for (std::size_t i = 60; i < 70; ++i) bs.set(i, true);
