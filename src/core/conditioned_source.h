@@ -8,7 +8,7 @@
 // the pipeline therefore defaults to Conditioning::None and exists so that
 // (a) deployments get the mandatory health tests, and (b) the cost of
 // conditioning that *other* designs need is measurable (see
-// PostProcessStats and the entropy_analysis example).
+// PostProcessStats and tests/core/test_conditioned_source.cpp).
 #pragma once
 
 #include <cstddef>

@@ -95,68 +95,4 @@ std::vector<std::uint8_t> HmacDrbg::generate(std::size_t len) {
   return out;
 }
 
-// --- CTR_DRBG ---------------------------------------------------------------
-
-CtrDrbg::CtrDrbg(TrngSource& entropy_source, CtrDrbgConfig config)
-    : source_(entropy_source), config_(config), key_(32, 0x00) {
-  // Instantiate (10.2.1.3.1, no df): Key = 0, V = 0, then
-  // CTR_DRBG_Update(entropy_input).
-  update(source_.generate(kSeedLen * 8).to_bytes());
-  reseed_counter_ = 1;
-}
-
-void CtrDrbg::increment_v() {
-  for (std::size_t i = v_.size(); i-- > 0;) {
-    if (++v_[i] != 0) break;
-  }
-}
-
-void CtrDrbg::update(const std::vector<std::uint8_t>& provided) {
-  support::Aes cipher(key_);
-  std::vector<std::uint8_t> temp;
-  temp.reserve(kSeedLen);
-  while (temp.size() < kSeedLen) {
-    increment_v();
-    std::uint8_t block[16];
-    std::copy(v_.begin(), v_.end(), block);
-    cipher.encrypt_block(block);
-    temp.insert(temp.end(), block, block + 16);
-  }
-  temp.resize(kSeedLen);
-  for (std::size_t i = 0; i < kSeedLen && i < provided.size(); ++i) {
-    temp[i] ^= provided[i];
-  }
-  key_.assign(temp.begin(), temp.begin() + 32);
-  std::copy(temp.begin() + 32, temp.end(), v_.begin());
-}
-
-void CtrDrbg::reseed() {
-  update(source_.generate(kSeedLen * 8).to_bytes());
-  reseed_counter_ = 1;
-  ++reseeds_;
-}
-
-void CtrDrbg::generate(std::uint8_t* out, std::size_t len) {
-  if (reseed_counter_ > config_.reseed_interval) reseed();
-  support::Aes cipher(key_);
-  std::size_t produced = 0;
-  while (produced < len) {
-    increment_v();
-    std::uint8_t block[16];
-    std::copy(v_.begin(), v_.end(), block);
-    cipher.encrypt_block(block);
-    const std::size_t take = std::min<std::size_t>(16, len - produced);
-    std::copy(block, block + take, out + produced);
-    produced += take;
-  }
-  update({});
-  ++reseed_counter_;
-}
-
-std::vector<std::uint8_t> CtrDrbg::generate(std::size_t len) {
-  std::vector<std::uint8_t> out(len);
-  generate(out.data(), len);
-  return out;
-}
-
 }  // namespace dhtrng::core

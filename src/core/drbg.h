@@ -1,22 +1,18 @@
-// Deterministic random bit generators (SP 800-90A) seeded from a
+// Deterministic random bit generator (SP 800-90A) seeded from a
 // TrngSource — completing the root-of-trust stack the paper motivates:
 //
 //   DH-TRNG (entropy source) -> health tests -> DRBG -> applications
 //
-// Two constructions: HMAC_DRBG (10.1.2, over HMAC-SHA256) and CTR_DRBG
-// (10.2.1, over AES-256, no derivation function — legal because the
-// entropy input comes from a conditioned full-entropy source).  Both
-// stretch the physical entropy to arbitrary volumes with prediction and
-// backtracking resistance; reseeding pulls fresh TRNG output on demand or
-// automatically every `reseed_interval` generate calls.
+// HMAC_DRBG (10.1.2, over HMAC-SHA256) stretches the physical entropy to
+// arbitrary volumes with prediction and backtracking resistance;
+// reseeding pulls fresh TRNG output on demand or automatically every
+// `reseed_interval` generate calls.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/trng.h"
-#include "support/aes.h"
 #include "support/hmac.h"
 
 namespace dhtrng::core {
@@ -53,36 +49,6 @@ class HmacDrbg {
   HmacDrbgConfig config_;
   std::vector<std::uint8_t> key_;  // K
   std::vector<std::uint8_t> v_;    // V
-  std::uint64_t reseed_counter_ = 0;
-  std::uint64_t reseeds_ = 0;
-};
-
-struct CtrDrbgConfig {
-  std::uint64_t reseed_interval = 10000;
-};
-
-/// CTR_DRBG with AES-256, no derivation function: seedlen = 48 bytes of
-/// (conditioned) entropy per (re)seed.
-class CtrDrbg {
- public:
-  explicit CtrDrbg(TrngSource& entropy_source, CtrDrbgConfig config = {});
-
-  void generate(std::uint8_t* out, std::size_t len);
-  std::vector<std::uint8_t> generate(std::size_t len);
-  void reseed();
-
-  std::uint64_t reseed_count() const { return reseeds_; }
-
- private:
-  static constexpr std::size_t kSeedLen = 48;  // 32 key + 16 block
-
-  void update(const std::vector<std::uint8_t>& provided);
-  void increment_v();
-
-  TrngSource& source_;
-  CtrDrbgConfig config_;
-  std::vector<std::uint8_t> key_;
-  std::array<std::uint8_t, 16> v_{};
   std::uint64_t reseed_counter_ = 0;
   std::uint64_t reseeds_ = 0;
 };

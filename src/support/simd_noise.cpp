@@ -19,22 +19,12 @@ namespace dhtrng::support::simd {
 // this list (kept as a macro so a new kernel can't be declared for one
 // tier and forgotten for another).
 #define DHTRNG_KERNEL_DECLS                                                   \
-  void boxmuller_transform(const std::uint64_t* raw, double* out,             \
-                           std::size_t n);                                    \
   void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);        \
   void xoshiro_soa_gaussian_fill(std::uint64_t s[4][64], double* out,         \
                                  std::size_t n);                              \
-  void sin2pi_batch(const double* turns, double* out, std::size_t n);         \
   void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n); \
-  void normal_cdf_batch(const double* x, double* out, std::size_t n);         \
-  void normal_cdf_batch_trimmed(const double* x, double* out, std::size_t n); \
   void normal_cdf_batch_trimmed_gated(const double* x, double* out,           \
                                       std::size_t n, double cutoff);          \
-  void fast_log_batch(const double* x, double* out, std::size_t n);           \
-  void fast_log_batch_trimmed(const double* x, double* out, std::size_t n);   \
-  void fast_exp_batch(const double* y, double* out, std::size_t n);           \
-  void fast_exp_batch_trimmed(const double* y, double* out, std::size_t n);   \
-  std::uint64_t uniform_lt_mask64(const std::uint64_t* raw, const double* p); \
   std::uint64_t uniform_lt_mask64_hi(const std::uint64_t* raw,                \
                                      const double* p);                        \
   std::uint64_t uniform_lt_mask64_lo(const std::uint64_t* raw,                \
@@ -123,54 +113,17 @@ Tier force_tier(Tier t) {
   return active_tier_slot().exchange(t, std::memory_order_relaxed);
 }
 
-void boxmuller_transform(const std::uint64_t* raw, double* out,
-                         std::size_t n) {
-  DHTRNG_DISPATCH(boxmuller_transform(raw, out, n))
-}
-
 void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n) {
   DHTRNG_DISPATCH(boxmuller_fill(s, out, n))
-}
-
-void sin2pi_batch(const double* turns, double* out, std::size_t n) {
-  DHTRNG_DISPATCH(sin2pi_batch(turns, out, n))
 }
 
 void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n) {
   DHTRNG_DISPATCH(sin2pi_batch_trimmed(turns, out, n))
 }
 
-void normal_cdf_batch(const double* x, double* out, std::size_t n) {
-  DHTRNG_DISPATCH(normal_cdf_batch(x, out, n))
-}
-
-void normal_cdf_batch_trimmed(const double* x, double* out, std::size_t n) {
-  DHTRNG_DISPATCH(normal_cdf_batch_trimmed(x, out, n))
-}
-
 void normal_cdf_batch_trimmed_gated(const double* x, double* out,
                                     std::size_t n, double cutoff) {
   DHTRNG_DISPATCH(normal_cdf_batch_trimmed_gated(x, out, n, cutoff))
-}
-
-void fast_log_batch(const double* x, double* out, std::size_t n) {
-  DHTRNG_DISPATCH(fast_log_batch(x, out, n))
-}
-
-void fast_log_batch_trimmed(const double* x, double* out, std::size_t n) {
-  DHTRNG_DISPATCH(fast_log_batch_trimmed(x, out, n))
-}
-
-void fast_exp_batch(const double* y, double* out, std::size_t n) {
-  DHTRNG_DISPATCH(fast_exp_batch(y, out, n))
-}
-
-void fast_exp_batch_trimmed(const double* y, double* out, std::size_t n) {
-  DHTRNG_DISPATCH(fast_exp_batch_trimmed(y, out, n))
-}
-
-std::uint64_t uniform_lt_mask64(const std::uint64_t* raw, const double* p) {
-  DHTRNG_DISPATCH(uniform_lt_mask64(raw, p))
 }
 
 std::uint64_t uniform_lt_mask64_hi(const std::uint64_t* raw, const double* p) {

@@ -46,14 +46,6 @@ Tier active_tier();
 /// Returns the previously active tier.
 Tier force_tier(Tier t);
 
-/// Batched Box-Muller: consumes `n` raw 64-bit words and writes `n`
-/// standard normals (`n` must be even; words are consumed in groups of
-/// up to 4 pairs).  Deterministic: out[i] depends only on raw[] and i.
-/// One whole word per uniform — the unfused transform, kept for callers
-/// that already hold a raw stream and for the dispatch-parity oracle.
-void boxmuller_transform(const std::uint64_t* raw, double* out,
-                         std::size_t n);
-
 /// Fused fill: advances the xoshiro256** state `s` inline and writes `n`
 /// standard normals (`n` must be even), two per raw word — the high 32
 /// bits feed the Box-Muller radius (trimmed log, tail clipped at ~6.66
@@ -63,47 +55,23 @@ void boxmuller_transform(const std::uint64_t* raw, double* out,
 /// the incoming state, so chunked fills concatenate exactly.
 void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);
 
-/// out[i] = sin(2*pi*turns[i]) for turns in [0, 2); absolute error < 1e-15.
-void sin2pi_batch(const double* turns, double* out, std::size_t n);
-
-/// Trimmed-grade sin(2*pi*t): absolute error < 1e-6 (measured ~3.1e-7) at
-/// roughly half the polynomial work.  Fast-noise consumers only.
+/// out[i] = sin(2*pi*turns[i]) for turns in [0, 2); absolute error < 1e-6
+/// (measured ~3.1e-7).
 void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n);
 
-/// out[i] = Phi(x[i]), the standard normal CDF, via the Abramowitz-Stegun
-/// 7.1.26 rational approximation (absolute error < 1e-6 — documented
-/// fast-mode accuracy; exact mode keeps support::normal_cdf).
-void normal_cdf_batch(const double* x, double* out, std::size_t n);
-
-/// Trimmed-grade Phi(x): same A&S 7.1.26 rational term (absolute error
-/// 1.5e-7 dominates) over the trimmed exponential; total error < 1e-6.
-void normal_cdf_batch_trimmed(const double* x, double* out, std::size_t n);
-
-/// Group-gated trimmed Phi(x): any 4-lane group whose inputs all sit at or
+/// Group-gated Phi(x), the standard normal CDF: the Abramowitz-Stegun
+/// 7.1.26 rational term (absolute error 1.5e-7 dominates) over the trimmed
+/// exponential, total absolute error < 1e-6 (exact mode keeps
+/// support::normal_cdf).  Any 4-lane group whose inputs all sit at or
 /// above `cutoff` skips the evaluation and stores 1.0; a group with at
-/// least one lane below the cutoff (and any tail lanes past the last full
-/// group) evaluates exactly like normal_cdf_batch_trimmed.  The gate is
-/// per-4-group in every tier, so tiers stay bit-identical.  Meant for
-/// consumers that mask out far lanes anyway (the SoA engine's aperture
-/// keep test): their downstream results are bit-identical at a fraction of
-/// the CDF work when most lanes are far from an edge.
+/// least one lane below the cutoff, and any tail lanes past the last full
+/// group, evaluates every lane, so cutoff HUGE_VAL evaluates everything.
+/// The gate is per-4-group in every tier, so tiers stay bit-identical.
+/// Meant for consumers that mask out far lanes anyway (the SoA engine's
+/// aperture keep test): their downstream results are bit-identical at a
+/// fraction of the CDF work when most lanes are far from an edge.
 void normal_cdf_batch_trimmed_gated(const double* x, double* out,
                                     std::size_t n, double cutoff);
-
-/// Elementwise accuracy-test entry points (dense sweeps vs libm live in
-/// tests/support/test_fast_math.cpp).  Domains: log x in (0, 1], exp y
-/// <= 0.  Budgets: full-grade rel err <= 1e-13 for fast_log, <= 5e-13
-/// for fast_exp (the degree-10 Taylor truncates at ~2.2e-13 of the
-/// result at the |r| = ln2/2 reduction boundary), trimmed <= 1e-6.
-void fast_log_batch(const double* x, double* out, std::size_t n);
-void fast_log_batch_trimmed(const double* x, double* out, std::size_t n);
-void fast_exp_batch(const double* y, double* out, std::size_t n);
-void fast_exp_batch_trimmed(const double* y, double* out, std::size_t n);
-
-/// Bit i of the result is set iff the uniform in [0,1) derived from raw[i]
-/// is < p[i] — 64 independent Bernoulli trials packed into one word (the
-/// bitsliced backend's coin flips).  Exact in every tier.
-std::uint64_t uniform_lt_mask64(const std::uint64_t* raw, const double* p);
 
 /// Sliced Bernoulli draws: the comparison consumes nowhere near 64 bits of
 /// entropy, so each word is split into two independent 32-bit uniforms —
@@ -131,9 +99,9 @@ struct XoshiroSoA {
   void fill(std::uint64_t* out, std::size_t n);
 
   /// Fused fill of `n` standard normals (`n` even): each 64-lane advance
-  /// yields 128 trimmed-grade normals via the fused Box-Muller (two per
-  /// word, see boxmuller_fill).  A partial final advance consumes its
-  /// first ceil(rem/2) words and deterministically discards the rest.
+  /// yields 128 normals via the fused Box-Muller (two per word, see
+  /// boxmuller_fill).  A partial final advance consumes its first
+  /// ceil(rem/2) words and deterministically discards the rest.
   void gaussian_fill(double* out, std::size_t n);
 };
 

@@ -21,7 +21,6 @@ namespace {
 const __m256d kMagic = _mm256_castsi256_pd(
     _mm256_set1_epi64x(0x4330000000000000LL));  // 2^52 with OR-able mantissa
 const __m256d kTwo52 = _mm256_set1_pd(0x1p52);
-const __m256d kInvTwo52 = _mm256_set1_pd(0x1p-52);
 const __m256d kInvTwo32 = _mm256_set1_pd(0x1p-32);
 const __m256d kSignBit = _mm256_set1_pd(-0.0);
 
@@ -52,52 +51,7 @@ inline __m256d small_u64_to_double(__m256i x) {
                        kTwo52);
 }
 
-inline __m256d u01_open(__m256i raw) {
-  return _mm256_mul_pd(small_u64_to_double(_mm256_srli_epi64(raw, 12)),
-                       kInvTwo52);
-}
-
-inline __m256d u01_closed(__m256i raw) {
-  return _mm256_mul_pd(
-      _mm256_add_pd(small_u64_to_double(_mm256_srli_epi64(raw, 12)),
-                    _mm256_set1_pd(1.0)),
-      kInvTwo52);
-}
-
-// log(x) for x in (0, 1] — mirrors fast_log.
-inline __m256d fast_log(__m256d x) {
-  const __m256i bits = _mm256_castpd_si256(x);
-  __m256d e = _mm256_sub_pd(small_u64_to_double(_mm256_srli_epi64(bits, 52)),
-                            _mm256_set1_pd(1022.0));
-  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
-      _mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffffLL)),
-      _mm256_set1_epi64x(0x3fe0000000000000LL)));
-  const __m256d fold =
-      _mm256_cmp_pd(m, _mm256_set1_pd(0.70710678118654752440), _CMP_LT_OQ);
-  // m += fold*m and e -= fold, with fold acting as {0,1}: exact either way.
-  m = _mm256_add_pd(m, _mm256_and_pd(fold, m));
-  e = _mm256_sub_pd(e, _mm256_and_pd(fold, _mm256_set1_pd(1.0)));
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d r =
-      _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  __m256d p = _mm256_set1_pd(0.11764705882352941);
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(0.13333333333333333));
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(0.15384615384615385));
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(0.18181818181818182));
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(0.22222222222222222));
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(0.2857142857142857));
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(0.4));
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(0.6666666666666666));
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(2.0));
-  return _mm256_fmadd_pd(
-      e, _mm256_set1_pd(6.93147180369123816490e-01),
-      _mm256_fmadd_pd(
-          p, r,
-          _mm256_mul_pd(e, _mm256_set1_pd(1.90821492927058770002e-10))));
-}
-
-// Trimmed log for x in (0, 1] — mirrors fast_log_t (4-term atanh series,
+// log(x) for x in (0, 1] — mirrors fast_log_t (4-term atanh series,
 // single-constant ln2).
 inline __m256d fast_log_t(__m256d x) {
   const __m256i bits = _mm256_castpd_si256(x);
@@ -122,35 +76,7 @@ inline __m256d fast_log_t(__m256d x) {
                          _mm256_mul_pd(p, r));
 }
 
-// exp(y) for y <= 0 — mirrors fast_exp.
-inline __m256d fast_exp(__m256d y) {
-  __m256d n = _mm256_floor_pd(_mm256_fmadd_pd(
-      y, _mm256_set1_pd(1.4426950408889634074), _mm256_set1_pd(0.5)));
-  n = _mm256_max_pd(n, _mm256_set1_pd(-1022.0));
-  __m256d r = _mm256_fmadd_pd(n, _mm256_set1_pd(-6.93145751953125e-1), y);
-  r = _mm256_fmadd_pd(n, _mm256_set1_pd(-1.42860682030941723212e-6), r);
-  __m256d p = _mm256_set1_pd(2.755731922398589e-7);
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(2.7557319223985893e-6));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(2.48015873015873e-5));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.984126984126984e-4));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.3888888888888889e-3));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(8.333333333333333e-3));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(4.1666666666666664e-2));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(0.16666666666666666));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(0.5));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0));
-  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0));
-  // 2^n via exponent bits: n is integral in [-1022, 0].
-  const __m128i ni = _mm256_cvttpd_epi32(n);
-  const __m256i ni64 = _mm256_cvtepi32_epi64(ni);
-  const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
-      _mm256_add_epi64(ni64, _mm256_set1_epi64x(1023)), 52));
-  const __m256d out = _mm256_mul_pd(p, scale);
-  const __m256d tiny = _mm256_cmp_pd(y, _mm256_set1_pd(-708.0), _CMP_LT_OQ);
-  return _mm256_andnot_pd(tiny, out);
-}
-
-// Trimmed exp for y <= 0 — mirrors fast_exp_t (Taylor cut at r^6/720).
+// exp(y) for y <= 0 — mirrors fast_exp_t (Taylor cut at r^6/720).
 inline __m256d fast_exp_t(__m256d y) {
   __m256d n = _mm256_floor_pd(_mm256_fmadd_pd(
       y, _mm256_set1_pd(1.4426950408889634074), _mm256_set1_pd(0.5)));
@@ -173,50 +99,7 @@ inline __m256d fast_exp_t(__m256d y) {
   return _mm256_andnot_pd(tiny, out);
 }
 
-// sin/cos of 2*pi*t — mirrors sincos2pi (quarter-turn reduction + Taylor).
-inline void sincos2pi(__m256d t, __m256d& sin_out, __m256d& cos_out) {
-  const __m256d a = _mm256_mul_pd(_mm256_set1_pd(4.0), t);
-  const __m256d k = _mm256_floor_pd(_mm256_add_pd(a, _mm256_set1_pd(0.5)));
-  const __m256d x = _mm256_mul_pd(_mm256_sub_pd(a, k),
-                                  _mm256_set1_pd(1.5707963267948966));
-  const __m256d x2 = _mm256_mul_pd(x, x);
-  __m256d sp = _mm256_set1_pd(-7.647163731819816e-13);
-  sp = _mm256_fmadd_pd(sp, x2, _mm256_set1_pd(1.6059043836821613e-10));
-  sp = _mm256_fmadd_pd(sp, x2, _mm256_set1_pd(-2.505210838544172e-8));
-  sp = _mm256_fmadd_pd(sp, x2, _mm256_set1_pd(2.7557319223985893e-6));
-  sp = _mm256_fmadd_pd(sp, x2, _mm256_set1_pd(-1.984126984126984e-4));
-  sp = _mm256_fmadd_pd(sp, x2, _mm256_set1_pd(8.3333333333333333e-3));
-  sp = _mm256_fmadd_pd(sp, x2, _mm256_set1_pd(-0.16666666666666666));
-  const __m256d sinx = _mm256_fmadd_pd(_mm256_mul_pd(sp, x2), x, x);
-  __m256d cp = _mm256_set1_pd(-1.1470745597729725e-11);
-  cp = _mm256_fmadd_pd(cp, x2, _mm256_set1_pd(2.08767569878681e-9));
-  cp = _mm256_fmadd_pd(cp, x2, _mm256_set1_pd(-2.7557319223985888e-7));
-  cp = _mm256_fmadd_pd(cp, x2, _mm256_set1_pd(2.48015873015873e-5));
-  cp = _mm256_fmadd_pd(cp, x2, _mm256_set1_pd(-1.3888888888888889e-3));
-  cp = _mm256_fmadd_pd(cp, x2, _mm256_set1_pd(4.1666666666666664e-2));
-  cp = _mm256_fmadd_pd(cp, x2, _mm256_set1_pd(-0.5));
-  const __m256d cosx = _mm256_fmadd_pd(cp, x2, _mm256_set1_pd(1.0));
-  // Quadrant selection: q = int(k); swap for odd q, negate sin for
-  // q & 2, negate cos when bits 0 and 1 differ (q in {1, 2} mod 4).
-  // Same bit-63 shift trick as the trimmed variant below — identical
-  // selections, fewer mask-materialising uops.
-  const __m256i q64 = _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(k));
-  const __m256i swap_bit = _mm256_slli_epi64(q64, 63);
-  const __m256i sneg_bit = _mm256_slli_epi64(q64, 62);
-  const __m256d swap_m = _mm256_castsi256_pd(swap_bit);
-  __m256d s = _mm256_blendv_pd(sinx, cosx, swap_m);
-  __m256d c = _mm256_blendv_pd(cosx, sinx, swap_m);
-  s = _mm256_xor_pd(s,
-                    _mm256_and_pd(_mm256_castsi256_pd(sneg_bit), kSignBit));
-  c = _mm256_xor_pd(
-      c, _mm256_and_pd(
-             _mm256_castsi256_pd(_mm256_xor_si256(swap_bit, sneg_bit)),
-             kSignBit));
-  sin_out = s;
-  cos_out = c;
-}
-
-// Trimmed sin/cos of 2*pi*t — mirrors sincos2pi_t (sin cut at x^7/7!,
+// sin/cos of 2*pi*t — mirrors sincos2pi_t (sin cut at x^7/7!,
 // cos at x^8/8!).
 inline void sincos2pi_t(__m256d t, __m256d& sin_out, __m256d& cos_out) {
   const __m256d a = _mm256_mul_pd(_mm256_set1_pd(4.0), t);
@@ -252,26 +135,6 @@ inline void sincos2pi_t(__m256d t, __m256d& sin_out, __m256d& cos_out) {
              kSignBit));
   sin_out = s;
   cos_out = c;
-}
-
-// One 4-pair Box-Muller group: raw[0..3] -> u1 lanes, raw[4..7] -> u2.
-inline void bm_group4(const std::uint64_t* raw, double* out) {
-  const __m256i raw1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw));
-  const __m256i raw2 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + 4));
-  const __m256d u1 = u01_closed(raw1);
-  const __m256d r = _mm256_sqrt_pd(
-      _mm256_mul_pd(_mm256_set1_pd(-2.0), fast_log(u1)));
-  __m256d s, c;
-  sincos2pi(u01_open(raw2), s, c);
-  const __m256d rc = _mm256_mul_pd(r, c);
-  const __m256d rs = _mm256_mul_pd(r, s);
-  // Interleave (rc, rs) pairs: [a0 b0 a1 b1], [a2 b2 a3 b3].
-  const __m256d lo = _mm256_unpacklo_pd(rc, rs);  // a0 b0 a2 b2
-  const __m256d hi = _mm256_unpackhi_pd(rc, rs);  // a1 b1 a3 b3
-  _mm256_storeu_pd(out, _mm256_permute2f128_pd(lo, hi, 0x20));
-  _mm256_storeu_pd(out + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
 }
 
 // Radial half of the fused Box-Muller group: 4 packed words -> the
@@ -338,26 +201,6 @@ inline void bm_block_fused(const std::uint64_t* w, std::size_t words,
 
 }  // namespace
 
-void boxmuller_transform(const std::uint64_t* raw, double* out,
-                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) bm_group4(raw + i, out + i);
-  const std::size_t rem = n - i;
-  if (rem != 0) {
-    // Tail of 1-3 pairs: pad to a full group (pad lanes compute garbage
-    // that is discarded; used lanes see exactly the scalar values).
-    const std::size_t pairs = rem / 2;
-    std::uint64_t pad[8] = {1, 1, 1, 1, 1, 1, 1, 1};
-    double tmp[8];
-    for (std::size_t j = 0; j < pairs; ++j) {
-      pad[j] = raw[i + j];
-      pad[4 + j] = raw[i + pairs + j];
-    }
-    bm_group4(pad, tmp);
-    for (std::size_t j = 0; j < rem; ++j) out[i + j] = tmp[j];
-  }
-}
-
 void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n) {
   // Fused fill: the xoshiro recurrence advances serially (loop-carried
   // dependency), the per-word Box-Muller math runs in two-pass blocks of
@@ -406,23 +249,6 @@ void xoshiro_soa_gaussian_fill(std::uint64_t s[4][64], double* out,
   }
 }
 
-void sin2pi_batch(const double* turns, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d s, c;
-    sincos2pi(_mm256_loadu_pd(turns + i), s, c);
-    _mm256_storeu_pd(out + i, s);
-  }
-  if (i < n) {
-    double tin[4] = {0, 0, 0, 0}, tout[4];
-    for (std::size_t j = i; j < n; ++j) tin[j - i] = turns[j];
-    __m256d s, c;
-    sincos2pi(_mm256_loadu_pd(tin), s, c);
-    _mm256_storeu_pd(tout, s);
-    for (std::size_t j = i; j < n; ++j) out[j] = tout[j - i];
-  }
-}
-
 void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -442,27 +268,8 @@ void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n) {
 
 namespace {
 
-inline __m256d cdf_group(__m256d x) {
-  const __m256d z = _mm256_mul_pd(_mm256_andnot_pd(kSignBit, x),
-                                  _mm256_set1_pd(0.7071067811865476));
-  const __m256d t = _mm256_div_pd(
-      _mm256_set1_pd(1.0),
-      _mm256_fmadd_pd(_mm256_set1_pd(0.3275911), z, _mm256_set1_pd(1.0)));
-  __m256d poly = _mm256_set1_pd(1.061405429);
-  poly = _mm256_fmadd_pd(poly, t, _mm256_set1_pd(-1.453152027));
-  poly = _mm256_fmadd_pd(poly, t, _mm256_set1_pd(1.421413741));
-  poly = _mm256_fmadd_pd(poly, t, _mm256_set1_pd(-0.284496736));
-  poly = _mm256_fmadd_pd(poly, t, _mm256_set1_pd(0.254829592));
-  const __m256d e =
-      fast_exp(_mm256_xor_pd(_mm256_mul_pd(z, z), kSignBit));
-  const __m256d half_erfc = _mm256_mul_pd(
-      _mm256_mul_pd(_mm256_set1_pd(0.5), _mm256_mul_pd(poly, t)), e);
-  const __m256d neg = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LT_OQ);
-  return _mm256_blendv_pd(_mm256_sub_pd(_mm256_set1_pd(1.0), half_erfc),
-                          half_erfc, neg);
-}
-
-// Trimmed CDF: identical A&S rational term over the trimmed exponential.
+// Phi(x) for 4 lanes — mirrors normal_cdf_kernel_trimmed (A&S 7.1.26
+// rational term over the trimmed exponential).
 inline __m256d cdf_group_t(__m256d x) {
   const __m256d z = _mm256_mul_pd(_mm256_andnot_pd(kSignBit, x),
                                   _mm256_set1_pd(0.7071067811865476));
@@ -485,32 +292,6 @@ inline __m256d cdf_group_t(__m256d x) {
 
 }  // namespace
 
-void normal_cdf_batch(const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, cdf_group(_mm256_loadu_pd(x + i)));
-  }
-  if (i < n) {
-    double tin[4] = {0, 0, 0, 0}, tout[4];
-    for (std::size_t j = i; j < n; ++j) tin[j - i] = x[j];
-    _mm256_storeu_pd(tout, cdf_group(_mm256_loadu_pd(tin)));
-    for (std::size_t j = i; j < n; ++j) out[j] = tout[j - i];
-  }
-}
-
-void normal_cdf_batch_trimmed(const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, cdf_group_t(_mm256_loadu_pd(x + i)));
-  }
-  if (i < n) {
-    double tin[4] = {0, 0, 0, 0}, tout[4];
-    for (std::size_t j = i; j < n; ++j) tin[j - i] = x[j];
-    _mm256_storeu_pd(tout, cdf_group_t(_mm256_loadu_pd(tin)));
-    for (std::size_t j = i; j < n; ++j) out[j] = tout[j - i];
-  }
-}
-
 void normal_cdf_batch_trimmed_gated(const double* x, double* out,
                                     std::size_t n, double cutoff) {
   // Same per-4 gate as the scalar tier: a group with no lane below the
@@ -532,75 +313,6 @@ void normal_cdf_batch_trimmed_gated(const double* x, double* out,
     _mm256_storeu_pd(tout, cdf_group_t(_mm256_loadu_pd(tin)));
     for (std::size_t j = i; j < n; ++j) out[j] = tout[j - i];
   }
-}
-
-// Elementwise accuracy-test entry points — pad lanes use in-domain values
-// (1.0 for log, 0.0 for exp) so no spurious FP exceptions fire.
-void fast_log_batch(const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, fast_log(_mm256_loadu_pd(x + i)));
-  }
-  if (i < n) {
-    double tin[4] = {1.0, 1.0, 1.0, 1.0}, tout[4];
-    for (std::size_t j = i; j < n; ++j) tin[j - i] = x[j];
-    _mm256_storeu_pd(tout, fast_log(_mm256_loadu_pd(tin)));
-    for (std::size_t j = i; j < n; ++j) out[j] = tout[j - i];
-  }
-}
-
-void fast_log_batch_trimmed(const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, fast_log_t(_mm256_loadu_pd(x + i)));
-  }
-  if (i < n) {
-    double tin[4] = {1.0, 1.0, 1.0, 1.0}, tout[4];
-    for (std::size_t j = i; j < n; ++j) tin[j - i] = x[j];
-    _mm256_storeu_pd(tout, fast_log_t(_mm256_loadu_pd(tin)));
-    for (std::size_t j = i; j < n; ++j) out[j] = tout[j - i];
-  }
-}
-
-void fast_exp_batch(const double* y, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, fast_exp(_mm256_loadu_pd(y + i)));
-  }
-  if (i < n) {
-    double tin[4] = {0, 0, 0, 0}, tout[4];
-    for (std::size_t j = i; j < n; ++j) tin[j - i] = y[j];
-    _mm256_storeu_pd(tout, fast_exp(_mm256_loadu_pd(tin)));
-    for (std::size_t j = i; j < n; ++j) out[j] = tout[j - i];
-  }
-}
-
-void fast_exp_batch_trimmed(const double* y, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, fast_exp_t(_mm256_loadu_pd(y + i)));
-  }
-  if (i < n) {
-    double tin[4] = {0, 0, 0, 0}, tout[4];
-    for (std::size_t j = i; j < n; ++j) tin[j - i] = y[j];
-    _mm256_storeu_pd(tout, fast_exp_t(_mm256_loadu_pd(tin)));
-    for (std::size_t j = i; j < n; ++j) out[j] = tout[j - i];
-  }
-}
-
-std::uint64_t uniform_lt_mask64(const std::uint64_t* raw, const double* p) {
-  std::uint64_t mask = 0;
-  for (int g = 0; g < 16; ++g) {
-    const __m256i r =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + 4 * g));
-    const __m256d u = u01_open(r);
-    const __m256d lt = _mm256_cmp_pd(u, _mm256_loadu_pd(p + 4 * g),
-                                     _CMP_LT_OQ);
-    mask |= static_cast<std::uint64_t>(
-                static_cast<unsigned>(_mm256_movemask_pd(lt)))
-            << (4 * g);
-  }
-  return mask;
 }
 
 std::uint64_t uniform_lt_mask64_hi(const std::uint64_t* raw,

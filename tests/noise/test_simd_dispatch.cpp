@@ -84,88 +84,6 @@ TEST(SimdDispatch, ForceScalarEnvPinsDetection) {
   EXPECT_EQ(simd::active_tier(), simd::Tier::Scalar);
 }
 
-TEST(SimdDispatch, BoxmullerNativeMatchesScalarBitwise) {
-  constexpr std::size_t kN = 4096;
-  const auto raw = raw_block(kN, 0xb0b0);
-  std::vector<double> native(kN), scalar(kN);
-  simd::boxmuller_transform(raw.data(), native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::boxmuller_transform(raw.data(), scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "draw " << i;
-  }
-}
-
-TEST(SimdDispatch, BoxmullerMomentsAreStandardNormal) {
-  constexpr std::size_t kN = 1 << 18;
-  const auto raw = raw_block(kN, 0x5eed);
-  std::vector<double> z(kN);
-  simd::boxmuller_transform(raw.data(), z.data(), kN);
-  double mean = 0.0, var = 0.0, kurt = 0.0;
-  for (double v : z) mean += v;
-  mean /= static_cast<double>(kN);
-  for (double v : z) {
-    const double d = v - mean;
-    var += d * d;
-    kurt += d * d * d * d;
-  }
-  var /= static_cast<double>(kN);
-  kurt = kurt / static_cast<double>(kN) / (var * var);
-  EXPECT_NEAR(mean, 0.0, 0.02);
-  EXPECT_NEAR(var, 1.0, 0.02);
-  EXPECT_NEAR(kurt, 3.0, 0.1);  // excess kurtosis ~0 for a Gaussian
-}
-
-TEST(SimdDispatch, Sin2PiNativeMatchesScalarBitwiseAndIsAccurate) {
-  constexpr std::size_t kN = 2048;
-  dhtrng::support::Xoshiro256 rng(0x51);
-  std::vector<double> turns(kN), native(kN), scalar(kN);
-  for (auto& t : turns) t = rng.uniform(0.0, 2.0);
-  simd::sin2pi_batch(turns.data(), native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::sin2pi_batch(turns.data(), scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "turn " << turns[i];
-    EXPECT_NEAR(native[i], std::sin(2.0 * M_PI * turns[i]), 1e-13);
-  }
-}
-
-TEST(SimdDispatch, NormalCdfNativeMatchesScalarBitwiseAndIsAccurate) {
-  constexpr std::size_t kN = 2048;
-  dhtrng::support::Xoshiro256 rng(0xcdf);
-  std::vector<double> x(kN), native(kN), scalar(kN);
-  for (auto& v : x) v = rng.uniform(0.0, 6.0);
-  simd::normal_cdf_batch(x.data(), native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::normal_cdf_batch(x.data(), scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "x " << x[i];
-    const double exact = 0.5 * std::erfc(-x[i] / std::sqrt(2.0));
-    EXPECT_NEAR(native[i], exact, 1e-6);
-  }
-}
-
-TEST(SimdDispatch, UniformLtMaskNativeMatchesScalar) {
-  const auto raw = raw_block(64 * 8, 0x17);
-  std::vector<double> p(64);
-  dhtrng::support::Xoshiro256 rng(0x18);
-  for (int rep = 0; rep < 8; ++rep) {
-    for (auto& v : p) v = rng.uniform();
-    const std::uint64_t native =
-        simd::uniform_lt_mask64(raw.data() + 64 * rep, p.data());
-    TierScope s(simd::Tier::Scalar);
-    const std::uint64_t scalar =
-        simd::uniform_lt_mask64(raw.data() + 64 * rep, p.data());
-    ASSERT_EQ(native, scalar);
-  }
-}
-
 TEST(SimdDispatch, XoshiroSoANativeMatchesScalar) {
   constexpr std::size_t kN = 64 * 32;
   simd::XoshiroSoA a, b;
@@ -305,35 +223,15 @@ TEST(SimdDispatch, UniformLtMaskHiLoNativeMatchesScalarAndSemantics) {
 TEST(SimdDispatch, TrimmedBatchesNativeMatchScalarBitwise) {
   constexpr std::size_t kN = 2048;
   dhtrng::support::Xoshiro256 rng(0x7213);
-  std::vector<double> turns(kN), xs(kN), logs(kN), exps(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    turns[i] = rng.uniform(0.0, 2.0);
-    xs[i] = rng.uniform(-8.0, 8.0);
-    logs[i] = rng.uniform(1e-10, 1.0);
-    exps[i] = rng.uniform(-40.0, 0.0);
+  std::vector<double> turns(kN), native(kN), scalar(kN);
+  for (auto& t : turns) t = rng.uniform(0.0, 2.0);
+  simd::sin2pi_batch_trimmed(turns.data(), native.data(), kN);
+  {
+    TierScope s(simd::Tier::Scalar);
+    simd::sin2pi_batch_trimmed(turns.data(), scalar.data(), kN);
   }
-  std::vector<double> native(kN), scalar(kN);
-  const struct {
-    const char* name;
-    void (*fn)(const double*, double*, std::size_t);
-    const std::vector<double>* in;
-  } cases[] = {
-      {"sin2pi_trimmed", simd::sin2pi_batch_trimmed, &turns},
-      {"normal_cdf_trimmed", simd::normal_cdf_batch_trimmed, &xs},
-      {"fast_log", simd::fast_log_batch, &logs},
-      {"fast_log_trimmed", simd::fast_log_batch_trimmed, &logs},
-      {"fast_exp", simd::fast_exp_batch, &exps},
-      {"fast_exp_trimmed", simd::fast_exp_batch_trimmed, &exps},
-  };
-  for (const auto& c : cases) {
-    c.fn(c.in->data(), native.data(), kN);
-    {
-      TierScope s(simd::Tier::Scalar);
-      c.fn(c.in->data(), scalar.data(), kN);
-    }
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(native[i], scalar[i]) << c.name << " element " << i;
-    }
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(native[i], scalar[i]) << "sin2pi_trimmed element " << i;
   }
 }
 
@@ -353,7 +251,8 @@ TEST(SimdDispatch, GatedTrimmedCdfParityAndSemantics) {
   {
     TierScope s(simd::Tier::Scalar);
     simd::normal_cdf_batch_trimmed_gated(xs.data(), scalar.data(), kN, kCut);
-    simd::normal_cdf_batch_trimmed(xs.data(), ungated.data(), kN);
+    simd::normal_cdf_batch_trimmed_gated(xs.data(), ungated.data(), kN,
+                                         HUGE_VAL);
   }
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(native[i], scalar[i]) << "tier mismatch at element " << i;
