@@ -129,11 +129,7 @@ bool DhTrng::next_bit_fast() {
 }
 
 bool DhTrng::next_bit_gate_level() {
-  const auto& samples = sim_->samples(netlist_->out_dff);
-  while (samples.size() <= sample_cursor_) {
-    sim_->run_until(sim_->now() + dt_ps_);
-  }
-  return samples[sample_cursor_++] != 0;
+  return sim_->next_sample(netlist_->out_dff, dt_ps_);
 }
 
 void DhTrng::restart() {
@@ -156,7 +152,6 @@ void DhTrng::restart() {
     sc.noise_mode = config_.noise_mode;
     sim_ = std::make_unique<sim::Simulator>(netlist_->circuit, sc);
     sim_->record_dff(netlist_->out_dff);
-    sample_cursor_ = 0;
   }
 }
 

@@ -111,7 +111,6 @@ class DhTrng final : public TrngSource {
   // Gate-level backend state.
   std::unique_ptr<DhTrngNetlist> netlist_;
   std::unique_ptr<sim::Simulator> sim_;
-  std::size_t sample_cursor_ = 0;
   std::uint64_t restart_count_ = 0;
 };
 

@@ -105,7 +105,6 @@ class HbnTrng final : public TrngSource {
   // Gate-level backend state.
   std::unique_ptr<HbnTrngNetlist> netlist_;
   std::unique_ptr<sim::Simulator> sim_;
-  std::size_t sample_cursor_ = 0;
   std::uint64_t restart_count_ = 0;
 };
 

@@ -134,7 +134,6 @@ void KleinTrng::rebuild_simulator(std::uint64_t seed) {
   sc.noise_mode = config_.noise_mode;
   sim_ = std::make_unique<sim::Simulator>(netlist_->circuit, sc);
   sim_->record_dff(netlist_->out_dff);
-  sample_cursor_ = 0;
 }
 
 std::string KleinTrng::name() const {
@@ -147,11 +146,7 @@ std::string KleinTrng::name() const {
 
 bool KleinTrng::raw_bit() {
   if (config_.backend == Backend::GateLevel) {
-    const auto& samples = sim_->samples(netlist_->out_dff);
-    while (samples.size() <= sample_cursor_) {
-      sim_->run_until(sim_->now() + dt_ps_);
-    }
-    return samples[sample_cursor_++] != 0;
+    return sim_->next_sample(netlist_->out_dff, dt_ps_);
   }
   const double shared = shared_noise_.step();
   bool out = false;

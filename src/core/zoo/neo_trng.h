@@ -170,7 +170,6 @@ class NeoTrng final : public TrngSource {
   // Gate-level backend state.
   std::unique_ptr<NeoTrngNetlist> netlist_;
   std::unique_ptr<sim::Simulator> sim_;
-  std::size_t sample_cursor_ = 0;
   std::uint64_t restart_count_ = 0;
 
   // Post-processing state (both backends).

@@ -1,34 +1,27 @@
-// Calendar (bucket) event queue.
+// Sorted-run event queue.
 //
 // The simulator's schedule is a strict total order on (time, seq): events
-// pop in nondecreasing time, ties broken by insertion sequence number.  A
-// binary heap gives that order in O(log n) per operation with one heap
-// node per event; the calendar queue gives amortized O(1) by hashing each
-// event into a time bucket of fixed width and scanning the current bucket
-// only.  Because bucket ordinal floor(time / width) is monotone in time,
-// the earliest (time, seq) event always lives in the lowest occupied
-// ordinal, so the calendar pops in exactly the same order as the heap —
-// which is what the differential fuzz tests assert event-for-event.
+// pop in nondecreasing time, ties broken by insertion sequence number.  The
+// queue keeps its pending events in one contiguous vector in exactly that
+// order, so the minimum is always the entry under a head cursor:
 //
-// Pops drain a *run buffer*: when the minimum is needed, every event of
-// the lowest occupied ordinal is extracted from its bucket in one pass,
-// sorted once, and subsequent pops just advance a cursor — no per-pop
-// bucket scan, no per-pop entry removal.  A push landing inside the
-// current ordinal (rare: the simulator schedules ahead of now) inserts
-// into the sorted run; a push landing *before* it (arbitrary use of the
-// public API, never the simulator) flushes the run back first.  This
-// changes only how the minimum is found, not which event is the minimum,
-// so pop order is untouched.
+//   * pop advances the cursor;
+//   * push inserts by scanning from the back (the simulator schedules a
+//     gate delay or so ahead of now, so a new event lands near the tail:
+//     the average insert on the DH-TRNG netlist moves ~4 entries);
+//   * cancel (inertial runt swallowing) finds its victim from the back and
+//     erases it;
+//   * the popped prefix is dropped once it outgrows the live tail, so
+//     storage stays within 2x the pending count plus a constant.
 //
-// Bucket entries carry the whole event payload plus a tombstone flag, so
-// extraction touches one contiguous array and nothing else.  Cancellation
-// (inertial runt swallowing) marks the bucket entry dead in place — or
-// erases it from the run if the ordinal is already extracted; tombstones
-// are reclaimed when their ordinal is next extracted.
+// Every shipped gate netlist keeps at most a few hundred events pending
+// (docs/architecture.md has the measured table), a size at which the
+// shifting insert beats any bucketed or heap-ordered structure.  Pop order
+// is the (time, seq) order itself, so it matches the reference binary heap
+// event for event — which the differential fuzz tests assert.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -49,393 +42,86 @@ inline bool operator==(const SimEvent& a, const SimEvent& b) {
          a.value == b.value;
 }
 
-class CalendarQueue {
+class SortedEventRun {
  public:
-  /// `bucket_width_ps` is the time span hashed into one bucket; the queue
-  /// retunes it at runtime from the observed event density, so the
-  /// starting value only has to be in the right ballpark.
-  explicit CalendarQueue(double bucket_width_ps,
-                         std::size_t initial_buckets = 64)
-      : width_(bucket_width_ps > 0.0 ? bucket_width_ps : 1.0),
-        inv_width_(1.0 / width_) {
-    std::size_t n = 1;
-    while (n < initial_buckets) n <<= 1;
-    buckets_.resize(n);
-    occ_.assign(n >= 64 ? n >> 6 : 1, 0);
-  }
-
-  bool empty() const { return live_ == 0; }
-  std::size_t live() const { return live_; }
+  bool empty() const { return head_ == tail_; }
+  std::size_t live() const { return tail_ - head_; }
+  /// Entries held, popped prefix included (the storage-bound observable).
+  std::size_t stored() const { return tail_; }
 
   void push(double time, std::uint64_t seq, NetId net, bool value) {
-    // Multiply by the cached reciprocal: the ordinal only has to be a
-    // monotone function of time computed consistently (here, in cancel()
-    // and in rebuild()); exact division-boundary placement is irrelevant.
-    const std::uint64_t ord = static_cast<std::uint64_t>(time * inv_width_);
-    ++live_;
-    if (have_run_) {
-      if (ord == run_ord_) {
-        // Into the already-extracted ordinal: keep the run sorted.  An
-        // equal-time event loses to every queued one (seq is strictly
-        // increasing), so upper-bound on time alone is the (time, seq)
-        // position.
-        const auto it = std::upper_bound(
-            run_.begin() + static_cast<std::ptrdiff_t>(run_head_), run_.end(),
-            time,
-            [](double t, const SimEvent& e) { return t < e.time; });
-        // The shifted tail counts as minimum-search work: a width so
-        // coarse that pushes keep landing inside the extracted ordinal
-        // must show up in the retune metric.
-        scanned_ += static_cast<std::uint64_t>(run_.end() - it);
-        run_.insert(it, SimEvent{time, seq, net, value});
-        return;
-      }
-      if (ord < run_ord_) {
-        // Earlier than the extracted ordinal (arbitrary API use; the
-        // simulator always schedules at or after the current time).  Put
-        // the run back in its bucket and fall through to a plain push.
-        flush_run();
-        cur_ord_ = ord;
-      }
+    if (tail_ == run_.size()) make_room();
+    const SimEvent* const first = run_.data() + head_;
+    SimEvent* p = run_.data() + tail_++;
+    // Shift later events up one slot: first by time, then, among equal
+    // times, by seq.
+    while (p > first && time < p[-1].time) {
+      *p = p[-1];
+      --p;
     }
-    const std::size_t bucket = ord & (buckets_.size() - 1);
-    buckets_[bucket].push_back(
-        {time, ord, seq, net, value ? std::uint8_t{1} : std::uint8_t{0}, 0});
-    occ_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-    ++stored_;
-    if (stored_ > buckets_.size() * 8) grow();
+    while (p > first && time == p[-1].time && seq < p[-1].seq) {
+      *p = p[-1];
+      --p;
+    }
+    *p = SimEvent{time, seq, net, value};
   }
 
-  /// Remove the still-queued event pushed as (time, seq) — O(bucket) with
-  /// short buckets, O(1) amortized.  A bucket-resident event is
-  /// tombstoned in place and reclaimed when its ordinal is extracted; an
-  /// event already in the drain run is erased from it.  The caller must
-  /// pass the exact time used at push (the simulator keys this off its
-  /// per-net bookkeeping).
+  /// Remove the still-queued event pushed as (time, seq); a no-op when it
+  /// has already popped or was never pushed.
   void cancel(double time, std::uint64_t seq) {
-    const std::uint64_t ord = static_cast<std::uint64_t>(time * inv_width_);
-    if (have_run_ && ord == run_ord_) {
-      for (std::size_t i = run_head_; i < run_.size(); ++i) {
-        if (run_[i].seq == seq) {
-          run_.erase(run_.begin() + static_cast<std::ptrdiff_t>(i));
-          --live_;
-          return;
-        }
-      }
-      return;
-    }
-    std::vector<Entry>& b = buckets_[ord & (buckets_.size() - 1)];
-    for (Entry& e : b) {
-      if (e.seq == seq) {
-        e.dead = 1;
-        --live_;
+    for (std::size_t i = tail_; i > head_; --i) {
+      const SimEvent& e = run_[i - 1];
+      if (e.seq == seq && e.time == time) {
+        std::copy(run_.begin() + static_cast<std::ptrdiff_t>(i),
+                  run_.begin() + static_cast<std::ptrdiff_t>(tail_),
+                  run_.begin() + static_cast<std::ptrdiff_t>(i - 1));
+        --tail_;
         return;
       }
+      // Everything from here down orders before (time, seq).
+      if (e.time < time || (e.time == time && e.seq < seq)) return;
     }
   }
 
-  /// Earliest live event in (time, seq) order, or nullptr when empty.
-  /// The pointer stays valid until the next push/cancel/pop.
-  const SimEvent* peek() {
-    if (run_head_ < run_.size()) return &run_[run_head_];
-    if (live_ == 0) return nullptr;
-    refill_run();
-    return &run_[run_head_];
-  }
-
-  /// Remove and return the earliest live event (queue must be non-empty).
-  SimEvent pop() {
-    if (run_head_ >= run_.size()) refill_run();
-    const SimEvent ev = run_[run_head_++];
-    --live_;
-    if (++pops_ >= retune_pops_) maybe_retune();
-    return ev;
-  }
-
-  /// Fused peek+pop for the simulator's run loop: pop the earliest live
-  /// event into `out` iff its time is <= `t_ps`.  The common path is a
-  /// bounds check and a cursor advance on the sorted run — it reads no
-  /// bucket memory at all.
+  /// Pop the earliest event into `out` iff its time is <= `t_ps`.
   bool pop_if_due(double t_ps, SimEvent& out) {
-    if (run_head_ >= run_.size()) {
-      if (live_ == 0) return false;
-      refill_run();
+    if (head_ == tail_ || run_[head_].time > t_ps) return false;
+    out = run_[head_++];
+    if (head_ == tail_) {
+      head_ = tail_ = 0;
+    } else if (head_ > kSlack && head_ > tail_ - head_) {
+      compact();
     }
-    const SimEvent& e = run_[run_head_];
-    if (e.time > t_ps) return false;
-    out = e;
-    ++run_head_;
-    --live_;
-    if (++pops_ >= retune_pops_) maybe_retune();
     return true;
   }
-
-  double bucket_width_ps() const { return width_; }
-  std::size_t bucket_count() const { return buckets_.size(); }
-  std::size_t stored() const { return stored_ + (run_.size() - run_head_); }
 
  private:
-  /// Bucket entry: the full event payload plus the calendar bookkeeping.
-  /// `ord` distinguishes rotations sharing the bucket hash.
-  struct Entry {
-    double time;
-    std::uint64_t ord;
-    std::uint64_t seq;
-    NetId net;
-    std::uint8_t value;
-    std::uint8_t dead;
-  };
+  /// Popped entries tolerated before compaction is considered.
+  static constexpr std::size_t kSlack = 64;
 
-  static bool event_before(const SimEvent& a, const SimEvent& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  /// Slide the pending events to the front of the buffer.
+  void compact() {
+    std::copy(run_.begin() + static_cast<std::ptrdiff_t>(head_),
+              run_.begin() + static_cast<std::ptrdiff_t>(tail_),
+              run_.begin());
+    tail_ -= head_;
+    head_ = 0;
   }
 
-  /// Return the run's undrained remainder to its bucket (the extracted
-  /// ordinal is about to stop being the active one).
-  void flush_run() {
-    const std::size_t bucket = run_ord_ & (buckets_.size() - 1);
-    for (std::size_t i = run_head_; i < run_.size(); ++i) {
-      const SimEvent& e = run_[i];
-      buckets_[bucket].push_back(
-          {e.time, run_ord_, e.seq, e.net,
-           e.value ? std::uint8_t{1} : std::uint8_t{0}, 0});
-      ++stored_;
-    }
-    if (!buckets_[bucket].empty()) {
-      occ_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-    }
-    run_.clear();
-    run_head_ = 0;
-    have_run_ = false;
-  }
-
-  /// Find the lowest occupied ordinal from cur_ord_ upward (occupancy
-  /// bitmap hops over empty buckets) and extract it into the run.  If a
-  /// full rotation of nonempty buckets yields nothing (their entries all
-  /// belong to later rotations — a sparse schedule, e.g. a lone slow
-  /// clock), jump cur_ord_ straight to the minimum occupied ordinal.
-  /// Precondition: live_ > 0 and the run is drained.
-  void refill_run() {
-    run_.clear();
-    run_head_ = 0;
-    have_run_ = false;
-    std::size_t rounds = 0;
-    for (;;) {
-      if (extract_run(cur_ord_)) return;
-      cur_ord_ += 1 + gap_to_next_occupied(
-          (static_cast<std::size_t>(cur_ord_) + 1) & (buckets_.size() - 1));
-      ++advances_;
-      if (++rounds > buckets_.size()) {
-        jump_to_min_ord();
-        extract_run(cur_ord_);
-        return;
-      }
-    }
-  }
-
-  /// Cyclic distance from bucket index `start` to the nearest nonempty
-  /// bucket at or after it (0 when `start` itself is nonempty); the
-  /// bucket count if every bucket is empty.
-  std::size_t gap_to_next_occupied(std::size_t start) const {
-    const std::size_t words = occ_.size();
-    const std::size_t w = start >> 6;
-    const std::uint64_t first = occ_[w] >> (start & 63);
-    if (first) return static_cast<std::size_t>(std::countr_zero(first));
-    for (std::size_t k = 1; k <= words; ++k) {
-      const std::uint64_t word = occ_[(w + k) & (words - 1)];
-      if (word) {
-        return (k << 6) - (start & 63) +
-               static_cast<std::size_t>(std::countr_zero(word));
-      }
-    }
-    return buckets_.size();
-  }
-
-  /// Move every live event of ordinal `ord` out of its bucket into the
-  /// run (reclaiming tombstones of that ordinal on the way), then sort
-  /// the run into (time, seq) order.  True if the run is nonempty.  All
-  /// entries of later ordinals are strictly later in time, so the sorted
-  /// run is a prefix of the global pop order.
-  bool extract_run(std::uint64_t ord) {
-    const std::size_t bucket = ord & (buckets_.size() - 1);
-    std::vector<Entry>& b = buckets_[bucket];
-    scanned_ += b.size();
-    std::size_t i = 0;
-    while (i < b.size()) {
-      const Entry& e = b[i];
-      if (e.ord != ord) {
-        ++i;
-        continue;
-      }
-      if (!e.dead) run_.push_back(SimEvent{e.time, e.seq, e.net, e.value != 0});
-      // Swap-fill removal; re-examine the entry moved into slot i.
-      b[i] = b.back();
-      b.pop_back();
-      --stored_;
-    }
-    if (b.empty()) occ_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-    if (run_.empty()) return false;
-    std::sort(run_.begin(), run_.end(), event_before);
-    // Charge the sort's n·log n to the work metric: a coarse width makes
-    // extraction rare but each sort long, and the retuner has to see that
-    // trade-off or it never shrinks the width.
-    scanned_ += run_.size() *
-                static_cast<std::uint64_t>(std::bit_width(run_.size()));
-    run_ord_ = ord;
-    have_run_ = true;
-    return true;
-  }
-
-  void jump_to_min_ord() {
-    std::uint64_t min_ord = ~std::uint64_t{0};
-    for (const auto& b : buckets_) {
-      for (const Entry& e : b) {
-        if (!e.dead && e.ord < min_ord) min_ord = e.ord;
-      }
-    }
-    cur_ord_ = min_ord;
-  }
-
-  /// Quadruple the bucket count and redistribute (ord is stored per
-  /// entry, so redistribution is a rehash, not a recompute).  The run is
-  /// untouched: its events stay addressed by run_ord_, which does not
-  /// depend on the bucket count.
-  void grow() {
-    std::vector<std::vector<Entry>> old = std::move(buckets_);
-    buckets_.assign(old.size() * 4, {});
-    for (auto& b : old) {
-      for (const Entry& e : b) {
-        buckets_[e.ord & (buckets_.size() - 1)].push_back(e);
-      }
-    }
-    reset_occupancy();
-  }
-
-  /// Recompute the occupancy bitmap from scratch (bucket layout changed).
-  void reset_occupancy() {
-    occ_.assign(buckets_.size() >= 64 ? buckets_.size() >> 6 : 1, 0);
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      if (!buckets_[i].empty()) {
-        occ_[i >> 6] |= std::uint64_t{1} << (i & 63);
-      }
-    }
-  }
-
-  /// Periodic width retune: when the measured work per pop (bucket entries
-  /// examined at extraction + empty buckets advanced) climbs past a few
-  /// units, the fixed width no longer matches the schedule's event density
-  /// and the calendar degrades toward a linear scan.  Recompute the width
-  /// from the median inter-event gap of the live events (the classic
-  /// calendar-queue self-sizing rule) and rebuild.  Retuning never changes
-  /// pop order — order is the (time, seq) total order; buckets only
-  /// accelerate the search — and the trigger depends only on the push/pop
-  /// sequence, so runs stay deterministic.
-  void maybe_retune() {
-    // Pushes may keep the run alive indefinitely (they append while pops
-    // advance the head); drop the drained prefix so the buffer stays
-    // bounded by the pending count plus one retune window.
-    if (run_head_ > 0) {
-      run_.erase(run_.begin(),
-                 run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
-      run_head_ = 0;
-    }
-    const double window = static_cast<double>(pops_);
-    const double avg_work =
-        static_cast<double>(scanned_ + advances_) / window;
-    pops_ = 0;
-    scanned_ = 0;
-    advances_ = 0;
-    retune_pops_ = 4096;
-    if (live_ < 8 || avg_work <= 4.0) return;
-
-    std::vector<double> times;
-    times.reserve(live_);
-    for (std::size_t i = run_head_; i < run_.size(); ++i) {
-      times.push_back(run_[i].time);
-    }
-    for (const auto& b : buckets_) {
-      for (const Entry& e : b) {
-        if (!e.dead) times.push_back(e.time);
-      }
-    }
-    std::sort(times.begin(), times.end());
-    std::vector<double> gaps;
-    gaps.reserve(times.size());
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      if (times[i] > times[i - 1]) gaps.push_back(times[i] - times[i - 1]);
-    }
-    double new_width;
-    if (!gaps.empty()) {
-      const auto mid =
-          gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
-      std::nth_element(gaps.begin(), mid, gaps.end());
-      new_width = 3.0 * gaps[gaps.size() / 2];
-    } else if (!times.empty()) {
-      const double span = times.back() - times.front();
-      new_width = span > 0.0 ? span / static_cast<double>(live_) : width_;
+  /// The buffer is full up to its end: reclaim the popped prefix, or grow.
+  void make_room() {
+    if (head_ > 0) {
+      compact();
     } else {
-      new_width = width_;
+      run_.resize(run_.empty() ? kSlack : 2 * run_.size());
     }
-    new_width = std::clamp(new_width, 1e-3, 1e7);
-    rebuild(new_width);
   }
 
-  /// Re-hash every live event (run included) under a new bucket width,
-  /// dropping tombstones and growing the bucket array to at least 2x the
-  /// live count so one rotation spans the whole pending horizon.
-  void rebuild(double new_width) {
-    width_ = new_width;
-    inv_width_ = 1.0 / width_;
-    std::vector<Entry> alive;
-    alive.reserve(live_);
-    for (std::size_t i = run_head_; i < run_.size(); ++i) {
-      const SimEvent& e = run_[i];
-      alive.push_back({e.time, 0, e.seq, e.net,
-                       e.value ? std::uint8_t{1} : std::uint8_t{0}, 0});
-    }
-    run_.clear();
-    run_head_ = 0;
-    have_run_ = false;
-    for (auto& b : buckets_) {
-      for (const Entry& e : b) {
-        if (!e.dead) alive.push_back(e);
-      }
-      b.clear();
-    }
-    std::size_t want = buckets_.size();
-    while (want < alive.size() * 2) want <<= 1;
-    if (want > buckets_.size()) buckets_.resize(want);
-    std::uint64_t min_ord = ~std::uint64_t{0};
-    for (Entry e : alive) {
-      e.ord = static_cast<std::uint64_t>(e.time * inv_width_);
-      if (e.ord < min_ord) min_ord = e.ord;
-      buckets_[e.ord & (buckets_.size() - 1)].push_back(e);
-    }
-    stored_ = alive.size();
-    cur_ord_ = alive.empty() ? 0 : min_ord;
-    reset_occupancy();
-  }
-
-  double width_;
-  double inv_width_;
-  std::vector<std::vector<Entry>> buckets_;
-  std::vector<std::uint64_t> occ_;  ///< one bit per bucket: nonempty
-  std::uint64_t cur_ord_ = 0;
-  std::size_t live_ = 0;    ///< events not tombstoned (run included)
-  std::size_t stored_ = 0;  ///< bucket entries incl. tombstones, excl. run
-
-  // Drain run: the extracted current ordinal, sorted by (time, seq);
-  // run_[run_head_..] are pending, earlier entries already popped.
+  // The buffer's size is its capacity: run_[head_, tail_) are the pending
+  // events in (time, seq) order, run_[0, head_) already popped.
   std::vector<SimEvent> run_;
-  std::size_t run_head_ = 0;
-  std::uint64_t run_ord_ = 0;
-  bool have_run_ = false;
-
-  std::uint64_t pops_ = 0;           ///< pops since the last retune check
-  std::uint64_t retune_pops_ = 256;  ///< pops until the next check
-  std::uint64_t scanned_ = 0;   ///< bucket entries examined in the window
-  std::uint64_t advances_ = 0;  ///< minimum-search bucket jumps in the window
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
 };
 
 }  // namespace dhtrng::sim

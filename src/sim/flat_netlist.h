@@ -7,12 +7,12 @@
 // stream through without pointer chasing or per-event allocation — so the
 // constructor flattens everything once:
 //
-//   * gate kind / delay / output as parallel arrays,
-//   * gate input nets and per-net fanout gate lists in CSR form
-//     (offsets + one flat array),
+//   * gate input nets and per-net fanout gate lists in CSR form (one flat
+//     array each, spans held in the per-gate and per-net records),
 //   * flip-flops indexed by their clock net in CSR form,
 //   * a per-net clock-spec index (first registered clock wins, matching
-//     the reference scheduler's linear-scan-with-break semantics).
+//     the reference scheduler's linear-scan-with-break semantics),
+//   * a per-gate truth table, so evaluation is a bit gather and a shift.
 //
 // Order is preserved exactly — including duplicate fanout entries when a
 // gate lists the same input net twice — because the noise draw order, and
@@ -26,101 +26,60 @@
 
 namespace dhtrng::sim {
 
+/// Gates with at most this many inputs evaluate from their truth table;
+/// wider ones (none ship, the Circuit API allows them) use the kind switch.
+inline constexpr std::size_t kTableArity = 6;
+
+/// Truth table of `kind` over `arity` inputs: bit i holds the output for the
+/// input combination in which input j is bit j of i.  Requires
+/// arity <= kTableArity.
+std::uint64_t gate_truth_table(GateKind kind, std::size_t arity);
+
 struct FlatNetlist {
-  std::size_t net_count = 0;
-
-  // Gates, struct-of-arrays.
-  std::vector<GateKind> gate_kind;
-  std::vector<double> gate_delay_ps;
-  std::vector<NetId> gate_output;
-  std::vector<std::uint32_t> gate_in_off;  ///< size gates + 1
-  std::vector<NetId> gate_in;
-  std::size_t max_arity = 0;
-
-  // Per-net fanout: gate indices, duplicates preserved.
-  std::vector<std::uint32_t> fanout_off;  ///< size nets + 1
-  std::vector<std::uint32_t> fanout;
-
-  // Flip-flops grouped by clock net.
-  std::vector<std::uint32_t> dff_off;  ///< size nets + 1
-  std::vector<std::uint32_t> dff_by_clk;
-
-  /// Index into Circuit::clocks() of the net's clock source, or -1.
-  std::vector<std::int32_t> clock_index;
+  std::vector<double> gate_delay_ps;  ///< nominal delay per gate
+  std::vector<NetId> gate_in;         ///< input nets, gate by gate
+  std::vector<std::uint32_t> fanout;  ///< gate indices per net, dups kept
+  std::vector<std::uint32_t> dff_by_clk;  ///< flip-flops per clock net
 
   /// Per-net hot metadata: everything the event loop reads for an applied
-  /// net change (fanout span, flip-flop span, clock source) folded into
-  /// one 20-byte record, so the common event touches one cache line where
-  /// the parallel offset arrays would touch three.  Redundant with the
-  /// CSR arrays above, which remain the canonical representation.
+  /// net change (fanout span, flip-flop span, clock source) in one 20-byte
+  /// record, so the common event touches one cache line.
   struct NetMeta {
     std::uint32_t fanout_begin = 0;
     std::uint32_t fanout_end = 0;
     std::uint32_t dff_begin = 0;
     std::uint32_t dff_end = 0;
-    std::int32_t clock = -1;
+    std::int32_t clock = -1;  ///< index into Circuit::clocks(), or -1
   };
   std::vector<NetMeta> net_meta;  ///< size nets
 
-  /// Per-gate hot metadata: the evaluation + scheduling reads (input
-  /// span, kind, output net) in one 16-byte record.  Redundant with the
-  /// gate arrays above.
+  /// Per-gate hot metadata: everything evaluation and scheduling read.
   struct GateMeta {
+    std::uint64_t table = 0;  ///< gate_truth_table(kind, arity) if it fits
     std::uint32_t in_begin = 0;
-    std::uint32_t in_end = 0;
+    std::uint32_t arity = 0;
     NetId output = 0;
     GateKind kind{};
   };
   std::vector<GateMeta> gate_meta;  ///< size gates
 
   static FlatNetlist build(const Circuit& circuit);
-};
 
-/// Gate function over a flat input-net list reading current net values;
-/// truth-table-identical to evaluate_gate(kind, vector<bool>).
-inline bool evaluate_gate_flat(GateKind kind, const std::uint8_t* values,
-                               const NetId* in, std::size_t n) {
-  switch (kind) {
-    case GateKind::Inv: return values[in[0]] == 0;
-    case GateKind::Buf: return values[in[0]] != 0;
-    case GateKind::And: {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (values[in[i]] == 0) return false;
-      }
-      return true;
+  /// Output of gate `g` over the current net values.
+  bool evaluate(std::size_t g, const std::uint8_t* values) const {
+    const GateMeta& m = gate_meta[g];
+    const NetId* in = gate_in.data() + m.in_begin;
+    if (m.arity > kTableArity) return evaluate_wide(m, values, in);
+    unsigned idx = 0;
+    for (std::uint32_t i = 0; i < m.arity; ++i) {
+      idx |= static_cast<unsigned>(values[in[i]]) << i;
     }
-    case GateKind::Nand: {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (values[in[i]] == 0) return true;
-      }
-      return false;
-    }
-    case GateKind::Or: {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (values[in[i]] != 0) return true;
-      }
-      return false;
-    }
-    case GateKind::Nor: {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (values[in[i]] != 0) return false;
-      }
-      return true;
-    }
-    case GateKind::Xor: {
-      std::uint8_t acc = 0;
-      for (std::size_t i = 0; i < n; ++i) acc ^= values[in[i]];
-      return (acc & 1) != 0;
-    }
-    case GateKind::Xnor: {
-      std::uint8_t acc = 1;
-      for (std::size_t i = 0; i < n; ++i) acc ^= values[in[i]];
-      return (acc & 1) != 0;
-    }
-    case GateKind::Mux2:
-      return values[values[in[0]] != 0 ? in[2] : in[1]] != 0;
+    return ((m.table >> idx) & 1) != 0;
   }
-  return false;
-}
+
+ private:
+  static bool evaluate_wide(const GateMeta& m, const std::uint8_t* values,
+                            const NetId* in);
+};
 
 }  // namespace dhtrng::sim

@@ -12,27 +12,6 @@ namespace {
 constexpr double kMinDelayPs = 0.1;
 constexpr double kReferenceDelayPs = 100.0;
 
-/// Calendar bucket width: the median scheduled delay puts the typical
-/// event one bucket ahead of now, so most pops scan a single short
-/// bucket.  Clock-only circuits fall back to the half-period; the queue's
-/// rotation fallback covers sparse schedules either way.
-double pick_bucket_width(const Circuit& circuit, const SimConfig& config) {
-  std::vector<double> delays;
-  delays.reserve(circuit.gates().size());
-  for (const Gate& g : circuit.gates()) {
-    delays.push_back(g.delay_ps * config.scaling.delay);
-  }
-  if (delays.empty()) {
-    for (const ClockSpec& c : circuit.clocks()) {
-      delays.push_back(c.period_ps * 0.5);
-    }
-  }
-  if (delays.empty()) return 100.0;
-  const auto mid = delays.begin() + static_cast<std::ptrdiff_t>(delays.size() / 2);
-  std::nth_element(delays.begin(), mid, delays.end());
-  return std::clamp(*mid, 1.0, 5000.0);
-}
-
 std::string budget_message(double sim_time_ps, std::uint64_t events,
                            std::uint64_t hottest_net_toggles,
                            const std::string& hottest_net_name) {
@@ -66,11 +45,11 @@ Simulator::Simulator(const Circuit& circuit, SimConfig config)
       sched_(circuit.net_count()),
       last_change_(circuit.net_count(), -1e18),
       toggles_(circuit.net_count(), 0),
-      cal_(pick_bucket_width(circuit, config)),
       shared_noise_(config.gate_jitter.correlated_sigma_ps,
                     config.seed ^ 0xabcdef1234567890ULL),
       meta_rng_(config.seed ^ 0x5bd1e995cafef00dULL),
       dff_samples_(circuit.dffs().size()),
+      dff_read_(circuit.dffs().size(), 0),
       dff_recorded_(circuit.dffs().size(), 0),
       sample_counts_(circuit.dffs().size(), 0),
       edge_recorded_(circuit.net_count(), 0),
@@ -119,14 +98,9 @@ Simulator::Simulator(const Circuit& circuit, SimConfig config)
     schedule(c.net, true, std::max(c.offset_ps, kMinDelayPs));
   }
   for (std::size_t g = 0; g < circuit.gates().size(); ++g) {
-    const std::uint32_t lo = flat_.gate_in_off[g];
-    const bool out =
-        evaluate_gate_flat(flat_.gate_kind[g], value_.data(),
-                           flat_.gate_in.data() + lo,
-                           flat_.gate_in_off[g + 1] - lo);
-    if (out != (value_[flat_.gate_output[g]] != 0)) {
-      schedule(flat_.gate_output[g], out, gate_delay_with_jitter(g));
-    }
+    const bool out = flat_.evaluate(g, value_.data());
+    const NetId q = flat_.gate_meta[g].output;
+    if (out != (value_[q] != 0)) schedule(q, out, gate_delay_with_jitter(g));
   }
 }
 
@@ -150,8 +124,8 @@ void Simulator::schedule(NetId net, bool value, double delay_from_now) {
       t - s.time < config_.min_pulse_ps) {
     // Runt pulse: the pending transition would be undone before it could
     // propagate a full pulse width; swallow both (inertial delay).
-    if (config_.scheduler == Scheduler::Calendar) {
-      cal_.cancel(s.time, s.seq);
+    if (config_.scheduler == Scheduler::SortedRun) {
+      events_.cancel(s.time, s.seq);
     } else {
       dead_events_.push_back(s.seq);
     }
@@ -165,25 +139,25 @@ void Simulator::schedule(NetId net, bool value, double delay_from_now) {
   s.projected = value ? 1 : 0;
   s.time = t;
   s.seq = ++seq_;
-  if (config_.scheduler == Scheduler::Calendar) {
-    cal_.push(t, seq_, net, value);
+  if (config_.scheduler == Scheduler::SortedRun) {
+    events_.push(t, seq_, net, value);
   } else {
     queue_.push(Event{t, seq_, net, value});
   }
 }
 
 void Simulator::run_until(double t_ps) {
-  if (config_.scheduler == Scheduler::Calendar) {
-    run_until_calendar(t_ps);
+  if (config_.scheduler == Scheduler::SortedRun) {
+    run_until_sorted(t_ps);
   } else {
     run_until_reference(t_ps);
   }
   now_ = std::max(now_, t_ps);
 }
 
-void Simulator::run_until_calendar(double t_ps) {
+void Simulator::run_until_sorted(double t_ps) {
   SimEvent ev;
-  while (cal_.pop_if_due(t_ps, ev)) {
+  while (events_.pop_if_due(t_ps, ev)) {
     if (++events_processed_ > config_.max_events) throw_budget_exhausted();
     now_ = ev.time;
     if (trace_applied_) applied_events_.push_back(ev);
@@ -233,7 +207,7 @@ void Simulator::apply_net_change(NetId net, bool value) {
   const FlatNetlist::NetMeta& m = flat_.net_meta[net];
 
   // Clock source nets regenerate their own next edge.
-  if (config_.scheduler == Scheduler::Calendar) {
+  if (config_.scheduler == Scheduler::SortedRun) {
     if (m.clock >= 0) {
       const ClockSpec& c = circuit_.clocks()[static_cast<std::size_t>(m.clock)];
       const double high = c.period_ps * c.duty;
@@ -278,17 +252,12 @@ void Simulator::apply_net_change(NetId net, bool value) {
     }
   }
 
-  if (config_.scheduler == Scheduler::Calendar) {
-    // Hot path: CSR fanout, allocation-free gate evaluation, one merged
-    // metadata record per gate.
-    const std::uint8_t* values = value_.data();
-    const NetId* ins = flat_.gate_in.data();
+  if (config_.scheduler == Scheduler::SortedRun) {
+    // Hot path: CSR fanout, truth-table gate evaluation.
     for (std::uint32_t o = m.fanout_begin; o < m.fanout_end; ++o) {
       const std::uint32_t g = flat_.fanout[o];
-      const FlatNetlist::GateMeta& gm = flat_.gate_meta[g];
-      const bool out = evaluate_gate_flat(gm.kind, values, ins + gm.in_begin,
-                                          gm.in_end - gm.in_begin);
-      schedule(gm.output, out, gate_delay_with_jitter(g));
+      schedule(flat_.gate_meta[g].output, flat_.evaluate(g, value_.data()),
+               gate_delay_with_jitter(g));
     }
   } else {
     // Reference oracle: the historical per-event-allocating evaluation,
@@ -319,6 +288,18 @@ const std::vector<double>& Simulator::edge_times(NetId net) const {
 const std::vector<std::uint8_t>& Simulator::samples(
     std::size_t dff_index) const {
   return dff_samples_.at(dff_index);
+}
+
+bool Simulator::next_sample(std::size_t dff_index, double step_ps) {
+  std::vector<std::uint8_t>& s = dff_samples_.at(dff_index);
+  std::size_t& read = dff_read_[dff_index];
+  while (read == s.size()) run_until(now_ + step_ps);
+  const bool bit = s[read++] != 0;
+  if (read == s.size()) {
+    s.clear();
+    read = 0;
+  }
+  return bit;
 }
 
 std::uint64_t Simulator::total_toggles() const {

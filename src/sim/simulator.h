@@ -13,11 +13,12 @@
 //
 // Two interchangeable schedulers implement that order:
 //
-//  * Scheduler::Calendar (default) — an indexed calendar/bucket queue over
-//    a slab allocator (event_queue.h), driving gate evaluation through the
-//    contiguous CSR netlist view built once at elaboration
-//    (flat_netlist.h) and per-gate noise sources sampled in blocks.  This
-//    is the production engine.
+//  * Scheduler::SortedRun (default) — the pending events kept as one
+//    contiguous (time, seq)-sorted vector (event_queue.h), driving gate
+//    evaluation through the contiguous CSR netlist view and its per-gate
+//    truth tables built once at elaboration (flat_netlist.h), with
+//    per-gate noise sources sampled in blocks.  This is the production
+//    engine.
 //  * Scheduler::ReferenceHeap — the original binary-heap scheduler with
 //    per-event allocation, kept as a slow oracle.  Both schedulers are
 //    waveform-identical event for event; tests/sim/test_differential_fuzz
@@ -40,7 +41,7 @@
 
 namespace dhtrng::sim {
 
-enum class Scheduler { Calendar, ReferenceHeap };
+enum class Scheduler { SortedRun, ReferenceHeap };
 
 struct SimConfig {
   std::uint64_t seed = 1;
@@ -54,7 +55,7 @@ struct SimConfig {
   /// Hard stop against runaway zero-delay loops.
   std::uint64_t max_events = 500'000'000;
   /// Event engine selection; see the header comment.
-  Scheduler scheduler = Scheduler::Calendar;
+  Scheduler scheduler = Scheduler::SortedRun;
   /// Block size for the per-gate white/flicker noise draws (<= 1 draws per
   /// event).  Any value yields bit-identical waveforms.
   std::size_t noise_batch = 64;
@@ -103,7 +104,14 @@ class Simulator {
 
   /// Start recording the sampled bit of a flip-flop at every clock edge.
   void record_dff(std::size_t dff_index);
+  /// Recorded samples.  Once next_sample() is in use this holds only the
+  /// samples of the current step: it drops each step's samples once read.
   const std::vector<std::uint8_t>& samples(std::size_t dff_index) const;
+  /// Consume the next recorded sample of a flip-flop, first advancing
+  /// simulated time in steps of `step_ps` until one exists.  Consumed
+  /// samples are dropped, so a reader that runs for hours holds no more
+  /// than the samples of one step.
+  bool next_sample(std::size_t dff_index, double step_ps);
 
   /// Start recording rising-edge timestamps of a net (for period/jitter
   /// analysis of oscillator nodes).
@@ -130,12 +138,6 @@ class Simulator {
   /// diagnostic for netlists with reconvergent paths.
   std::uint64_t runts_filtered() const { return runts_filtered_; }
 
-  /// Calendar-queue introspection (diagnostics / tests).
-  double queue_width_ps() const { return cal_.bucket_width_ps(); }
-  std::size_t queue_buckets() const { return cal_.bucket_count(); }
-  std::size_t queue_live() const { return cal_.live(); }
-  std::size_t queue_stored() const { return cal_.stored(); }
-
  private:
   struct Event {
     double time;
@@ -151,7 +153,7 @@ class Simulator {
   void schedule(NetId net, bool value, double delay_from_now);
   void apply_net_change(NetId net, bool value);
   double gate_delay_with_jitter(std::size_t gate_index);
-  void run_until_calendar(double t_ps);
+  void run_until_sorted(double t_ps);
   void run_until_reference(double t_ps);
   [[noreturn]] void throw_budget_exhausted();
 
@@ -178,10 +180,10 @@ class Simulator {
   std::vector<double> last_change_;
   std::vector<std::uint64_t> toggles_;
 
-  // Calendar engine: bucket queue; the runt filter cancels by the
+  // Production engine: the sorted run; the runt filter cancels by the
   // (time, seq) key of a net's latest scheduled event, which sched_
   // already tracks.
-  CalendarQueue cal_;
+  SortedEventRun events_;
 
   // Reference engine: the historical binary heap and cancelled-seq list.
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
@@ -192,6 +194,7 @@ class Simulator {
   support::Xoshiro256 meta_rng_;                     // metastable resolution
 
   std::vector<std::vector<std::uint8_t>> dff_samples_;
+  std::vector<std::size_t> dff_read_;  ///< next_sample() cursor per dff
   std::vector<std::uint8_t> dff_recorded_;
   std::vector<std::uint64_t> sample_counts_;
 

@@ -7,8 +7,8 @@
 //     for the DH-TRNG netlists).  Regenerate after an intentional change:
 //       DHTRNG_REGEN_GOLDEN=1 ./test_zoo_differential
 //           --gtest_filter='ZooGoldenWaveforms*'
-//  2. Reference-scheduler equality — the calendar queue and the binary
-//     heap oracle must agree on every zoo waveform.
+//  2. Reference-scheduler equality — the sorted run and the binary heap
+//     oracle must agree on every zoo waveform.
 //  3. Gate-vs-behavioral differential — both backends of each source must
 //     land in the same statistical regime on the raw (pre-extraction)
 //     stream; the backends share the post-processing code, so raw parity
@@ -119,7 +119,7 @@ TEST(ZooGoldenWaveforms, CalendarEngineMatchesPinnedDigests) {
   const bool regen = std::getenv("DHTRNG_REGEN_GOLDEN") != nullptr;
   for (const GoldenCase& gc : kGolden) {
     const Digests d =
-        run_case(find_netlist(nets, gc.netlist), gc, sim::Scheduler::Calendar);
+        run_case(find_netlist(nets, gc.netlist), gc, sim::Scheduler::SortedRun);
     if (regen) {
       std::printf("    {\"%s\", %llu, %.1f, %.1f,\n     \"%s\",\n     \"%s\"},\n",
                   gc.netlist, static_cast<unsigned long long>(gc.seed),
@@ -141,11 +141,11 @@ TEST(ZooGoldenWaveforms, ReferenceSchedulerProducesIdenticalDigests) {
   const auto nets = zoo_gate_netlists(fpga::DeviceModel::artix7());
   for (const GoldenCase& gc : kGolden) {
     const auto& net = find_netlist(nets, gc.netlist);
-    const Digests cal = run_case(net, gc, sim::Scheduler::Calendar);
+    const Digests prod = run_case(net, gc, sim::Scheduler::SortedRun);
     const Digests ref = run_case(net, gc, sim::Scheduler::ReferenceHeap);
-    EXPECT_EQ(cal.vcd, ref.vcd)
+    EXPECT_EQ(prod.vcd, ref.vcd)
         << gc.netlist << " seed " << gc.seed << ": schedulers disagree";
-    EXPECT_EQ(cal.state, ref.state)
+    EXPECT_EQ(prod.state, ref.state)
         << gc.netlist << " seed " << gc.seed << ": schedulers disagree";
   }
 }

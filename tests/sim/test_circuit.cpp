@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+
+#include "sim/flat_netlist.h"
 
 namespace dhtrng::sim {
 namespace {
@@ -34,6 +37,47 @@ TEST(GateEval, WideXorParity) {
                             {true, true, true, false, false, false}));
   EXPECT_FALSE(evaluate_gate(GateKind::Xor,
                              {true, true, false, false, false, false}));
+}
+
+// The simulator evaluates gates from FlatNetlist's per-gate truth tables
+// (the kind switch beyond kTableArity); both must equal evaluate_gate on
+// every input combination.  Arities the Circuit API rejects (a 1-input
+// AND, a 4-input INV) check the table alone.
+TEST(GateEval, TableDrivenMatchesEvaluateGateExhaustively) {
+  const GateKind kinds[] = {GateKind::Inv, GateKind::Buf,  GateKind::And,
+                            GateKind::Nand, GateKind::Or,  GateKind::Nor,
+                            GateKind::Xor,  GateKind::Xnor, GateKind::Mux2};
+  for (GateKind kind : kinds) {
+    for (std::size_t arity = 1; arity <= 8; ++arity) {
+      if (kind == GateKind::Mux2 && arity != 3) continue;
+      const bool unary = kind == GateKind::Inv || kind == GateKind::Buf;
+      const bool accepted = unary ? arity == 1 : arity >= 2;
+      Circuit c;
+      std::vector<NetId> ins;
+      for (std::size_t j = 0; j < arity; ++j) {
+        ins.push_back(c.add_net("x" + std::to_string(j)));
+      }
+      if (accepted) c.add_gate(kind, ins, c.add_net("y"), 10.0);
+      const FlatNetlist flat = FlatNetlist::build(c);
+      for (std::size_t idx = 0; idx < (std::size_t{1} << arity); ++idx) {
+        std::vector<bool> bits(arity);
+        std::vector<std::uint8_t> values(c.net_count(), 0);
+        for (std::size_t j = 0; j < arity; ++j) {
+          bits[j] = ((idx >> j) & 1) != 0;
+          values[ins[j]] = bits[j] ? 1 : 0;
+        }
+        const bool want = evaluate_gate(kind, bits);
+        if (accepted) {
+          EXPECT_EQ(flat.evaluate(0, values.data()), want)
+              << gate_kind_name(kind) << " arity " << arity << " idx " << idx;
+        }
+        if (arity <= kTableArity) {
+          EXPECT_EQ(((gate_truth_table(kind, arity) >> idx) & 1) != 0, want)
+              << gate_kind_name(kind) << " arity " << arity << " idx " << idx;
+        }
+      }
+    }
+  }
 }
 
 TEST(Circuit, NetNamesAreUniqueAndLookupable) {

@@ -1,10 +1,10 @@
 // Differential fuzzing of the two event engines: every random netlist runs
-// under both the calendar scheduler and the reference binary heap with the
+// under both the sorted-run scheduler and the reference binary heap with the
 // same (circuit, config, seed), and the applied-event streams must match
 // event for event — same times, same sequence numbers, same nets, same
 // values.  This is the strongest form of the determinism contract: the
-// calendar queue is an optimization of the *search* for the minimum, never
-// of the order itself.
+// sorted run is a faster container for the (time, seq) order, never a
+// different order.
 //
 // Labeled `slow` (see tests/CMakeLists.txt): 100+ netlists x 4 seeds is a
 // few seconds of work, which the default ctest lane doesn't need to pay on
@@ -90,18 +90,18 @@ void run_differential(std::uint64_t netlist_seed, std::uint64_t sim_seed,
   ref.record_applied_events();
   for (std::size_t f : fc.dffs) ref.record_dff(f);
 
-  SimConfig cal_cfg;
-  cal_cfg.seed = sim_seed;
-  cal_cfg.scheduler = Scheduler::Calendar;
-  Simulator cal(fc.circuit, cal_cfg);
-  cal.record_applied_events();
-  for (std::size_t f : fc.dffs) cal.record_dff(f);
+  SimConfig prod_cfg;
+  prod_cfg.seed = sim_seed;
+  prod_cfg.scheduler = Scheduler::SortedRun;
+  Simulator prod(fc.circuit, prod_cfg);
+  prod.record_applied_events();
+  for (std::size_t f : fc.dffs) prod.record_dff(f);
 
   ref.run_until(horizon_ps);
-  cal.run_until(horizon_ps);
+  prod.run_until(horizon_ps);
 
   const auto& re = ref.applied_events();
-  const auto& ce = cal.applied_events();
+  const auto& ce = prod.applied_events();
   ASSERT_EQ(re.size(), ce.size())
       << "netlist seed " << netlist_seed << " sim seed " << sim_seed;
   for (std::size_t i = 0; i < re.size(); ++i) {
@@ -109,20 +109,20 @@ void run_differential(std::uint64_t netlist_seed, std::uint64_t sim_seed,
         << "netlist seed " << netlist_seed << " sim seed " << sim_seed
         << " event " << i << ": reference (t=" << re[i].time
         << ", seq=" << re[i].seq << ", net=" << re[i].net << ", v="
-        << re[i].value << ") vs calendar (t=" << ce[i].time << ", seq="
+        << re[i].value << ") vs sorted run (t=" << ce[i].time << ", seq="
         << ce[i].seq << ", net=" << ce[i].net << ", v=" << ce[i].value << ")";
   }
 
   // The derived observables must agree too (cheap once events match).
-  EXPECT_EQ(ref.total_toggles(), cal.total_toggles());
-  EXPECT_EQ(ref.runts_filtered(), cal.runts_filtered());
-  EXPECT_EQ(ref.metastable_samples(), cal.metastable_samples());
+  EXPECT_EQ(ref.total_toggles(), prod.total_toggles());
+  EXPECT_EQ(ref.runts_filtered(), prod.runts_filtered());
+  EXPECT_EQ(ref.metastable_samples(), prod.metastable_samples());
   for (std::size_t f : fc.dffs) {
-    EXPECT_EQ(ref.samples(f), cal.samples(f)) << "dff " << f;
+    EXPECT_EQ(ref.samples(f), prod.samples(f)) << "dff " << f;
   }
   for (NetId n = 0; n < static_cast<NetId>(fc.circuit.net_count()); ++n) {
-    ASSERT_EQ(ref.net_value(n), cal.net_value(n)) << "net " << n;
-    ASSERT_EQ(ref.toggle_count(n), cal.toggle_count(n)) << "net " << n;
+    ASSERT_EQ(ref.net_value(n), prod.net_value(n)) << "net " << n;
+    ASSERT_EQ(ref.toggle_count(n), prod.toggle_count(n)) << "net " << n;
   }
 }
 

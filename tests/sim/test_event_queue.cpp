@@ -1,11 +1,12 @@
-// Unit tests for the calendar/bucket event queue: pop order equals the
-// (time, seq) total order regardless of bucket width, cancellation
-// tombstones behave, sparse schedules trigger the rotation fallback, and
-// growth/retune never perturb ordering.
+// Unit tests for the sorted-run event queue: pop order equals the
+// (time, seq) total order for any push/cancel/pop interleaving, ties break
+// by seq even when seqs arrive scrambled, pop_if_due honours its horizon,
+// and the popped prefix is reclaimed so storage tracks the pending count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -14,15 +15,13 @@
 namespace dhtrng::sim {
 namespace {
 
-std::vector<SimEvent> drain(CalendarQueue& q) {
+constexpr double kForever = std::numeric_limits<double>::infinity();
+
+std::vector<SimEvent> drain(SortedEventRun& q) {
   std::vector<SimEvent> out;
-  while (!q.empty()) {
-    if (q.peek() == nullptr) {
-      ADD_FAILURE() << "live count and peek() disagree";
-      break;
-    }
-    out.push_back(q.pop());
-  }
+  SimEvent ev;
+  while (q.pop_if_due(kForever, ev)) out.push_back(ev);
+  EXPECT_TRUE(q.empty());
   return out;
 }
 
@@ -37,8 +36,8 @@ void expect_sorted(const std::vector<SimEvent>& evs) {
   }
 }
 
-TEST(CalendarQueue, PopsInTimeOrder) {
-  CalendarQueue q(10.0);
+TEST(SortedEventRun, PopsInTimeOrder) {
+  SortedEventRun q;
   support::Xoshiro256 rng(1);
   for (std::uint64_t s = 0; s < 500; ++s) {
     q.push(rng.uniform(0.0, 5000.0), s, static_cast<NetId>(s % 7), s % 2 == 0);
@@ -48,8 +47,8 @@ TEST(CalendarQueue, PopsInTimeOrder) {
   expect_sorted(evs);
 }
 
-TEST(CalendarQueue, EqualTimesBreakTiesBySeq) {
-  CalendarQueue q(10.0);
+TEST(SortedEventRun, EqualTimesBreakTiesBySeq) {
+  SortedEventRun q;
   // Push equal-time events in scrambled seq order.
   const std::uint64_t seqs[] = {5, 1, 9, 3, 7, 2, 8, 4, 6, 0};
   for (std::uint64_t s : seqs) q.push(123.0, s, 0, false);
@@ -58,11 +57,11 @@ TEST(CalendarQueue, EqualTimesBreakTiesBySeq) {
   for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(evs[i].seq, i);
 }
 
-TEST(CalendarQueue, MatchesHeapSemanticsUnderRandomWorkload) {
+TEST(SortedEventRun, MatchesHeapSemanticsUnderRandomWorkload) {
   // Oracle: sort the surviving (time, seq) pairs; the queue must pop the
   // same sequence through an interleaved push/pop/cancel workload.
   for (std::uint64_t seed : {7u, 19u, 42u}) {
-    CalendarQueue q(25.0);
+    SortedEventRun q;
     support::Xoshiro256 rng(seed);
     std::vector<SimEvent> expected;
     std::uint64_t seq = 0;
@@ -78,7 +77,8 @@ TEST(CalendarQueue, MatchesHeapSemanticsUnderRandomWorkload) {
         expected.push_back({t, seq, net, val});
         ++seq;
       } else if (r < 0.85) {
-        const SimEvent ev = q.pop();
+        SimEvent ev;
+        ASSERT_TRUE(q.pop_if_due(kForever, ev));
         EXPECT_GE(ev.time, now);
         now = ev.time;
         popped.push_back(ev);
@@ -94,9 +94,6 @@ TEST(CalendarQueue, MatchesHeapSemanticsUnderRandomWorkload) {
           expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(pick));
         }
       }
-      if (!q.empty()) {
-        ASSERT_NE(q.peek(), nullptr);
-      }
     }
     auto rest = drain(q);
     popped.insert(popped.end(), rest.begin(), rest.end());
@@ -111,120 +108,105 @@ TEST(CalendarQueue, MatchesHeapSemanticsUnderRandomWorkload) {
   }
 }
 
-TEST(CalendarQueue, CancelPeekedMinimumReScans) {
-  CalendarQueue q(10.0);
+TEST(SortedEventRun, CancelMinimumPromotesNext) {
+  SortedEventRun q;
   q.push(5.0, 0, 1, true);
   q.push(9.0, 1, 2, false);
-  ASSERT_EQ(q.peek()->net, 1u);  // cache the minimum...
-  q.cancel(5.0, 0);              // ...then tombstone it
-  ASSERT_NE(q.peek(), nullptr);
-  EXPECT_EQ(q.peek()->net, 2u);
-  EXPECT_EQ(q.pop().time, 9.0);
-  EXPECT_TRUE(q.empty());
+  q.cancel(5.0, 0);
+  auto evs = drain(q);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].net, 2u);
+  EXPECT_EQ(evs[0].time, 9.0);
 }
 
-TEST(CalendarQueue, CancelNonMinimumKeepsPeek) {
-  CalendarQueue q(10.0);
+TEST(SortedEventRun, CancelNonMinimumKeepsMinimum) {
+  SortedEventRun q;
   q.push(5.0, 0, 1, true);
   q.push(9.0, 1, 2, false);
-  ASSERT_EQ(q.peek()->net, 1u);
   q.cancel(9.0, 1);
-  EXPECT_EQ(q.peek()->net, 1u);
+  EXPECT_EQ(q.live(), 1u);
+  auto evs = drain(q);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].net, 1u);
+  // Cancelling an event that already popped is a no-op.
+  q.push(12.0, 2, 3, true);
+  q.cancel(5.0, 0);
   EXPECT_EQ(q.live(), 1u);
 }
 
-TEST(CalendarQueue, SparseScheduleJumpsToDistantEvent) {
-  // One event millions of widths ahead: the rotation fallback must find
-  // it without scanning bucket-by-bucket forever.
-  CalendarQueue q(1.0, 16);
+TEST(SortedEventRun, DistantEventsPopInOrder) {
+  SortedEventRun q;
   q.push(5.0e7, 0, 3, true);
   q.push(9.0e7, 1, 4, false);
-  const SimEvent* top = q.peek();
-  ASSERT_NE(top, nullptr);
-  EXPECT_EQ(top->time, 5.0e7);
-  EXPECT_EQ(q.pop().net, 3u);
-  EXPECT_EQ(q.pop().net, 4u);
+  auto evs = drain(q);
+  ASSERT_EQ(evs.size(), 2u);
+  EXPECT_EQ(evs[0].time, 5.0e7);
+  EXPECT_EQ(evs[0].net, 3u);
+  EXPECT_EQ(evs[1].net, 4u);
 }
 
-TEST(CalendarQueue, GrowsUnderLoadAndKeepsOrder) {
-  CalendarQueue q(10.0, 4);
+TEST(SortedEventRun, ManyPendingEventsKeepOrder) {
+  SortedEventRun q;
   support::Xoshiro256 rng(3);
   for (std::uint64_t s = 0; s < 2000; ++s) {
     q.push(rng.uniform(0.0, 1000.0), s, 0, false);
   }
-  EXPECT_GT(q.bucket_count(), 4u);  // grow() must have triggered
   auto evs = drain(q);
   ASSERT_EQ(evs.size(), 2000u);
   expect_sorted(evs);
 }
 
-TEST(CalendarQueue, RetunePreservesOrderOnMistunedWidth) {
-  // Start with a width 10^6 times too wide so every event hashes into one
-  // bucket; the retune window (checked every few thousand pops) must fix
-  // the width without ever changing pop order.
-  CalendarQueue q(1.0e6);
+TEST(SortedEventRun, SteadyPushPopKeepsOrder) {
+  // 64 pending events, each pop followed by a push a little ahead of now:
+  // the simulator's traffic shape.
+  SortedEventRun q;
   support::Xoshiro256 rng(11);
   std::uint64_t seq = 0;
-  double now = 0.0;
   for (int i = 0; i < 64; ++i) q.push(rng.uniform(0.0, 100.0), seq++, 0, false);
   double prev_t = -1.0;
   std::uint64_t prev_seq = 0;
   for (int i = 0; i < 20000; ++i) {
-    const SimEvent ev = q.pop();
+    SimEvent ev;
+    ASSERT_TRUE(q.pop_if_due(kForever, ev));
     ASSERT_TRUE(ev.time > prev_t || (ev.time == prev_t && ev.seq > prev_seq));
     prev_t = ev.time;
     prev_seq = ev.seq;
-    now = ev.time;
-    q.push(now + rng.uniform(0.5, 3.0), seq++, 0, false);
+    q.push(ev.time + rng.uniform(0.5, 3.0), seq++, 0, false);
   }
-  EXPECT_LT(q.bucket_width_ps(), 1.0e6) << "retune never fired";
+  EXPECT_EQ(q.live(), 64u);
 }
 
-TEST(CalendarQueue, EntriesAreReclaimedAfterPop) {
-  CalendarQueue q(10.0);
+TEST(SortedEventRun, DrainedQueueStoresNothing) {
+  SortedEventRun q;
   for (int round = 0; round < 100; ++round) {
     for (std::uint64_t s = 0; s < 8; ++s) {
       q.push(round * 100.0 + static_cast<double>(s), s, 0, false);
     }
-    while (!q.empty()) q.pop();
+    drain(q);
   }
-  // Popped entries leave the buckets immediately: stored() counts queued
-  // entries (incl. tombstones), so a drained queue stores nothing.
   EXPECT_EQ(q.stored(), 0u);
 }
 
-// The runner-up cache: the scan records second place, pop/cancel promote
-// it, and pushes between the minimum and the runner-up displace it.  All
-// of that is invisible except through pop order, so drive the exact
-// displacement sequences and assert the order.
-TEST(CalendarQueue, RunnerUpPromotionKeepsOrderThroughCancelAndPush) {
-  CalendarQueue q(100.0);  // wide bucket: all of these share one ordinal
+// Pushes landing between pending events and a cancel of the minimum, all
+// within a few picoseconds of each other: only pop order is observable.
+TEST(SortedEventRun, InsertsAndCancelBetweenPendingKeepOrder) {
+  SortedEventRun q;
   q.push(10.0, 0, 0, false);
   q.push(20.0, 1, 0, false);
   q.push(30.0, 2, 0, false);
-  ASSERT_EQ(q.peek()->time, 10.0);  // scan: peek=10, runner=20
-
-  // Push between peek and runner: 15 must displace 20 as second place.
-  q.push(15.0, 3, 0, false);
-  // Push a new minimum: 5 becomes peek, 10 the runner.
-  q.push(5.0, 4, 0, false);
-  EXPECT_EQ(q.peek()->time, 5.0);
-
-  // Cancel the minimum: the runner (10) must be promoted, not re-scanned
-  // into a wrong candidate.
-  q.cancel(5.0, 4);
-  EXPECT_EQ(q.peek()->time, 10.0);
-
+  q.push(15.0, 3, 0, false);  // between the first two
+  q.push(5.0, 4, 0, false);   // a new minimum
+  q.cancel(5.0, 4);           // cancelled again
   auto evs = drain(q);
   ASSERT_EQ(evs.size(), 4u);
   const double want[] = {10.0, 15.0, 20.0, 30.0};
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(evs[i].time, want[i]);
 }
 
-// pop_if_due is the simulator's fused peek+pop: it must pop exactly the
-// events at or before the horizon, in order, and leave the rest.
-TEST(CalendarQueue, PopIfDueStopsAtHorizon) {
-  CalendarQueue q(10.0);
+// pop_if_due must pop exactly the events at or before the horizon, in
+// order, and leave the rest.
+TEST(SortedEventRun, PopIfDueStopsAtHorizon) {
+  SortedEventRun q;
   support::Xoshiro256 rng(7);
   for (std::uint64_t s = 0; s < 300; ++s) {
     q.push(rng.uniform(0.0, 1000.0), s, 0, false);
@@ -235,10 +217,34 @@ TEST(CalendarQueue, PopIfDueStopsAtHorizon) {
   expect_sorted(due);
   for (const SimEvent& e : due) EXPECT_LE(e.time, 500.0);
   ASSERT_FALSE(q.empty());
-  EXPECT_GT(q.peek()->time, 500.0);
   auto rest = drain(q);
+  EXPECT_GT(rest.front().time, 500.0);
   expect_sorted(rest);
   EXPECT_EQ(due.size() + rest.size(), 300u);
+}
+
+// The popped prefix is compacted away: under steady traffic the vector
+// holds at most twice the pending events plus a constant, however long
+// the run.
+TEST(SortedEventRun, StorageStaysBoundedUnderSteadyTraffic) {
+  SortedEventRun q;
+  support::Xoshiro256 rng(5);
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 100; ++i) q.push(rng.uniform(0.0, 50.0), seq++, 0, false);
+  std::size_t worst = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    SimEvent ev;
+    ASSERT_TRUE(q.pop_if_due(kForever, ev));
+    // Hover around 100 pending: occasionally push two or none.
+    const std::uint64_t pushes = q.live() < 100 ? 1 + rng.below(2)
+                                                : rng.below(2);
+    for (std::uint64_t p = 0; p < pushes; ++p) {
+      q.push(ev.time + rng.uniform(0.5, 50.0), seq++, 0, false);
+    }
+    ASSERT_LE(q.stored(), 2 * q.live() + 64) << "after " << i << " cycles";
+    worst = std::max(worst, q.stored());
+  }
+  EXPECT_LE(worst, 2 * 110 + 64);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // and hashes (a) the VCD byte stream of the watch nets and (b) the final
 // state — net values and per-net toggle counts.  Any change to the
 // scheduler, the noise stream, the netlist builders, or the VCD writer
-// shows up as a digest mismatch, which is the point: the calendar-queue
+// shows up as a digest mismatch, which is the point: the production
 // engine must reproduce the waveforms bit for bit, forever.
 //
 // Every case also re-runs under Scheduler::ReferenceHeap and must produce
@@ -128,7 +128,7 @@ TEST(GoldenWaveforms, CalendarEngineMatchesPinnedDigests) {
   const bool regen = std::getenv("DHTRNG_REGEN_GOLDEN") != nullptr;
   for (const GoldenCase& gc : kGolden) {
     const Digests d =
-        run_case(find_netlist(nets, gc.netlist), gc, Scheduler::Calendar);
+        run_case(find_netlist(nets, gc.netlist), gc, Scheduler::SortedRun);
     if (regen) {
       std::printf("    {\"%s\", %llu, %.1f, %.1f,\n     \"%s\",\n     \"%s\"},\n",
                   gc.netlist, static_cast<unsigned long long>(gc.seed),
@@ -151,12 +151,12 @@ TEST(GoldenWaveforms, ReferenceSchedulerProducesIdenticalDigests) {
       core::golden_gate_netlists(fpga::DeviceModel::artix7());
   for (const GoldenCase& gc : kGolden) {
     const auto& net = find_netlist(nets, gc.netlist);
-    const Digests cal = run_case(net, gc, Scheduler::Calendar);
+    const Digests prod = run_case(net, gc, Scheduler::SortedRun);
     const Digests ref = run_case(net, gc, Scheduler::ReferenceHeap);
-    EXPECT_EQ(cal.vcd, ref.vcd)
+    EXPECT_EQ(prod.vcd, ref.vcd)
         << gc.netlist << " seed " << gc.seed << " @ (" << gc.temperature_c
         << " C, " << gc.voltage_v << " V): schedulers disagree on waveforms";
-    EXPECT_EQ(cal.state, ref.state)
+    EXPECT_EQ(prod.state, ref.state)
         << gc.netlist << " seed " << gc.seed << " @ (" << gc.temperature_c
         << " C, " << gc.voltage_v << " V): schedulers disagree on state";
   }

@@ -105,6 +105,40 @@ TEST(Simulator, DeterministicForSameSeed) {
   EXPECT_NE(run(5), run(6));
 }
 
+// next_sample() returns the recorded bits in order, advancing time step by
+// step like a reader of the full recording would, yet keeps only the
+// current step's samples.
+TEST(Simulator, NextSampleMatchesFullRecordingAndStaysBounded) {
+  Circuit c;
+  const NetId en = c.add_net("en");
+  c.set_initial(en, true);
+  const NetId ro = core::build_ring_oscillator(c, "ro", 5, en, 2000.0);
+  const NetId clk = c.add_net("clk"), q = c.add_net("q");
+  c.add_clock(clk, 7000.0);
+  const std::size_t ff = c.add_dff(clk, ro, q);
+  const double step_ps = 2.5 * 7000.0;  // two or three samples per step
+  constexpr std::size_t kSamples = 200'000;
+
+  Simulator full(c, SimConfig{});
+  full.record_dff(ff);
+  while (full.samples(ff).size() < kSamples) {
+    full.run_until(full.now() + step_ps);
+  }
+
+  Simulator reader(c, SimConfig{});
+  reader.record_dff(ff);
+  std::size_t ones = 0;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    const bool bit = reader.next_sample(ff, step_ps);
+    ASSERT_EQ(bit, full.samples(ff)[i] != 0) << "sample " << i;
+    ASSERT_LE(reader.samples(ff).size(), 3u) << "sample " << i;
+    ones += bit ? 1 : 0;
+  }
+  EXPECT_EQ(reader.dff_sample_count(ff), full.dff_sample_count(ff));
+  EXPECT_GT(ones, kSamples / 4);  // a live oscillator, not a constant
+  EXPECT_LT(ones, kSamples * 3 / 4);
+}
+
 TEST(Simulator, JitterSpreadsRingPeriods) {
   // With strong jitter the toggle counts of two identical rings diverge.
   Circuit c;

@@ -218,7 +218,7 @@ TEST(SimulatorEdge, BudgetErrorIdenticalAcrossSchedulers) {
     }
     return std::make_tuple(std::uint64_t{0}, NetId{0}, std::uint64_t{0}, 0.0);
   };
-  EXPECT_EQ(probe(Scheduler::Calendar), probe(Scheduler::ReferenceHeap));
+  EXPECT_EQ(probe(Scheduler::SortedRun), probe(Scheduler::ReferenceHeap));
 }
 
 }  // namespace
