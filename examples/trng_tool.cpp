@@ -228,7 +228,7 @@ int cmd_serve(int argc, char** argv) {
       std::stoul(flag(argc, argv, "port", "7230")));
   cfg.unix_path = flag(argc, argv, "unix", "");
   cfg.pool.producers = std::stoull(flag(argc, argv, "producers", "4"));
-  cfg.worker_threads = std::stoull(flag(argc, argv, "workers", "4"));
+  cfg.shards = std::stoull(flag(argc, argv, "workers", "4"));
   cfg.pool.seed = std::stoull(flag(argc, argv, "seed", "1"));
   cfg.max_request_bytes =
       std::stoull(flag(argc, argv, "max-request", "1048576"));

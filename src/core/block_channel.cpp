@@ -42,37 +42,26 @@ bool BlockChannel::push(std::span<const std::uint8_t> block) {
   std::memcpy(ring_.data(), block.data() + first, n - first);
   count_ += n;
   if (count_ >= armed_want_) ring_armed_locked();
-  const bool wake = consumers_waiting_ > 0;
-  lock.unlock();
-  if (wake) not_empty_.notify_all();
   return true;
 }
 
 std::size_t BlockChannel::try_take(std::span<std::uint8_t> out,
                                    Doorbell* doorbell) {
   std::unique_lock<std::mutex> lock(mutex_);
-  const std::size_t got = take_locked(out);
+  const std::size_t got = std::min(out.size(), count_);
+  if (got > 0) {
+    const std::size_t first = std::min(got, ring_.size() - head_);
+    std::memcpy(out.data(), ring_.data() + head_, first);
+    std::memcpy(out.data() + first, ring_.data(), got - first);
+    head_ = (head_ + got) % ring_.size();
+    count_ -= got;
+  }
   if (got < out.size() && doorbell != nullptr && !closed_) {
     if (std::find(armed_.begin(), armed_.end(), doorbell) == armed_.end()) {
       armed_.push_back(doorbell);
     }
     armed_want_ = std::min(armed_want_, out.size() - got);
   }
-  const bool wake = got > 0 && producers_waiting_ > 0;
-  lock.unlock();
-  if (wake) not_full_.notify_all();
-  return got;
-}
-
-std::size_t BlockChannel::take(std::span<std::uint8_t> out) {
-  if (out.empty()) return 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (!closed_ && count_ == 0) {
-    ++consumers_waiting_;
-    not_empty_.wait(lock, [this] { return closed_ || count_ > 0; });
-    --consumers_waiting_;
-  }
-  const std::size_t got = take_locked(out);
   const bool wake = got > 0 && producers_waiting_ > 0;
   lock.unlock();
   if (wake) not_full_.notify_all();
@@ -86,18 +75,6 @@ void BlockChannel::close() {
     ring_armed_locked();
   }
   not_full_.notify_all();
-  not_empty_.notify_all();
-}
-
-std::size_t BlockChannel::take_locked(std::span<std::uint8_t> out) {
-  const std::size_t n = std::min(out.size(), count_);
-  if (n == 0) return 0;
-  const std::size_t first = std::min(n, ring_.size() - head_);
-  std::memcpy(out.data(), ring_.data() + head_, first);
-  std::memcpy(out.data() + first, ring_.data(), n - first);
-  head_ = (head_ + n) % ring_.size();
-  count_ -= n;
-  return n;
 }
 
 void BlockChannel::ring_armed_locked() {

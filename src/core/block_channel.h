@@ -2,22 +2,24 @@
 // whole blocks go in, arbitrary spans come out.
 //
 // Semantics:
-//  * push(block) waits until the *whole* block fits, then appends it with
-//    one lock and one notify — a block is never split across a wait, so
-//    concurrent producers interleave at block granularity and each
-//    producer's bytes stay in its own order;
-//  * take(out) waits until at least one byte is buffered and copies as
-//    many as fit; try_take(out) never waits;
-//  * a consumer that comes up short in try_take can arm a Doorbell — the
-//    hand-off for event-loop consumers that must not block.  Armed
-//    doorbells are rung together, once, as soon as the buffer covers the
-//    smallest shortfall any of them armed with, or a producer finds the
-//    buffer too full to publish (so a request larger than the buffer
-//    still progresses), or the channel closes.  A consumer therefore
-//    wakes about once per request, not once per block;
-//  * close() fails every pending and future push, wakes every waiter and
-//    rings every armed doorbell, while takes keep draining what remains —
-//    a consumer always sees every byte published before the close.
+//  * push(block) waits until the *whole* block fits, then appends it under
+//    one lock — a block is never split across a wait, so concurrent
+//    producers interleave at block granularity and each producer's bytes
+//    stay in its own order;
+//  * try_take(out) never waits: it copies as many buffered bytes as fit;
+//  * a consumer that comes up short arms a Doorbell — the one way to wait
+//    for bytes, whether the consumer is an event loop that must not block
+//    (a self-pipe) or a thread that may (a semaphore, see
+//    EntropyPool::get_bytes).  Armed doorbells are rung together, once,
+//    as soon as the buffer covers the smallest shortfall any of them armed
+//    with, or a producer finds the buffer too full to publish (so a
+//    request larger than the buffer still progresses), or the channel
+//    closes.  A consumer therefore wakes about once per request, not once
+//    per block;
+//  * close() fails every pending and future push, wakes every blocked
+//    producer and rings every armed doorbell, while takes keep draining
+//    what remains — a consumer always sees every byte published before
+//    the close.
 // Storage is one ring of `capacity` bytes allocated up front; publishing
 // and taking copy at most two spans each.
 #pragma once
@@ -35,7 +37,8 @@ namespace dhtrng::core {
 /// One-shot readiness notification for a consumer that found the channel
 /// short (see BlockChannel::try_take).  ring() runs on the publishing or
 /// closing thread with the channel lock held, so it must be cheap and must
-/// not call back into the channel (a self-pipe write is the intended use).
+/// not call back into the channel (a self-pipe write or a semaphore
+/// release).  Each arming is rung exactly once.
 class Doorbell {
  public:
   virtual ~Doorbell() = default;
@@ -67,27 +70,19 @@ class BlockChannel {
   std::size_t try_take(std::span<std::uint8_t> out,
                        Doorbell* doorbell = nullptr);
 
-  /// Wait until at least one byte is buffered, then take like try_take.
-  /// Returns 0 only once the channel is closed and drained (or `out` is
-  /// empty).
-  std::size_t take(std::span<std::uint8_t> out);
-
   /// Fail pending/future pushes, let takes drain what remains, wake every
-  /// waiter and ring every armed doorbell.  Idempotent.
+  /// blocked producer and ring every armed doorbell.  Idempotent.
   void close();
 
  private:
-  std::size_t take_locked(std::span<std::uint8_t> out);
   void ring_armed_locked();
 
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
-  std::condition_variable not_empty_;
   std::vector<std::uint8_t> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::size_t producers_waiting_ = 0;
-  std::size_t consumers_waiting_ = 0;
   static constexpr std::size_t kNoWant =
       std::numeric_limits<std::size_t>::max();
   std::vector<Doorbell*> armed_;

@@ -1,6 +1,9 @@
 #include "core/drbg.h"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "support/hmac.h"
 
 namespace dhtrng::core {
 
@@ -12,68 +15,51 @@ std::vector<std::uint8_t> digest_to_vec(const support::Sha256::Digest& d) {
 
 }  // namespace
 
-HmacDrbg::HmacDrbg(TrngSource& entropy_source, HmacDrbgConfig config,
-                   const std::vector<std::uint8_t>& personalization)
-    : source_(entropy_source),
-      config_(config),
-      key_(32, 0x00),
-      v_(32, 0x01) {
-  // Instantiate (10.1.2.3): seed_material = entropy || nonce || pers.
-  std::vector<std::uint8_t> seed = pull_entropy(config_.entropy_input_bits);
-  const std::vector<std::uint8_t> nonce = pull_entropy(config_.nonce_bits);
-  seed.insert(seed.end(), nonce.begin(), nonce.end());
-  seed.insert(seed.end(), personalization.begin(), personalization.end());
-  hmac_update(seed);
+HmacDrbg::HmacDrbg(Bytes entropy_input, Bytes nonce, HmacDrbgConfig config,
+                   Bytes personalization)
+    : config_(config), key_(32, 0x00), v_(32, 0x01) {
+  if (config_.reseed_interval == 0) {
+    throw std::invalid_argument("HmacDrbg: reseed_interval == 0");
+  }
+  hmac_update({entropy_input, nonce, personalization});
   reseed_counter_ = 1;
 }
 
-std::vector<std::uint8_t> HmacDrbg::pull_entropy(std::size_t bits) {
-  const support::BitStream raw = source_.generate(bits);
-  return raw.to_bytes();
-}
-
-void HmacDrbg::hmac_update(const std::vector<std::uint8_t>& provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V).
-  {
-    support::HmacSha256 mac(key_);
-    mac.update(v_);
-    mac.update(std::uint8_t{0x00});
-    mac.update(provided);
-    key_ = digest_to_vec(mac.finish());
-  }
-  {
+void HmacDrbg::hmac_update(std::initializer_list<Bytes> provided) {
+  // K = HMAC(K, V || tag || provided); V = HMAC(K, V).
+  const auto step = [&](std::uint8_t tag) {
+    {
+      support::HmacSha256 mac(key_);
+      mac.update(v_);
+      mac.update(tag);
+      for (const Bytes part : provided) mac.update(part.data(), part.size());
+      key_ = digest_to_vec(mac.finish());
+    }
     support::HmacSha256 mac(key_);
     mac.update(v_);
     v_ = digest_to_vec(mac.finish());
-  }
-  if (provided.empty()) return;
-  // K = HMAC(K, V || 0x01 || provided); V = HMAC(K, V).
-  {
-    support::HmacSha256 mac(key_);
-    mac.update(v_);
-    mac.update(std::uint8_t{0x01});
-    mac.update(provided);
-    key_ = digest_to_vec(mac.finish());
-  }
-  {
-    support::HmacSha256 mac(key_);
-    mac.update(v_);
-    v_ = digest_to_vec(mac.finish());
+  };
+  step(0x00);
+  // The second step only when `provided` is non-empty.
+  for (const Bytes part : provided) {
+    if (!part.empty()) {
+      step(0x01);
+      return;
+    }
   }
 }
 
-void HmacDrbg::reseed(const std::vector<std::uint8_t>& additional_input) {
-  std::vector<std::uint8_t> seed = pull_entropy(config_.entropy_input_bits);
-  seed.insert(seed.end(), additional_input.begin(), additional_input.end());
-  hmac_update(seed);
+void HmacDrbg::reseed(Bytes entropy_input, Bytes additional) {
+  hmac_update({entropy_input, additional});
   reseed_counter_ = 1;
-  ++reseeds_;
 }
 
 void HmacDrbg::generate(std::uint8_t* out, std::size_t len,
-                        const std::vector<std::uint8_t>& additional_input) {
-  if (reseed_counter_ > config_.reseed_interval) reseed(additional_input);
-  if (!additional_input.empty()) hmac_update(additional_input);
+                        Bytes additional) {
+  if (reseed_required()) {
+    throw std::logic_error("HmacDrbg: reseed required");
+  }
+  if (!additional.empty()) hmac_update({additional});
 
   std::size_t produced = 0;
   while (produced < len) {
@@ -85,7 +71,7 @@ void HmacDrbg::generate(std::uint8_t* out, std::size_t len,
               out + produced);
     produced += take;
   }
-  hmac_update(additional_input);
+  hmac_update({additional});
   ++reseed_counter_;
 }
 

@@ -1,56 +1,66 @@
-// Deterministic random bit generator (SP 800-90A) seeded from a
-// TrngSource — completing the root-of-trust stack the paper motivates:
+// Deterministic random bit generator (SP 800-90A), completing the
+// root-of-trust stack the paper motivates:
 //
 //   DH-TRNG (entropy source) -> health tests -> DRBG -> applications
 //
 // HMAC_DRBG (10.1.2, over HMAC-SHA256) stretches the physical entropy to
-// arbitrary volumes with prediction and backtracking resistance;
-// reseeding pulls fresh TRNG output on demand or automatically every
-// `reseed_interval` generate calls.
+// arbitrary volumes with prediction and backtracking resistance.  The
+// mechanism takes its entropy input as bytes: SP 800-90A leaves
+// Get_entropy_input outside the DRBG, so the caller gathers
+// kEntropyInputBytes (and, to instantiate, kNonceBytes more) from the
+// entropy source however suits it — a blocking read, or a pool draw that
+// parks.  After `reseed_interval` generate calls reseed_required() turns
+// true and generate refuses until the caller reseeds.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
-
-#include "core/trng.h"
-#include "support/hmac.h"
 
 namespace dhtrng::core {
 
 struct HmacDrbgConfig {
-  std::size_t entropy_input_bits = 384;   ///< seed entropy (>= 1.5x security)
-  std::size_t nonce_bits = 128;
   std::uint64_t reseed_interval = 10000;  ///< generate calls between reseeds
 };
 
 class HmacDrbg {
  public:
-  /// Instantiate from the entropy source (keeps the reference; the source
-  /// must outlive the DRBG).  `personalization` is mixed into the seed.
-  HmacDrbg(TrngSource& entropy_source, HmacDrbgConfig config = {},
-           const std::vector<std::uint8_t>& personalization = {});
+  using Bytes = std::span<const std::uint8_t>;
 
-  /// Fill `out` with pseudorandom bytes.
-  void generate(std::uint8_t* out, std::size_t len,
-                const std::vector<std::uint8_t>& additional_input = {});
+  /// Entropy input per instantiate/reseed: 384 bits (>= 1.5x security).
+  static constexpr std::size_t kEntropyInputBytes = 48;
+  /// Instantiation nonce: 128 bits.
+  static constexpr std::size_t kNonceBytes = 16;
+
+  /// Instantiate (10.1.2.3): seed material = entropy_input || nonce ||
+  /// personalization.  Throws std::invalid_argument for a zero
+  /// reseed_interval.
+  HmacDrbg(Bytes entropy_input, Bytes nonce, HmacDrbgConfig config = {},
+           Bytes personalization = {});
+
+  /// Fill `out` with pseudorandom bytes.  Throws std::logic_error when
+  /// reseed_required() (SP 800-90A 9.3.1 "reseed required").
+  void generate(std::uint8_t* out, std::size_t len, Bytes additional = {});
   std::vector<std::uint8_t> generate(std::size_t len);
 
-  /// Pull fresh entropy from the source and re-key.
-  void reseed(const std::vector<std::uint8_t>& additional_input = {});
+  /// Re-key from fresh entropy input (10.1.2.4).
+  void reseed(Bytes entropy_input, Bytes additional = {});
 
-  std::uint64_t reseed_counter() const { return reseed_counter_; }
-  std::uint64_t reseed_count() const { return reseeds_; }
+  /// True once `reseed_interval` generate calls ran since the last
+  /// (re)seed.
+  bool reseed_required() const {
+    return reseed_counter_ > config_.reseed_interval;
+  }
 
  private:
-  void hmac_update(const std::vector<std::uint8_t>& provided);
-  std::vector<std::uint8_t> pull_entropy(std::size_t bits);
+  void hmac_update(std::initializer_list<Bytes> provided);
 
-  TrngSource& source_;
   HmacDrbgConfig config_;
   std::vector<std::uint8_t> key_;  // K
   std::vector<std::uint8_t> v_;    // V
   std::uint64_t reseed_counter_ = 0;
-  std::uint64_t reseeds_ = 0;
 };
 
 }  // namespace dhtrng::core

@@ -1,6 +1,7 @@
 #include "core/entropy_pool.h"
 
 #include <algorithm>
+#include <semaphore>
 #include <utility>
 
 #include "core/dhtrng.h"
@@ -143,14 +144,20 @@ void EntropyPool::producer_loop(std::size_t index) {
 }
 
 std::vector<std::uint8_t> EntropyPool::get_bytes(std::size_t n) {
+  // A blocking wrapper over try_get_bytes.  Every short take either arms
+  // the doorbell (which is then rung exactly once) or, with the pool
+  // closed and drained, throws — so waiting after each short take means
+  // the stack doorbell is never left armed when this returns or throws.
+  struct Waiter final : Doorbell {
+    std::binary_semaphore rung{0};
+    void ring() override { rung.release(); }
+  } waiter;
   std::vector<std::uint8_t> out(n);
-  for (std::size_t got = 0; got < n;) {
-    const std::size_t k =
-        buffer_.take(std::span<std::uint8_t>(out).subspan(got));
-    if (k == 0) throw EntropyExhausted();  // closed and drained
-    got += k;
+  for (std::size_t got = 0;;) {
+    got += try_get_bytes(std::span<std::uint8_t>(out).subspan(got), &waiter);
+    if (got == n) return out;
+    waiter.rung.acquire();
   }
-  return out;
 }
 
 std::size_t EntropyPool::try_get_bytes(std::span<std::uint8_t> out,

@@ -2,15 +2,15 @@
 // independent TrngSource, run the SP 800-90B continuous health tests
 // (stats/health.h RCT + APT) over every bit they emit, and feed a bounded
 // shared buffer (core/block_channel.h) that consumers drain via
-// get_bytes() (blocking) or try_get_bytes() (non-blocking, with an
-// optional readiness Doorbell).
+// try_get_bytes() (non-blocking, with an optional readiness Doorbell) or
+// get_bytes() (a blocking wrapper that waits on such a doorbell).
 //
 // Hand-off granularity: a producer fills one whole block through
 // TrngSource::generate (the word path for DhTrngSoA), health-tests it
-// word by word, packs it MSB-first and publishes it with one lock and one
-// notify.  A single producer's output is therefore exactly its source's
-// stream packed MSB-first; with several producers the stream interleaves
-// whole blocks (never bytes) in publish order.
+// word by word, packs it MSB-first and publishes it under one lock.  A
+// single producer's output is therefore exactly its source's stream
+// packed MSB-first; with several producers the stream interleaves whole
+// blocks (never bytes) in publish order.
 //
 // Failure policy (the deployment behaviour SP 800-90B section 4.3 asks an
 // entropy source to document):
@@ -130,8 +130,9 @@ class EntropyPool {
   EntropyPool(EntropyPool&&) = delete;
 
   /// Blocks until `n` health-tested bytes are available (FIFO across
-  /// producers).  Throws EntropyExhausted once all producers are retired
-  /// and the buffered remainder cannot cover the request.
+  /// producers): try_get_bytes in a loop, waiting on a semaphore doorbell
+  /// after every short take.  Throws EntropyExhausted once all producers
+  /// are retired and the buffered remainder cannot cover the request.
   std::vector<std::uint8_t> get_bytes(std::size_t n);
 
   /// Non-blocking draw: copies up to out.size() buffered health-tested
@@ -145,7 +146,7 @@ class EntropyPool {
   std::size_t try_get_bytes(std::span<std::uint8_t> out,
                             Doorbell* doorbell = nullptr);
 
-  /// Stop producers and wake blocked consumers; idempotent (the destructor
+  /// Stop producers and ring every armed doorbell; idempotent (the destructor
   /// calls it).  After stop(), get_bytes() drains the buffer then throws.
   void stop();
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string_view>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -25,19 +26,13 @@ constexpr std::size_t kWritevBatch = 16;
 constexpr int kDeferredRetryMs = 2;
 /// Idle loop heartbeat (stop() uses the wake pipe, this is a safety net).
 constexpr int kIdleTimeoutMs = 500;
+/// Pool bytes that key a shard DRBG: entropy input, then nonce.
+constexpr std::size_t kDrbgKeyBytes =
+    core::HmacDrbg::kEntropyInputBytes + core::HmacDrbg::kNonceBytes;
+/// SP 800-90A personalization string mixed into every shard DRBG's seed.
+constexpr std::string_view kDrbgPersonalization = "dhtrng-entropy-service";
 
 }  // namespace
-
-bool EntropyServer::PoolSource::next_bit() {
-  if (bit_ == buf_.size() * 8) {
-    buf_ = pool_.get_bytes(64);  // throws EntropyExhausted when pool is gone
-    bit_ = 0;
-  }
-  const std::uint8_t byte = buf_[bit_ / 8];
-  const bool bit = ((byte >> (7 - bit_ % 8)) & 1u) != 0;
-  ++bit_;
-  return bit;
-}
 
 EntropyServer::EntropyServer(EntropyServerConfig config,
                              core::EntropyPool::SourceFactory factory)
@@ -46,8 +41,9 @@ EntropyServer::EntropyServer(EntropyServerConfig config,
       global_bucket_(config_.global_rate_bytes_per_s,
                      config_.global_burst_bytes, config_.clock) {
   if (config_.degraded_after_retired == 0) config_.degraded_after_retired = 1;
-  const std::size_t nshards = std::max<std::size_t>(
-      1, config_.shards != 0 ? config_.shards : config_.worker_threads);
+  // HmacDrbg rejects a zero interval, and a shard keys its DRBG lazily.
+  if (config_.drbg.reseed_interval == 0) config_.drbg.reseed_interval = 1;
+  const std::size_t nshards = std::max<std::size_t>(1, config_.shards);
   const Poller::Backend backend = config_.force_poll_backend
                                       ? Poller::Backend::Poll
                                       : Poller::Backend::Auto;
@@ -134,10 +130,8 @@ void EntropyServer::stop() {
   std::lock_guard<std::mutex> lock(stop_mutex_);
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
   // Stop the pool first: closing it rings the doorbell of every shard
-  // with a short draw armed, and a shard blocked in a DRBG reseed draw
-  // observes EntropyExhausted and returns to its loop, where the wake
-  // below is waiting.  Parked GETs are answered ShuttingDown on the way
-  // out of the loop.
+  // with a short draw armed.  Parked GETs are answered ShuttingDown on the
+  // way out of the loop.
   pool_.stop();
   for (auto& shard : shards_) shard->wake.notify();
   for (auto& shard : shards_) {
@@ -531,25 +525,9 @@ void EntropyServer::serve_get(Shard& shard, Connection& conn,
                   "all entropy producers retired");
     return;
   }
-  if (st == ServiceState::Degraded || request.quality == Quality::Drbg) {
-    const bool degraded = st == ServiceState::Degraded;
-    std::vector<std::uint8_t> payload;
-    try {
-      payload = degraded ? draw_degraded(n) : draw_drbg(n);
-    } catch (const core::EntropyExhausted&) {
-      enqueue_error(shard, conn, Status::Exhausted,
-                    "entropy pool exhausted mid-request");
-      return;
-    }
-    metrics_.count_served(request.quality, n, degraded);
-    enqueue_frame(shard, conn,
-                  encode_response_frame(Status::Ok,
-                                        degraded ? kFlagDegraded : 0,
-                                        payload));
-    return;
-  }
 
-  begin_draw(conn.get, request.quality, n);
+  begin_draw(shard, conn.get, request.quality, n,
+             st == ServiceState::Degraded);
   if (finish_get(shard, conn)) return;
   // The pool is short: park.  Reads stop until the GET completes, so the
   // frames behind it keep their order; the doorbell resumes it.
@@ -574,8 +552,11 @@ bool EntropyServer::finish_get(Shard& shard, Connection& conn) {
     }
     return true;
   }
-  metrics_.count_served(get.quality, get.out.size(), false);
-  enqueue_frame(shard, conn, encode_response_frame(Status::Ok, 0, get.out));
+  metrics_.count_served(get.quality, get.out.size(), get.degraded);
+  enqueue_frame(shard, conn,
+                encode_response_frame(Status::Ok,
+                                      get.degraded ? kFlagDegraded : 0,
+                                      get.out));
   get = PendingDraw{};
   return true;
 }
@@ -738,26 +719,6 @@ void EntropyServer::push_subscription(Shard& shard, Connection& conn) {
     end_stream(Status::ShuttingDown, "server stopping");
     return;
   }
-  const auto ship = [&](const std::vector<std::uint8_t>& payload,
-                        bool degraded) {
-    const std::uint8_t flags =
-        kFlagPush | (degraded ? kFlagDegraded : std::uint8_t{0});
-    enqueue_frame(shard, conn,
-                  encode_response_frame(Status::Ok, flags, payload));
-    metrics_.count_served(conn.sub_quality, conn.sub_chunk, degraded);
-    metrics_.subscribe_pushes.fetch_add(1, std::memory_order_relaxed);
-    metrics_.subscribe_push_bytes.fetch_add(conn.sub_chunk,
-                                            std::memory_order_relaxed);
-    if (degraded) {
-      metrics_.subscribe_pushes_degraded.fetch_add(1,
-                                                   std::memory_order_relaxed);
-    }
-    conn.sub_deferred = false;
-    conn.sub_due_ns =
-        clock_now_ns() +
-        static_cast<std::uint64_t>(conn.sub_interval_ms) * 1000000u;
-  };
-
   if (!conn.push.active) {
     // A push is taken whole or not at all — first the write-queue room
     // (checked before any tokens are spent), then the buckets — so the
@@ -786,24 +747,12 @@ void EntropyServer::push_subscription(Shard& shard, Connection& conn) {
       end_stream(Status::Exhausted, "all entropy producers retired");
       return;
     }
-    if (st == ServiceState::Degraded || conn.sub_quality == Quality::Drbg) {
-      const bool degraded = st == ServiceState::Degraded;
-      std::vector<std::uint8_t> payload;
-      try {
-        payload = degraded ? draw_degraded(conn.sub_chunk)
-                           : draw_drbg(conn.sub_chunk);
-      } catch (const core::EntropyExhausted&) {
-        end_stream(Status::Exhausted, "entropy pool exhausted mid-push");
-        return;
-      }
-      ship(payload, degraded);
-      return;
-    }
-    begin_draw(conn.push, conn.sub_quality, conn.sub_chunk);
+    begin_draw(shard, conn.push, conn.sub_quality, conn.sub_chunk,
+               st == ServiceState::Degraded);
   }
 
-  // Pool-backed push, paid for when it began: it stays deferred (whole,
-  // never split) until the pool has covered all of it.
+  // The push was paid for when it began: it stays deferred (whole, never
+  // split) until the pool has covered all of it.
   try {
     if (!fill_draw(shard, conn.push)) {
       conn.sub_deferred = true;
@@ -813,39 +762,81 @@ void EntropyServer::push_subscription(Shard& shard, Connection& conn) {
     end_stream(Status::Exhausted, "entropy pool exhausted mid-push");
     return;
   }
-  ship(conn.push.out, false);
+  const bool degraded = conn.push.degraded;
+  const std::uint8_t flags =
+      kFlagPush | (degraded ? kFlagDegraded : std::uint8_t{0});
+  enqueue_frame(shard, conn,
+                encode_response_frame(Status::Ok, flags, conn.push.out));
+  metrics_.count_served(conn.sub_quality, conn.sub_chunk, degraded);
+  metrics_.subscribe_pushes.fetch_add(1, std::memory_order_relaxed);
+  metrics_.subscribe_push_bytes.fetch_add(conn.sub_chunk,
+                                          std::memory_order_relaxed);
+  if (degraded) {
+    metrics_.subscribe_pushes_degraded.fetch_add(1, std::memory_order_relaxed);
+  }
   conn.push = PendingDraw{};
+  conn.sub_deferred = false;
+  conn.sub_due_ns = clock_now_ns() +
+                    static_cast<std::uint64_t>(conn.sub_interval_ms) * 1000000u;
 }
 
 // ---------------------------------------------------------------------------
 // Entropy draws
 // ---------------------------------------------------------------------------
 
-void EntropyServer::begin_draw(PendingDraw& draw, Quality quality,
-                               std::size_t n) {
+void EntropyServer::begin_draw(const Shard& shard, PendingDraw& draw,
+                               Quality quality, std::size_t n,
+                               bool degraded) const {
   draw.active = true;
   draw.quality = quality;
+  draw.degraded = degraded;
   draw.out.resize(n);
   draw.filled = 0;
   draw.input_filled = 0;
+  draw.input_want = 0;
+  if (!degraded && quality != Quality::Drbg) return;
+  static_assert(kDrbgKeyBytes <= std::tuple_size_v<decltype(draw.input)>);
+  // The shard DRBG's seed, fixed now so a parked draw keeps gathering the
+  // same count: entropy input + nonce to key it, entropy input to reseed
+  // it when its interval is used up, or — inside DEGRADED — when a pool
+  // quarantine changed the producer set since it was last keyed.
+  if (!shard.drbg) {
+    draw.input_want = kDrbgKeyBytes;
+  } else if (shard.drbg->reseed_required() ||
+             (degraded &&
+              pool_.quarantine_events() != shard.drbg_quarantines)) {
+    draw.input_want = core::HmacDrbg::kEntropyInputBytes;
+  }
 }
 
 bool EntropyServer::fill_draw(Shard& shard, PendingDraw& draw) {
   const std::size_t n = draw.out.size();
-  if (draw.quality == Quality::Raw) {
+  const auto gather = [&](std::size_t want) {
+    draw.input_filled += pool_.try_get_bytes(
+        std::span<std::uint8_t>(draw.input)
+            .subspan(draw.input_filled, want - draw.input_filled),
+        &shard.doorbell);
+    return draw.input_filled == want;
+  };
+  if (draw.quality == Quality::Raw && !draw.degraded) {
     draw.filled += pool_.try_get_bytes(
         std::span<std::uint8_t>(draw.out).subspan(draw.filled),
         &shard.doorbell);
     return draw.filled == n;
   }
+  if (draw.quality == Quality::Drbg || draw.degraded) {
+    if (draw.input_filled < draw.input_want) {
+      if (!gather(draw.input_want)) return false;
+      rekey_drbg(shard, draw);
+    }
+    shard.drbg->generate(draw.out.data(), n);
+    return true;
+  }
   // Vetted conditioning (SP 800-90B 3.1.5.1.2): SHA-256 over 64-byte
   // pool blocks, 2:1 compression — 512 health-gated input bits per 256
   // output bits.
   while (draw.filled < n) {
-    draw.input_filled += pool_.try_get_bytes(
-        std::span<std::uint8_t>(draw.input).subspan(draw.input_filled),
-        &shard.doorbell);
-    if (draw.input_filled < draw.input.size()) return false;
+    if (!gather(draw.input.size())) return false;
     support::Sha256 sha;
     sha.update(draw.input.data(), draw.input.size());
     const support::Sha256::Digest digest = sha.finish();
@@ -858,41 +849,29 @@ bool EntropyServer::fill_draw(Shard& shard, PendingDraw& draw) {
   return true;
 }
 
-std::vector<std::uint8_t> EntropyServer::draw_drbg(std::size_t n) {
-  std::lock_guard<std::mutex> lock(drbg_mutex_);
-  return drbg_locked().generate(n);
-}
-
-std::vector<std::uint8_t> EntropyServer::draw_degraded(std::size_t n) {
-  std::lock_guard<std::mutex> lock(drbg_mutex_);
-  const bool instantiating = drbg_ == nullptr;
-  core::HmacDrbg& drbg = drbg_locked();
-  if (instantiating) {
-    // Lazy instantiation inside DEGRADED is itself the re-key from the
-    // surviving producers the ladder promises.
-    metrics_.drbg_fallback_reseeds.fetch_add(1, std::memory_order_relaxed);
-    return drbg.generate(n);
-  }
-  // Every pool quarantine since the last reseed means the producer set
-  // changed under us: re-key from the surviving producers before serving.
+void EntropyServer::rekey_drbg(Shard& shard, const PendingDraw& draw) {
   const std::uint64_t quarantines = pool_.quarantine_events();
-  if (quarantines != reseed_watermark_) {
-    drbg.reseed();
-    reseed_watermark_ = quarantines;
+  // Keying inside DEGRADED, or re-keying after a quarantine, is the
+  // re-key from the surviving producers the ladder promises; an interval
+  // reseed is not.
+  if (draw.degraded &&
+      (!shard.drbg || quarantines != shard.drbg_quarantines)) {
     metrics_.drbg_fallback_reseeds.fetch_add(1, std::memory_order_relaxed);
   }
-  return drbg.generate(n);
-}
-
-core::HmacDrbg& EntropyServer::drbg_locked() {
-  if (!drbg_) {
-    const std::string pers = "dhtrng-entropy-service";
-    drbg_ = std::make_unique<core::HmacDrbg>(
-        pool_source_, config_.drbg,
-        std::vector<std::uint8_t>(pers.begin(), pers.end()));
-    reseed_watermark_ = pool_.quarantine_events();
+  const auto input = std::span<const std::uint8_t>(draw.input);
+  const auto entropy = input.first(core::HmacDrbg::kEntropyInputBytes);
+  if (shard.drbg) {
+    // Also a keying draw that another draw on this shard beat to it.
+    shard.drbg->reseed(entropy);
+  } else {
+    shard.drbg.emplace(
+        entropy, input.subspan(entropy.size(), core::HmacDrbg::kNonceBytes),
+        config_.drbg,
+        core::HmacDrbg::Bytes(
+            reinterpret_cast<const std::uint8_t*>(kDrbgPersonalization.data()),
+            kDrbgPersonalization.size()));
   }
-  return *drbg_;
+  shard.drbg_quarantines = quarantines;
 }
 
 }  // namespace dhtrng::service

@@ -19,18 +19,19 @@
 // Requests on one connection are still answered strictly in order, so
 // response frames can never interleave.
 //
-// Pool draws never block a shard.  A Raw or Conditioned GET takes what
-// the pool has buffered (EntropyPool::try_get_bytes); when that is short
-// the GET *parks* on its connection, keeping its partly filled payload,
+// Pool draws never block a shard, whatever the quality.  A GET takes what
+// the pool has buffered (EntropyPool::try_get_bytes): Raw bytes
+// directly, Conditioned bytes as 64-byte SHA-256 inputs, and the seed of
+// the shard's own HMAC_DRBG (Drbg quality, and every quality while
+// DEGRADED) as 64 bytes to key it or 48 to reseed it.  When the pool is
+// short the GET *parks* on its connection, keeping what it has gathered,
 // and the shard arms its doorbell — once the pool holds enough to finish
 // it, the publishing producer rings the shard's WakePipe and the GET
 // resumes where it left off.  While parked, that connection reads no
 // further frames (its read interest is off, so the kernel socket buffer
 // back-pressures the peer), which keeps replies in request order; every
-// other connection on the shard carries on.  stop() answers a parked GET with one ShuttingDown
-// error.  The one remaining blocking point is the HMAC_DRBG (Drbg
-// quality and the DEGRADED fallback): its reseed pulls 64 pool bytes
-// through PoolSource's blocking get_bytes under drbg_mutex_.
+// other connection on the shard carries on.  stop() answers a parked GET
+// with one ShuttingDown error.
 //
 // SUBSCRIBE (protocol.h) turns a connection into a push stream serviced
 // by its shard's loop: pushes draw through the same token buckets and
@@ -46,9 +47,10 @@
 //              every quality is served from live pool output.
 //   DEGRADED   at least `degraded_after_retired` producers retired but
 //              survivors remain — all qualities transparently fall back
-//              to the HMAC_DRBG (reseeded from the surviving producers on
-//              every pool quarantine event) and every response is flagged
-//              kFlagDegraded so the client can apply its own policy.
+//              to the shard's HMAC_DRBG (re-keyed from the surviving
+//              producers' pool bytes after every pool quarantine) and
+//              every response is flagged kFlagDegraded so the client can
+//              apply its own policy.
 //   EXHAUSTED  every producer retired — the service fails closed: GET
 //              returns a structured Status::Exhausted error and a live
 //              subscription ends with one kFlagPush-flagged Exhausted
@@ -71,6 +73,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -96,12 +99,8 @@ struct EntropyServerConfig {
   /// Unix-domain listener path; empty = disabled.
   std::string unix_path;
 
-  /// Event-loop shards (readiness-loop threads).  0 = use
-  /// `worker_threads`, which PR 5–7 configs already set.
-  std::size_t shards = 0;
-  /// Legacy name for the service concurrency knob; used when `shards` is
-  /// 0 so existing configs keep their meaning.
-  std::size_t worker_threads = 4;
+  /// Event-loop shards (readiness-loop threads); at least one runs.
+  std::size_t shards = 4;
   /// Connections beyond this get Status::Busy at accept time.
   std::size_t max_connections = 64;
   /// Per-request byte budget; larger GETs get Status::TooLarge.
@@ -129,9 +128,9 @@ struct EntropyServerConfig {
   /// this from DhTrngConfig::noise_mode automatically.
   std::string noise_mode_label = "exact";
 
-  /// DRBG parameters for the Drbg quality and the DEGRADED fallback
-  /// (reseed_interval controls how often generate calls pull fresh pool
-  /// entropy on their own, on top of the per-quarantine reseeds).
+  /// Parameters of each shard's DRBG, which serves the Drbg quality and
+  /// the DEGRADED fallback (reseed_interval: generate calls between pool
+  /// reseeds, on top of the per-quarantine re-keys while DEGRADED).
   core::HmacDrbgConfig drbg;
 
   /// The entropy pool this server fronts.
@@ -168,7 +167,7 @@ class EntropyServer {
   EntropyServer(const EntropyServer&) = delete;
   EntropyServer& operator=(const EntropyServer&) = delete;
 
-  /// Stop the pool (unblocking any in-flight draw), wake every shard
+  /// Stop the pool (ringing every armed doorbell), wake every shard
   /// loop, close every connection and join the shards; idempotent (the
   /// destructor calls it).  active_connections() is 0 on return.
   void stop();
@@ -194,35 +193,21 @@ class EntropyServer {
   }
 
  private:
-  /// TrngSource view of the pool, for seeding/reseeding the DRBG from the
-  /// surviving producers (bits are pool bytes, MSB-first like
-  /// EntropyPool's own packing).
-  class PoolSource final : public core::TrngSource {
-   public:
-    explicit PoolSource(core::EntropyPool& pool) : pool_(pool) {}
-    std::string name() const override { return "entropy-pool"; }
-    bool next_bit() override;
-    void restart() override {}
-    sim::ResourceCounts resources() const override { return {}; }
-    double clock_mhz() const override { return 0.0; }
-    fpga::ActivityEstimate activity() const override { return {}; }
-
-   private:
-    core::EntropyPool& pool_;
-    std::vector<std::uint8_t> buf_;
-    std::size_t bit_ = 0;
-  };
-
-  /// A Raw or Conditioned pool draw filled across as many non-blocking
-  /// pool hand-offs as it takes: `out` holds the `filled` bytes so far,
-  /// and a Conditioned draw gathers each 64-byte SHA-256 input in `input`.
+  /// A draw filled across as many non-blocking pool hand-offs as it
+  /// takes.  A Raw draw fills `out` directly (`filled` bytes so far); a
+  /// Conditioned draw gathers each 64-byte SHA-256 input in `input`; a
+  /// DRBG draw (Drbg quality, or `degraded`) gathers the `input_want`
+  /// bytes that key or reseed the shard DRBG there — fixed when the draw
+  /// begins, 0 when the DRBG needs neither — then generates `out`.
   struct PendingDraw {
     bool active = false;
     Quality quality = Quality::Raw;
+    bool degraded = false;  ///< admitted while the ladder read DEGRADED
     std::vector<std::uint8_t> out;
     std::size_t filled = 0;
     std::array<std::uint8_t, 64> input{};
     std::size_t input_filled = 0;
+    std::size_t input_want = 0;
   };
 
   /// Per-connection state machine, owned by exactly one shard (no lock:
@@ -284,8 +269,8 @@ class EntropyServer {
     std::atomic<std::uint64_t>& rings_;
   };
 
-  /// One event-loop shard: poller + wake pipe + its listeners and
-  /// connections.  Only `adopted` crosses threads (shard 0 hands
+  /// One event-loop shard: poller + wake pipe + its listeners,
+  /// connections and DRBG.  Only `adopted` crosses threads (shard 0 hands
   /// distributed accepts over) and is mutex-protected; `doorbell` is rung
   /// from producer threads and only touches the wake pipe.
   struct Shard {
@@ -299,6 +284,10 @@ class EntropyServer {
     std::unordered_map<int, std::unique_ptr<Connection>> conns;
     /// Connections with a parked GET, in parking order.
     std::vector<int> parked;
+    /// Keyed from pool bytes by the shard's first DRBG draw.
+    std::optional<core::HmacDrbg> drbg;
+    /// Pool quarantines when `drbg` was last keyed or reseeded.
+    std::uint64_t drbg_quarantines = 0;
     std::mutex adopted_mutex;
     std::vector<int> adopted;
     std::thread thread;
@@ -342,18 +331,16 @@ class EntropyServer {
   void end_subscription(Connection& conn);
   void close_connection(Shard& shard, int fd);
 
-  /// Start a Raw/Conditioned draw of `n` bytes into `draw`.
-  static void begin_draw(PendingDraw& draw, Quality quality, std::size_t n);
+  /// Start a draw of `n` bytes into `draw`, admitted while the ladder
+  /// read DEGRADED when `degraded`.
+  void begin_draw(const Shard& shard, PendingDraw& draw, Quality quality,
+                  std::size_t n, bool degraded) const;
   /// Advance `draw` without blocking; true once complete.  Arms the
   /// shard's doorbell when the pool is short.  Throws
   /// core::EntropyExhausted.
   bool fill_draw(Shard& shard, PendingDraw& draw);
-  /// Drbg-quality output (may block on a reseed; see file comment).
-  std::vector<std::uint8_t> draw_drbg(std::size_t n);
-  /// DEGRADED path: DRBG output, reseeding when pool health changed.
-  std::vector<std::uint8_t> draw_degraded(std::size_t n);
-  /// DRBG access (lazy instantiation) under drbg_mutex_.
-  core::HmacDrbg& drbg_locked();
+  /// Key or reseed the shard DRBG from a DRBG draw's gathered input.
+  void rekey_drbg(Shard& shard, const PendingDraw& draw);
 
   std::uint64_t clock_now_ns() const;
   int do_accept(int listener_fd);
@@ -361,11 +348,6 @@ class EntropyServer {
   EntropyServerConfig config_;
   core::EntropyPool pool_;
   Metrics metrics_;
-
-  PoolSource pool_source_{pool_};
-  std::mutex drbg_mutex_;
-  std::unique_ptr<core::HmacDrbg> drbg_;
-  std::uint64_t reseed_watermark_ = 0;  ///< pool quarantines at last reseed
 
   TokenBucket global_bucket_;
   std::atomic<bool> stopping_{false};

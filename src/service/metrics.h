@@ -60,7 +60,8 @@ struct Metrics {
   std::atomic<std::uint64_t> connections_closed{0};
   std::atomic<std::uint64_t> connections_active{0};  // gauge
 
-  /// Fallback-DRBG reseeds triggered by entering/serving DEGRADED.
+  /// Shard DRBGs keyed inside DEGRADED or re-keyed there after a pool
+  /// quarantine, summed over shards (interval reseeds do not count).
   std::atomic<std::uint64_t> drbg_fallback_reseeds{0};
 
   // Event-loop internals (readiness-loop server core).

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <semaphore>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,22 @@ struct CountingDoorbell final : Doorbell {
   std::atomic<int> rings{0};
   void ring() override { rings.fetch_add(1); }
 };
+
+/// A consumer thread waiting for bytes the only way the channel offers:
+/// try_take, and after every short take wait for the armed doorbell's
+/// ring.  Returns once `out` is full, or short once the channel is closed
+/// and drained (a short take on a closed channel arms nothing).
+std::size_t take_waiting(BlockChannel& ch, std::span<std::uint8_t> out) {
+  struct Waiter final : Doorbell {
+    std::binary_semaphore rung{0};
+    void ring() override { rung.release(); }
+  } waiter;
+  for (std::size_t got = 0;;) {
+    got += ch.try_take(out.subspan(got), &waiter);
+    if (got == out.size() || ch.drained()) return got;
+    waiter.rung.acquire();
+  }
+}
 
 /// 4-byte record identifying (producer, sequence); the MPMC tests push one
 /// per block and take in multiples of 4, so every take holds whole records.
@@ -136,7 +154,7 @@ TEST(BlockChannel, BackpressureBlocksProducerUntilWholeBlockFits) {
   EXPECT_FALSE(second_pushed.load());
   EXPECT_EQ(ch.size(), 3u);  // never a partial block
   Bytes one(1);
-  ASSERT_EQ(ch.take(one), 1u);  // 6 free: the block lands whole
+  ASSERT_EQ(ch.try_take(one), 1u);  // 6 free: the block lands whole
   producer.join();
   EXPECT_TRUE(second_pushed.load());
   Bytes rest(8);
@@ -147,8 +165,8 @@ TEST(BlockChannel, BackpressureBlocksProducerUntilWholeBlockFits) {
 TEST(BlockChannel, TakeBlocksUntilPush) {
   BlockChannel ch(8);
   std::thread consumer([&] {
-    Bytes out(4);
-    ASSERT_EQ(ch.take(out), 2u);  // wakes on the first block, takes it all
+    Bytes out(2);
+    ASSERT_EQ(take_waiting(ch, out), 2u);  // the doorbell rings on push
     EXPECT_EQ(out[0], 42);
     EXPECT_EQ(out[1], 43);
   });
@@ -161,7 +179,7 @@ TEST(BlockChannel, CloseWakesBlockedConsumerEmptyHanded) {
   BlockChannel ch(8);
   std::thread consumer([&] {
     Bytes out(4);
-    EXPECT_EQ(ch.take(out), 0u);
+    EXPECT_EQ(take_waiting(ch, out), 0u);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ch.close();
@@ -175,11 +193,11 @@ TEST(BlockChannel, CloseFailsPushesButDrainsTakes) {
   EXPECT_FALSE(ch.drained());
   EXPECT_FALSE(ch.push(Bytes{9}));
   Bytes out(1);
-  ASSERT_EQ(ch.take(out), 1u);  // buffered bytes survive the close
+  ASSERT_EQ(ch.try_take(out), 1u);  // buffered bytes survive the close
   EXPECT_EQ(out[0], 7);
   ASSERT_EQ(ch.try_take(out), 1u);
   EXPECT_EQ(out[0], 8);
-  EXPECT_EQ(ch.take(out), 0u);
+  EXPECT_EQ(ch.try_take(out), 0u);
   EXPECT_TRUE(ch.drained());
 }
 
@@ -205,7 +223,7 @@ TEST(BlockChannel, ManyProducersManyConsumersDeliverEverythingOnce) {
     consumers.emplace_back([&, c] {
       Bytes out(kRecord * static_cast<std::size_t>(c + 1));
       for (;;) {
-        const std::size_t got = ch.take(out);
+        const std::size_t got = take_waiting(ch, out);
         if (got == 0) return;
         ASSERT_EQ(got % kRecord, 0u);
         std::lock_guard<std::mutex> lock(seen_mutex);
@@ -242,7 +260,7 @@ TEST(BlockChannel, PerProducerOrderIsPreserved) {
   std::thread consumer([&] {
     Bytes stream;
     Bytes out(7);
-    for (std::size_t got; (got = ch.take(out)) != 0;) {
+    for (std::size_t got; (got = take_waiting(ch, out)) != 0;) {
       stream.insert(stream.end(), out.begin(),
                     out.begin() + static_cast<std::ptrdiff_t>(got));
     }

@@ -87,23 +87,11 @@ TEST(Integration, FullStackTrngToKeys) {
   DhTrng trng({.seed = 3});
   ConditionedSource source(trng, {.claimed_min_entropy = 0.9});
 
-  // An adapter exposing the conditioned source as a TrngSource for the
-  // DRBG seeder.
-  class Adapter final : public TrngSource {
-   public:
-    explicit Adapter(ConditionedSource& s) : s_(s) {}
-    std::string name() const override { return "conditioned"; }
-    bool next_bit() override { return s_.next_bit(); }
-    void restart() override {}
-    sim::ResourceCounts resources() const override { return {}; }
-    double clock_mhz() const override { return 1.0; }
-    fpga::ActivityEstimate activity() const override { return {}; }
-
-   private:
-    ConditionedSource& s_;
-  } adapter(source);
-
-  HmacDrbg drbg(adapter);
+  // The DRBG takes its seed as bytes: entropy input, then the nonce.
+  const auto entropy =
+      source.generate(8 * HmacDrbg::kEntropyInputBytes).to_bytes();
+  const auto nonce = source.generate(8 * HmacDrbg::kNonceBytes).to_bytes();
+  HmacDrbg drbg(entropy, nonce);
   const auto key_material = drbg.generate(1024);
   const auto bits = support::BitStream::from_bytes(key_material);
   EXPECT_TRUE(stats::sp800_22::frequency(bits).pass());

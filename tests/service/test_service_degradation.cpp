@@ -22,7 +22,7 @@ namespace dhtrng::service {
 namespace {
 
 using testsupport::IdealSource;
-using testsupport::StuckSource;
+using testsupport::staggered_death_factory;
 
 core::EntropyPool::SourceFactory ideal_factory() {
   return [](std::size_t, std::uint64_t seed) {
@@ -85,32 +85,30 @@ TEST(ServiceDegradation, HealthyServesAllQualitiesAndAttributesBytes) {
 }
 
 TEST(ServiceDegradation, FullLadderHealthyToDegradedToExhausted) {
-  // Producer 0's noise dies at bit 40000 (5 KB of healthy output) and
+  // Producer 0's noise dies after 40000 bits (5 KB of healthy output) and
   // every rebuild is dead: one reseed attempt, then retirement flips the
-  // ladder to DEGRADED.  Producer 1 dies at bit 120000; once it retires
-  // too, the ladder reads EXHAUSTED and the service fails closed.  All
-  // schedules are bit-exact (fault_sources.h) — wall clock only decides
-  // how fast the client pumps the pool through them.
+  // ladder to DEGRADED.  Producer 1 lives 80000 more bits from that
+  // moment; once it retires too, the ladder reads EXHAUSTED and the
+  // service fails closed.  The schedules are bit counts shared by each
+  // producer's rebuilds (fault_sources.h FaultLife) — wall clock only
+  // decides how fast the client pumps the pool through them.
   EntropyServerConfig cfg;
   cfg.pool.producers = 2;
   cfg.pool.buffer_bytes = 1024;
   cfg.pool.block_bits = 512;
   cfg.pool.max_reseeds = 1;
   cfg.degraded_after_retired = 1;
-  cfg.worker_threads = 2;
+  cfg.shards = 2;
   // Make every degraded DRBG draw pull fresh pool entropy so the client's
   // fetch loop keeps pumping producer 1 toward its own failure point.
   cfg.drbg.reseed_interval = 1;
 
-  std::vector<int> builds{0, 0};
   EntropyServer server(
-      cfg,
-      [&builds](std::size_t index, std::uint64_t seed)
-          -> std::unique_ptr<core::TrngSource> {
-        const std::uint64_t fail_at =
-            builds[index]++ == 0 ? (index == 0 ? 40000 : 120000) : 0;
-        return std::make_unique<StuckSource>(seed, fail_at);
-      });
+      cfg, staggered_death_factory(
+               [](std::uint64_t seed) {
+                 return std::make_unique<IdealSource>(seed);
+               },
+               40000, 80000));
   auto client = EntropyClient::connect_tcp("127.0.0.1", server.tcp_port());
 
   EXPECT_EQ(server.state(), ServiceState::Healthy);
@@ -175,15 +173,18 @@ TEST(ServiceDegradation, FullLadderHealthyToDegradedToExhausted) {
   EXPECT_EQ(stats.at("pool_healthy"), 0u);
   EXPECT_EQ(stats.at("pool_retired"), 2u);
   EXPECT_EQ(stats.at("pool_exhausted"), 1u);
-  // Each producer: max_reseeds + 1 = 2 alarms, 1 cure attempt.
-  EXPECT_EQ(stats.at("pool_quarantines"), 4u);
-  EXPECT_EQ(stats.at("pool_reseeds"), 2u);
+  // Each producer: max_reseeds + 1 = 2 alarms at its death, 1 cure
+  // attempt.  Producer 1 also alarms once by chance on its first source
+  // (a 25-bit run at bit 28,417 of the stream for pool seed 1, over the
+  // RCT cutoff of 24 at h = 0.9); its rebuild carries on healthy.
+  EXPECT_EQ(stats.at("pool_quarantines"), 5u);
+  EXPECT_EQ(stats.at("pool_reseeds"), 3u);
   // Entering DEGRADED re-keyed the fallback DRBG from the survivors.
   EXPECT_GE(stats.at("drbg_fallback_reseeds"), 1u);
 
   const core::PoolHealthSnapshot snap = server.pool_snapshot();
   EXPECT_TRUE(snap.exhausted);
-  EXPECT_EQ(snap.quarantines, 4u);
+  EXPECT_EQ(snap.quarantines, 5u);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 //  * frames pipelined behind the parked GET wait for it (FIFO replies);
 //  * the one block that covers the GET rings the shard's doorbell (the
 //    producer is then held again, so the ring cannot come from a full
-//    pool) and the GET completes with exactly n bytes, counted once;
+//    pool) and the GET completes with exactly n bytes, counted once —
+//    for a Drbg GET too, whose shard DRBG keys from that block;
 //  * stop() answers a parked GET with exactly one ShuttingDown response;
 //  * GETs larger than the pool buffer fill across many hand-offs and
 //    still serve the source stream in order.
@@ -116,79 +117,91 @@ std::unique_ptr<EntropyServer> stalled_server(std::shared_ptr<Latch> latch) {
       });
 }
 
+// A Drbg GET parks like a Raw one: keying the shard's DRBG gathers its
+// 64-byte seed from the pool, so each case runs for both qualities.
+
 TEST(ServicePark, ParkedGetStallsNeitherShardNorOrder) {
-  auto latch = std::make_shared<Latch>();
-  auto server = stalled_server(latch);
-  const OpenOnExit open_on_exit{latch};
-  const Metrics& m = server->metrics();
+  for (const Quality quality : {Quality::Raw, Quality::Drbg}) {
+    SCOPED_TRACE(quality_name(quality));
+    const std::string served_key =
+        std::string("bytes_served_") + quality_name(quality);
+    auto latch = std::make_shared<Latch>();
+    auto server = stalled_server(latch);
+    const OpenOnExit open_on_exit{latch};
+    const Metrics& m = server->metrics();
 
-  Socket parked = connect_tcp("127.0.0.1", server->tcp_port());
-  ASSERT_TRUE(parked.valid());
-  send_frames(parked, encode_get_request(Quality::Raw, kGetBytes),
-              encode_stats_request());
-  ASSERT_TRUE(eventually([&] { return m.pool_parked_gets.load() == 1; }));
+    Socket parked = connect_tcp("127.0.0.1", server->tcp_port());
+    ASSERT_TRUE(parked.valid());
+    send_frames(parked, encode_get_request(quality, kGetBytes),
+                encode_stats_request());
+    ASSERT_TRUE(eventually([&] { return m.pool_parked_gets.load() == 1; }));
 
-  // The shard is free: a second connection is served while the pool is
-  // empty (a shard blocked in the pool would hang both calls forever).
-  auto other = EntropyClient::connect_tcp("127.0.0.1", server->tcp_port());
-  const auto before = parse_kv(other.stats());
-  EXPECT_EQ(kv_u64(before, "pool_parked_gets"), 1u);
-  EXPECT_EQ(kv_u64(before, "pool_doorbell_wakeups"), 0u);
-  EXPECT_EQ(kv_u64(before, "bytes_served_raw"), 0u);
-  EXPECT_NE(other.cert().find("cert_enabled 1"), std::string::npos);
+    // The shard is free: a second connection is served while the pool is
+    // empty (a shard blocked in the pool would hang both calls forever).
+    auto other = EntropyClient::connect_tcp("127.0.0.1", server->tcp_port());
+    const auto before = parse_kv(other.stats());
+    EXPECT_EQ(kv_u64(before, "pool_parked_gets"), 1u);
+    EXPECT_EQ(kv_u64(before, "pool_doorbell_wakeups"), 0u);
+    EXPECT_EQ(kv_u64(before, served_key), 0u);
+    EXPECT_NE(other.cert().find("cert_enabled 1"), std::string::npos);
 
-  // Nothing comes back on the parked connection: not the GET, and not
-  // the STATS pipelined behind it.
-  EXPECT_FALSE(readable_within(parked, 100));
+    // Nothing comes back on the parked connection: not the GET, and not
+    // the STATS pipelined behind it.
+    EXPECT_FALSE(readable_within(parked, 100));
 
-  latch->release(kGetBytes * 8);  // exactly one block
-  const auto get = read_response(parked);
-  ASSERT_TRUE(get.has_value());
-  EXPECT_EQ(get->status, Status::Ok);
-  EXPECT_EQ(get->payload.size(), kGetBytes);
-  const auto stats = read_response(parked);
-  ASSERT_TRUE(stats.has_value());
-  ASSERT_EQ(stats->status, Status::Ok);
-  const auto after = parse_kv(
-      std::string(stats->payload.begin(), stats->payload.end()));
-  EXPECT_EQ(kv_u64(after, "bytes_served_raw"), kGetBytes);
-  EXPECT_EQ(kv_u64(after, "pool_parked_gets"), 1u);
-  EXPECT_EQ(kv_u64(after, "pool_doorbell_wakeups"), 1u);
+    latch->release(kGetBytes * 8);  // exactly one block
+    const auto get = read_response(parked);
+    ASSERT_TRUE(get.has_value());
+    EXPECT_EQ(get->status, Status::Ok);
+    EXPECT_EQ(get->flags, 0u);
+    EXPECT_EQ(get->payload.size(), kGetBytes);
+    const auto stats = read_response(parked);
+    ASSERT_TRUE(stats.has_value());
+    ASSERT_EQ(stats->status, Status::Ok);
+    const auto after = parse_kv(
+        std::string(stats->payload.begin(), stats->payload.end()));
+    EXPECT_EQ(kv_u64(after, served_key), kGetBytes);
+    EXPECT_EQ(kv_u64(after, "pool_parked_gets"), 1u);
+    EXPECT_EQ(kv_u64(after, "pool_doorbell_wakeups"), 1u);
 
-  EXPECT_EQ(m.bytes_served_raw.load(), kGetBytes);
-  EXPECT_EQ(m.responses_ok.load(), 1u);
-  EXPECT_EQ(m.stats_requests.load(), 2u);
-  EXPECT_EQ(m.cert_requests.load(), 1u);
-  EXPECT_EQ(m.pool_parked_gets.load(), 1u);
-  EXPECT_EQ(m.pool_doorbell_wakeups.load(), 1u);
+    EXPECT_EQ(m.bytes_served_total.load(), kGetBytes);
+    EXPECT_EQ(m.responses_ok.load(), 1u);
+    EXPECT_EQ(m.stats_requests.load(), 2u);
+    EXPECT_EQ(m.cert_requests.load(), 1u);
+    EXPECT_EQ(m.pool_parked_gets.load(), 1u);
+    EXPECT_EQ(m.pool_doorbell_wakeups.load(), 1u);
+  }
 }
 
 TEST(ServicePark, StopWhileParkedAnswersExactlyOnceWithShuttingDown) {
-  auto latch = std::make_shared<Latch>();
-  auto server = stalled_server(latch);
-  const OpenOnExit open_on_exit{latch};
-  const Metrics& m = server->metrics();
+  for (const Quality quality : {Quality::Raw, Quality::Drbg}) {
+    SCOPED_TRACE(quality_name(quality));
+    auto latch = std::make_shared<Latch>();
+    auto server = stalled_server(latch);
+    const OpenOnExit open_on_exit{latch};
+    const Metrics& m = server->metrics();
 
-  Socket parked = connect_tcp("127.0.0.1", server->tcp_port());
-  ASSERT_TRUE(parked.valid());
-  send_frames(parked, encode_get_request(Quality::Raw, kGetBytes));
-  ASSERT_TRUE(eventually([&] { return m.pool_parked_gets.load() == 1; }));
+    Socket parked = connect_tcp("127.0.0.1", server->tcp_port());
+    ASSERT_TRUE(parked.valid());
+    send_frames(parked, encode_get_request(quality, kGetBytes));
+    ASSERT_TRUE(eventually([&] { return m.pool_parked_gets.load() == 1; }));
 
-  // stop() closes the pool (ringing the doorbell) and then joins the
-  // producer, which stays stuck in the latch until released below — the
-  // parked GET must be answered without waiting for it.
-  std::thread stopper([&] { server->stop(); });
-  const auto reply = read_response(parked);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->status, Status::ShuttingDown);
-  EXPECT_FALSE(read_response(parked).has_value());  // then EOF
-  latch->release();
-  stopper.join();
+    // stop() closes the pool (ringing the doorbell) and then joins the
+    // producer, which stays stuck in the latch until released below — the
+    // parked GET must be answered without waiting for it.
+    std::thread stopper([&] { server->stop(); });
+    const auto reply = read_response(parked);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->status, Status::ShuttingDown);
+    EXPECT_FALSE(read_response(parked).has_value());  // then EOF
+    latch->release();
+    stopper.join();
 
-  EXPECT_EQ(m.responses_shutting_down.load(), 1u);
-  EXPECT_EQ(m.responses_ok.load(), 0u);
-  EXPECT_EQ(m.bytes_served_raw.load(), 0u);
-  EXPECT_EQ(server->active_connections(), 0u);
+    EXPECT_EQ(m.responses_shutting_down.load(), 1u);
+    EXPECT_EQ(m.responses_ok.load(), 0u);
+    EXPECT_EQ(m.bytes_served_total.load(), 0u);
+    EXPECT_EQ(server->active_connections(), 0u);
+  }
 }
 
 TEST(ServicePark, GetsLargerThanBufferServeTheSourceStreamInOrder) {

@@ -466,7 +466,7 @@ TEST(ServiceProtocol, RandomGarbageFuzzNeverWedgesTheServer) {
 
 TEST(ServiceProtocol, ConnectionSlotsDrainToZero) {
   EntropyServerConfig cfg;
-  cfg.worker_threads = 8;
+  cfg.shards = 8;
   ServerFixture fx(cfg);
   std::vector<EntropyClient> clients;
   for (int i = 0; i < 6; ++i) {
@@ -483,7 +483,7 @@ TEST(ServiceProtocol, ConnectionSlotsDrainToZero) {
 TEST(ServiceProtocol, BusyWhenConnectionSlotsExhausted) {
   EntropyServerConfig cfg;
   cfg.max_connections = 1;
-  cfg.worker_threads = 2;
+  cfg.shards = 2;
   ServerFixture fx(cfg);
   auto holder = fx.client();
   ASSERT_TRUE(holder.fetch(16).ok());  // slot claimed and live

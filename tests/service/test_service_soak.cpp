@@ -52,7 +52,7 @@ TEST(ServiceSoak, SixteenClientsThousandMixedRequestsExactAccounting) {
   cfg.pool.producers = 4;
   cfg.pool.buffer_bytes = 1 << 16;
   cfg.pool.block_bits = 512;
-  cfg.worker_threads = kClients;
+  cfg.shards = kClients;
   cfg.max_connections = kClients + 4;
   // Frozen clock: buckets never refill, so each connection serves exactly
   // as many bytes as fit in its burst and rejects the rest.

@@ -25,7 +25,7 @@ namespace dhtrng::service {
 namespace {
 
 using testsupport::IdealSource;
-using testsupport::StuckSource;
+using testsupport::staggered_death_factory;
 
 core::EntropyPool::SourceFactory ideal_factory() {
   return [](std::size_t, std::uint64_t seed) {
@@ -191,11 +191,11 @@ TEST(ServiceSubscribe, FrozenClockCadencePushesOnlyWhenDue) {
 // ------------------------------------------------- degradation ladder
 
 TEST(ServiceSubscribe, LadderEndsStreamWithPushFlaggedExhaustedFrame) {
-  // Same fault schedule as the GET ladder test: producer 0 dies at bit
-  // 40000, producer 1 at 120000, every rebuild dead.  A subscription must
-  // walk the whole ladder — unflagged pushes, then kFlagDegraded pushes,
-  // then ONE kFlagPush-flagged Exhausted error frame that ends the stream
-  // and closes the connection.
+  // Same fault schedule as the GET ladder test: producer 0 dies after
+  // 40000 bits, producer 1 80000 bits after that, every rebuild after a
+  // death dead.  A subscription must walk the whole ladder — unflagged
+  // pushes, then kFlagDegraded pushes, then ONE kFlagPush-flagged
+  // Exhausted error frame that ends the stream and closes the connection.
   EntropyServerConfig cfg;
   cfg.pool.producers = 2;
   cfg.pool.buffer_bytes = 1024;
@@ -205,15 +205,12 @@ TEST(ServiceSubscribe, LadderEndsStreamWithPushFlaggedExhaustedFrame) {
   cfg.shards = 2;
   cfg.drbg.reseed_interval = 1;  // degraded pushes keep pumping the pool
 
-  std::vector<int> builds{0, 0};
   EntropyServer server(
-      cfg,
-      [&builds](std::size_t index, std::uint64_t seed)
-          -> std::unique_ptr<core::TrngSource> {
-        const std::uint64_t fail_at =
-            builds[index]++ == 0 ? (index == 0 ? 40000 : 120000) : 0;
-        return std::make_unique<StuckSource>(seed, fail_at);
-      });
+      cfg, staggered_death_factory(
+               [](std::uint64_t seed) {
+                 return std::make_unique<IdealSource>(seed);
+               },
+               40000, 80000));
   auto client = EntropyClient::connect_tcp("127.0.0.1", server.tcp_port());
 
   ASSERT_TRUE(client.subscribe(48, /*interval_ms=*/0).ok());

@@ -28,6 +28,7 @@ namespace {
 using stats::streaming::Snapshot;
 using stats::streaming::SourceTracker;
 using testsupport::DegradingSource;
+using testsupport::staggered_death_factory;
 
 std::unique_ptr<core::TrngSource> zoo_source(const std::string& arch,
                                              std::uint64_t seed) {
@@ -99,30 +100,26 @@ TEST_P(ZooServiceTest, HealthyServiceCertifiesClean) {
 
 TEST_P(ZooServiceTest, FullLadderHealthyToDegradedToExhausted) {
   // Producer 0's physics dies (stuck-at-0) after 16000 bits and every
-  // rebuild is dead on arrival; producer 1 survives to 48000 bits, then
-  // the same.  max_reseeds = 1, so each producer gets one cure attempt
-  // before retirement; the first retirement flips the ladder to DEGRADED
-  // and the second to EXHAUSTED.  Identical structure to the DH-TRNG
-  // ladder test, parameterized over the zoo.
+  // rebuild is dead on arrival; producer 1 lives 32000 bits more from
+  // that moment, then the same (fault_sources.h FaultLife).
+  // max_reseeds = 1, so each producer gets one cure attempt before
+  // retirement; the first retirement flips the ladder to DEGRADED and the
+  // second to EXHAUSTED.  Identical structure to the DH-TRNG ladder test,
+  // parameterized over the zoo.
   EntropyServerConfig cfg;
   cfg.pool.producers = 2;
   cfg.pool.buffer_bytes = 1024;
   cfg.pool.block_bits = 512;
   cfg.pool.max_reseeds = 1;
   cfg.degraded_after_retired = 1;
-  cfg.worker_threads = 2;
+  cfg.shards = 2;
   cfg.drbg.reseed_interval = 1;
 
-  std::vector<int> builds{0, 0};
+  const std::string arch = GetParam();
   EntropyServer server(
-      cfg,
-      [&](std::size_t index,
-          std::uint64_t seed) -> std::unique_ptr<core::TrngSource> {
-        const std::uint64_t fail_at =
-            builds[index]++ == 0 ? (index == 0 ? 16000 : 48000) : 0;
-        return std::make_unique<DegradingSource>(
-            zoo_source(GetParam(), seed), fail_at);
-      });
+      cfg, staggered_death_factory(
+               [arch](std::uint64_t seed) { return zoo_source(arch, seed); },
+               16000, 32000));
   auto client = EntropyClient::connect_tcp("127.0.0.1", server.tcp_port());
 
   EXPECT_EQ(server.state(), ServiceState::Healthy);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -243,5 +244,79 @@ class DegradingSource final : public dhtrng::core::TrngSource {
   bool stuck_;
   std::uint64_t bit_ = 0;
 };
+
+/// One producer's scheduled death, shared by every source the pool builds
+/// for it.  A rebuild after a false health alarm keeps spending the same
+/// count of healthy bits where the last build stopped, and every rebuild
+/// after the death is dead on arrival — so a chance alarm in a healthy
+/// stream costs one quarantine, never the whole schedule.  A life built
+/// unstarted spends nothing until start(), which lets a test chain one
+/// producer's countdown to another's death instead of to how fast the
+/// producer threads happen to run.  spend() and over() belong to the
+/// owning producer's thread; start() may come from any thread.
+class FaultLife {
+ public:
+  explicit FaultLife(std::uint64_t healthy_bits, bool started = true)
+      : left_(healthy_bits), started_(started) {}
+  void start() { started_.store(true, std::memory_order_release); }
+  /// Spend one bit of life; false once the life is over.
+  bool spend() {
+    if (!started_.load(std::memory_order_acquire)) return true;
+    if (left_ == 0) return false;
+    --left_;
+    return true;
+  }
+  bool over() const {
+    return started_.load(std::memory_order_acquire) && left_ == 0;
+  }
+
+ private:
+  std::uint64_t left_;
+  std::atomic<bool> started_;
+};
+
+/// The wrapped source's bits while `life` lasts, then stuck at 0.
+class MortalSource final : public dhtrng::core::TrngSource {
+ public:
+  MortalSource(std::unique_ptr<dhtrng::core::TrngSource> inner,
+               std::shared_ptr<FaultLife> life)
+      : inner_(std::move(inner)), life_(std::move(life)) {}
+  std::string name() const override { return inner_->name() + "+mortal"; }
+  bool next_bit() override { return life_->spend() && inner_->next_bit(); }
+  void restart() override { inner_->restart(); }
+  dhtrng::sim::ResourceCounts resources() const override {
+    return inner_->resources();
+  }
+  double clock_mhz() const override { return inner_->clock_mhz(); }
+  dhtrng::fpga::ActivityEstimate activity() const override {
+    return inner_->activity();
+  }
+
+ private:
+  std::unique_ptr<dhtrng::core::TrngSource> inner_;
+  std::shared_ptr<FaultLife> life_;
+};
+
+/// SourceFactory for the two-producer degradation-ladder tests.  Producer
+/// 0 lives `first_bits` healthy bits; producer 1 lives `second_bits` more
+/// once producer 0's dead rebuild is built, i.e. once producer 0 is about
+/// to retire.  The ladder's DEGRADED phase then spans producer 1's whole
+/// remaining life however the producer threads are paced.  `healthy`
+/// builds, from a pool-derived seed, the source each life wraps.
+inline std::function<std::unique_ptr<dhtrng::core::TrngSource>(
+    std::size_t, std::uint64_t)>
+staggered_death_factory(
+    std::function<std::unique_ptr<dhtrng::core::TrngSource>(std::uint64_t)>
+        healthy,
+    std::uint64_t first_bits, std::uint64_t second_bits) {
+  auto first = std::make_shared<FaultLife>(first_bits);
+  auto second = std::make_shared<FaultLife>(second_bits, false);
+  return [=](std::size_t index, std::uint64_t seed)
+             -> std::unique_ptr<dhtrng::core::TrngSource> {
+    if (index == 0 && first->over()) second->start();
+    return std::make_unique<MortalSource>(healthy(seed),
+                                          index == 0 ? first : second);
+  };
+}
 
 }  // namespace dhtrng::testsupport
