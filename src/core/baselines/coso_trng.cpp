@@ -1,8 +1,6 @@
 #include "core/baselines/coso_trng.h"
 
-#include <cmath>
-
-#include "support/special_functions.h"
+#include <algorithm>
 
 namespace dhtrng::core {
 
@@ -13,13 +11,7 @@ CosoTrng::CosoTrng(CosoConfig config)
       shared_noise_(config.device.gate_jitter.correlated_sigma_ps * 2.0,
                     config.seed ^ 0x3c3c3c3c3c3c3c3cULL),
       meta_rng_(config.seed ^ 0xc3c3c3c3c3c3c3c3ULL) {
-  PhaseRoParams p;
-  p.stages = 3;
-  p.stage_delay_ps =
-      config.device.lut_delay_ps + 0.35 * config.device.net_delay_ps;
-  p.kappa_ps_per_sqrt_ps =
-      0.035 * config.device.gate_jitter.white_sigma_ps / 1.2;
-  p.flicker_sigma_ps = 3.0;
+  const PhaseRoParams p = fabric_ro_params(config.device, 3);
   ring_.emplace(p, config.seed);
   PhaseRoParams p2 = p;
   p2.stage_delay_ps *= 1.06;  // coherent second ring (beat sampling)
@@ -38,14 +30,10 @@ bool CosoTrng::next_bit() {
   ring2_->advance(dt_ps_, shared, scale_, 3.0);
   // Coherent sampling: the slow beat between the two rings concentrates
   // samples near edges, raising the per-sample entropy.
-  bool bit = ring_->level() ^ ring2_->level();
   const double dist =
       std::min(ring_->edge_distance_ps(scale_), ring2_->edge_distance_ps(scale_));
-  const double sigma = config_.device.ff_aperture_sigma_ps * 2.0;
-  if (dist < 4.0 * sigma) {
-    if (!meta_rng_.bernoulli(support::normal_cdf(dist / sigma))) bit = !bit;
-  }
-  return bit;
+  return aperture_sample(ring_->level() ^ ring2_->level(), dist,
+                         config_.device.ff_aperture_sigma_ps * 2.0, meta_rng_);
 }
 
 void CosoTrng::restart() {

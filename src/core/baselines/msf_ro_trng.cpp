@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "support/special_functions.h"
-
 namespace dhtrng::core {
 
 MsfRoTrng::MsfRoTrng(MsfRoConfig config)
@@ -37,13 +35,8 @@ bool MsfRoTrng::next_bit() {
       static_cast<double>(config_.stages) /
       static_cast<double>(config_.feedback_order) * 1.5;
   ring_->advance(dt_ps_, shared, scale_, chaos_gain);
-  bool bit = ring_->level();
-  const double dist = ring_->edge_distance_ps(scale_);
-  const double sigma = config_.device.ff_aperture_sigma_ps;
-  if (dist < 4.0 * sigma) {
-    if (!meta_rng_.bernoulli(support::normal_cdf(dist / sigma))) bit = !bit;
-  }
-  return bit;
+  return aperture_sample(ring_->level(), ring_->edge_distance_ps(scale_),
+                         config_.device.ff_aperture_sigma_ps, meta_rng_);
 }
 
 void MsfRoTrng::restart() { ring_->reset(); }

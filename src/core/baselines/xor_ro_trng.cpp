@@ -1,9 +1,6 @@
 #include "core/baselines/xor_ro_trng.h"
 
-#include <cmath>
-#include <numbers>
-
-#include "support/special_functions.h"
+#include "core/netlist.h"
 
 namespace dhtrng::core {
 
@@ -17,13 +14,7 @@ XorRoTrng::XorRoTrng(XorRoConfig config)
   support::SplitMix64 seeder(config.seed);
   rings_.reserve(static_cast<std::size_t>(config.rings));
   for (int r = 0; r < config.rings; ++r) {
-    PhaseRoParams p;
-    p.stages = config.stages;
-    p.stage_delay_ps =
-        (config.device.lut_delay_ps + 0.35 * config.device.net_delay_ps);
-    p.kappa_ps_per_sqrt_ps =
-        0.035 * config.device.gate_jitter.white_sigma_ps / 1.2;
-    p.flicker_sigma_ps = 3.0;
+    PhaseRoParams p = fabric_ro_params(config.device, config.stages);
     p.period_tolerance = config.period_tolerance;
     rings_.emplace_back(p, seeder.next());
   }
@@ -45,15 +36,8 @@ bool XorRoTrng::next_bit() {
   bool out = false;
   for (PhaseRo& ring : rings_) {
     ring.advance(dt_ps_, shared, scale_);
-    bool bit = ring.level();
-    // Flip-flop aperture (Eq. 2) on samples landing near a transition.
-    const double dist = ring.edge_distance_ps(scale_);
-    const double sigma = config_.device.ff_aperture_sigma_ps;
-    if (dist < 4.0 * sigma) {
-      const double p_keep = support::normal_cdf(dist / sigma);
-      if (!meta_rng_.bernoulli(p_keep)) bit = !bit;
-    }
-    out ^= bit;
+    out ^= aperture_sample(ring.level(), ring.edge_distance_ps(scale_),
+                           config_.device.ff_aperture_sigma_ps, meta_rng_);
   }
   prev_bit_ = out;
   return out;
@@ -68,13 +52,7 @@ sim::ResourceCounts XorRoTrng::resources() const {
   // Each ring: `stages` inverting elements (LUTs, one with enable).
   rc.luts = static_cast<std::size_t>(config_.stages) *
             static_cast<std::size_t>(config_.rings);
-  // XOR tree over `rings` inputs with LUT6s.
-  std::size_t fan = static_cast<std::size_t>(config_.rings);
-  while (fan > 1) {
-    const std::size_t gates = (fan + 5) / 6;
-    rc.luts += gates;
-    fan = gates;
-  }
+  rc.luts += xor_lut6_tree_luts(static_cast<std::size_t>(config_.rings));
   rc.dffs = static_cast<std::size_t>(config_.rings) + 1;  // samplers + output
   return rc;
 }

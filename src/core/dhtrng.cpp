@@ -1,8 +1,8 @@
 #include "core/dhtrng.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "support/rng.h"
+#include <utility>
 
 namespace dhtrng::core {
 
@@ -77,15 +77,10 @@ DhTrng::DhTrng(DhTrngConfig config)
     structure_a_.emplace(params, config_.seed);
     structure_b_.emplace(params, config_.seed ^ 0x7f4a7c159e3779b9ULL);
   } else {
-    netlist_ = std::make_unique<DhTrngNetlist>(build_dhtrng_netlist(
-        config_.device, clock_mhz_, config_.coupling, config_.feedback));
-    sim::SimConfig sc;
-    sc.seed = config_.seed;
-    sc.gate_jitter = config_.device.gate_jitter;
-    sc.scaling = scale_;
-    sc.noise_mode = config_.noise_mode;
-    sim_ = std::make_unique<sim::Simulator>(netlist_->circuit, sc);
-    sim_->record_dff(netlist_->out_dff);
+    DhTrngNetlist n = build_dhtrng_netlist(config_.device, clock_mhz_,
+                                           config_.coupling, config_.feedback);
+    gate_.emplace(std::move(n.circuit), n.out_dff, dt_ps_, config_.device,
+                  scale_, config_.noise_mode, config_.seed);
   }
 }
 
@@ -97,8 +92,7 @@ std::string DhTrng::name() const {
 }
 
 bool DhTrng::next_bit() {
-  return config_.backend == Backend::Fast ? next_bit_fast()
-                                          : next_bit_gate_level();
+  return gate_ ? gate_->next_bit() : next_bit_fast();
 }
 
 bool DhTrng::next_bit_fast() {
@@ -128,45 +122,28 @@ bool DhTrng::next_bit_fast() {
   return bit;
 }
 
-bool DhTrng::next_bit_gate_level() {
-  return sim_->next_sample(netlist_->out_dff, dt_ps_);
-}
-
 void DhTrng::restart() {
-  ++restart_count_;
-  if (config_.backend == Backend::Fast) {
-    // Power cycle: circuit state returns to power-on values, the physical
-    // noise keeps evolving (the RNG streams are not rewound).
-    structure_a_->reset();
-    structure_b_->reset();
-    out_reg_ = false;
-  } else {
-    // Rebuild the simulator with a fresh noise continuation: the netlist is
-    // identical, the noise processes are re-drawn (a power cycle does not
-    // replay the same thermal noise).
-    support::SplitMix64 mix(config_.seed + restart_count_);
-    sim::SimConfig sc;
-    sc.seed = mix.next();
-    sc.gate_jitter = config_.device.gate_jitter;
-    sc.scaling = scale_;
-    sc.noise_mode = config_.noise_mode;
-    sim_ = std::make_unique<sim::Simulator>(netlist_->circuit, sc);
-    sim_->record_dff(netlist_->out_dff);
+  if (gate_) {
+    gate_->restart();
+    return;
   }
+  // Power cycle: circuit state returns to power-on values, the physical
+  // noise keeps evolving (the RNG streams are not rewound).
+  structure_a_->reset();
+  structure_b_->reset();
+  out_reg_ = false;
 }
 
 sim::ResourceCounts DhTrng::resources() const {
   // 23 LUTs, 4 MUXs, 14 DFFs (Section 3.3); the gate-level netlist is the
   // source of truth and the tests assert both agree.
-  if (netlist_) return netlist_->circuit.resources();
+  if (gate_) return gate_->circuit().resources();
   return {23, 4, 14};
 }
 
 fpga::SliceReport DhTrng::slice_report() const {
-  const std::vector<fpga::PackGroup> groups =
-      netlist_ ? netlist_->pack_groups
-               : build_dhtrng_netlist(config_.device, clock_mhz_).pack_groups;
-  return fpga::SlicePacker{}.pack(groups);
+  return fpga::SlicePacker{}.pack(
+      build_dhtrng_netlist(config_.device, clock_mhz_).pack_groups);
 }
 
 fpga::ActivityEstimate DhTrng::activity() const {

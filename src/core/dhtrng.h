@@ -6,17 +6,17 @@
 // Two interchangeable backends:
 //  * Backend::Fast      — phase-domain models (src/core/*.h); used for the
 //                         multi-megabit statistical experiments.
-//  * Backend::GateLevel — the event-driven simulator running the exact
-//                         23-LUT / 4-MUX / 14-DFF netlist (netlist.h); used
-//                         for waveform-accurate studies and to validate the
-//                         fast backend (tests/core/test_backend_equivalence).
+//  * Backend::GateLevel — a GateSampler running the exact 23-LUT / 4-MUX /
+//                         14-DFF netlist (netlist.h); used for waveform-
+//                         accurate studies and to validate the fast backend
+//                         (tests/core/test_backend_equivalence).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "core/coupling.h"
+#include "core/gate_sampler.h"
 #include "core/netlist.h"
 #include "core/trng.h"
 #include "fpga/device.h"
@@ -26,8 +26,6 @@
 #include "sim/simulator.h"
 
 namespace dhtrng::core {
-
-enum class Backend { Fast, GateLevel };
 
 struct DhTrngConfig {
   fpga::DeviceModel device = fpga::DeviceModel::artix7();
@@ -88,11 +86,12 @@ class DhTrng final : public TrngSource {
   double metastable_fraction() const;
 
   /// Gate-level backend only: access to the underlying simulator.
-  const sim::Simulator* simulator() const { return sim_.get(); }
+  const sim::Simulator* simulator() const {
+    return gate_ ? &gate_->simulator() : nullptr;
+  }
 
  private:
   bool next_bit_fast();
-  bool next_bit_gate_level();
 
   DhTrngConfig config_;
   double clock_mhz_;
@@ -109,9 +108,7 @@ class DhTrng final : public TrngSource {
   std::uint64_t metastable_bits_ = 0;
 
   // Gate-level backend state.
-  std::unique_ptr<DhTrngNetlist> netlist_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::uint64_t restart_count_ = 0;
+  std::optional<GateSampler> gate_;
 };
 
 }  // namespace dhtrng::core

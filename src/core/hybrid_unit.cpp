@@ -1,8 +1,6 @@
 #include "core/hybrid_unit.h"
 
-#include <cmath>
-
-#include "support/special_functions.h"
+#include <algorithm>
 
 namespace dhtrng::core {
 
@@ -44,17 +42,9 @@ HybridSample HybridUnit::sample(double dt_ps, double shared_noise_ps,
   s.r1 = ro1_.level();
   // The flip-flop samples R1; if the sampling edge lands within the
   // metastability aperture of a transition edge, Eq. 2 applies.
-  {
-    const double dist = ro1_.edge_distance_ps(scale);
-    const double sigma =
-        std::max(aperture_sigma_ps, params_.ro1.edge_width_ps);
-    if (dist < 4.0 * sigma) {
-      const double p_keep = support::normal_cdf(dist / sigma);
-      s.q1 = rng_.bernoulli(p_keep) ? s.r1 : !s.r1;
-    } else {
-      s.q1 = s.r1;
-    }
-  }
+  s.q1 = aperture_sample(s.r1, ro1_.edge_distance_ps(scale),
+                         std::max(aperture_sigma_ps, params_.ro1.edge_width_ps),
+                         rng_);
 
   // --- RO2: dynamically switched hold / oscillate loop ---------------------
   // R1's level over the past interval decides RO2's mode.  We use the
@@ -101,14 +91,8 @@ HybridSample HybridUnit::sample(double dt_ps, double shared_noise_ps,
     const double dist = ro2_.edge_distance_ps(scale);
     const double sigma = std::max(
         aperture_sigma_ps, params_.ro2.edge_width_ps * params_.pulse_smoothing);
-    if (dist < 4.0 * sigma) {
-      const double p_keep = support::normal_cdf(dist / sigma);
-      const bool lvl = ro2_.level();
-      s.q2 = rng_.bernoulli(p_keep) ? lvl : !lvl;
-      s.q2_metastable = dist < sigma;
-    } else {
-      s.q2 = ro2_.level();
-    }
+    s.q2 = aperture_sample(ro2_.level(), dist, sigma, rng_);
+    s.q2_metastable = dist < sigma;
   }
 
   s.out = s.q1 ^ s.q2;

@@ -1,6 +1,8 @@
 #include "core/netlist.h"
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "core/ro.h"
 
@@ -120,6 +122,41 @@ DhTrngNetlist build_dhtrng_netlist(const fpga::DeviceModel& device,
   return n;
 }
 
+sim::NetId build_xor_lut6_tree(sim::Circuit& circuit,
+                               std::vector<sim::NetId> inputs,
+                               double delay_ps) {
+  for (int level = 0; inputs.size() > 1; ++level) {
+    std::vector<sim::NetId> next;
+    for (std::size_t i = 0; i < inputs.size(); i += 6) {
+      const std::size_t take = std::min<std::size_t>(6, inputs.size() - i);
+      if (take == 1) {
+        next.push_back(inputs[i]);
+        continue;
+      }
+      const sim::NetId out = circuit.add_net(
+          "xt" + std::to_string(level) + "_" + std::to_string(i / 6));
+      circuit.add_gate(
+          sim::GateKind::Xor,
+          std::vector<sim::NetId>(inputs.begin() + static_cast<long>(i),
+                                  inputs.begin() + static_cast<long>(i + take)),
+          out, delay_ps);
+      next.push_back(out);
+    }
+    inputs = std::move(next);
+  }
+  return inputs.front();
+}
+
+std::size_t xor_lut6_tree_luts(std::size_t inputs) {
+  std::size_t luts = 0;
+  while (inputs > 1) {
+    // A lone leftover input passes up a level without a gate.
+    luts += inputs / 6 + (inputs % 6 >= 2 ? 1 : 0);
+    inputs = (inputs + 5) / 6;
+  }
+  return luts;
+}
+
 XorRoNetlist build_xor_ro_netlist(const fpga::DeviceModel& device,
                                   int stages, int rings, double clock_mhz) {
   XorRoNetlist n;
@@ -145,31 +182,10 @@ XorRoNetlist build_xor_ro_netlist(const fpga::DeviceModel& device,
     q.push_back(qn);
   }
 
-  // XOR reduction with LUT6s.
-  const double tree_delay = device.lut_delay_ps + 0.3 * device.net_delay_ps;
-  int level = 0;
-  while (q.size() > 1) {
-    std::vector<sim::NetId> next;
-    for (std::size_t i = 0; i < q.size(); i += 6) {
-      const std::size_t take = std::min<std::size_t>(6, q.size() - i);
-      if (take == 1) {
-        next.push_back(q[i]);
-        continue;
-      }
-      const sim::NetId out = c.add_net("xt" + std::to_string(level) + "_" +
-                                       std::to_string(i / 6));
-      c.add_gate(sim::GateKind::Xor,
-                 std::vector<sim::NetId>(q.begin() + static_cast<long>(i),
-                                         q.begin() + static_cast<long>(i + take)),
-                 out, tree_delay);
-      next.push_back(out);
-    }
-    q = std::move(next);
-    ++level;
-  }
-
+  const sim::NetId root = build_xor_lut6_tree(
+      c, std::move(q), device.lut_delay_ps + 0.3 * device.net_delay_ps);
   n.out_net = c.add_net("out");
-  n.out_dff = c.add_dff(n.clock_net, q.front(), n.out_net, ff);
+  n.out_dff = c.add_dff(n.clock_net, root, n.out_net, ff);
   return n;
 }
 

@@ -43,6 +43,16 @@ DhTrngNetlist build_dhtrng_netlist(const fpga::DeviceModel& device,
                                    double clock_mhz, bool coupling = true,
                                    bool feedback = true);
 
+/// XOR-reduces `inputs` (non-empty) through a tree of LUT6 XOR gates of
+/// `delay_ps` each: every level groups its nets in sixes, a lone leftover
+/// net passes up unchanged, and the gate nets are named "xt<level>_<i>".
+/// Returns the root net; a single input is its own root.
+sim::NetId build_xor_lut6_tree(sim::Circuit& circuit,
+                               std::vector<sim::NetId> inputs, double delay_ps);
+
+/// LUT count of build_xor_lut6_tree over `inputs` nets.
+std::size_t xor_lut6_tree_luts(std::size_t inputs);
+
 /// Gate-level netlist of the classic parallel-XOR RO TRNG (the Table 1
 /// baseline): `rings` ring oscillators of `stages` elements, each sampled
 /// by a DFF, XOR-reduced into an output register.

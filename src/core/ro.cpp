@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "support/special_functions.h"
+
 namespace dhtrng::core {
 
 namespace {
@@ -69,6 +71,24 @@ double PhaseRo::edge_distance_ps(const noise::PvtScaling& scale) const {
   double d = std::min({std::abs(p - 0.0), std::abs(p - duty_),
                        std::abs(p - 1.0)});
   return d * period;
+}
+
+PhaseRoParams fabric_ro_params(const fpga::DeviceModel& device, int stages) {
+  PhaseRoParams p;
+  p.stages = stages;
+  p.stage_delay_ps = device.lut_delay_ps + 0.35 * device.net_delay_ps;
+  p.kappa_ps_per_sqrt_ps = 0.035 * device.gate_jitter.white_sigma_ps / 1.2;
+  p.flicker_sigma_ps = 3.0;
+  return p;
+}
+
+bool aperture_sample(bool level, double dist_ps, double sigma_ps,
+                     support::Xoshiro256& rng) {
+  if (dist_ps < 4.0 * sigma_ps &&
+      !rng.bernoulli(support::normal_cdf(dist_ps / sigma_ps))) {
+    return !level;
+  }
+  return level;
 }
 
 sim::NetId build_ring_oscillator(sim::Circuit& circuit,

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <string>
 
+#include "fpga/device.h"
 #include "noise/flicker.h"
 #include "noise/jitter.h"
 #include "noise/pvt.h"
@@ -39,8 +40,8 @@ namespace dhtrng::core {
 struct PhaseRoParams {
   int stages = 3;
   double stage_delay_ps = 400.0;  ///< inverter + routed-net delay per stage
-  /// White-jitter accumulation constant at 1 stage-delay reference:
-  /// sigma(dt) = kappa_ps_sqrt * sqrt(dt / 1 ps) * 1e-? ... in ps per sqrt(ps).
+  /// White-jitter accumulation constant: a free-running interval of dt ps
+  /// accumulates sigma(dt) = kappa * sqrt(dt) ps of white phase jitter.
   double kappa_ps_per_sqrt_ps = 0.035;
   double flicker_sigma_ps = 3.0;      ///< marginal sigma of 1/f phase wander
   double duty_sigma = 0.04;           ///< stage-mismatch duty error at N=1
@@ -104,11 +105,23 @@ class PhaseRo {
   double last_flicker_ = 0.0;
 };
 
+/// Phase-model parameters of a plain fabric ring: `stages` LUT inverters,
+/// each a LUT delay plus a short routed net, with the white jitter scaled
+/// from the device's per-gate sigma.
+PhaseRoParams fabric_ro_params(const fpga::DeviceModel& device, int stages);
+
+/// A flip-flop's sample of a signal at `level` whose nearest transition is
+/// `dist_ps` away (paper Eq. 2).  Within 4 sigma of the edge the sample
+/// keeps `level` with probability Phi(dist / sigma) and resolves the other
+/// way otherwise; beyond 4 sigma it is `level` and `rng` is not drawn.
+bool aperture_sample(bool level, double dist_ps, double sigma_ps,
+                     support::Xoshiro256& rng);
+
 /// Gate-level ring oscillator: NAND(en, last) -> inv -> ... -> inv, loop.
-/// Returns the id of the ring output net ("<prefix>_r").  `stages` counts
-/// the inverting elements including the enable NAND (must be odd and >= 1 is
-/// not enough: >= 2 total elements are created for stages >= 2; stages must
-/// make the loop inverting, i.e. odd).
+/// Returns the id of the ring output net (the last inverter's output,
+/// "<prefix>_n<stages-1>").  `stages` counts the inverting elements
+/// including the enable NAND; it must be odd (so the loop inverts) and at
+/// least 3.
 sim::NetId build_ring_oscillator(sim::Circuit& circuit,
                                  const std::string& prefix, int stages,
                                  sim::NetId enable, double element_delay_ps);

@@ -1,11 +1,11 @@
 #include "core/zoo/hbn_trng.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
+#include <utility>
 
+#include "core/ro.h"
 #include "support/rng.h"
-#include "support/special_functions.h"
 
 namespace dhtrng::core {
 
@@ -113,20 +113,11 @@ HbnTrng::HbnTrng(HbnTrngConfig config)
       nodes_.emplace_back(p, seeder.next());
     }
   } else {
-    netlist_ = std::make_unique<HbnTrngNetlist>(build_hbn_trng_netlist(
-        config_.device, clock_mhz_, config_.nodes, config_.taps));
-    rebuild_simulator(config_.seed);
+    HbnTrngNetlist n = build_hbn_trng_netlist(config_.device, clock_mhz_,
+                                              config_.nodes, config_.taps);
+    gate_.emplace(std::move(n.circuit), n.out_dff, dt_ps_, config_.device,
+                  scale_, config_.noise_mode, config_.seed);
   }
-}
-
-void HbnTrng::rebuild_simulator(std::uint64_t seed) {
-  sim::SimConfig sc;
-  sc.seed = seed;
-  sc.gate_jitter = config_.device.gate_jitter;
-  sc.scaling = scale_;
-  sc.noise_mode = config_.noise_mode;
-  sim_ = std::make_unique<sim::Simulator>(netlist_->circuit, sc);
-  sim_->record_dff(netlist_->out_dff);
 }
 
 std::string HbnTrng::name() const {
@@ -135,10 +126,7 @@ std::string HbnTrng::name() const {
 }
 
 bool HbnTrng::next_bit() {
-  if (config_.backend == Backend::GateLevel) {
-    return sim_->next_sample(netlist_->out_dff, dt_ps_);
-  }
-  return next_bit_fast();
+  return gate_ ? gate_->next_bit() : next_bit_fast();
 }
 
 bool HbnTrng::next_bit_fast() {
@@ -160,26 +148,18 @@ bool HbnTrng::next_bit_fast() {
   for (int t = 0; t < config_.taps; ++t) {
     const ChaoticRing& node =
         nodes_[static_cast<std::size_t>(tap_index(t, nn, config_.taps))];
-    bool bit = node.level();
     // Tap-DFF aperture (Eq. 2) near a node transition.
-    const double dist = node.ring().edge_distance_ps(scale_);
-    const double sigma = config_.device.ff_aperture_sigma_ps;
-    if (dist < 4.0 * sigma) {
-      const double p_keep = support::normal_cdf(dist / sigma);
-      if (!meta_rng_.bernoulli(p_keep)) bit = !bit;
-    }
-    out ^= bit;
+    out ^= aperture_sample(node.level(), node.ring().edge_distance_ps(scale_),
+                           config_.device.ff_aperture_sigma_ps, meta_rng_);
   }
   return out;
 }
 
 void HbnTrng::restart() {
-  ++restart_count_;
-  if (config_.backend == Backend::Fast) {
-    for (ChaoticRing& node : nodes_) node.reset();
+  if (gate_) {
+    gate_->restart();
   } else {
-    support::SplitMix64 mix(config_.seed + restart_count_);
-    rebuild_simulator(mix.next());
+    for (ChaoticRing& node : nodes_) node.reset();
   }
 }
 
@@ -195,10 +175,7 @@ sim::ResourceCounts HbnTrng::resources() const {
 }
 
 fpga::SliceReport HbnTrng::slice_report() const {
-  const std::vector<fpga::PackGroup> groups =
-      netlist_ ? netlist_->pack_groups
-               : hbn_pack_groups(config_.nodes, config_.taps);
-  return fpga::SlicePacker{}.pack(groups);
+  return fpga::SlicePacker{}.pack(hbn_pack_groups(config_.nodes, config_.taps));
 }
 
 fpga::ActivityEstimate HbnTrng::activity() const {

@@ -22,11 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/chaotic_ring.h"
-#include "core/dhtrng.h"  // core::Backend
+#include "core/gate_sampler.h"
 #include "core/trng.h"
 #include "fpga/device.h"
 #include "fpga/slice_packer.h"
@@ -86,11 +86,12 @@ class HbnTrng final : public TrngSource {
   const HbnTrngConfig& config() const { return config_; }
 
   /// Gate-level backend only: the underlying simulator.
-  const sim::Simulator* simulator() const { return sim_.get(); }
+  const sim::Simulator* simulator() const {
+    return gate_ ? &gate_->simulator() : nullptr;
+  }
 
  private:
   bool next_bit_fast();
-  void rebuild_simulator(std::uint64_t seed);
 
   HbnTrngConfig config_;
   double clock_mhz_;
@@ -103,9 +104,7 @@ class HbnTrng final : public TrngSource {
   support::Xoshiro256 meta_rng_;
 
   // Gate-level backend state.
-  std::unique_ptr<HbnTrngNetlist> netlist_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::uint64_t restart_count_ = 0;
+  std::optional<GateSampler> gate_;
 };
 
 }  // namespace dhtrng::core

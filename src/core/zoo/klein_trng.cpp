@@ -1,9 +1,10 @@
 #include "core/zoo/klein_trng.h"
 
 #include <string>
+#include <utility>
 
+#include "core/netlist.h"
 #include "support/rng.h"
-#include "support/special_functions.h"
 
 namespace dhtrng::core {
 
@@ -16,17 +17,6 @@ int ring_length(int r) { return kKleinRingLengths[r % 4]; }
 // noiseless-mean simulator).
 double ring_skew(int r) { return 1.0 + 0.013 * ((r % 5) - 2); }
 
-std::size_t xor_tree_luts(int rings) {
-  std::size_t luts = 0;
-  std::size_t fan = static_cast<std::size_t>(rings);
-  while (fan > 1) {
-    const std::size_t gates = (fan + 5) / 6;
-    luts += gates;
-    fan = gates;
-  }
-  return luts;
-}
-
 std::vector<fpga::PackGroup> klein_pack_groups(int rings) {
   std::size_t ring_luts = 0;
   for (int r = 0; r < rings; ++r) {
@@ -34,7 +24,8 @@ std::vector<fpga::PackGroup> klein_pack_groups(int rings) {
   }
   return {
       fpga::PackGroup{"klein-rings", ring_luts, 0, 0},
-      fpga::PackGroup{"klein-sampler", xor_tree_luts(rings), 0,
+      fpga::PackGroup{"klein-sampler",
+                      xor_lut6_tree_luts(static_cast<std::size_t>(rings)), 0,
                       static_cast<std::size_t>(rings) + 1},
       // XOR fold: accumulator LUT + folded-bit register + phase toggle.
       fpga::PackGroup{"klein-fold", 1, 0, 2},
@@ -67,32 +58,10 @@ KleinTrngNetlist build_klein_trng_netlist(const fpga::DeviceModel& device,
     q.push_back(qn);
   }
 
-  // XOR reduction with LUT6s (same shape as build_xor_ro_netlist).
-  const double tree_delay = device.lut_delay_ps + 0.3 * device.net_delay_ps;
-  int level = 0;
-  while (q.size() > 1) {
-    std::vector<sim::NetId> next;
-    for (std::size_t i = 0; i < q.size(); i += 6) {
-      const std::size_t take = std::min<std::size_t>(6, q.size() - i);
-      if (take == 1) {
-        next.push_back(q[i]);
-        continue;
-      }
-      const sim::NetId out = c.add_net("xt" + std::to_string(level) + "_" +
-                                       std::to_string(i / 6));
-      c.add_gate(
-          sim::GateKind::Xor,
-          std::vector<sim::NetId>(q.begin() + static_cast<long>(i),
-                                  q.begin() + static_cast<long>(i + take)),
-          out, tree_delay);
-      next.push_back(out);
-    }
-    q = std::move(next);
-    ++level;
-  }
-
+  const sim::NetId root = build_xor_lut6_tree(
+      c, std::move(q), device.lut_delay_ps + 0.3 * device.net_delay_ps);
   n.out_net = c.add_net("raw");
-  n.out_dff = c.add_dff(n.clock_net, q.front(), n.out_net, ff);
+  n.out_dff = c.add_dff(n.clock_net, root, n.out_net, ff);
   n.pack_groups = klein_pack_groups(rings);
   return n;
 }
@@ -108,32 +77,17 @@ KleinTrng::KleinTrng(KleinTrngConfig config)
     support::SplitMix64 seeder(config_.seed);
     rings_.reserve(static_cast<std::size_t>(config_.rings));
     for (int r = 0; r < config_.rings; ++r) {
-      PhaseRoParams p;
-      p.stages = ring_length(r);
-      p.stage_delay_ps = (config_.device.lut_delay_ps +
-                          0.35 * config_.device.net_delay_ps) *
-                         ring_skew(r);
-      p.kappa_ps_per_sqrt_ps =
-          0.035 * config_.device.gate_jitter.white_sigma_ps / 1.2;
-      p.flicker_sigma_ps = 3.0;
+      PhaseRoParams p = fabric_ro_params(config_.device, ring_length(r));
+      p.stage_delay_ps *= ring_skew(r);
       p.period_tolerance = 0.04;
       rings_.emplace_back(p, seeder.next());
     }
   } else {
-    netlist_ = std::make_unique<KleinTrngNetlist>(build_klein_trng_netlist(
-        config_.device, config_.clock_mhz, config_.rings));
-    rebuild_simulator(config_.seed);
+    KleinTrngNetlist n = build_klein_trng_netlist(
+        config_.device, config_.clock_mhz, config_.rings);
+    gate_.emplace(std::move(n.circuit), n.out_dff, dt_ps_, config_.device,
+                  scale_, config_.noise_mode, config_.seed);
   }
-}
-
-void KleinTrng::rebuild_simulator(std::uint64_t seed) {
-  sim::SimConfig sc;
-  sc.seed = seed;
-  sc.gate_jitter = config_.device.gate_jitter;
-  sc.scaling = scale_;
-  sc.noise_mode = config_.noise_mode;
-  sim_ = std::make_unique<sim::Simulator>(netlist_->circuit, sc);
-  sim_->record_dff(netlist_->out_dff);
 }
 
 std::string KleinTrng::name() const {
@@ -145,22 +99,14 @@ std::string KleinTrng::name() const {
 }
 
 bool KleinTrng::raw_bit() {
-  if (config_.backend == Backend::GateLevel) {
-    return sim_->next_sample(netlist_->out_dff, dt_ps_);
-  }
+  if (gate_) return gate_->next_bit();
   const double shared = shared_noise_.step();
   bool out = false;
   for (PhaseRo& ring : rings_) {
     ring.advance(dt_ps_, shared, scale_);
-    bool bit = ring.level();
     // Sampler-DFF aperture (Eq. 2) near a ring transition.
-    const double dist = ring.edge_distance_ps(scale_);
-    const double sigma = config_.device.ff_aperture_sigma_ps;
-    if (dist < 4.0 * sigma) {
-      const double p_keep = support::normal_cdf(dist / sigma);
-      if (!meta_rng_.bernoulli(p_keep)) bit = !bit;
-    }
-    out ^= bit;
+    out ^= aperture_sample(ring.level(), ring.edge_distance_ps(scale_),
+                           config_.device.ff_aperture_sigma_ps, meta_rng_);
   }
   return out;
 }
@@ -173,12 +119,10 @@ bool KleinTrng::next_bit() {
 }
 
 void KleinTrng::restart() {
-  ++restart_count_;
-  if (config_.backend == Backend::Fast) {
-    for (PhaseRo& ring : rings_) ring.reset();
+  if (gate_) {
+    gate_->restart();
   } else {
-    support::SplitMix64 mix(config_.seed + restart_count_);
-    rebuild_simulator(mix.next());
+    for (PhaseRo& ring : rings_) ring.reset();
   }
 }
 
@@ -193,9 +137,7 @@ sim::ResourceCounts KleinTrng::resources() const {
 }
 
 fpga::SliceReport KleinTrng::slice_report() const {
-  const std::vector<fpga::PackGroup> groups =
-      netlist_ ? netlist_->pack_groups : klein_pack_groups(config_.rings);
-  return fpga::SlicePacker{}.pack(groups);
+  return fpga::SlicePacker{}.pack(klein_pack_groups(config_.rings));
 }
 
 fpga::ActivityEstimate KleinTrng::activity() const {
@@ -211,7 +153,9 @@ fpga::ActivityEstimate KleinTrng::activity() const {
                              ring_skew(r) * scale_.delay;
     total += 2.0 * len * 1e3 / period_ps;
   }
-  total += static_cast<double>(a.flip_flops + xor_tree_luts(config_.rings)) *
+  total += static_cast<double>(
+               a.flip_flops +
+               xor_lut6_tree_luts(static_cast<std::size_t>(config_.rings))) *
            config_.clock_mhz * 0.5e-3;
   a.logic_toggle_ghz = total;
   return a;

@@ -17,10 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
-#include "core/dhtrng.h"  // core::Backend
+#include "core/gate_sampler.h"
 #include "core/ro.h"
 #include "core/trng.h"
 #include "fpga/device.h"
@@ -91,11 +91,12 @@ class KleinTrng final : public TrngSource {
   const KleinTrngConfig& config() const { return config_; }
 
   /// Gate-level backend only: the underlying simulator.
-  const sim::Simulator* simulator() const { return sim_.get(); }
+  const sim::Simulator* simulator() const {
+    return gate_ ? &gate_->simulator() : nullptr;
+  }
 
  private:
   bool raw_bit();
-  void rebuild_simulator(std::uint64_t seed);
 
   KleinTrngConfig config_;
   double dt_ps_;
@@ -107,9 +108,7 @@ class KleinTrng final : public TrngSource {
   support::Xoshiro256 meta_rng_;
 
   // Gate-level backend state.
-  std::unique_ptr<KleinTrngNetlist> netlist_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::uint64_t restart_count_ = 0;
+  std::optional<GateSampler> gate_;
 };
 
 }  // namespace dhtrng::core

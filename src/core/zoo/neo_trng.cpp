@@ -2,9 +2,9 @@
 
 #include <bit>
 #include <string>
+#include <utility>
 
 #include "support/rng.h"
-#include "support/special_functions.h"
 
 namespace dhtrng::core {
 
@@ -137,17 +137,12 @@ NeoTrng::NeoTrng(NeoTrngConfig config)
     support::SplitMix64 seeder(config_.seed);
     cells_.reserve(static_cast<std::size_t>(config_.cells));
     for (int i = 0; i < config_.cells; ++i) {
-      PhaseRoParams p;
-      p.stages = static_cast<int>(cell_chain_length(config_, i));
+      PhaseRoParams p = fabric_ro_params(
+          config_.device, static_cast<int>(cell_chain_length(config_, i)));
       // Each inverting stage carries its decoupling latch, so one "stage"
       // of the phase model is two fabric elements deep — matches the
       // gate-level chain period of 2*len*(2*element_delay).
-      p.stage_delay_ps =
-          2.0 * (config_.device.lut_delay_ps +
-                 0.35 * config_.device.net_delay_ps);
-      p.kappa_ps_per_sqrt_ps =
-          0.035 * config_.device.gate_jitter.white_sigma_ps / 1.2;
-      p.flicker_sigma_ps = 3.0;
+      p.stage_delay_ps *= 2.0;
       // The latches decouple the chain from the shared supply: the jitter
       // each stage accumulates is re-timed locally instead of riding the
       // rail — neoTRNG's design argument, modeled as near-zero coupling.
@@ -155,22 +150,12 @@ NeoTrng::NeoTrng(NeoTrngConfig config)
       cells_.emplace_back(p, seeder.next());
     }
   } else {
-    netlist_ = std::make_unique<NeoTrngNetlist>(
-        build_neo_trng_netlist(config_.device, config_.clock_mhz,
-                               config_.cells, config_.chain_base,
-                               config_.chain_step));
-    rebuild_simulator(config_.seed);
+    NeoTrngNetlist n = build_neo_trng_netlist(
+        config_.device, config_.clock_mhz, config_.cells, config_.chain_base,
+        config_.chain_step);
+    gate_.emplace(std::move(n.circuit), n.out_dff, dt_ps_, config_.device,
+                  scale_, config_.noise_mode, config_.seed);
   }
-}
-
-void NeoTrng::rebuild_simulator(std::uint64_t seed) {
-  sim::SimConfig sc;
-  sc.seed = seed;
-  sc.gate_jitter = config_.device.gate_jitter;
-  sc.scaling = scale_;
-  sc.noise_mode = config_.noise_mode;
-  sim_ = std::make_unique<sim::Simulator>(netlist_->circuit, sc);
-  sim_->record_dff(netlist_->out_dff);
 }
 
 std::string NeoTrng::name() const {
@@ -181,22 +166,14 @@ std::string NeoTrng::name() const {
 }
 
 bool NeoTrng::raw_bit() {
-  if (config_.backend == Backend::GateLevel) {
-    return sim_->next_sample(netlist_->out_dff, dt_ps_);
-  }
+  if (gate_) return gate_->next_bit();
   const double shared = shared_noise_.step();
   bool out = false;
   for (PhaseRo& cell : cells_) {
     cell.advance(dt_ps_, shared, scale_);
-    bool bit = cell.level();
     // Synchronizer aperture (Eq. 2) on samples landing near a transition.
-    const double dist = cell.edge_distance_ps(scale_);
-    const double sigma = config_.device.ff_aperture_sigma_ps;
-    if (dist < 4.0 * sigma) {
-      const double p_keep = support::normal_cdf(dist / sigma);
-      if (!meta_rng_.bernoulli(p_keep)) bit = !bit;
-    }
-    out ^= bit;
+    out ^= aperture_sample(cell.level(), cell.edge_distance_ps(scale_),
+                           config_.device.ff_aperture_sigma_ps, meta_rng_);
   }
   return out;
 }
@@ -225,13 +202,10 @@ bool NeoTrng::next_bit() {
 }
 
 void NeoTrng::restart() {
-  ++restart_count_;
-  if (config_.backend == Backend::Fast) {
-    for (PhaseRo& cell : cells_) cell.reset();
+  if (gate_) {
+    gate_->restart();
   } else {
-    // Power cycle: identical netlist, fresh noise continuation.
-    support::SplitMix64 mix(config_.seed + restart_count_);
-    rebuild_simulator(mix.next());
+    for (PhaseRo& cell : cells_) cell.reset();
   }
   // The extractor and combiner registers reset with the fabric.
   vn_stats_ = {};
@@ -241,8 +215,8 @@ void NeoTrng::restart() {
 }
 
 sim::ResourceCounts NeoTrng::resources() const {
-  if (netlist_) {
-    sim::ResourceCounts rc = netlist_->circuit.resources();
+  if (gate_) {
+    sim::ResourceCounts rc = gate_->circuit().resources();
     rc.luts += kPostLuts;
     rc.dffs += kPostDffs;
     return rc;
@@ -257,11 +231,8 @@ sim::ResourceCounts NeoTrng::resources() const {
 }
 
 fpga::SliceReport NeoTrng::slice_report() const {
-  const std::vector<fpga::PackGroup> groups =
-      netlist_ ? netlist_->pack_groups
-               : neo_pack_groups(config_.cells, config_.chain_base,
-                                 config_.chain_step);
-  return fpga::SlicePacker{}.pack(groups);
+  return fpga::SlicePacker{}.pack(neo_pack_groups(
+      config_.cells, config_.chain_base, config_.chain_step));
 }
 
 fpga::ActivityEstimate NeoTrng::activity() const {

@@ -26,11 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/dhtrng.h"  // core::Backend
+#include "core/gate_sampler.h"
 #include "core/ro.h"
 #include "core/trng.h"
 #include "fpga/device.h"
@@ -152,11 +151,12 @@ class NeoTrng final : public TrngSource {
   const VonNeumannStats& von_neumann_stats() const { return vn_stats_; }
 
   /// Gate-level backend only: the underlying simulator.
-  const sim::Simulator* simulator() const { return sim_.get(); }
+  const sim::Simulator* simulator() const {
+    return gate_ ? &gate_->simulator() : nullptr;
+  }
 
  private:
   bool raw_bit();
-  void rebuild_simulator(std::uint64_t seed);
 
   NeoTrngConfig config_;
   double dt_ps_;
@@ -168,9 +168,7 @@ class NeoTrng final : public TrngSource {
   support::Xoshiro256 meta_rng_;
 
   // Gate-level backend state.
-  std::unique_ptr<NeoTrngNetlist> netlist_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::uint64_t restart_count_ = 0;
+  std::optional<GateSampler> gate_;
 
   // Post-processing state (both backends).
   VonNeumannStats vn_stats_;

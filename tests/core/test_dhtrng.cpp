@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "stats/correlation.h"
+#include "support/rng.h"
 
 namespace dhtrng::core {
 namespace {
@@ -109,6 +111,32 @@ TEST(DhTrng, AblationsStayBalanced) {
     const auto bits = t.generate(50000);
     EXPECT_LT(stats::bias_percent(bits), 3.0)
         << "coupling=" << coupling << " feedback=" << feedback;
+  }
+}
+
+// The restart policy every gate-level model shares: restart r re-seeds the
+// simulator with SplitMix64(seed + r).next() over the unchanged circuit.
+TEST(GateSampler, RestartRSamplesLikeAFreshSimulatorSeededFromSeedPlusR) {
+  const fpga::DeviceModel device = fpga::DeviceModel::artix7();
+  const noise::PvtScaling scale = device.scaling({});
+  const double dt_ps = 1e6 / 600.0;
+  const std::uint64_t seed = 42;
+  DhTrngNetlist built = build_dhtrng_netlist(device, 600.0);
+  GateSampler sampler(std::move(built.circuit), built.out_dff, dt_ps, device,
+                      scale, noise::NoiseMode::Exact, seed);
+  for (std::uint64_t r = 0; r <= 3; ++r) {
+    if (r > 0) sampler.restart();
+    const DhTrngNetlist n = build_dhtrng_netlist(device, 600.0);
+    sim::SimConfig cfg;
+    cfg.seed = r == 0 ? seed : support::SplitMix64(seed + r).next();
+    cfg.gate_jitter = device.gate_jitter;
+    cfg.scaling = scale;
+    sim::Simulator reference(n.circuit, cfg);
+    reference.record_dff(n.out_dff);
+    for (int i = 0; i < 128; ++i) {
+      ASSERT_EQ(sampler.next_bit(), reference.next_sample(n.out_dff, dt_ps))
+          << "restart " << r << ", bit " << i;
+    }
   }
 }
 

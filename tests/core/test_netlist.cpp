@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fpga/device.h"
 #include "sim/simulator.h"
 
@@ -110,6 +113,21 @@ TEST(XorRoNetlist, SingleRingDegenerateTree) {
       build_xor_ro_netlist(fpga::DeviceModel::artix7(), 3, 1, 100.0);
   EXPECT_EQ(n.circuit.resources().luts, 3u);  // ring only, no XOR needed
   EXPECT_NO_THROW(n.circuit.validate());
+}
+
+TEST(XorLut6Tree, LutCountMatchesTheBuiltTree) {
+  for (std::size_t n = 1; n <= 40; ++n) {
+    sim::Circuit c;
+    std::vector<sim::NetId> inputs;
+    for (std::size_t i = 0; i < n; ++i) {
+      inputs.push_back(c.add_net("in" + std::to_string(i)));
+    }
+    const sim::NetId root = build_xor_lut6_tree(c, inputs, 100.0);
+    EXPECT_EQ(c.resources().luts, xor_lut6_tree_luts(n)) << n << " inputs";
+    if (n == 1) {
+      EXPECT_EQ(root, inputs.front());
+    }
+  }
 }
 
 }  // namespace

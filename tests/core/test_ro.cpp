@@ -145,5 +145,25 @@ TEST(BuildRingOscillator, RejectsEvenAndShortRings) {
                std::invalid_argument);
 }
 
+TEST(ApertureSample, BeyondFourSigmaKeepsLevelWithoutDrawing) {
+  support::Xoshiro256 rng(5);
+  support::Xoshiro256 twin(5);
+  for (bool level : {false, true}) {
+    EXPECT_EQ(aperture_sample(level, 4.0 * 12.0, 12.0, rng), level);
+    EXPECT_EQ(aperture_sample(level, 1e6, 12.0, rng), level);
+  }
+  EXPECT_EQ(rng(), twin());
+}
+
+TEST(ApertureSample, OnTheEdgeFlipsHalfTheSamples) {
+  support::Xoshiro256 rng(9);
+  const int n = 100000;
+  int flips = 0;
+  for (int i = 0; i < n; ++i) {
+    if (!aperture_sample(true, 0.0, 12.0, rng)) ++flips;
+  }
+  EXPECT_NEAR(static_cast<double>(flips) / n, 0.5, 0.01);
+}
+
 }  // namespace
 }  // namespace dhtrng::core
