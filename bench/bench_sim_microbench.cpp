@@ -68,10 +68,6 @@ EngineRun run_engine_once(const dhtrng::sim::Circuit& circuit,
   cfg.seed = seed;
   cfg.scheduler = scheduler;
   cfg.noise_mode = noise_mode;
-  // The reference engine is the historical scheduler, which drew noise
-  // per call; the batched stream is bit-identical, so the waveform
-  // comparison below is unaffected by the batch size.
-  if (scheduler == Scheduler::ReferenceHeap) cfg.noise_batch = 1;
   Simulator sim(circuit, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   sim.run_until(horizon_ps);
@@ -199,7 +195,7 @@ int main(int argc, char** argv) {
     // exact-noise reference run as the "dhtrng" row above (so the row
     // answers "how much faster is the optimised engine end to end").
     // The identity check compares fast-production against fast-reference:
-    // fast noise is block-aligned (noise::kFastNoiseBlock), so the two
+    // fast noise is block-aligned (noise::kNoiseBlock), so the two
     // schedulers must still agree bit-for-bit *within* the mode — golden
     // digests of the exact mode do not apply here.
     if (net.name == "dhtrng") {

@@ -269,8 +269,9 @@ int cmd_serve(int argc, char** argv) {
     opt.noise_mode = core_cfg.noise_mode;
     opt.seed = cfg.pool.seed;
     if (!core::make_zoo_source(backend, opt)) reject_backend(backend);
-    cfg.noise_mode_label =
-        opt.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
+    // The zoo sources run their phase-domain backend here, which ignores
+    // noise_mode: the stream is exact-grade whatever --noise-mode says.
+    cfg.noise_mode_label = "exact";
     server = std::make_unique<service::EntropyServer>(
         cfg, [backend, opt](std::size_t, std::uint64_t seed) {
           core::ZooOptions producer = opt;

@@ -8,7 +8,7 @@ CosoTrng::CosoTrng(CosoConfig config)
     : config_(config),
       dt_ps_(1e6 / (config.clock_mhz * config.phases)),
       scale_(config.device.scaling(config.pvt)),
-      shared_noise_(config.device.gate_jitter.correlated_sigma_ps * 2.0,
+      shared_noise_(chip_supply_sigma_ps(config.device),
                     config.seed ^ 0x3c3c3c3c3c3c3c3cULL),
       meta_rng_(config.seed ^ 0xc3c3c3c3c3c3c3c3ULL) {
   const PhaseRoParams p = fabric_ro_params(config.device, 3);

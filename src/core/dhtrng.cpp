@@ -69,7 +69,7 @@ DhTrng::DhTrng(DhTrngConfig config)
                      : config.device.max_clock_mhz(2, config.pvt)),
       dt_ps_(1e6 / clock_mhz_),
       scale_(config.device.scaling(config.pvt)),
-      shared_noise_(config.device.gate_jitter.correlated_sigma_ps * 2.0,
+      shared_noise_(chip_supply_sigma_ps(config.device),
                     config.seed ^ 0xc0ffee1234567890ULL) {
   if (config_.backend == Backend::Fast) {
     const CouplingStructureParams params =

@@ -166,8 +166,7 @@ void init_engine(soa::EngineState& st, const DhTrngSoAConfig& cfg,
   }
 
   // Chip-wide shared supply AR(1), one independent chip per lane.
-  const double shared_sigma =
-      core.device.gate_jitter.correlated_sigma_ps * 2.0;
+  const double shared_sigma = chip_supply_sigma_ps(core.device);
   st.shared_inn_sigma =
       std::sqrt(1.0 - st.shared_rho * st.shared_rho) * shared_sigma;
   const double corr = scale.correlated_noise;

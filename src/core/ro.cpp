@@ -82,6 +82,10 @@ PhaseRoParams fabric_ro_params(const fpga::DeviceModel& device, int stages) {
   return p;
 }
 
+double chip_supply_sigma_ps(const fpga::DeviceModel& device) {
+  return device.gate_jitter.correlated_sigma_ps * 2.0;
+}
+
 bool aperture_sample(bool level, double dist_ps, double sigma_ps,
                      support::Xoshiro256& rng) {
   if (dist_ps < 4.0 * sigma_ps &&

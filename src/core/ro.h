@@ -110,6 +110,10 @@ class PhaseRo {
 /// from the device's per-gate sigma.
 PhaseRoParams fabric_ro_params(const fpga::DeviceModel& device, int stages);
 
+/// Sigma (ps) of a phase-domain model's chip-wide supply AR(1) process:
+/// twice the device's per-gate correlated sigma.
+double chip_supply_sigma_ps(const fpga::DeviceModel& device);
+
 /// A flip-flop's sample of a signal at `level` whose nearest transition is
 /// `dist_ps` away (paper Eq. 2).  Within 4 sigma of the edge the sample
 /// keeps `level` with probability Phi(dist / sigma) and resolves the other

@@ -92,7 +92,7 @@ HbnTrng::HbnTrng(HbnTrngConfig config)
                                 config.device.pll_max_mhz)),
       dt_ps_(1e6 / clock_mhz_),
       scale_(config.device.scaling(config.pvt)),
-      shared_noise_(config.device.gate_jitter.correlated_sigma_ps * 2.0,
+      shared_noise_(chip_supply_sigma_ps(config.device),
                     config.seed ^ 0xb5297a4d3f84d5b5ULL),
       meta_rng_(config.seed ^ 0x0f0f0f0f0f0f0f0fULL) {
   if (config_.backend == Backend::Fast) {

@@ -70,7 +70,7 @@ KleinTrng::KleinTrng(KleinTrngConfig config)
     : config_(config),
       dt_ps_(1e6 / config.clock_mhz),
       scale_(config.device.scaling(config.pvt)),
-      shared_noise_(config.device.gate_jitter.correlated_sigma_ps * 2.0,
+      shared_noise_(chip_supply_sigma_ps(config.device),
                     config.seed ^ 0x9e3779b97f4a7c15ULL),
       meta_rng_(config.seed ^ 0x0f0f0f0f0f0f0f0fULL) {
   if (config_.backend == Backend::Fast) {

@@ -6,32 +6,20 @@ namespace dhtrng::noise {
 
 SharedSupplyNoise::SharedSupplyNoise(double sigma_ps, std::uint64_t seed,
                                      double correlation)
-    : sigma_(sigma_ps),
-      rho_(correlation),
+    : rho_(correlation),
       innovation_sigma_(std::sqrt(1.0 - correlation * correlation) * sigma_ps),
       rng_(seed) {}
 
-double SharedSupplyNoise::step_uncached() {
-  // AR(1) with stationary sigma equal to sigma_: x' = rho x + sqrt(1-rho^2) w.
-  value_ = rho_ * value_ + rng_.gaussian(0.0, innovation_sigma_);
-  return value_;
-}
-
 void SharedSupplyNoise::refill() {
-  // Fast mode refills in fixed kFastNoiseBlock-step blocks so the value
-  // stream — and therefore fast-mode waveforms — is independent of
-  // set_batch().  Exact mode honours batch_; its gaussian_fill stream is
-  // chunking-invariant by construction, so any batch is bit-identical.
-  const std::size_t n = mode_ == NoiseMode::Fast ? kFastNoiseBlock : batch_;
+  constexpr std::size_t n = kNoiseBlock;
   block_.resize(n);
   if (mode_ == NoiseMode::Fast) {
     rng_.gaussian_fill_fast(block_.data(), n);
   } else {
     rng_.gaussian_fill(block_.data(), n);
   }
-  // Run the recurrence over the pre-drawn innovations; arithmetic is
-  // identical to n successive step_uncached() calls
-  // (gaussian(0, s) == 0.0 + s * gaussian()).
+  // x' = rho x + sqrt(1-rho^2) sigma w; the innovation keeps the
+  // arithmetic of a per-call rng_.gaussian(0.0, s), i.e. 0.0 + s * w.
   double v = value_;
   for (std::size_t i = 0; i < n; ++i) {
     v = rho_ * v + (0.0 + innovation_sigma_ * block_[i]);
@@ -50,20 +38,15 @@ EdgeJitterSource::EdgeJitterSource(const JitterParams& params,
       flicker_(params.flicker_sigma_ps / std::sqrt(12.0), 12, seed ^ 0x9e3779b97f4a7c15ULL),
       shared_(shared) {}
 
-void EdgeJitterSource::set_batch(std::size_t n) {
-  // Takes effect at the next refill; draws already in the block are
-  // consumed first, so the per-stream sequence never skips or repeats.
-  batch_ = n > 1 ? n : 1;
-}
-
 void EdgeJitterSource::refill() {
-  white_block_.resize(batch_);
-  flicker_block_.resize(batch_);
+  constexpr std::size_t n = kNoiseBlock;
+  white_block_.resize(n);
+  flicker_block_.resize(n);
   // The white and flicker components come from independent streams, so
   // filling one whole block and then the other consumes each stream in
   // exactly the per-call order.
-  rng_.gaussian_fill(white_block_.data(), batch_);
-  flicker_.fill(flicker_block_.data(), batch_);
+  rng_.gaussian_fill(white_block_.data(), n);
+  flicker_.fill(flicker_block_.data(), n);
   block_pos_ = 0;
 }
 
@@ -84,9 +67,7 @@ void EdgeJitterSource::enable_fast_delay(double base_delay_ps, double floor_ps,
 }
 
 void EdgeJitterSource::refill_fast() {
-  // Fixed-size blocks: every fast-mode component is chunk-aligned at
-  // kFastNoiseBlock, so fast waveforms do not depend on set_batch().
-  constexpr std::size_t n = kFastNoiseBlock;
+  constexpr std::size_t n = kNoiseBlock;
   double white[n];
   double flicker[n];
   delay_block_.resize(n);
@@ -98,23 +79,6 @@ void EdgeJitterSource::refill_fast() {
                  std::fma(fast_flicker_gain_, flicker[i], fast_base_));
   }
   delay_pos_ = 0;
-}
-
-double EdgeJitterSource::next_edge_jitter_slow(const PvtScaling& scale) {
-  if (batch_ > 1) {
-    // Block exhausted: refill and consume the first draw.  (A
-    // set_batch(1) downgrade drains leftovers through the inline path
-    // first, so the per-stream sequence never skips or repeats.)
-    refill();
-    const double white = white_block_[block_pos_];
-    const double flicker = flicker_block_[block_pos_];
-    ++block_pos_;
-    return combine(white, flicker, scale);
-  }
-  // Historical per-call draws.
-  const double white = rng_.gaussian();
-  const double flicker = flicker_.next();
-  return combine(white, flicker, scale);
 }
 
 }  // namespace dhtrng::noise

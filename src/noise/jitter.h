@@ -37,14 +37,14 @@ namespace dhtrng::noise {
 ///    (seed, mode) and identical across dispatch tiers.
 enum class NoiseMode { Exact, Fast };
 
-/// Fast-mode noise is drawn in fixed blocks of this many samples in every
-/// component (white, flicker, shared supply), so waveforms in
-/// NoiseMode::Fast are independent of the set_batch() configuration.  The
-/// fused gaussian_fill_fast stream is position-fixed (normals 2j, 2j+1
-/// come from the j-th raw word regardless of chunking), so any even block
-/// size draws the same values — this constant only amortizes refill
-/// overhead.
-inline constexpr std::size_t kFastNoiseBlock = 256;
+/// Every noise component (white, flicker, shared supply) is drawn in
+/// fixed blocks of this many samples, in both noise modes.  The block size
+/// never changes a value: Exact-mode gaussian_fill and FlickerNoise::fill
+/// are bit-identical to the per-call gaussian()/next() streams for any
+/// chunking, and the fused Fast-mode gaussian_fill_fast stream is
+/// position-fixed (normals 2j, 2j+1 come from the j-th raw word), so any
+/// even block size draws the same values.  It only amortizes refills.
+inline constexpr std::size_t kNoiseBlock = 256;
 
 struct JitterParams {
   double white_sigma_ps = 1.0;      ///< per-edge white jitter sigma
@@ -58,8 +58,9 @@ struct JitterParams {
 /// The AR(1) trajectory depends only on this object's private RNG stream,
 /// not on which source calls step() — the global cross-source call order
 /// decides who *receives* the k-th value, and consumption order equals
-/// call order either way.  So the trajectory can be precomputed in blocks
-/// (set_batch) with a bit-identical value stream.
+/// call order either way.  So the trajectory is precomputed in blocks of
+/// kNoiseBlock steps: the value stream is the per-call AR(1) recurrence
+/// x' = rho x + sqrt(1 - rho^2) sigma w, bit for bit.
 class SharedSupplyNoise {
  public:
   SharedSupplyNoise(double sigma_ps, std::uint64_t seed,
@@ -67,39 +68,25 @@ class SharedSupplyNoise {
 
   /// Advance one step and return the current value (ps).
   double step() {
-    if (block_pos_ < block_.size()) {
-      value_ = block_[block_pos_++];
-      return value_;
-    }
-    if (batch_ > 1 || mode_ == NoiseMode::Fast) {
-      refill();
-      value_ = block_[block_pos_++];
-      return value_;
-    }
-    return step_uncached();
+    if (block_pos_ >= block_.size()) refill();
+    value_ = block_[block_pos_++];
+    return value_;
   }
   double current() const { return value_; }
-
-  /// Precompute the trajectory `n` steps at a time (n <= 1 restores
-  /// per-call stepping; buffered values are always drained first).
-  void set_batch(std::size_t n) { batch_ = n > 1 ? n : 1; }
 
   /// Fast mode draws the AR(1) innovations via gaussian_fill_fast (the
   /// recurrence itself is unchanged).  Takes effect at the next refill.
   void set_mode(NoiseMode m) { mode_ = m; }
 
  private:
-  double step_uncached();
   void refill();
 
-  double sigma_;
   double rho_;
   double innovation_sigma_;  ///< sqrt(1 - rho^2) * sigma, loop-invariant
   double value_ = 0.0;
   support::Xoshiro256 rng_;
   std::vector<double> block_;
   std::size_t block_pos_ = 0;
-  std::size_t batch_ = 1;
   NoiseMode mode_ = NoiseMode::Exact;
 };
 
@@ -110,17 +97,17 @@ class EdgeJitterSource {
                    SharedSupplyNoise* shared = nullptr);
 
   /// Delay perturbation (ps) for the next transition, with PVT scaling
-  /// applied to the component sigmas.  The batched fast path (block
-  /// already filled) is inline; refills and per-call draws go out of
-  /// line.
+  /// applied to the component sigmas.  The white and flicker components
+  /// are drawn kNoiseBlock at a time; each comes from its own RNG stream,
+  /// so the value stream is bit-identical to one gaussian()/next() pair
+  /// per call.  Only the shared supply component, whose AR(1) state is
+  /// stepped in global cross-source order, is consumed per call.
   double next_edge_jitter(const PvtScaling& scale) {
-    if (block_pos_ < white_block_.size()) {
-      const double white = white_block_[block_pos_];
-      const double flicker = flicker_block_[block_pos_];
-      ++block_pos_;
-      return combine(white, flicker, scale);
-    }
-    return next_edge_jitter_slow(scale);
+    if (block_pos_ >= white_block_.size()) refill();
+    const double white = white_block_[block_pos_];
+    const double flicker = flicker_block_[block_pos_];
+    ++block_pos_;
+    return combine(white, flicker, scale);
   }
 
   /// Same at the nominal corner.
@@ -149,24 +136,14 @@ class EdgeJitterSource {
     return d < fast_floor_ ? fast_floor_ : d;
   }
 
-  /// Draw the white and flicker components in blocks of `n` instead of one
-  /// pair per call (the event engine's hot path).  The per-call value
-  /// stream is bit-identical for every batch size — each component comes
-  /// from its own RNG stream, so pre-drawing a block does not reorder
-  /// anything; only the shared supply component, whose AR(1) state is
-  /// stepped in global cross-source order, stays per-call.  `n <= 1`
-  /// restores unbatched per-call draws.
-  void set_batch(std::size_t n);
-
   const JitterParams& params() const { return params_; }
 
  private:
   void refill();
   void refill_fast();
-  double next_edge_jitter_slow(const PvtScaling& scale);
 
-  /// Identical arithmetic to the historical per-call path:
-  /// gaussian(0, sigma) == 0.0 + sigma * gaussian().
+  /// Same arithmetic as a per-call gaussian(0, sigma) draw, which is
+  /// 0.0 + sigma * gaussian().
   double combine(double white, double flicker, const PvtScaling& scale) {
     double jitter = 0.0 + params_.white_sigma_ps * scale.white_jitter * white;
     jitter += flicker * scale.correlated_noise;
@@ -187,7 +164,6 @@ class EdgeJitterSource {
   std::vector<double> white_block_;
   std::vector<double> flicker_block_;
   std::size_t block_pos_ = 0;
-  std::size_t batch_ = 1;
   // Fast-delay mode (enable_fast_delay): pre-combined delay blocks and the
   // gains/constants folded into them.
   std::vector<double> delay_block_;

@@ -9,9 +9,11 @@
 //
 //   L{df} = (f0^2 * kappa^2) / df^2        =>  kappa = sqrt(L) * df / f0.
 //
-// The library uses this to derive the per-stage white jitter sigma used by
-// both simulator backends, so ring order N, frequency f0 and power P all
-// influence entropy exactly through the paper's own model.
+// This is a standalone reference for Eq. 1's scaling laws in ring order N,
+// frequency f0 and power P (tests/noise/test_phase_noise.cpp); no model
+// derives its sigmas from it.  Those all come from
+// fpga::DeviceModel::gate_jitter: per gate in the event simulator, and per
+// ring through core::fabric_ro_params or a model's own ring parameters.
 #pragma once
 
 namespace dhtrng::noise {

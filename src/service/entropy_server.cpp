@@ -112,8 +112,12 @@ EntropyServer::EntropyServer(EntropyServerConfig config,
 
 std::unique_ptr<EntropyServer> EntropyServer::of_dhtrng(
     EntropyServerConfig config, core::DhTrngConfig core) {
-  config.noise_mode_label =
-      core.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
+  // Only the gate-level backend honours noise_mode; the phase-domain Fast
+  // backend always draws its exact-grade stream.
+  config.noise_mode_label = core.backend == core::Backend::GateLevel &&
+                                    core.noise_mode == noise::NoiseMode::Fast
+                                ? "fast"
+                                : "exact";
   return std::make_unique<EntropyServer>(
       std::move(config),
       [core](std::size_t, std::uint64_t seed)

@@ -125,7 +125,8 @@ struct EntropyServerConfig {
   /// Noise fidelity label reported as `noise_mode` in STATS output
   /// ("exact" or "fast").  Purely informational — the actual mode lives
   /// in the producer configs the SourceFactory captures; of_dhtrng sets
-  /// this from DhTrngConfig::noise_mode automatically.
+  /// this automatically: "fast" only for a GateLevel DhTrngConfig with
+  /// NoiseMode::Fast, since the phase-domain backend ignores the mode.
   std::string noise_mode_label = "exact";
 
   /// Parameters of each shard's DRBG, which serves the Drbg quality and

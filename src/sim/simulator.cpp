@@ -62,11 +62,6 @@ Simulator::Simulator(const Circuit& circuit, SimConfig config)
     sched_[n].projected = value_[n];
   }
 
-  // The shared AR(1) supply trajectory batches the same way as the
-  // per-source draws (its value stream is private to its own RNG; the
-  // cross-source call order only decides who receives each value).
-  shared_noise_.set_batch(config.noise_batch);
-
   support::SplitMix64 seeder(config.seed);
   gate_noise_.reserve(circuit.gates().size());
   for (std::size_t g = 0; g < circuit.gates().size(); ++g) {
@@ -75,7 +70,6 @@ Simulator::Simulator(const Circuit& circuit, SimConfig config)
     p.white_sigma_ps *=
         std::sqrt(circuit.gates()[g].delay_ps / kReferenceDelayPs);
     gate_noise_.emplace_back(p, seeder.next(), &shared_noise_);
-    gate_noise_.back().set_batch(config.noise_batch);
   }
 
   fast_noise_ = config.noise_mode == noise::NoiseMode::Fast;

@@ -16,13 +16,14 @@
 //  * Scheduler::SortedRun (default) — the pending events kept as one
 //    contiguous (time, seq)-sorted vector (event_queue.h), driving gate
 //    evaluation through the contiguous CSR netlist view and its per-gate
-//    truth tables built once at elaboration (flat_netlist.h), with
-//    per-gate noise sources sampled in blocks.  This is the production
-//    engine.
+//    truth tables built once at elaboration (flat_netlist.h).  This is the
+//    production engine.
 //  * Scheduler::ReferenceHeap — the original binary-heap scheduler with
 //    per-event allocation, kept as a slow oracle.  Both schedulers are
 //    waveform-identical event for event; tests/sim/test_differential_fuzz
 //    and the golden digests in tests/sim/test_golden_waveforms enforce it.
+//
+// Both draw the per-gate noise the same way, in noise::kNoiseBlock blocks.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,6 @@ struct SimConfig {
   std::uint64_t max_events = 500'000'000;
   /// Event engine selection; see the header comment.
   Scheduler scheduler = Scheduler::SortedRun;
-  /// Block size for the per-gate white/flicker noise draws (<= 1 draws per
-  /// event).  Any value yields bit-identical waveforms.
-  std::size_t noise_batch = 64;
   /// Noise fidelity (see noise::NoiseMode).  Exact is the default and the
   /// only mode the golden-waveform digests apply to; Fast swaps the
   /// per-gate jitter for SIMD-batched pre-combined delay blocks — still

@@ -18,10 +18,6 @@ enum class Engine {
   Wordwise,  ///< 64-bit word-parallel kernels (default)
 };
 
-struct StatsConfig {
-  Engine engine = Engine::Wordwise;
-};
-
 /// Engine used by the statistical suites.  Process-wide (the suites are
 /// free functions); reads are lock-free so run_suite workers can consult it
 /// concurrently.

@@ -82,7 +82,6 @@ Digests run_case(const NamedGateNetlist& net, const GoldenCase& gc,
   cfg.seed = gc.seed;
   cfg.scaling = device.scaling({gc.temperature_c, gc.voltage_v});
   cfg.scheduler = scheduler;
-  if (scheduler == sim::Scheduler::ReferenceHeap) cfg.noise_batch = 1;
 
   sim::Simulator sim(net.circuit, cfg);
   sim::VcdTrace trace(net.circuit, sim, net.watch, kResolutionPs);
@@ -114,7 +113,7 @@ const NamedGateNetlist& find_netlist(
   throw std::runtime_error(std::string("no zoo netlist named ") + name);
 }
 
-TEST(ZooGoldenWaveforms, CalendarEngineMatchesPinnedDigests) {
+TEST(ZooGoldenWaveforms, SortedRunMatchesPinnedDigests) {
   const auto nets = zoo_gate_netlists(fpga::DeviceModel::artix7());
   const bool regen = std::getenv("DHTRNG_REGEN_GOLDEN") != nullptr;
   for (const GoldenCase& gc : kGolden) {

@@ -85,36 +85,77 @@ TEST(EdgeJitterSource, ParamsAccessor) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched draws must be bit-identical to per-call draws: the event engine
-// relies on set_batch() being a pure performance knob (the golden waveform
-// digests would catch a drift, but these tests localize it).
+// Block draws must be bit-identical to one draw per call: the golden
+// waveform digests would catch a drift, but these tests localize it.  The
+// per-call streams are written out here as references.
+
+/// One AR(1) step per call: x' = rho x + sqrt(1 - rho^2) sigma w.
+class PerCallSupply {
+ public:
+  PerCallSupply(double sigma_ps, std::uint64_t seed, double rho = 0.995)
+      : rho_(rho), innovation_(std::sqrt(1.0 - rho * rho) * sigma_ps),
+        rng_(seed) {}
+  double step() {
+    value_ = rho_ * value_ + rng_.gaussian(0.0, innovation_);
+    return value_;
+  }
+
+ private:
+  double rho_;
+  double innovation_;
+  double value_ = 0.0;
+  support::Xoshiro256 rng_;
+};
+
+/// One white gaussian() and one FlickerNoise::next() per call, seeded and
+/// combined as EdgeJitterSource does.
+class PerCallJitter {
+ public:
+  PerCallJitter(const JitterParams& p, std::uint64_t seed,
+                PerCallSupply* shared = nullptr)
+      : p_(p), rng_(seed),
+        flicker_(p.flicker_sigma_ps / std::sqrt(12.0), 12,
+                 seed ^ 0x9e3779b97f4a7c15ULL),
+        shared_(shared) {}
+  double next(const PvtScaling& scale = {1.0, 1.0, 1.0}) {
+    const double white = rng_.gaussian();
+    const double flicker = flicker_.next();
+    double jitter = 0.0 + p_.white_sigma_ps * scale.white_jitter * white;
+    jitter += flicker * scale.correlated_noise;
+    if (shared_ != nullptr) {
+      jitter += shared_->step() * scale.correlated_noise *
+                (p_.correlated_sigma_ps > 0.0 ? 1.0 : 0.0);
+    }
+    return jitter;
+  }
+
+ private:
+  JitterParams p_;
+  support::Xoshiro256 rng_;
+  FlickerNoise flicker_;
+  PerCallSupply* shared_;
+};
 
 TEST(EdgeJitterSource, BatchedStreamIsBitIdentical) {
+  // 2500 draws cross several kNoiseBlock refills.
   const JitterParams p{1.2, 0.5, 0.0};
-  for (std::size_t batch : {std::size_t{2}, std::size_t{3}, std::size_t{64},
-                            std::size_t{1000}}) {
-    EdgeJitterSource per_call(p, 77);
-    EdgeJitterSource batched(p, 77);
-    batched.set_batch(batch);
-    const PvtScaling scale{1.1, 0.9, 1.3};
-    for (int i = 0; i < 2500; ++i) {
-      ASSERT_EQ(per_call.next_edge_jitter(scale),
-                batched.next_edge_jitter(scale))
-          << "batch " << batch << " draw " << i;
-    }
+  PerCallJitter per_call(p, 77);
+  EdgeJitterSource batched(p, 77);
+  const PvtScaling scale{1.1, 0.9, 1.3};
+  for (int i = 0; i < 2500; ++i) {
+    ASSERT_EQ(per_call.next(scale), batched.next_edge_jitter(scale))
+        << "draw " << i;
   }
 }
 
 TEST(EdgeJitterSource, BatchedStreamWithSharedSupplyIsBitIdentical) {
   const JitterParams p{1.2, 0.5, 0.4};
-  SharedSupplyNoise shared_a(p.correlated_sigma_ps, 5);
+  PerCallSupply shared_a(p.correlated_sigma_ps, 5);
   SharedSupplyNoise shared_b(p.correlated_sigma_ps, 5);
-  shared_b.set_batch(64);
-  EdgeJitterSource a(p, 77, &shared_a);
+  PerCallJitter a(p, 77, &shared_a);
   EdgeJitterSource b(p, 77, &shared_b);
-  b.set_batch(64);
   for (int i = 0; i < 2500; ++i) {
-    ASSERT_EQ(a.next_edge_jitter(), b.next_edge_jitter()) << "draw " << i;
+    ASSERT_EQ(a.next(), b.next_edge_jitter()) << "draw " << i;
   }
 }
 
@@ -123,46 +164,23 @@ TEST(EdgeJitterSource, PvtScaleChangeMidBlockAppliesImmediately) {
   // corner change between two draws of the same block must take effect on
   // the very next draw.
   const JitterParams p{1.0, 0.5, 0.0};
-  EdgeJitterSource per_call(p, 31);
+  PerCallJitter per_call(p, 31);
   EdgeJitterSource batched(p, 31);
-  batched.set_batch(64);
   const PvtScaling nominal{1.0, 1.0, 1.0};
   const PvtScaling corner{1.4, 2.0, 1.7};
   for (int i = 0; i < 300; ++i) {
     const PvtScaling& s = i % 7 < 3 ? nominal : corner;
-    ASSERT_EQ(per_call.next_edge_jitter(s), batched.next_edge_jitter(s))
-        << "draw " << i;
-  }
-}
-
-TEST(EdgeJitterSource, BatchDowngradeDrainsBufferedDraws) {
-  // set_batch(1) after a partial block: buffered values drain first, then
-  // per-call draws resume — the stream never skips or repeats.
-  const JitterParams p{1.0, 0.3, 0.0};
-  EdgeJitterSource per_call(p, 13);
-  EdgeJitterSource toggled(p, 13);
-  toggled.set_batch(16);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(per_call.next_edge_jitter(), toggled.next_edge_jitter());
-  }
-  toggled.set_batch(1);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_EQ(per_call.next_edge_jitter(), toggled.next_edge_jitter())
-        << "draw " << i << " after downgrade";
+    ASSERT_EQ(per_call.next(s), batched.next_edge_jitter(s)) << "draw " << i;
   }
 }
 
 TEST(SharedSupplyNoise, BatchedTrajectoryIsBitIdentical) {
-  for (std::size_t batch : {std::size_t{2}, std::size_t{64},
-                            std::size_t{509}}) {
-    SharedSupplyNoise per_call(2.0, 123);
-    SharedSupplyNoise batched(2.0, 123);
-    batched.set_batch(batch);
-    for (int i = 0; i < 2000; ++i) {
-      ASSERT_EQ(per_call.step(), batched.step())
-          << "batch " << batch << " step " << i;
-      ASSERT_EQ(per_call.current(), batched.current());
-    }
+  PerCallSupply per_call(2.0, 123);
+  SharedSupplyNoise batched(2.0, 123);
+  for (int i = 0; i < 2000; ++i) {
+    const double v = batched.step();
+    ASSERT_EQ(per_call.step(), v) << "step " << i;
+    ASSERT_EQ(batched.current(), v);
   }
 }
 

@@ -342,6 +342,30 @@ TEST(ServiceProtocol, ServesWellFormedRequests) {
   EXPECT_TRUE(fx.drained());
 }
 
+TEST(ServiceProtocol, StatsNoiseModeIsFastOnlyForGateLevelFastNoise) {
+  // The phase-domain Fast backend ignores DhTrngConfig::noise_mode and
+  // always draws its exact-grade stream, so STATS must say so.
+  const auto noise_mode_line = [](core::Backend backend) {
+    EntropyServerConfig cfg;
+    cfg.pool.producers = 1;
+    cfg.pool.block_bits = 64;
+    cfg.pool.buffer_bytes = 64;
+    core::DhTrngConfig core;
+    core.backend = backend;
+    core.noise_mode = noise::NoiseMode::Fast;
+    auto server = EntropyServer::of_dhtrng(cfg, core);
+    auto client = EntropyClient::connect_tcp("127.0.0.1", server->tcp_port());
+    const std::string stats = client.stats();
+    client.close();
+    const std::size_t at = stats.find("noise_mode ");
+    return at == std::string::npos
+               ? std::string()
+               : stats.substr(at, stats.find('\n', at) - at);
+  };
+  EXPECT_EQ(noise_mode_line(core::Backend::Fast), "noise_mode exact");
+  EXPECT_EQ(noise_mode_line(core::Backend::GateLevel), "noise_mode fast");
+}
+
 TEST(ServiceProtocol, ZeroLengthFrameGetsStructuredError) {
   ServerFixture fx;
   Socket s = fx.raw_connect();

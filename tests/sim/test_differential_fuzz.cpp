@@ -85,7 +85,6 @@ void run_differential(std::uint64_t netlist_seed, std::uint64_t sim_seed,
   SimConfig ref_cfg;
   ref_cfg.seed = sim_seed;
   ref_cfg.scheduler = Scheduler::ReferenceHeap;
-  ref_cfg.noise_batch = 1;  // the historical engine drew noise per call
   Simulator ref(fc.circuit, ref_cfg);
   ref.record_applied_events();
   for (std::size_t f : fc.dffs) ref.record_dff(f);

@@ -89,7 +89,6 @@ Digests run_case(const core::NamedGateNetlist& net, const GoldenCase& gc,
   cfg.seed = gc.seed;
   cfg.scaling = device.scaling({gc.temperature_c, gc.voltage_v});
   cfg.scheduler = scheduler;
-  if (scheduler == Scheduler::ReferenceHeap) cfg.noise_batch = 1;
 
   Simulator sim(net.circuit, cfg);
   VcdTrace trace(net.circuit, sim, net.watch, kResolutionPs);
@@ -122,7 +121,7 @@ const core::NamedGateNetlist& find_netlist(
   throw std::runtime_error(std::string("no golden netlist named ") + name);
 }
 
-TEST(GoldenWaveforms, CalendarEngineMatchesPinnedDigests) {
+TEST(GoldenWaveforms, SortedRunMatchesPinnedDigests) {
   const auto nets =
       core::golden_gate_netlists(fpga::DeviceModel::artix7());
   const bool regen = std::getenv("DHTRNG_REGEN_GOLDEN") != nullptr;
