@@ -15,6 +15,7 @@
 #include "core/baselines/xor_ro_trng.h"
 #include "core/dhtrng.h"
 #include "core/dhtrng_array.h"
+#include "core/dhtrng_soa.h"
 #include "core/hybrid_array.h"
 #include "core/zoo/hbn_trng.h"
 #include "core/zoo/klein_trng.h"
@@ -158,6 +159,18 @@ TEST(DeterminismGolden, HbnGateLevelAfterTwoRestarts) {
                 .noise_mode = noise::NoiseMode::Fast});
   EXPECT_EQ(third_segment_hex(fast),
             "01cfe29618e2332f42beeda0ad538c53ec0dbe592f3d8b95abf11e1b913ee2bd");
+}
+
+// The bitsliced bulk engine the service's producers run: 256 bits, then
+// 256 more after one power cycle (phases back to power-on, noise streams
+// running on).
+TEST(DeterminismGolden, DhTrngSoAFastEngine) {
+  DhTrngSoA trng({.core = {.seed = 42}});
+  EXPECT_EQ(first_256_bits_hex(trng),
+            "60fa63627bad079f985c8e2611989d61f6ebf15d60c2e697025a6b95a590d12e");
+  trng.restart();
+  EXPECT_EQ(first_256_bits_hex(trng),
+            "49baa6c69bde72bdc97b7b60de388138fac3e55e0ff3234430344fc8981eaf9e");
 }
 
 TEST(DeterminismGolden, SameSeedSameStreamTwice) {
