@@ -71,13 +71,6 @@ class FastSource final : public core::TrngSource {
   int left_ = 0;
 };
 
-double baseline_value(const std::string& json, const char* key) {
-  const std::string tag = std::string("\"") + key + "\":";
-  const std::size_t at = json.find(tag);
-  if (at == std::string::npos) return -1.0;
-  return std::atof(json.c_str() + at + tag.size());
-}
-
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -324,9 +317,6 @@ int main(int argc, char** argv) {
       flag_str(argc, argv, "out", "BENCH_service_load.json");
   const std::string traj_path = flag_str(argc, argv, "trajectory",
                                          dhtrng::bench::trajectory_path("service"));
-  const std::string baseline_path = flag_str(argc, argv, "baseline", "");
-  const double max_regress_pct =
-      static_cast<double>(flag(argc, argv, "max-regress-pct", 20));
 
   std::vector<std::size_t> conn_counts;
   {
@@ -417,26 +407,8 @@ int main(int argc, char** argv) {
   std::printf("wrote %s and appended %s\n", out_path.c_str(),
               traj_path.c_str());
 
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const double want = baseline_value(buf.str(), "scaling_efficiency");
-    if (want <= 0.0) {
-      std::printf("FAIL: baseline has no \"scaling_efficiency\" entry\n");
-      return 1;
-    }
-    const double floor = want * (1.0 - max_regress_pct / 100.0);
-    const bool pass = scaling_efficiency >= floor;
-    std::printf("gate: scaling_efficiency %.3f vs baseline %.3f "
-                "(floor %.3f at -%.0f%%): %s\n",
-                scaling_efficiency, want, floor, max_regress_pct,
-                pass ? "PASS" : "FAIL");
-    if (!pass) return 1;
-  }
-  return 0;
+  return dhtrng::bench::baseline_gate(
+      argc, argv,
+      {{"scaling_efficiency", scaling_efficiency, "scaling_efficiency", ""}},
+      dhtrng::bench::IfMissing::Fail);
 }

@@ -115,19 +115,6 @@ struct CaseResult {
   bool identical = false;
 };
 
-/// Extract `"key": <number>` occurrences following each `"name": "<case>"`
-/// from our own JSON dialect — enough to read back a baseline file without
-/// a JSON dependency.
-double baseline_speedup(const std::string& json, const std::string& name) {
-  const std::string name_tag = "\"name\": \"" + name + "\"";
-  const std::size_t at = json.find(name_tag);
-  if (at == std::string::npos) return -1.0;
-  const std::string key = "\"speedup\":";
-  const std::size_t k = json.find(key, at);
-  if (k == std::string::npos) return -1.0;
-  return std::atof(json.c_str() + k + key.size());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,9 +130,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(flag(argc, argv, "reps", 3));
   const std::string out_path =
       flag_str(argc, argv, "out", "BENCH_sim.json");
-  const std::string baseline_path = flag_str(argc, argv, "baseline", "");
-  const double max_regress_pct = static_cast<double>(
-      flag(argc, argv, "max-regress-pct", 20));
 
   dhtrng::bench::header(
       "sim microbench: sorted-run event engine vs reference heap",
@@ -247,30 +231,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-    bool ok = true;
-    for (const CaseResult& r : results) {
-      const double want = baseline_speedup(base, r.name);
-      if (want <= 0.0) {
-        std::printf("baseline: no entry for %s (skipped)\n", r.name.c_str());
-        continue;
-      }
-      const double floor = want * (1.0 - max_regress_pct / 100.0);
-      const bool pass = r.speedup >= floor;
-      std::printf("baseline %-18s speedup %.2fx vs %.2fx (floor %.2fx): %s\n",
-                  r.name.c_str(), r.speedup, want, floor,
-                  pass ? "ok" : "REGRESSION");
-      ok = ok && pass;
-    }
-    if (!ok) return 1;
+  std::vector<dhtrng::bench::GatedRatio> ratios;
+  for (const CaseResult& r : results) {
+    ratios.push_back({r.name, r.speedup, "speedup", r.name});
   }
-  return 0;
+  return dhtrng::bench::baseline_gate(argc, argv, ratios,
+                                      dhtrng::bench::IfMissing::Skip);
 }

@@ -121,18 +121,6 @@ CaseResult make_case(const std::string& name, std::size_t n, double word_s,
   return r;
 }
 
-/// Extract the `"speedup"` following `"name": "<case>"` from our own JSON
-/// dialect — enough to read a baseline back without a JSON dependency.
-double baseline_speedup(const std::string& json, const std::string& name) {
-  const std::string name_tag = "\"name\": \"" + name + "\"";
-  const std::size_t at = json.find(name_tag);
-  if (at == std::string::npos) return -1.0;
-  const std::string key = "\"speedup\":";
-  const std::size_t k = json.find(key, at);
-  if (k == std::string::npos) return -1.0;
-  return std::atof(json.c_str() + k + key.size());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -149,9 +137,6 @@ int main(int argc, char** argv) {
   const std::string out_path = flag_str(argc, argv, "out", "BENCH_stats.json");
   const std::string traj_path = flag_str(argc, argv, "trajectory",
                                          dhtrng::bench::trajectory_path("stats"));
-  const std::string baseline_path = flag_str(argc, argv, "baseline", "");
-  const double max_regress_pct =
-      static_cast<double>(flag(argc, argv, "max-regress-pct", 20));
 
   dhtrng::bench::header(
       "stats microbench: wordwise statistical engine vs scalar oracle",
@@ -245,27 +230,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-    bool ok = true;
-    for (const CaseResult& r : results) {
-      const double want = baseline_speedup(base, r.name);
-      if (want <= 0.0) continue;  // baseline gates aggregates only
-      const double floor = want * (1.0 - max_regress_pct / 100.0);
-      const bool pass = r.speedup >= floor;
-      std::printf("baseline %-18s speedup %.2fx vs %.2fx (floor %.2fx): %s\n",
-                  r.name.c_str(), r.speedup, want, floor,
-                  pass ? "ok" : "REGRESSION");
-      ok = ok && pass;
-    }
-    if (!ok) return 1;
+  // The baseline gates the suite aggregates only; per-test rows skip.
+  std::vector<dhtrng::bench::GatedRatio> ratios;
+  for (const CaseResult& r : results) {
+    ratios.push_back({r.name, r.speedup, "speedup", r.name});
   }
-  return 0;
+  return dhtrng::bench::baseline_gate(argc, argv, ratios,
+                                      dhtrng::bench::IfMissing::Skip);
 }

@@ -50,17 +50,6 @@
 #include "core/dhtrng.h"
 #include "stats/streaming.h"
 
-namespace {
-
-double baseline_value(const std::string& json, const char* key) {
-  const std::string tag = std::string("\"") + key + "\":";
-  const std::size_t at = json.find(tag);
-  if (at == std::string::npos) return -1.0;
-  return std::atof(json.c_str() + at + tag.size());
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using dhtrng::bench::flag;
   using dhtrng::bench::flag_set;
@@ -79,9 +68,6 @@ int main(int argc, char** argv) {
   const std::string traj_path =
       flag_str(argc, argv, "trajectory",
                dhtrng::bench::trajectory_path("streaming"));
-  const std::string baseline_path = flag_str(argc, argv, "baseline", "");
-  const double max_regress_pct =
-      static_cast<double>(flag(argc, argv, "max-regress-pct", 20));
 
   dhtrng::bench::header(
       "streaming stats microbench: certification tracker vs bulk generation",
@@ -185,24 +171,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::stringstream buf_in;
-    buf_in << in.rdbuf();
-    const double want = baseline_value(buf_in.str(), "speedup");
-    if (want <= 0.0) {
-      std::printf("FAIL: baseline has no \"speedup\" entry\n");
-      return 1;
-    }
-    const double floor = want * (1.0 - max_regress_pct / 100.0);
-    const bool pass = headroom >= floor;
-    std::printf("baseline headroom %.1fx vs %.1fx (floor %.1fx): %s\n",
-                headroom, want, floor, pass ? "ok" : "REGRESSION");
-    if (!pass) return 1;
-  }
-  return 0;
+  return dhtrng::bench::baseline_gate(
+      argc, argv, {{"headroom", headroom, "speedup", ""}},
+      dhtrng::bench::IfMissing::Fail);
 }

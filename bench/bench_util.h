@@ -13,6 +13,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -148,6 +149,69 @@ inline void append_trajectory(const std::string& path,
     std::fprintf(stderr, "warning: short trajectory write to %s\n",
                  path.c_str());
   }
+}
+
+/// One ratio a bench gates against its checked-in baseline: `measured`
+/// against the number after `"key":` in the baseline JSON — for a
+/// per-case row, the first one after `"name": "<case_name>"`.
+struct GatedRatio {
+  std::string label;
+  double measured = 0.0;
+  std::string key;
+  std::string case_name;  ///< empty: a top-level key
+};
+
+/// A gated ratio the baseline has no entry for: `Skip` reports and moves
+/// on (per-case tables gate only the rows they list), `Fail` fails the run.
+enum class IfMissing { Skip, Fail };
+
+/// The regression gate of every perf bench.  Runs only when
+/// `--baseline=<path>` is given; each ratio passes at or above
+/// `baseline * (1 - pct / 100)` with pct from `--max-regress-pct`
+/// (default 20).  Prints one verdict line per ratio and returns the exit
+/// code: 0 when every ratio passes, 1 otherwise.
+inline int baseline_gate(int argc, char** argv,
+                         const std::vector<GatedRatio>& ratios,
+                         IfMissing if_missing) {
+  const std::string path = flag_str(argc, argv, "baseline", "");
+  if (path.empty()) return 0;
+  const double pct =
+      static_cast<double>(flag(argc, argv, "max-regress-pct", 20));
+  std::ifstream in(path);
+  if (!in) {
+    std::printf("FAIL: cannot read baseline %s\n", path.c_str());
+    return 1;
+  }
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  bool ok = true;
+  for (const GatedRatio& r : ratios) {
+    std::size_t at = 0;
+    if (!r.case_name.empty()) {
+      at = json.find("\"name\": \"" + r.case_name + "\"");
+    }
+    const std::string tag = "\"" + r.key + "\":";
+    if (at != std::string::npos) at = json.find(tag, at);
+    const double want =
+        at == std::string::npos ? -1.0
+                                : std::atof(json.c_str() + at + tag.size());
+    if (want <= 0.0) {
+      if (if_missing == IfMissing::Fail) {
+        std::printf("FAIL: baseline has no \"%s\" entry\n", r.key.c_str());
+        ok = false;
+      } else {
+        std::printf("baseline: no entry for %s (skipped)\n", r.label.c_str());
+      }
+      continue;
+    }
+    const double floor = want * (1.0 - pct / 100.0);
+    const bool pass = r.measured >= floor;
+    std::printf("baseline %-24s %.3f vs %.3f (floor %.3f at -%.0f%%): %s\n",
+                r.label.c_str(), r.measured, want, floor, pct,
+                pass ? "ok" : "REGRESSION");
+    ok = ok && pass;
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace dhtrng::bench

@@ -38,11 +38,13 @@
 // arrive or SIGINT, then unsubscribes cleanly; `cert` dumps the live
 // streaming-certification snapshots — per-producer and merged
 // SP 800-22/90B accumulators).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -101,19 +103,6 @@ std::string valid_backends() {
                            valid_backends() + ")");
 }
 
-core::DhTrngConfig make_core_config(int argc, char** argv) {
-  core::DhTrngConfig cfg;
-  if (flag(argc, argv, "device", "artix7") == "virtex6") {
-    cfg.device = fpga::DeviceModel::virtex6();
-  }
-  cfg.seed = std::stoull(flag(argc, argv, "seed", "1"));
-  if (flag(argc, argv, "backend", "fast") == "gate") {
-    cfg.backend = core::Backend::GateLevel;
-  }
-  cfg.noise_mode = parse_noise_mode(argc, argv, "exact");
-  return cfg;
-}
-
 // --backend selects the generator: `fast`/`gate` are the DH-TRNG's
 // behavioral and event-simulated backends, `soa` the bitsliced
 // 64-instance bulk backend (core::DhTrngSoA — ~an order of magnitude more
@@ -121,25 +110,62 @@ core::DhTrngConfig make_core_config(int argc, char** argv) {
 // single DhTrng instance), and `neo`/`klein`/`hbn` the zoo architectures
 // (core/zoo/zoo.h, behavioral models).  Anything else is rejected with
 // the full vocabulary — no silent fallback to the default.
-std::unique_ptr<core::TrngSource> make_trng(int argc, char** argv) {
+struct TrngBackend {
+  /// Builds the generator for `seed` (`serve` calls it once per producer
+  /// build, with the pool's derived seeds).
+  std::function<std::unique_ptr<core::TrngSource>(std::uint64_t seed)> make;
+  /// The noise fidelity the generator actually draws — STATS `noise_mode`.
+  /// Only the soa engine and a gate-level DH-TRNG honour --noise-mode; the
+  /// phase-domain backends draw their exact-grade stream whatever it says.
+  noise::NoiseMode noise_mode = noise::NoiseMode::Exact;
+};
+
+TrngBackend parse_backend(int argc, char** argv) {
   const std::string backend = flag(argc, argv, "backend", "fast");
+  core::DhTrngConfig core_cfg;
+  if (flag(argc, argv, "device", "artix7") == "virtex6") {
+    core_cfg.device = fpga::DeviceModel::virtex6();
+  }
+  core_cfg.noise_mode = parse_noise_mode(argc, argv, "exact");
   if (backend == "soa") {
     core::DhTrngSoAConfig cfg;
-    cfg.core = make_core_config(argc, argv);
+    cfg.core = core_cfg;
     cfg.noise_mode = parse_noise_mode(argc, argv, "fast");
-    return std::make_unique<core::DhTrngSoA>(cfg);
+    return {[cfg](std::uint64_t seed) -> std::unique_ptr<core::TrngSource> {
+              core::DhTrngSoAConfig c = cfg;
+              c.core.seed = seed;
+              return std::make_unique<core::DhTrngSoA>(c);
+            },
+            cfg.noise_mode};
   }
   if (backend == "fast" || backend == "gate") {
-    return std::make_unique<core::DhTrng>(make_core_config(argc, argv));
+    if (backend == "gate") core_cfg.backend = core::Backend::GateLevel;
+    return {[core_cfg](std::uint64_t seed)
+                -> std::unique_ptr<core::TrngSource> {
+              core::DhTrngConfig c = core_cfg;
+              c.seed = seed;
+              return std::make_unique<core::DhTrng>(c);
+            },
+            backend == "gate" ? core_cfg.noise_mode : noise::NoiseMode::Exact};
+  }
+  const auto& zoo = core::zoo_source_names();
+  if (std::find(zoo.begin(), zoo.end(), backend) == zoo.end()) {
+    reject_backend(backend);
   }
   core::ZooOptions opt;
-  if (flag(argc, argv, "device", "artix7") == "virtex6") {
-    opt.device = fpga::DeviceModel::virtex6();
-  }
-  opt.seed = std::stoull(flag(argc, argv, "seed", "1"));
-  opt.noise_mode = parse_noise_mode(argc, argv, "exact");
-  if (auto src = core::make_zoo_source(backend, opt)) return src;
-  reject_backend(backend);
+  opt.device = core_cfg.device;
+  opt.noise_mode = core_cfg.noise_mode;
+  return {[backend, opt](std::uint64_t seed) {
+            core::ZooOptions o = opt;
+            o.seed = seed;
+            return core::make_zoo_source(backend, o);
+          },
+          noise::NoiseMode::Exact};
+}
+
+std::unique_ptr<core::TrngSource> make_trng(int argc, char** argv) {
+  return parse_backend(argc, argv).make(
+      std::stoull(flag(argc, argv, "seed", "1")));
 }
 
 int cmd_generate(int argc, char** argv) {
@@ -236,49 +262,16 @@ int cmd_serve(int argc, char** argv) {
   cfg.global_rate_bytes_per_s =
       static_cast<std::uint64_t>(rate_mbps * 1e6 / 8.0);
 
-  const std::string backend = flag(argc, argv, "backend", "fast");
-  core::DhTrngConfig core_cfg;
-  if (flag(argc, argv, "device", "artix7") == "virtex6") {
-    core_cfg.device = fpga::DeviceModel::virtex6();
-  }
-  if (backend == "gate") core_cfg.backend = core::Backend::GateLevel;
-  core_cfg.noise_mode = parse_noise_mode(argc, argv, "exact");
+  const TrngBackend backend = parse_backend(argc, argv);
+  cfg.noise_mode_label =
+      backend.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  std::unique_ptr<service::EntropyServer> server;
-  if (backend == "fast" || backend == "gate") {
-    server = service::EntropyServer::of_dhtrng(cfg, core_cfg);
-  } else if (backend == "soa") {
-    // A bitsliced 64-lane bulk generator per producer.
-    core::DhTrngSoAConfig soa_cfg;
-    soa_cfg.core = core_cfg;
-    soa_cfg.noise_mode = parse_noise_mode(argc, argv, "fast");
-    cfg.noise_mode_label =
-        soa_cfg.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
-    server = std::make_unique<service::EntropyServer>(
-        cfg, [soa_cfg](std::size_t, std::uint64_t seed) {
-          core::DhTrngSoAConfig producer = soa_cfg;
-          producer.core.seed = seed;
-          return std::make_unique<core::DhTrngSoA>(producer);
-        });
-  } else {
-    // Zoo architectures: the pool's producers are zoo sources.
-    core::ZooOptions opt;
-    opt.device = core_cfg.device;
-    opt.noise_mode = core_cfg.noise_mode;
-    opt.seed = cfg.pool.seed;
-    if (!core::make_zoo_source(backend, opt)) reject_backend(backend);
-    // The zoo sources run their phase-domain backend here, which ignores
-    // noise_mode: the stream is exact-grade whatever --noise-mode says.
-    cfg.noise_mode_label = "exact";
-    server = std::make_unique<service::EntropyServer>(
-        cfg, [backend, opt](std::size_t, std::uint64_t seed) {
-          core::ZooOptions producer = opt;
-          producer.seed = seed;
-          return core::make_zoo_source(backend, producer);
-        });
-  }
+  auto server = std::make_unique<service::EntropyServer>(
+      cfg, [make = backend.make](std::size_t, std::uint64_t seed) {
+        return make(seed);
+      });
   std::printf("entropy service listening on 127.0.0.1:%u%s%s\n",
               server->tcp_port(),
               cfg.unix_path.empty() ? "" : " and ",

@@ -18,9 +18,9 @@ CouplingStructureParams default_coupling_params() {
 CouplingStructure::CouplingStructure(const CouplingStructureParams& params,
                                      std::uint64_t seed)
     : unit_a_(params.unit_a, seed),
-      unit_b_(params.unit_b, seed ^ 0xbf58476d1ce4e5b9ULL),
-      central_1_(params.central_1, seed ^ 0x2545f4914f6cdd1dULL),
-      central_2_(params.central_2, seed ^ 0x9e3779b97f4a7c15ULL) {}
+      unit_b_(params.unit_b, seed ^ kUnitBSeedMix),
+      central_1_(params.central_1, seed ^ kCentral1SeedMix),
+      central_2_(params.central_2, seed ^ kCentral2SeedMix) {}
 
 void CouplingStructure::reset() {
   unit_a_.reset();

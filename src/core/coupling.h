@@ -31,6 +31,12 @@ struct CouplingSample {
   bool any_metastable = false;
 };
 
+/// Seed mixes of a structure seeded `seed`: unit A takes `seed`, unit B
+/// and the two central rings `seed` XOR these.
+inline constexpr std::uint64_t kUnitBSeedMix = 0xbf58476d1ce4e5b9ULL;
+inline constexpr std::uint64_t kCentral1SeedMix = 0x2545f4914f6cdd1dULL;
+inline constexpr std::uint64_t kCentral2SeedMix = 0x9e3779b97f4a7c15ULL;
+
 class CouplingStructure {
  public:
   CouplingStructure(const CouplingStructureParams& params, std::uint64_t seed);

@@ -75,7 +75,7 @@ DhTrng::DhTrng(DhTrngConfig config)
     const CouplingStructureParams params =
         tuned_params(config_.device, config_.pvt, config_.noise_scale);
     structure_a_.emplace(params, config_.seed);
-    structure_b_.emplace(params, config_.seed ^ 0x7f4a7c159e3779b9ULL);
+    structure_b_.emplace(params, config_.seed ^ kStructureBSeedMix);
   } else {
     DhTrngNetlist n = build_dhtrng_netlist(config_.device, clock_mhz_,
                                            config_.coupling, config_.feedback);

@@ -63,6 +63,10 @@ CouplingStructureParams tuned_coupling_params(const fpga::DeviceModel& device,
                                               const noise::PvtCondition& pvt,
                                               double noise_scale);
 
+/// The fast backend's structure B is seeded `seed ^ kStructureBSeedMix`
+/// (structure A takes `seed`).
+inline constexpr std::uint64_t kStructureBSeedMix = 0x7f4a7c159e3779b9ULL;
+
 class DhTrng final : public TrngSource {
  public:
   explicit DhTrng(DhTrngConfig config = {});

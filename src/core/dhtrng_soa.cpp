@@ -17,51 +17,22 @@ namespace dhtrng::core {
 
 namespace {
 
-// Seed-mixing constants of the scalar object tree, so lane l of the fast
-// engine is the *same physical instance* (same period/duty/phase mismatch)
-// as lane l of the exact engine.  See DhTrng/CouplingStructure/HybridUnit
-// constructors.
-constexpr std::uint64_t kStructBSeed = 0x7f4a7c159e3779b9ULL;   // DhTrng
-constexpr std::uint64_t kUnitBSeed = 0xbf58476d1ce4e5b9ULL;     // Coupling
-constexpr std::uint64_t kCentral1Seed = 0x2545f4914f6cdd1dULL;  // Coupling
-constexpr std::uint64_t kCentral2Seed = 0x9e3779b97f4a7c15ULL;  // Coupling
-constexpr std::uint64_t kRo2Seed = 0xd2b74407b1ce6e93ULL;       // HybridUnit
 constexpr std::uint64_t kEngineRngSeed = 0x3c6ef372fe94f82aULL; // SoA stream
 
 /// Per-ring seed for ring slot k in {0..5} of the structure seeded `ss`
-/// (0 = RO1a, 1 = RO2a, 2 = RO1b, 3 = RO2b, 4 = C1, 5 = C2).
+/// (0 = RO1a, 1 = RO2a, 2 = RO1b, 3 = RO2b, 4 = C1, 5 = C2): the seeds
+/// the scalar object tree (CouplingStructure -> HybridUnit/ChaoticRing ->
+/// PhaseRo) hands its rings, so lane l of the fast engine is the same
+/// physical instance as lane l of the exact engine.
 std::uint64_t ring_seed(std::uint64_t ss, int k) {
   switch (k) {
     case 0: return ss;
-    case 1: return ss ^ kRo2Seed;
-    case 2: return ss ^ kUnitBSeed;
-    case 3: return ss ^ kUnitBSeed ^ kRo2Seed;
-    case 4: return ss ^ kCentral1Seed;
-    default: return ss ^ kCentral2Seed;
+    case 1: return ss ^ kRo2SeedMix;
+    case 2: return ss ^ kUnitBSeedMix;
+    case 3: return ss ^ kUnitBSeedMix ^ kRo2SeedMix;
+    case 4: return ss ^ kCentral1SeedMix;
+    default: return ss ^ kCentral2SeedMix;
   }
-}
-
-struct RingStructural {
-  double base_period_ps = 0.0;
-  double duty = 0.5;
-  double initial_phase = 0.0;
-};
-
-/// Replays PhaseRo's constructor draws (period mismatch, duty error,
-/// power-on phase — in this order, before the flicker init) so the fast
-/// engine's lanes carry identical structural mismatch to the exact
-/// engine's PhaseRo instances.
-RingStructural ring_structural(const PhaseRoParams& rp, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  const double n = static_cast<double>(rp.stages);
-  RingStructural rs;
-  const double nominal = 2.0 * n * rp.stage_delay_ps;
-  rs.base_period_ps =
-      nominal * (1.0 + rng.gaussian(0.0, rp.period_tolerance));
-  rs.duty = std::clamp(0.5 + rng.gaussian(0.0, rp.duty_sigma / std::sqrt(n)),
-                       0.2, 0.8);
-  rs.initial_phase = rng.uniform();
-  return rs;
 }
 
 void init_engine(soa::EngineState& st, const DhTrngSoAConfig& cfg,
@@ -110,19 +81,21 @@ void init_engine(soa::EngineState& st, const DhTrngSoAConfig& cfg,
         k >= 4 ? central_params[k - 4]->mode_mod_depth * st.dt_ps * 0.5 : 0.0;
   }
 
-  // Per-lane structural mismatch: replay the exact engine's constructor
-  // draws lane by lane (same SplitMix64 lane seeds as DhTrngArray).
+  // Per-lane structural mismatch: the exact engine's constructor draws,
+  // lane by lane (same SplitMix64 lane seeds as DhTrngArray).
   support::SplitMix64 seeder(core.seed);
   for (int l = 0; l < soa::kLanes; ++l) {
     const std::uint64_t lane_seed = seeder.next();
     st.rng.seed_lane(static_cast<std::size_t>(l),
                      lane_seed ^ kEngineRngSeed);
     for (int s = 0; s < 2; ++s) {
-      const std::uint64_t ss = s == 0 ? lane_seed : lane_seed ^ kStructBSeed;
+      const std::uint64_t ss =
+          s == 0 ? lane_seed : lane_seed ^ kStructureBSeedMix;
       for (int k = 0; k < 6; ++k) {
         const int r = s * 6 + k;
-        const RingStructural rs =
-            ring_structural(ring_params[k], ring_seed(ss, k));
+        support::Xoshiro256 ring_rng(ring_seed(ss, k));
+        const RingStructure rs =
+            draw_ring_structure(ring_params[k], ring_rng);
         const double p_eff = rs.base_period_ps * scale.delay;
         st.period[r][l] = p_eff;
         st.inv_period[r][l] = 1.0 / p_eff;

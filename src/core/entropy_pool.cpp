@@ -58,15 +58,6 @@ EntropyPool EntropyPool::of_dhtrng(EntropyPoolConfig config, DhTrngConfig core) 
   });
 }
 
-EntropyPool EntropyPool::of_dhtrng_soa(EntropyPoolConfig config,
-                                       DhTrngSoAConfig core) {
-  return EntropyPool(config, [core](std::size_t, std::uint64_t seed) {
-    DhTrngSoAConfig per_producer = core;
-    per_producer.core.seed = seed;
-    return std::make_unique<DhTrngSoA>(per_producer);
-  });
-}
-
 EntropyPool::~EntropyPool() { stop(); }
 
 std::uint64_t EntropyPool::derived_seed(std::size_t index,

@@ -38,7 +38,6 @@
 
 #include "core/block_channel.h"
 #include "core/dhtrng.h"
-#include "core/dhtrng_soa.h"
 #include "core/trng.h"
 #include "stats/health.h"
 #include "stats/streaming.h"
@@ -115,13 +114,6 @@ class EntropyPool {
   /// (seeds are re-derived per producer).
   static EntropyPool of_dhtrng(EntropyPoolConfig config,
                                DhTrngConfig core = {});
-
-  /// Convenience: a pool of DhTrngSoA producers — each producer is a
-  /// bitsliced 64-instance block, so one producer thread feeds the buffer
-  /// at bulk-generation rather than single-instance rate.  Seeds are
-  /// re-derived per producer exactly as in of_dhtrng.
-  static EntropyPool of_dhtrng_soa(EntropyPoolConfig config,
-                                   DhTrngSoAConfig core = {});
 
   ~EntropyPool();
 

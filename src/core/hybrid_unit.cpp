@@ -21,7 +21,7 @@ HybridUnitParams default_hybrid_params() {
 HybridUnit::HybridUnit(const HybridUnitParams& params, std::uint64_t seed)
     : params_(params),
       ro1_(params.ro1, seed),
-      ro2_(params.ro2, seed ^ 0xd2b74407b1ce6e93ULL),
+      ro2_(params.ro2, seed ^ kRo2SeedMix),
       rng_(seed ^ 0x8f462907535ecb47ULL) {}
 
 void HybridUnit::reset() {

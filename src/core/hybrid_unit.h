@@ -53,6 +53,10 @@ struct HybridSample {
   bool q2_metastable = false;
 };
 
+/// RO2 of a unit seeded `seed` is seeded `seed ^ kRo2SeedMix` (RO1 takes
+/// `seed` itself).
+inline constexpr std::uint64_t kRo2SeedMix = 0xd2b74407b1ce6e93ULL;
+
 class HybridUnit {
  public:
   HybridUnit(const HybridUnitParams& params, std::uint64_t seed);

@@ -43,15 +43,4 @@ support::BitStream xor_compress(const support::BitStream& raw,
 support::BitStream sha256_condition(const support::BitStream& raw,
                                     std::size_t input_block_bits);
 
-/// Rate cost summary of a post-processing configuration.
-struct PostProcessStats {
-  std::size_t raw_bits = 0;
-  std::size_t output_bits = 0;
-  double rate() const {
-    return raw_bits == 0 ? 0.0
-                         : static_cast<double>(output_bits) /
-                               static_cast<double>(raw_bits);
-  }
-};
-
 }  // namespace dhtrng::core

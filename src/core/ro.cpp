@@ -19,26 +19,33 @@ double derive_shared_coupling(int stages) {
 
 }  // namespace
 
+RingStructure draw_ring_structure(const PhaseRoParams& params,
+                                  support::Xoshiro256& rng) {
+  const double n = static_cast<double>(params.stages);
+  RingStructure rs;
+  rs.base_period_ps = 2.0 * n * params.stage_delay_ps *
+                      (1.0 + rng.gaussian(0.0, params.period_tolerance));
+  // Stage-mismatch duty error: independent per-stage offsets accumulate as
+  // sqrt(N) in absolute time, so the *relative* duty error goes as
+  // 1/sqrt(N) for longer rings.
+  rs.duty = std::clamp(
+      0.5 + rng.gaussian(0.0, params.duty_sigma / std::sqrt(n)), 0.2, 0.8);
+  rs.initial_phase = rng.uniform();  // arbitrary but fixed
+  return rs;
+}
+
 PhaseRo::PhaseRo(const PhaseRoParams& params, std::uint64_t seed)
     : params_(params), rng_(seed),
       flicker_(params.flicker_sigma_ps / std::sqrt(12.0), 12,
                seed ^ 0x6a09e667f3bcc908ULL) {
   if (params.stages < 2) throw std::invalid_argument("PhaseRo: stages < 2");
-  const double n = static_cast<double>(params_.stages);
-  // Per-instance process variation: period and duty offsets are frozen at
-  // construction (they model mismatch, not noise).
-  const double period_nominal = 2.0 * n * params_.stage_delay_ps;
-  base_period_ps_ =
-      period_nominal * (1.0 + rng_.gaussian(0.0, params_.period_tolerance));
-  // Stage-mismatch duty error: independent per-stage offsets accumulate as
-  // sqrt(N) in absolute time, so the *relative* duty error goes as
-  // 1/sqrt(N) for longer rings.
-  duty_ = 0.5 + rng_.gaussian(0.0, params_.duty_sigma / std::sqrt(n));
-  duty_ = std::clamp(duty_, 0.2, 0.8);
+  const RingStructure rs = draw_ring_structure(params_, rng_);
+  base_period_ps_ = rs.base_period_ps;
+  duty_ = rs.duty;
   coupling_ = params_.shared_coupling >= 0.0
                   ? params_.shared_coupling
                   : derive_shared_coupling(params_.stages);
-  initial_phase_ = rng_.uniform();  // power-on phase is arbitrary but fixed
+  initial_phase_ = rs.initial_phase;
   phase_ = initial_phase_;
   last_flicker_ = flicker_.next();
 }

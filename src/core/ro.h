@@ -53,6 +53,20 @@ struct PhaseRoParams {
   double edge_width_ps = 25.0;        ///< sampling transition width (Eq. 2)
 };
 
+/// Per-instance process variation of one ring, frozen at construction
+/// (mismatch, not noise).
+struct RingStructure {
+  double base_period_ps = 0.0;  ///< nominal 2*N*stage delay, perturbed
+  double duty = 0.5;            ///< clamped to [0.2, 0.8]
+  double initial_phase = 0.0;   ///< power-on phase in [0, 1)
+};
+
+/// Draws period mismatch, duty error and power-on phase, in that order,
+/// from `rng`: PhaseRo's constructor and every lane of the bitsliced SoA
+/// engine call this, so both carry the same instance for the same seed.
+RingStructure draw_ring_structure(const PhaseRoParams& params,
+                                  support::Xoshiro256& rng);
+
 class PhaseRo {
  public:
   PhaseRo(const PhaseRoParams& params, std::uint64_t seed);

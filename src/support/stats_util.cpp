@@ -22,23 +22,6 @@ double variance(std::span<const double> xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double std_dev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
-double pearson_correlation(std::span<const double> xs,
-                           std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.empty()) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    syy += (ys[i] - my) * (ys[i] - my);
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 double p_value_uniformity(std::span<const double> p_values) {
   if (p_values.empty()) return 0.0;
   constexpr int kBins = 10;
@@ -55,21 +38,6 @@ double p_value_uniformity(std::span<const double> p_values) {
     chi2 += d * d / expected;
   }
   return igamc((kBins - 1) / 2.0, chi2 / 2.0);
-}
-
-double pass_proportion(std::span<const double> p_values, double alpha) {
-  if (p_values.empty()) return 0.0;
-  std::size_t pass = 0;
-  for (double p : p_values) {
-    if (p >= alpha) ++pass;
-  }
-  return static_cast<double>(pass) / static_cast<double>(p_values.size());
-}
-
-double min_pass_proportion(std::size_t sample_count, double alpha) {
-  if (sample_count == 0) return 0.0;
-  const double p = 1.0 - alpha;
-  return p - 3.0 * std::sqrt(p * alpha / static_cast<double>(sample_count));
 }
 
 std::size_t min_pass_count(std::size_t sample_count, double pass_probability,
@@ -92,15 +60,6 @@ std::size_t min_pass_count(std::size_t sample_count, double pass_probability,
                log_ratio;
   }
   return sample_count;
-}
-
-std::string pass_fraction_string(std::span<const double> p_values,
-                                 double alpha) {
-  std::size_t pass = 0;
-  for (double p : p_values) {
-    if (p >= alpha) ++pass;
-  }
-  return std::to_string(pass) + "/" + std::to_string(p_values.size());
 }
 
 }  // namespace dhtrng::support

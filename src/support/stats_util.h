@@ -4,30 +4,15 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace dhtrng::support {
 
 double mean(std::span<const double> xs);
 double variance(std::span<const double> xs);  // population variance
-double std_dev(std::span<const double> xs);
-
-/// Pearson correlation of two equal-length samples; 0 if degenerate.
-double pearson_correlation(std::span<const double> xs,
-                           std::span<const double> ys);
 
 /// Chi-square uniformity p-value of a set of p-values over 10 equal bins —
 /// the "P-value of the P-values" the NIST STS final report prints per test.
 double p_value_uniformity(std::span<const double> p_values);
-
-/// Proportion of p-values >= alpha, as the STS proportion column.
-double pass_proportion(std::span<const double> p_values, double alpha = 0.01);
-
-/// Minimum passing proportion for a given sample size at alpha = 0.01
-/// (the NIST three-sigma acceptance band lower edge).  Gaussian
-/// approximation — only meaningful for sample counts of ~50+.
-double min_pass_proportion(std::size_t sample_count, double alpha = 0.01);
 
 /// Exact-binomial minimum pass count: the smallest k such that observing
 /// fewer than k passes out of `sample_count` sequences is implausible
@@ -37,9 +22,5 @@ double min_pass_proportion(std::size_t sample_count, double alpha = 0.01);
 std::size_t min_pass_count(std::size_t sample_count,
                            double pass_probability = 0.99,
                            double confidence = 0.999);
-
-/// Format helper: "k/n" pass counter string used in the paper's tables.
-std::string pass_fraction_string(std::span<const double> p_values,
-                                 double alpha = 0.01);
 
 }  // namespace dhtrng::support

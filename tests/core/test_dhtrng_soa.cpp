@@ -19,7 +19,6 @@
 #include "core/dhtrng.h"
 #include "core/dhtrng_array.h"
 #include "core/dhtrng_soa.h"
-#include "core/entropy_pool.h"
 #include "support/simd_noise.h"
 
 using dhtrng::core::DhTrng;
@@ -166,16 +165,4 @@ TEST(DhTrngSoA, ResourcesAndThroughputScaleWithLanes) {
   EXPECT_EQ(soa_res.dffs, one.dffs * kSoaLanes);
   EXPECT_NEAR(soa.throughput_mbps(), soa.clock_mhz() * kSoaLanes, 1e-9);
   EXPECT_GT(soa.clock_mhz(), 0.0);
-}
-
-TEST(DhTrngSoA, EntropyPoolFactorySmoke) {
-  dhtrng::core::EntropyPoolConfig cfg;
-  cfg.producers = 1;
-  cfg.block_bits = 1024;
-  cfg.buffer_bytes = 4096;
-  cfg.seed = 99;
-  auto pool = dhtrng::core::EntropyPool::of_dhtrng_soa(cfg);
-  const auto bytes = pool.get_bytes(256);
-  EXPECT_EQ(bytes.size(), 256u);
-  pool.stop();
 }

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/dhtrng_soa.h"
 #include "core/zoo/zoo.h"
 #include "support/fault_sources.h"
 #include "support/rng.h"

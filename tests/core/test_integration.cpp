@@ -1,9 +1,8 @@
 // End-to-end integration tests across layers: gate-level netlist ->
-// simulator -> health tests -> conditioning -> DRBG; plus failure
-// injection at the netlist level.
+// simulator -> health tests -> DRBG; plus failure injection at the
+// netlist level.
 #include <gtest/gtest.h>
 
-#include "core/conditioned_source.h"
 #include "core/dhtrng.h"
 #include "core/drbg.h"
 #include "core/netlist.h"
@@ -83,20 +82,26 @@ TEST(Integration, GateLevelOutputFeedsPowerModel) {
 }
 
 TEST(Integration, FullStackTrngToKeys) {
-  // DH-TRNG -> health-gated conditioned source -> HMAC_DRBG -> key bytes.
+  // DH-TRNG -> RCT/APT health monitor -> HMAC_DRBG -> key bytes.  As in
+  // EntropyPool, every raw bit is health-tested before any of it seeds
+  // the DRBG.
   DhTrng trng({.seed = 3});
-  ConditionedSource source(trng, {.claimed_min_entropy = 0.9});
+  stats::HealthMonitor monitor(0.9);
+  const auto tested_bytes = [&](std::size_t n) {
+    const auto bits = trng.generate(8 * n);
+    for (std::size_t i = 0; i < bits.size(); ++i) monitor.feed(bits[i]);
+    return bits.to_bytes();
+  };
 
   // The DRBG takes its seed as bytes: entropy input, then the nonce.
-  const auto entropy =
-      source.generate(8 * HmacDrbg::kEntropyInputBytes).to_bytes();
-  const auto nonce = source.generate(8 * HmacDrbg::kNonceBytes).to_bytes();
+  const auto entropy = tested_bytes(HmacDrbg::kEntropyInputBytes);
+  const auto nonce = tested_bytes(HmacDrbg::kNonceBytes);
+  ASSERT_TRUE(monitor.healthy());
   HmacDrbg drbg(entropy, nonce);
   const auto key_material = drbg.generate(1024);
   const auto bits = support::BitStream::from_bytes(key_material);
   EXPECT_TRUE(stats::sp800_22::frequency(bits).pass());
   EXPECT_TRUE(stats::sp800_22::runs(bits).pass());
-  EXPECT_TRUE(source.healthy());
 }
 
 TEST(Integration, MetastableFractionConsistentWithEq5Coverage) {

@@ -133,11 +133,5 @@ TEST(Sha256Condition, RejectsEmptyBlock) {
                std::invalid_argument);
 }
 
-TEST(PostProcessStats, RateComputation) {
-  PostProcessStats s{1000, 250};
-  EXPECT_DOUBLE_EQ(s.rate(), 0.25);
-  EXPECT_DOUBLE_EQ(PostProcessStats{}.rate(), 0.0);
-}
-
 }  // namespace
 }  // namespace dhtrng::core

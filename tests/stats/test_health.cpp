@@ -95,12 +95,19 @@ TEST(AdaptiveProportionTest, LowerClaimToleratesMoreBias) {
 }
 
 TEST(HealthMonitor, PassesOnDhTrng) {
-  core::DhTrng trng({.seed = 4});
-  HealthMonitor monitor(0.9);
-  for (int i = 0; i < 200000; ++i) {
-    ASSERT_TRUE(monitor.feed(trng.next_bit())) << "at bit " << i;
+  struct Run {
+    std::uint64_t seed;
+    int bits;
+  };
+  for (const Run run : {Run{4, 200000}, Run{6, 1000000}}) {
+    core::DhTrng trng({.seed = run.seed});
+    HealthMonitor monitor(0.9);
+    for (int i = 0; i < run.bits; ++i) {
+      ASSERT_TRUE(monitor.feed(trng.next_bit()))
+          << "seed " << run.seed << " at bit " << i;
+    }
+    EXPECT_TRUE(monitor.healthy());
   }
-  EXPECT_TRUE(monitor.healthy());
 }
 
 TEST(HealthMonitor, CatchesDegradedGenerator) {
