@@ -116,7 +116,7 @@ void EntropyPool::producer_loop(std::size_t index) {
 
     st.consecutive_alarms = 0;
     bits.pack_bytes(block);
-    if (config_.certify) {
+    {
       // The block passed the health gate, so it is part of the served
       // stream — exactly what the online certification tracks.  Whole
       // blocks only, under the lock, so cert_snapshot() always observes
@@ -198,9 +198,7 @@ std::uint64_t EntropyPool::bytes_produced() const {
 
 PoolCertSnapshot EntropyPool::cert_snapshot() const {
   PoolCertSnapshot snap;
-  snap.enabled = config_.certify;
   snap.tracker = tracker_config_;
-  if (!config_.certify) return snap;
   stats::streaming::SourceTracker merged(tracker_config_);
   snap.producers.reserve(states_.size());
   for (const auto& st : states_) {

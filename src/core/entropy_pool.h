@@ -58,14 +58,13 @@ struct EntropyPoolConfig {
   std::size_t max_reseeds = 3;
   /// Master seed; per-producer seeds are SplitMix64-derived from it.
   std::uint64_t seed = 1;
-  /// Run a stats::streaming::SourceTracker per producer over every block
-  /// that passes the health gate (i.e. the exact served stream), powering
-  /// cert_snapshot() and the service CERT verb.
-  bool certify = true;
-  /// Tracker geometry.  block_len/window_bits are clamped down to the
-  /// largest power of two dividing block_bits, so per-block feeding keeps
-  /// every tracker block/window-aligned and the merged pool view exact.
-  stats::streaming::TrackerConfig tracker;
+  /// Geometry of the stats::streaming::SourceTracker each producer runs
+  /// over every block that passes the health gate (i.e. the exact served
+  /// stream), powering cert_snapshot() and the service CERT verb.
+  /// block_len/window_bits are clamped down to the largest power of two
+  /// dividing block_bits, so per-block feeding keeps every tracker
+  /// block/window-aligned and the merged pool view exact.
+  stats::streaming::TrackerConfig tracker{};
 };
 
 /// Thrown by get_bytes() when every producer has been retired.
@@ -95,7 +94,6 @@ struct PoolHealthSnapshot {
 /// a per-producer lock, so every snapshot observes block-aligned state
 /// and the merge is exact (see stats/streaming.h).
 struct PoolCertSnapshot {
-  bool enabled = false;                       ///< config.certify
   stats::streaming::TrackerConfig tracker;    ///< effective (clamped) config
   std::vector<stats::streaming::Snapshot> producers;
   stats::streaming::Snapshot merged;
@@ -159,8 +157,7 @@ class EntropyPool {
   std::uint64_t bytes_produced() const;
   /// All of the above in one struct (see PoolHealthSnapshot).
   PoolHealthSnapshot snapshot() const;
-  /// Per-producer + merged streaming-certification snapshots (empty with
-  /// certify = false).
+  /// Per-producer + merged streaming-certification snapshots.
   PoolCertSnapshot cert_snapshot() const;
   /// The tracker geometry actually in use (after block_bits clamping).
   const stats::streaming::TrackerConfig& tracker_config() const {

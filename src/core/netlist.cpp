@@ -90,7 +90,8 @@ DhTrngNetlist build_dhtrng_netlist(const fpga::DeviceModel& device,
                                     s1.r1b, s1.r2b, s1.c1,  s1.c2};
   std::vector<sim::NetId> q(12);
   for (int i = 0; i < 12; ++i) {
-    q[static_cast<std::size_t>(i)] = c.add_net("q" + std::to_string(i));
+    q[static_cast<std::size_t>(i)] =
+        c.add_net(std::string("q").append(std::to_string(i)));
     n.sample_dffs.push_back(
         c.add_dff(n.clock_net, ring_nets[i], q[static_cast<std::size_t>(i)], ff));
   }
@@ -177,7 +178,8 @@ XorRoNetlist build_xor_ro_netlist(const fpga::DeviceModel& device,
         c, "ro" + std::to_string(r), stages, en,
         // +-1% per-instance mismatch, deterministic in the ring index.
         element_delay * (1.0 + 0.01 * ((r % 3) - 1)));
-    const sim::NetId qn = c.add_net("q" + std::to_string(r));
+    const sim::NetId qn =
+        c.add_net(std::string("q").append(std::to_string(r)));
     n.sampler_dffs.push_back(c.add_dff(n.clock_net, ring, qn, ff));
     q.push_back(qn);
   }

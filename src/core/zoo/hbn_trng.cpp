@@ -51,7 +51,8 @@ HbnTrngNetlist build_hbn_trng_netlist(const fpga::DeviceModel& device,
   std::vector<sim::NetId> node_nets;
   node_nets.reserve(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
-    node_nets.push_back(c.add_net("n" + std::to_string(i)));
+    node_nets.push_back(
+        c.add_net(std::string("n").append(std::to_string(i))));
   }
   for (int i = 0; i < nodes; ++i) {
     const sim::NetId prev = node_nets[static_cast<std::size_t>(
@@ -70,7 +71,8 @@ HbnTrngNetlist build_hbn_trng_netlist(const fpga::DeviceModel& device,
   for (int t = 0; t < taps; ++t) {
     const sim::NetId tapped =
         node_nets[static_cast<std::size_t>(tap_index(t, nodes, taps))];
-    const sim::NetId qn = c.add_net("q" + std::to_string(t));
+    const sim::NetId qn =
+        c.add_net(std::string("q").append(std::to_string(t)));
     n.tap_dffs.push_back(c.add_dff(n.clock_net, tapped, qn, ff));
     q.push_back(qn);
   }

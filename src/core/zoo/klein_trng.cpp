@@ -53,7 +53,8 @@ KleinTrngNetlist build_klein_trng_netlist(const fpga::DeviceModel& device,
     const sim::NetId ring = build_ring_oscillator(
         c, "ro" + std::to_string(r), ring_length(r), en,
         element_delay * ring_skew(r));
-    const sim::NetId qn = c.add_net("q" + std::to_string(r));
+    const sim::NetId qn =
+        c.add_net(std::string("q").append(std::to_string(r)));
     n.sampler_dffs.push_back(c.add_dff(n.clock_net, ring, qn, ff));
     q.push_back(qn);
   }

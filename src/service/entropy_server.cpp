@@ -50,59 +50,29 @@ EntropyServer::EntropyServer(EntropyServerConfig config,
   shards_.reserve(nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
     shards_.push_back(std::make_unique<Shard>(backend, metrics_));
-    shards_.back()->index = i;
   }
 
+  // Shard 0 owns every listener and places each accept round-robin
+  // (drain_accepts).
+  Shard& first = *shards_[0];
   if (config_.enable_tcp) {
-    if (nshards > 1) {
-      // One SO_REUSEPORT listener per shard so the kernel load-balances
-      // accepts; if the sibling binds fail (no SO_REUSEPORT) fall back to
-      // a single listener on shard 0 with round-robin handoff.
-      try {
-        Listener first = Listener::tcp_loopback(config_.tcp_port, true);
-        tcp_port_ = first.port();
-        std::vector<Listener> rest;
-        rest.reserve(nshards - 1);
-        for (std::size_t i = 1; i < nshards; ++i) {
-          rest.push_back(Listener::tcp_loopback(tcp_port_, true));
-        }
-        shards_[0]->listeners.push_back(
-            ShardListener{std::move(first), false});
-        for (std::size_t i = 1; i < nshards; ++i) {
-          shards_[i]->listeners.push_back(
-              ShardListener{std::move(rest[i - 1]), false});
-        }
-      } catch (const std::runtime_error&) {
-        Listener only = Listener::tcp_loopback(config_.tcp_port, false);
-        tcp_port_ = only.port();
-        shards_[0]->listeners.push_back(ShardListener{std::move(only), true});
-      }
-    } else {
-      Listener only = Listener::tcp_loopback(config_.tcp_port, false);
-      tcp_port_ = only.port();
-      shards_[0]->listeners.push_back(ShardListener{std::move(only), false});
-    }
+    first.listeners.push_back(Listener::tcp_loopback(config_.tcp_port));
+    tcp_port_ = first.listeners.back().port();
   }
   if (!config_.unix_path.empty()) {
-    shards_[0]->listeners.push_back(
-        ShardListener{Listener::unix_domain(config_.unix_path), nshards > 1});
+    first.listeners.push_back(Listener::unix_domain(config_.unix_path));
   }
-  bool any_listener = false;
-  for (const auto& shard : shards_) {
-    if (!shard->listeners.empty()) any_listener = true;
-  }
-  if (!any_listener) {
+  if (first.listeners.empty()) {
     throw std::invalid_argument("EntropyServer: no listeners configured");
   }
 
   for (auto& shard : shards_) {
     shard->poller.add(shard->wake.read_fd(), /*want_read=*/true,
                       /*want_write=*/false);
-    for (auto& sl : shard->listeners) {
-      sl.listener.set_nonblocking();
-      shard->poller.add(sl.listener.fd(), /*want_read=*/true,
-                        /*want_write=*/false);
-    }
+  }
+  for (auto& listener : first.listeners) {
+    listener.set_nonblocking();
+    first.poller.add(listener.fd(), /*want_read=*/true, /*want_write=*/false);
   }
   for (auto& shard : shards_) {
     Shard* s = shard.get();
@@ -140,6 +110,15 @@ void EntropyServer::stop() {
   for (auto& shard : shards_) shard->wake.notify();
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
+  }
+  // Handed-over fds no shard adopted still hold their slots.
+  for (auto& shard : shards_) {
+    for (int fd : shard->adopted) {
+      ::close(fd);
+      metrics_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+      metrics_.connections_active.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    shard->adopted.clear();
   }
 }
 
@@ -220,9 +199,9 @@ void EntropyServer::shard_loop(Shard& shard) {
         continue;
       }
       bool was_listener = false;
-      for (auto& sl : shard.listeners) {
-        if (sl.listener.fd() == event.fd) {
-          drain_accepts(shard, sl);
+      for (auto& listener : shard.listeners) {
+        if (listener.fd() == event.fd) {
+          drain_accepts(shard, listener);
           was_listener = true;
           break;
         }
@@ -261,47 +240,36 @@ void EntropyServer::shard_loop(Shard& shard) {
     flush_writes(shard, conn);
   }
 
-  // Shutdown: close adopted-but-unattached fds (they hold slots), then
-  // every live connection, then the listeners.
-  {
-    std::lock_guard<std::mutex> lock(shard.adopted_mutex);
-    for (int fd : shard.adopted) {
-      ::close(fd);
-      metrics_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.connections_active.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    shard.adopted.clear();
-  }
+  // Shutdown: close every live connection, then the listeners.  Fds
+  // handed over but not yet adopted are closed by stop() once every shard
+  // has joined, since shard 0 may still hand one over after this shard
+  // has left its loop.
   std::vector<int> fds;
   fds.reserve(shard.conns.size());
   for (const auto& kv : shard.conns) fds.push_back(kv.first);
   for (int fd : fds) close_connection(shard, fd);
-  for (auto& sl : shard.listeners) sl.listener.close();
+  for (auto& listener : shard.listeners) listener.close();
 }
 
-void EntropyServer::drain_accepts(Shard& shard, ShardListener& sl) {
+void EntropyServer::drain_accepts(Shard& shard, Listener& listener) {
   while (true) {
-    const int listener_fd = sl.listener.fd();
+    const int listener_fd = listener.fd();
     if (listener_fd < 0) return;  // closed after a fatal error
     const int fd = do_accept(listener_fd);
     if (fd >= 0) {
       metrics_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
       if (!claim_slot(fd)) continue;
-      if (sl.distribute && shards_.size() > 1) {
-        const std::size_t target = handoff_rr_.fetch_add(
-                                       1, std::memory_order_relaxed) %
-                                   shards_.size();
-        if (target != shard.index) {
-          Shard& dest = *shards_[target];
-          {
-            std::lock_guard<std::mutex> lock(dest.adopted_mutex);
-            dest.adopted.push_back(fd);
-          }
-          dest.wake.notify();
-          continue;
-        }
+      Shard& dest = *shards_[next_shard_];
+      next_shard_ = (next_shard_ + 1) % shards_.size();
+      if (&dest == &shard) {
+        attach_connection(shard, fd);
+        continue;
       }
-      attach_connection(shard, fd);
+      {
+        std::lock_guard<std::mutex> lock(dest.adopted_mutex);
+        dest.adopted.push_back(fd);
+      }
+      dest.wake.notify();
       continue;
     }
     switch (classify_accept_errno(errno)) {
@@ -320,7 +288,7 @@ void EntropyServer::drain_accepts(Shard& shard, ShardListener& sl) {
       case AcceptOutcome::Fatal:
         metrics_.accept_fatal_errors.fetch_add(1, std::memory_order_relaxed);
         shard.poller.del(listener_fd);
-        sl.listener.close();
+        listener.close();
         return;
     }
   }
@@ -510,28 +478,10 @@ void EntropyServer::serve_get(Shard& shard, Connection& conn,
                   "request above per-request byte budget");
     return;
   }
-  if (!conn.bucket.try_acquire(n)) {
-    enqueue_error(shard, conn, Status::RateLimited,
-                  "per-connection rate limit");
+  if (const auto refusal = admit(shard, conn, conn.get, request.quality, n)) {
+    enqueue_error(shard, conn, refusal->status, refusal->detail);
     return;
   }
-  if (!global_bucket_.try_acquire(n)) {
-    enqueue_error(shard, conn, Status::RateLimited, "global rate limit");
-    return;
-  }
-
-  const ServiceState st = state();
-  if (st == ServiceState::Exhausted) {
-    // Fail closed: no live noise source behind the service, so refuse —
-    // even though gated bytes may remain buffered and the fallback DRBG
-    // could keep stretching its last seed.
-    enqueue_error(shard, conn, Status::Exhausted,
-                  "all entropy producers retired");
-    return;
-  }
-
-  begin_draw(shard, conn.get, request.quality, n,
-             st == ServiceState::Degraded);
   if (finish_get(shard, conn)) return;
   // The pool is short: park.  Reads stop until the GET completes, so the
   // frames behind it keep their order; the doorbell resumes it.
@@ -542,18 +492,13 @@ void EntropyServer::serve_get(Shard& shard, Connection& conn,
 
 bool EntropyServer::finish_get(Shard& shard, Connection& conn) {
   PendingDraw& get = conn.get;
-  try {
-    if (!fill_draw(shard, get)) return false;
-  } catch (const core::EntropyExhausted&) {
-    get = PendingDraw{};
-    // The pool closes for good either when stop() begins (stopping_ is
-    // set first) or when the last producer retires.
-    if (stopping_.load(std::memory_order_acquire)) {
-      enqueue_error(shard, conn, Status::ShuttingDown, "server stopping");
-    } else {
-      enqueue_error(shard, conn, Status::Exhausted,
-                    "entropy pool exhausted mid-request");
-    }
+  const std::optional<Status> done = complete(shard, get);
+  if (!done) return false;
+  if (*done != Status::Ok) {
+    enqueue_error(shard, conn, *done,
+                  *done == Status::ShuttingDown
+                      ? "server stopping"
+                      : "entropy pool exhausted mid-request");
     return true;
   }
   metrics_.count_served(get.quality, get.out.size(), get.degraded);
@@ -735,35 +680,30 @@ void EntropyServer::push_subscription(Shard& shard, Connection& conn) {
       conn.sub_deferred = true;
       return;
     }
-    if (!conn.bucket.try_acquire(conn.sub_chunk)) {
-      metrics_.subscribe_deferred_rate.fetch_add(1, std::memory_order_relaxed);
-      conn.sub_deferred = true;
+    if (const auto refusal = admit(shard, conn, conn.push, conn.sub_quality,
+                                   conn.sub_chunk)) {
+      if (refusal->status == Status::RateLimited) {
+        metrics_.subscribe_deferred_rate.fetch_add(1,
+                                                   std::memory_order_relaxed);
+        conn.sub_deferred = true;
+      } else {
+        end_stream(refusal->status, refusal->detail);
+      }
       return;
     }
-    if (!global_bucket_.try_acquire(conn.sub_chunk)) {
-      metrics_.subscribe_deferred_rate.fetch_add(1, std::memory_order_relaxed);
-      conn.sub_deferred = true;
-      return;
-    }
-
-    const ServiceState st = state();
-    if (st == ServiceState::Exhausted) {
-      end_stream(Status::Exhausted, "all entropy producers retired");
-      return;
-    }
-    begin_draw(shard, conn.push, conn.sub_quality, conn.sub_chunk,
-               st == ServiceState::Degraded);
   }
 
   // The push was paid for when it began: it stays deferred (whole, never
   // split) until the pool has covered all of it.
-  try {
-    if (!fill_draw(shard, conn.push)) {
-      conn.sub_deferred = true;
-      return;
-    }
-  } catch (const core::EntropyExhausted&) {
-    end_stream(Status::Exhausted, "entropy pool exhausted mid-push");
+  const std::optional<Status> done = complete(shard, conn.push);
+  if (!done) {
+    conn.sub_deferred = true;
+    return;
+  }
+  if (*done != Status::Ok) {
+    end_stream(*done, *done == Status::ShuttingDown
+                          ? "server stopping"
+                          : "entropy pool exhausted mid-push");
     return;
   }
   const bool degraded = conn.push.degraded;
@@ -787,6 +727,40 @@ void EntropyServer::push_subscription(Shard& shard, Connection& conn) {
 // ---------------------------------------------------------------------------
 // Entropy draws
 // ---------------------------------------------------------------------------
+
+std::optional<EntropyServer::Refusal> EntropyServer::admit(
+    Shard& shard, Connection& conn, PendingDraw& draw, Quality quality,
+    std::size_t n) {
+  if (!conn.bucket.try_acquire(n)) {
+    return Refusal{Status::RateLimited, "per-connection rate limit"};
+  }
+  if (!global_bucket_.try_acquire(n)) {
+    return Refusal{Status::RateLimited, "global rate limit"};
+  }
+  const ServiceState st = state();
+  if (st == ServiceState::Exhausted) {
+    // Fail closed: no live noise source behind the service, so refuse —
+    // even though gated bytes may remain buffered and the fallback DRBG
+    // could keep stretching its last seed.
+    return Refusal{Status::Exhausted, "all entropy producers retired"};
+  }
+  begin_draw(shard, draw, quality, n, st == ServiceState::Degraded);
+  return std::nullopt;
+}
+
+std::optional<Status> EntropyServer::complete(Shard& shard,
+                                              PendingDraw& draw) {
+  try {
+    if (!fill_draw(shard, draw)) return std::nullopt;
+  } catch (const core::EntropyExhausted&) {
+    draw = PendingDraw{};
+    // The pool closes for good either when stop() begins (stopping_ is
+    // set first) or when the last producer retires.
+    return stopping_.load(std::memory_order_acquire) ? Status::ShuttingDown
+                                                     : Status::Exhausted;
+  }
+  return Status::Ok;
+}
 
 void EntropyServer::begin_draw(const Shard& shard, PendingDraw& draw,
                                Quality quality, std::size_t n,

@@ -4,13 +4,13 @@
 // length-prefixed protocol in service/protocol.h, on TCP loopback and/or
 // Unix-domain listeners.
 //
-// Since PR 8 the I/O core is a sharded readiness loop instead of a
-// thread-per-connection pool: `shards` event-loop threads, each with its
-// own Poller (epoll on Linux, poll elsewhere — see service/poller.h), its
-// own SO_REUSEPORT TCP listener (the kernel load-balances accepts across
-// shards), and its own set of non-blocking connections.  The Unix-domain
-// listener lives on shard 0, which hands accepted fds to the other shards
-// round-robin through a wake-pipe doorbell.  Each connection is a small
+// The I/O core is a sharded readiness loop: `shards` event-loop threads,
+// each with its own Poller (epoll on Linux, poll elsewhere — see
+// service/poller.h) and its own set of non-blocking connections.  Shard 0
+// owns both listeners (TCP and Unix-domain) and places every accepted fd
+// round-robin over all shards — itself included — handing the others
+// theirs through a wake-pipe doorbell, so connection placement depends
+// only on accept order, never on kernel hashing.  Each connection is a small
 // state machine: a FrameAssembler tolerates any read fragmentation
 // (byte-at-a-time through fully coalesced), responses are queued and
 // flushed with batched writev (sendmsg, up to 16 frames per call), and
@@ -119,7 +119,7 @@ struct EntropyServerConfig {
   std::size_t degraded_after_retired = 1;
 
   /// Decision thresholds applied to the streaming-certification
-  /// snapshots in CERT/STATS output (pool.certify enables the trackers).
+  /// snapshots in CERT/STATS output.
   stats::streaming::Thresholds cert;
 
   /// Noise fidelity label reported as `noise_mode` in STATS output
@@ -244,15 +244,6 @@ class EntropyServer {
     PendingDraw push;              ///< push still filling from the pool
   };
 
-  /// A listener owned by one shard.  `distribute` marks listeners whose
-  /// accepts are handed round-robin to the other shards (the Unix-domain
-  /// listener, and the single TCP listener when SO_REUSEPORT sharding is
-  /// unavailable); per-shard SO_REUSEPORT TCP listeners attach locally.
-  struct ShardListener {
-    Listener listener;
-    bool distribute = false;
-  };
-
   /// Armed by a shard whose pool draw came up short; a producer thread
   /// rings it once the pool can cover the shortfall (or the pool closes),
   /// which wakes the shard's loop through its WakePipe.
@@ -270,18 +261,18 @@ class EntropyServer {
     std::atomic<std::uint64_t>& rings_;
   };
 
-  /// One event-loop shard: poller + wake pipe + its listeners,
-  /// connections and DRBG.  Only `adopted` crosses threads (shard 0 hands
-  /// distributed accepts over) and is mutex-protected; `doorbell` is rung
-  /// from producer threads and only touches the wake pipe.
+  /// One event-loop shard: poller + wake pipe + its connections and DRBG
+  /// (and, on shard 0 only, the listeners).  Only `adopted` crosses
+  /// threads (shard 0 hands accepts over) and is mutex-protected;
+  /// `doorbell` is rung from producer threads and only touches the wake
+  /// pipe.
   struct Shard {
     Shard(Poller::Backend backend, Metrics& metrics)
         : poller(backend), doorbell(wake, metrics.pool_doorbell_wakeups) {}
-    std::size_t index = 0;
     Poller poller;
     WakePipe wake;
     PoolDoorbell doorbell;
-    std::vector<ShardListener> listeners;
+    std::vector<Listener> listeners;  ///< empty except on shard 0
     std::unordered_map<int, std::unique_ptr<Connection>> conns;
     /// Connections with a parked GET, in parking order.
     std::vector<int> parked;
@@ -296,7 +287,9 @@ class EntropyServer {
 
   void shard_loop(Shard& shard);
   int shard_timeout_ms(const Shard& shard) const;
-  void drain_accepts(Shard& shard, ShardListener& sl);
+  /// Accept every pending connection on shard 0's `listener` and place
+  /// each on the next shard in round-robin order.
+  void drain_accepts(Shard& shard, Listener& listener);
   /// Claim a connection slot for a freshly accepted fd; Busy+close over
   /// the cap.  Returns true when the slot was claimed.
   bool claim_slot(int fd);
@@ -309,7 +302,8 @@ class EntropyServer {
   /// Serve one complete request payload (decode + dispatch + enqueue).
   void serve_payload(Shard& shard, Connection& conn,
                      const std::vector<std::uint8_t>& payload);
-  /// GET admission and draw; parks the GET when the pool is short.
+  /// GET pre-checks, admission and draw; parks the GET when the pool is
+  /// short.
   void serve_get(Shard& shard, Connection& conn, const Request& request);
   /// Try to finish conn's parked GET; true once it has been answered.
   bool finish_get(Shard& shard, Connection& conn);
@@ -332,6 +326,25 @@ class EntropyServer {
   void end_subscription(Connection& conn);
   void close_connection(Shard& shard, int fd);
 
+  /// Why admit() turned a draw away: the status and detail of the
+  /// caller's refusal.
+  struct Refusal {
+    Status status;
+    const char* detail;
+  };
+  /// Admission shared by GET and push: spend `n` tokens from conn's
+  /// bucket, then from the global bucket, read the ladder and begin the
+  /// draw into `draw`.  Returns the refusal instead when a bucket is
+  /// short (RateLimited) or the ladder reads EXHAUSTED.
+  std::optional<Refusal> admit(Shard& shard, Connection& conn,
+                               PendingDraw& draw, Quality quality,
+                               std::size_t n);
+  /// Advance an admitted draw without blocking: nullopt while the pool is
+  /// short (the shard's doorbell is armed), Status::Ok once the draw is
+  /// complete in draw.out.  A draw the closed pool can no longer finish is
+  /// dropped with Status::ShuttingDown once stop() has begun, else
+  /// Status::Exhausted.
+  std::optional<Status> complete(Shard& shard, PendingDraw& draw);
   /// Start a draw of `n` bytes into `draw`, admitted while the ladder
   /// read DEGRADED when `degraded`.
   void begin_draw(const Shard& shard, PendingDraw& draw, Quality quality,
@@ -355,7 +368,9 @@ class EntropyServer {
   std::mutex stop_mutex_;  ///< serializes stop() with the constructor
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> handoff_rr_{0};  ///< Unix-accept round robin
+  /// Round-robin cursor over shards_ for accepted fds (shard 0's loop
+  /// only).
+  std::size_t next_shard_ = 0;
   std::uint16_t tcp_port_ = 0;
 };
 

@@ -147,7 +147,7 @@ std::string render_stats(const Metrics& m, ServiceState state,
       << "pool_reseeds " << pool.reseeds << '\n'
       << "pool_bytes_produced " << pool.bytes_produced << '\n'
       << "pool_exhausted " << (pool.exhausted ? 1 : 0) << '\n';
-  if (cert != nullptr && cert->enabled) {
+  if (cert != nullptr) {
     out << std::setprecision(std::numeric_limits<double>::max_digits10);
     out << "cert_pass " << (cert->merged.pass(thresholds) ? 1 : 0) << '\n'
         << "cert_h_live " << cert->merged.live_min_entropy() << '\n';
@@ -167,13 +167,11 @@ std::string render_cert(const core::PoolCertSnapshot& cert,
                         const stats::streaming::Thresholds& thresholds) {
   std::ostringstream out;
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  out << "cert_enabled " << (cert.enabled ? 1 : 0) << '\n'
-      << "cert_sources " << cert.producers.size() << '\n'
+  out << "cert_sources " << cert.producers.size() << '\n'
       << "cert_block_len " << cert.tracker.block_len << '\n'
       << "cert_window_bits " << cert.tracker.window_bits << '\n'
       << "cert_alpha " << thresholds.alpha << '\n'
       << "cert_min_entropy " << thresholds.min_entropy << '\n';
-  if (!cert.enabled) return out.str();
   render_snapshot_lines(out, "merged", cert.merged, thresholds);
   for (std::size_t i = 0; i < cert.producers.size(); ++i) {
     render_snapshot_lines(out, "source_" + std::to_string(i),

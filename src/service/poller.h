@@ -59,13 +59,11 @@ class Poller {
   /// EINTR is absorbed and reported as a timeout with zero events.
   int wait(std::vector<Event>& out, int timeout_ms);
 
-  std::size_t watched() const { return interest_.size(); }
-
  private:
   int epoll_fd_ = -1;  ///< -1 = poll backend
   /// fd -> (want_read, want_write); the poll backend rebuilds its pollfd
   /// array from this on every wait (cheap at service fan-ins; the epoll
-  /// backend keeps it only for watched()).
+  /// backend keeps it so mod() and del() skip unregistered fds).
   std::unordered_map<int, std::pair<bool, bool>> interest_;
 };
 

@@ -6,7 +6,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <stdexcept>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -22,12 +21,6 @@ Socket& Socket::operator=(Socket&& other) noexcept {
     other.fd_ = -1;
   }
   return *this;
-}
-
-int Socket::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
 }
 
 bool Socket::read_exact(std::uint8_t* buf, std::size_t n) {
@@ -56,10 +49,6 @@ bool Socket::write_all(const std::uint8_t* buf, std::size_t n) {
     return false;
   }
   return true;
-}
-
-void Socket::shutdown_both() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Socket::close() {
@@ -92,23 +81,11 @@ namespace {
 
 }  // namespace
 
-Listener Listener::tcp_loopback(std::uint16_t port, bool reuseport) {
+Listener Listener::tcp_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket(AF_INET)");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
-      ::close(fd);
-      throw_errno("setsockopt(SO_REUSEPORT)");
-    }
-#else
-    ::close(fd);
-    errno = ENOPROTOOPT;
-    throw_errno("SO_REUSEPORT unsupported");
-#endif
-  }
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -118,7 +95,7 @@ Listener Listener::tcp_loopback(std::uint16_t port, bool reuseport) {
     ::close(fd);
     throw_errno("bind(127.0.0.1)");
   }
-  if (::listen(fd, 128) < 0) {
+  if (::listen(fd, SOMAXCONN) < 0) {
     ::close(fd);
     throw_errno("listen");
   }
@@ -145,7 +122,7 @@ Listener Listener::unix_domain(const std::string& path) {
     ::close(fd);
     throw_errno("bind(" + path + ")");
   }
-  if (::listen(fd, 128) < 0) {
+  if (::listen(fd, SOMAXCONN) < 0) {
     ::close(fd);
     throw_errno("listen(" + path + ")");
   }
@@ -159,16 +136,6 @@ Listener::Listener(Listener&& other) noexcept
 }
 
 Listener::~Listener() { close(); }
-
-std::optional<Socket> Listener::accept(int timeout_ms) {
-  if (fd_ < 0) return std::nullopt;
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready <= 0) return std::nullopt;  // timeout, EINTR, or closed
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) return std::nullopt;
-  return Socket(client);
-}
 
 void Listener::close() {
   if (fd_ >= 0) {

@@ -1,7 +1,6 @@
 // Thin RAII layer over the POSIX sockets the entropy service uses: a
-// connected stream socket with exact-read/exact-write helpers, and a
-// listener that accepts with a poll timeout so accept loops can observe a
-// stop flag without signals or non-portable close-wakes.
+// connected stream socket with exact-read/exact-write helpers, a listener
+// whose fd the event loop polls, and a classified non-blocking accept.
 //
 // Both TCP (loopback by default) and Unix-domain stream sockets are
 // supported; everything above this layer is transport-agnostic.  Writes
@@ -11,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace dhtrng::service {
@@ -29,8 +27,6 @@ class Socket {
 
   int fd() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
-  /// Detach the fd (caller owns it afterwards).
-  int release();
 
   /// Read exactly `n` bytes; false on EOF or error (including a peer that
   /// resets mid-read — the caller treats both as "connection over").
@@ -38,9 +34,6 @@ class Socket {
   /// Write all `n` bytes; false on error.
   bool write_all(const std::uint8_t* buf, std::size_t n);
 
-  /// shutdown(SHUT_RDWR): wakes a thread blocked in read_exact on this
-  /// socket (used by EntropyServer::stop to unblock connection workers).
-  void shutdown_both();
   void close();
 
   /// O_NONBLOCK on/off (the event-loop server runs every connection
@@ -56,16 +49,12 @@ class Socket {
 
 class Listener {
  public:
-  /// Bind + listen on 127.0.0.1:`port` (0 = ephemeral; see port()).
-  /// Throws std::runtime_error on failure.  With `reuseport` true the
-  /// socket is bound with SO_REUSEPORT so every event-loop shard can own
-  /// its own listener on the same port and the kernel load-balances
-  /// accepts across them (falls back to plain SO_REUSEADDR where
-  /// SO_REUSEPORT is unavailable — the caller detects the failed sibling
-  /// bind and routes accepts through shard 0 instead).
-  static Listener tcp_loopback(std::uint16_t port, bool reuseport = false);
-  /// Bind + listen on a Unix-domain stream socket at `path` (unlinked
-  /// first, and unlinked again on destruction).
+  /// Bind + listen (SO_REUSEADDR, backlog SOMAXCONN) on 127.0.0.1:`port`
+  /// (0 = ephemeral; see port()).  Throws std::runtime_error on failure.
+  /// EntropyServer opens one, on shard 0, whatever its shard count.
+  static Listener tcp_loopback(std::uint16_t port);
+  /// Bind + listen (backlog SOMAXCONN) on a Unix-domain stream socket at
+  /// `path` (unlinked first, and unlinked again on destruction).
   static Listener unix_domain(const std::string& path);
 
   Listener(const Listener&) = delete;
@@ -73,14 +62,9 @@ class Listener {
   Listener(Listener&& other) noexcept;
   ~Listener();
 
-  bool valid() const { return fd_ >= 0; }
   /// Actual bound TCP port (0 for Unix-domain listeners).
   std::uint16_t port() const { return port_; }
-  const std::string& path() const { return path_; }
 
-  /// Wait up to `timeout_ms` for a pending connection; nullopt on timeout
-  /// or once closed.
-  std::optional<Socket> accept(int timeout_ms);
   void close();
 
   int fd() const { return fd_; }

@@ -397,19 +397,7 @@ TEST(EntropyPool, CertSnapshotClampsGeometryToBlockBits) {
   EXPECT_EQ(pool.tracker_config().block_len, 128u);
   EXPECT_EQ(pool.tracker_config().window_bits, 256u);
   const PoolCertSnapshot snap = pool.cert_snapshot();
-  EXPECT_TRUE(snap.enabled);
   EXPECT_EQ(snap.tracker.window_bits, 256u);
-}
-
-TEST(EntropyPool, CertSnapshotDisabledWhenNotCertifying) {
-  EntropyPool pool({.producers = 1, .buffer_bytes = 512, .block_bits = 256,
-                    .certify = false},
-                   ideal_factory());
-  (void)pool.get_bytes(64);
-  const PoolCertSnapshot snap = pool.cert_snapshot();
-  EXPECT_FALSE(snap.enabled);
-  EXPECT_TRUE(snap.producers.empty());
-  EXPECT_EQ(snap.merged.bits, 0u);
 }
 
 // Concurrency (TSan lane): cert_snapshot() races against live producers

@@ -93,9 +93,10 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, DhTrngMatrix,
     ::testing::Combine(::testing::Values(0, 1),
                        ::testing::Values(Backend::Fast, Backend::GateLevel)),
-    [](const ::testing::TestParamInfo<DeviceBackend>& info) {
-      return std::string(std::get<0>(info.param) == 0 ? "Artix7" : "Virtex6") +
-             (std::get<1>(info.param) == Backend::Fast ? "Fast" : "Gate");
+    [](const ::testing::TestParamInfo<DeviceBackend>& param_info) {
+      return std::string(std::get<0>(param_info.param) == 0 ? "Artix7"
+                                                            : "Virtex6") +
+             (std::get<1>(param_info.param) == Backend::Fast ? "Fast" : "Gate");
     });
 
 // --- XOR fold sweep ----------------------------------------------------------
@@ -141,12 +142,15 @@ INSTANTIATE_TEST_SUITE_P(
     Corners, PvtGrid,
     ::testing::Combine(::testing::Values(-20.0, 20.0, 80.0),
                        ::testing::Values(0.8, 1.0, 1.2)),
-    [](const ::testing::TestParamInfo<Corner>& info) {
+    [](const ::testing::TestParamInfo<Corner>& param_info) {
       // No structured bindings here: a comma inside [] would split the
       // INSTANTIATE macro's arguments.
-      return "T" +
-             std::to_string(static_cast<int>(std::get<0>(info.param) + 100)) +
-             "V" + std::to_string(static_cast<int>(std::get<1>(info.param) * 10));
+      return std::string("T")
+          .append(std::to_string(
+              static_cast<int>(std::get<0>(param_info.param) + 100)))
+          .append("V")
+          .append(std::to_string(
+              static_cast<int>(std::get<1>(param_info.param) * 10)));
     });
 
 }  // namespace

@@ -213,7 +213,9 @@ TEST_P(ZooSourceTest, SameSeedReproducesSameStream) {
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, ZooSourceTest,
                          ::testing::ValuesIn(zoo_source_names()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(ZooRegistry, UnknownNameReturnsNull) {
   EXPECT_EQ(make_zoo_source("bogus"), nullptr);

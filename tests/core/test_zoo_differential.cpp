@@ -254,7 +254,9 @@ TEST_P(ZooBackendDifferential, RestartMatrixStreamsAreDistinctAndUnbiased) {
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, ZooBackendDifferential,
                          ::testing::ValuesIn(zoo_source_names()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 }  // namespace
 }  // namespace dhtrng::core

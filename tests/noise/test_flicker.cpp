@@ -42,7 +42,7 @@ TEST(FlickerNoise, IsLowFrequencyHeavy) {
   for (double x : xs) mean += x;
   mean /= n;
   double c0 = 0.0, c1 = 0.0;
-  for (int i = 0; i + 1 < n; ++i) {
+  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
     c0 += (xs[i] - mean) * (xs[i] - mean);
     c1 += (xs[i] - mean) * (xs[i + 1] - mean);
   }

@@ -210,7 +210,7 @@ TEST(SimdDispatch, UniformLtMaskHiLoNativeMatchesScalarAndSemantics) {
       ASSERT_EQ(lo_native, simd::uniform_lt_mask64_lo(w, p.data()));
     }
     // Reference semantics: 32-bit halves scaled by 2^-32, strict less-than.
-    for (int l = 0; l < 64; ++l) {
+    for (std::size_t l = 0; l < 64; ++l) {
       const double hi_u = static_cast<double>(w[l] >> 32) * 0x1p-32;
       const double lo_u =
           static_cast<double>(w[l] & 0xffffffffu) * 0x1p-32;

@@ -85,7 +85,7 @@ TEST(ServiceCert, CertVerbReportsPerSourceAndMergedSnapshots) {
   }
 
   const auto cert = parse_kv(client.cert());
-  EXPECT_EQ(kv_u64(cert, "cert_enabled"), 1u);
+  EXPECT_EQ(cert.count("merged_bits"), 1u);
   EXPECT_EQ(kv_u64(cert, "cert_sources"), 2u);
   // block_bits = 512 clamps the default geometry (128, 1024) to (128, 512).
   EXPECT_EQ(kv_u64(cert, "cert_block_len"), 128u);
@@ -119,22 +119,6 @@ TEST(ServiceCert, CertVerbReportsPerSourceAndMergedSnapshots) {
   EXPECT_EQ(kv_u64(stats, "pool_source_0_pass"), 1u);
   EXPECT_EQ(kv_u64(stats, "pool_source_1_pass"), 1u);
   EXPECT_GT(kv_u64(stats, "pool_source_0_bits"), 0u);
-}
-
-TEST(ServiceCert, CertDisabledReportsEnabledZero) {
-  EntropyServerConfig cfg;
-  cfg.pool.producers = 1;
-  cfg.pool.buffer_bytes = 4096;
-  cfg.pool.block_bits = 512;
-  cfg.pool.certify = false;
-  EntropyServer server(cfg, ideal_factory());
-  auto client = EntropyClient::connect_tcp("127.0.0.1", server.tcp_port());
-  const auto cert = parse_kv(client.cert());
-  EXPECT_EQ(kv_u64(cert, "cert_enabled"), 0u);
-  EXPECT_EQ(cert.count("merged_bits"), 0u);
-  // STATS omits the cert summary lines entirely.
-  const auto stats = parse_kv(client.stats());
-  EXPECT_EQ(stats.count("cert_pass"), 0u);
 }
 
 TEST(ServiceCert, BiasFaultCrossesCertThresholdAtExactWindow) {

@@ -574,6 +574,29 @@ TEST(ServiceProtocol, UnixDomainTransportServes) {
   EXPECT_TRUE(fx.drained());
 }
 
+TEST(ServiceProtocol, TcpAndUnixAcceptsShareOneRoundRobin) {
+  // Shard 0 owns both listeners and deals every accept, whatever its
+  // transport, round-robin over all three shards — two rounds here, all
+  // held open at once.
+  EntropyServerConfig cfg;
+  cfg.shards = 3;
+  cfg.unix_path = testing::TempDir() + "dhtrng_service_rr_test.sock";
+  ServerFixture fx(cfg);
+  std::vector<EntropyClient> clients;
+  for (int i = 0; i < 6; ++i) {
+    const std::string& path = fx.server->unix_path();
+    clients.push_back(i % 2 == 0 ? fx.client()
+                                 : EntropyClient::connect_unix(path));
+    const auto result = clients.back().fetch(64, Quality::Raw);
+    ASSERT_TRUE(result.ok()) << "connection " << i;
+    EXPECT_EQ(result.bytes.size(), 64u);
+  }
+  EXPECT_EQ(fx.server->active_connections(), 6u);
+  EXPECT_EQ(fx.server->metrics().connections_accepted.load(), 6u);
+  for (auto& c : clients) c.close();
+  EXPECT_TRUE(fx.drained());
+}
+
 TEST(ServiceProtocol, StopUnblocksIdleConnections) {
   ServerFixture fx;
   auto client = fx.client();

@@ -55,7 +55,7 @@ TEST(GateEval, TableDrivenMatchesEvaluateGateExhaustively) {
       Circuit c;
       std::vector<NetId> ins;
       for (std::size_t j = 0; j < arity; ++j) {
-        ins.push_back(c.add_net("x" + std::to_string(j)));
+        ins.push_back(c.add_net(std::string("x").append(std::to_string(j))));
       }
       if (accepted) c.add_gate(kind, ins, c.add_net("y"), 10.0);
       const FlatNetlist flat = FlatNetlist::build(c);

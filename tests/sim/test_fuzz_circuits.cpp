@@ -46,7 +46,7 @@ FuzzCircuit make_random_circuit(std::uint64_t seed) {
   pool.push_back(en);
   const int gates = 5 + static_cast<int>(rng.below(20));
   for (int g = 0; g < gates; ++g) {
-    const NetId out = c.add_net("g" + std::to_string(g));
+    const NetId out = c.add_net(std::string("g").append(std::to_string(g)));
     const GateKind kind = static_cast<GateKind>(rng.below(9));
     std::vector<NetId> ins;
     const std::size_t arity = kind == GateKind::Inv || kind == GateKind::Buf
@@ -64,7 +64,7 @@ FuzzCircuit make_random_circuit(std::uint64_t seed) {
   // Flip-flops sampling random nets.
   const int ffs = 1 + static_cast<int>(rng.below(4));
   for (int f = 0; f < ffs; ++f) {
-    const NetId q = c.add_net("q" + std::to_string(f));
+    const NetId q = c.add_net(std::string("q").append(std::to_string(f)));
     fc.dffs.push_back(c.add_dff(clk, pool[rng.below(pool.size())], q));
     pool.push_back(q);
   }

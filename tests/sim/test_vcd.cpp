@@ -99,7 +99,9 @@ TEST(VcdParse, RoundTripsWriterOutput) {
   ASSERT_EQ(doc.changes.size(), trace.change_count());
   // Timestamps nondecreasing; every change names a declared var.
   for (std::size_t i = 0; i < doc.changes.size(); ++i) {
-    if (i > 0) EXPECT_GE(doc.changes[i].time, doc.changes[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(doc.changes[i].time, doc.changes[i - 1].time);
+    }
     EXPECT_LT(doc.changes[i].var, doc.vars.size());
   }
   // The initial dump records both nets at t=0: en=1, ring output as primed.

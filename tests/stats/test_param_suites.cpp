@@ -33,9 +33,9 @@ TEST_P(McvBiasSweep, EstimateMatchesTheory) {
 
 INSTANTIATE_TEST_SUITE_P(Probabilities, McvBiasSweep,
                          ::testing::Values(0.5, 0.55, 0.6, 0.7, 0.8, 0.9),
-                         [](const ::testing::TestParamInfo<double>& info) {
-                           return "p" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                         [](const auto& param_info) {
+                           return std::string("p").append(std::to_string(
+                               static_cast<int>(param_info.param * 100)));
                          });
 
 // --- Markov tracks transition stickiness ------------------------------------
@@ -58,9 +58,9 @@ TEST_P(MarkovStickinessSweep, EstimateMatchesChainEntropy) {
 
 INSTANTIATE_TEST_SUITE_P(Stickiness, MarkovStickinessSweep,
                          ::testing::Values(0.5, 0.6, 0.7, 0.8, 0.9),
-                         [](const ::testing::TestParamInfo<double>& info) {
-                           return "stay" + std::to_string(static_cast<int>(
-                                               info.param * 100));
+                         [](const auto& param_info) {
+                           return std::string("stay").append(std::to_string(
+                               static_cast<int>(param_info.param * 100)));
                          });
 
 // --- every SP 800-22 test yields valid p-values on ideal data ---------------

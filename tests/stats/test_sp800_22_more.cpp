@@ -95,12 +95,16 @@ TEST(Serial, DeltaStatisticsNonNegative) {
 
 TEST(RandomExcursions, StatesCoverMinusFourToFour) {
   const auto r = random_excursions(ideal_bits(1000000, 9));
-  if (r.applicable) EXPECT_EQ(r.p_values.size(), 8u);
+  if (r.applicable) {
+    EXPECT_EQ(r.p_values.size(), 8u);
+  }
 }
 
 TEST(RandomExcursionsVariant, EighteenStates) {
   const auto r = random_excursions_variant(ideal_bits(1000000, 10));
-  if (r.applicable) EXPECT_EQ(r.p_values.size(), 18u);
+  if (r.applicable) {
+    EXPECT_EQ(r.p_values.size(), 18u);
+  }
 }
 
 TEST(SuiteRunner, EmptyInputYieldsNoRows) {

@@ -96,7 +96,9 @@ TEST(RealDftMagnitudes, PureToneConcentratesEnergy) {
   // Bin 10 carries ~n/2 of amplitude; everything else near zero.
   EXPECT_NEAR(mags[10], static_cast<double>(n) / 2.0, 1e-6);
   for (std::size_t k = 0; k < mags.size(); ++k) {
-    if (k != 10) EXPECT_LT(mags[k], 1e-6);
+    if (k != 10) {
+      EXPECT_LT(mags[k], 1e-6);
+    }
   }
 }
 
