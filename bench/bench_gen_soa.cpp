@@ -8,7 +8,9 @@
 // *speedup* (scalar ns/bit over SoA ns/bit) rather than absolute rates:
 // both paths run on the same machine in the same process, so the ratio is
 // stable across runners and the checked-in bench/BENCH_gen_baseline.json
-// stays meaningful anywhere.
+// stays meaningful anywhere.  The SoA side runs on the active SIMD tier
+// (scalar, avx2, avx512 or neon), which the header, the JSON and the
+// trajectory row name, so a speedup can be read per tier.
 //
 // Flags:
 //   --quick               short run (CI); default sizes a longer run
@@ -32,6 +34,7 @@
 #include "core/dhtrng_array.h"
 #include "core/dhtrng_soa.h"
 #include "support/bitstream.h"
+#include "support/simd_noise.h"
 
 int main(int argc, char** argv) {
   using dhtrng::bench::flag;
@@ -52,9 +55,12 @@ int main(int argc, char** argv) {
   dhtrng::bench::header(
       "gen microbench: bitsliced SoA backend vs scalar per-instance path",
       "bulk-generation speedup (repo infrastructure; not a paper table)");
-  std::printf("config: %zu bits per rep, seed %llu, best of %d%s\n\n", nbits,
-              static_cast<unsigned long long>(seed), reps,
-              quick ? " (--quick)" : "");
+  const char* tier =
+      dhtrng::support::simd::tier_name(dhtrng::support::simd::active_tier());
+  std::printf("config: %zu bits per rep, seed %llu, best of %d%s, "
+              "simd tier %s\n\n",
+              nbits, static_cast<unsigned long long>(seed), reps,
+              quick ? " (--quick)" : "", tier);
 
   // Scalar path: one DH-TRNG instance advanced on one thread.  The SoA
   // acceptance metric is per-core, so the scalar side must not be allowed
@@ -95,6 +101,7 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"gen_soa\",\n";
   json << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
   json << "  \"bits\": " << nbits << ",\n  \"seed\": " << seed << ",\n";
+  json << "  \"simd_tier\": \"" << tier << "\",\n";
   json << "  \"scalar_ns_per_bit\": " << scalar_ns_bit << ",\n";
   json << "  \"soa_ns_per_bit\": " << soa_ns_bit << ",\n";
   json << "  \"scalar_mbit_per_s\": " << scalar_mbps << ",\n";
@@ -106,7 +113,8 @@ int main(int argc, char** argv) {
   }
   dhtrng::bench::append_trajectory(
       traj_path, "gen_soa", soa_ns_bit, soa_mbps,
-      "\"speedup_vs_scalar\": " + std::to_string(speedup));
+      "\"speedup_vs_scalar\": " + std::to_string(speedup) +
+          ", \"simd_tier\": \"" + tier + "\"");
   std::printf("wrote %s and appended %s\n", out_path.c_str(),
               traj_path.c_str());
 

@@ -28,7 +28,8 @@
 //    different (batched, branch-free) one — statistically equivalent but
 //    NOT bit-compatible with Exact, same contract as noise::NoiseMode::Fast
 //    in the event-driven simulator.  Deterministic per (seed, mode) and
-//    bit-identical across dispatch tiers.
+//    bit-identical across dispatch tiers (scalar, AVX2, AVX-512, NEON;
+//    see dhtrng_soa_engine.h).
 //
 // The fast engine is the bulk-generation path: one EntropyPool producer
 // block (4096 bits) is exactly 64 steps, and trng_tool --backend=soa uses

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "support/special_functions.h"
+#include "support/wordops.h"
 
 namespace dhtrng::stats {
 
@@ -120,7 +121,7 @@ bool AdaptiveProportionTest::feed_word(std::uint64_t bits, std::size_t nbits) {
         span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1;
     const std::uint64_t seg = (bits >> i) & mask;
     const std::size_t m = static_cast<std::size_t>(
-        std::popcount(reference_ ? seg : ~seg & mask));
+        support::wordops::popcount64(reference_ ? seg : ~seg & mask));
     if (matches_ + m >= cutoff_) {
       // The cutoff falls inside this segment: replay it per bit so the
       // alarm freezes index_/matches_ at exactly the scalar alarm point.

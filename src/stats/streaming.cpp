@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -226,46 +225,39 @@ void SourceTracker::step_bit(bool bit) {
   if (++w_fill_ == config_.window_bits) finish_window();
 }
 
-// Both byte steps require n_ % 8 == 0 on entry (the feed entry points
+// The byte step requires n_ % 8 == 0 on entry (the feed entry points
 // guarantee it); block and window boundaries are then byte-aligned, so a
-// byte never straddles one.
-void SourceTracker::step_byte_lsb(std::uint8_t v) {
+// byte never straddles one.  `msb_first` picks the stream order within the
+// byte; the walk table of that order gives the byte's counts and prefix
+// extremes, and the table of the reverse order its suffix extremes.
+void SourceTracker::step_byte(std::uint8_t v, bool msb_first) {
   const bool had = n_ > 0;
   const bool prev = last_bit_;
   const bool in_window = w_fill_ > 0;
-  const unsigned x = v;
-  const bool first = (x & 1u) != 0;
-  const bool last = (x >> 7) & 1u;
-  const auto pop = static_cast<std::uint64_t>(std::popcount(x));
-  const auto trans =
-      static_cast<std::uint64_t>(std::popcount((x ^ (x >> 1)) & 0x7fu));
-  // LSB-first stream order: the transition i -> i+1 pairs bit i with bit
-  // i+1, so "from" is the lower bit index.
-  const auto b11 = static_cast<std::uint64_t>(std::popcount(x & (x >> 1) & 0x7fu));
-  const auto b10 = static_cast<std::uint64_t>(std::popcount(x & ~(x >> 1) & 0x7fu));
-  const auto b01 = static_cast<std::uint64_t>(std::popcount(~x & (x >> 1) & 0x7fu));
-  const wo::ByteWalk fw = wo::kWalkForward[x];
+  const wo::ByteWalk& fw = msb_first ? wo::kWalkBackward[v] : wo::kWalkForward[v];
   // Prefix extremes of the reversed traversal == suffix extremes of the
   // stream-order walk.
-  const wo::ByteWalk sfx = wo::kWalkBackward[x];
+  const wo::ByteWalk& sfx =
+      msb_first ? wo::kWalkForward[v] : wo::kWalkBackward[v];
+  const bool first = fw.first;
 
   n_ += 8;
-  ones_ += pop;
+  ones_ += fw.ones;
   if (!had) {
     first_bit_ = first;
   } else if (prev != first) {
     ++transitions_;
   }
-  transitions_ += trans;
-  last_bit_ = last;
+  transitions_ += fw.transitions;
+  last_bit_ = fw.last;
   if (had) {
     if (prev && first) ++t11_;
     else if (prev) ++t10_;
     else if (first) ++t01_;
   }
-  t11_ += b11;
-  t10_ += b10;
-  t01_ += b01;
+  t11_ += fw.t11;
+  t10_ += fw.t10;
+  t01_ += fw.t01;
   max_prefix_ = std::max(max_prefix_, walk_ + fw.max_prefix);
   min_prefix_ = std::min(min_prefix_, walk_ + fw.min_prefix);
   max_suffix_ = std::max<std::int64_t>(
@@ -273,7 +265,7 @@ void SourceTracker::step_byte_lsb(std::uint8_t v) {
   min_suffix_ = std::min<std::int64_t>(
       {0, static_cast<std::int64_t>(sfx.min_prefix), min_suffix_ + fw.delta});
   walk_ += fw.delta;
-  cur_block_ones_ += pop;
+  cur_block_ones_ += fw.ones;
   cur_block_fill_ += 8;
   if (cur_block_fill_ == config_.block_len) finish_block();
   if (in_window) {
@@ -281,70 +273,10 @@ void SourceTracker::step_byte_lsb(std::uint8_t v) {
     else if (prev) ++w_t10_;
     else if (first) ++w_t01_;
   }
-  w_t11_ += b11;
-  w_t10_ += b10;
-  w_t01_ += b01;
-  w_ones_ += pop;
-  w_fill_ += 8;
-  if (w_fill_ == config_.window_bits) finish_window();
-}
-
-void SourceTracker::step_byte_msb(std::uint8_t v) {
-  const bool had = n_ > 0;
-  const bool prev = last_bit_;
-  const bool in_window = w_fill_ > 0;
-  const unsigned x = v;
-  const bool first = (x >> 7) & 1u;
-  const bool last = (x & 1u) != 0;
-  const auto pop = static_cast<std::uint64_t>(std::popcount(x));
-  const auto trans =
-      static_cast<std::uint64_t>(std::popcount((x ^ (x >> 1)) & 0x7fu));
-  // MSB-first stream order: the transition pairs bit k+1 ("from") with
-  // bit k ("to"), so 1->0 reads the *shifted* word as the source bit.
-  const auto b11 = static_cast<std::uint64_t>(std::popcount(x & (x >> 1) & 0x7fu));
-  const auto b10 = static_cast<std::uint64_t>(std::popcount((x >> 1) & ~x & 0x7fu));
-  const auto b01 = static_cast<std::uint64_t>(std::popcount(x & ~(x >> 1) & 0x7fu));
-  // MSB-first traversal is kWalkBackward's order; kWalkForward then gives
-  // the suffix extremes.
-  const wo::ByteWalk fw = wo::kWalkBackward[x];
-  const wo::ByteWalk sfx = wo::kWalkForward[x];
-
-  n_ += 8;
-  ones_ += pop;
-  if (!had) {
-    first_bit_ = first;
-  } else if (prev != first) {
-    ++transitions_;
-  }
-  transitions_ += trans;
-  last_bit_ = last;
-  if (had) {
-    if (prev && first) ++t11_;
-    else if (prev) ++t10_;
-    else if (first) ++t01_;
-  }
-  t11_ += b11;
-  t10_ += b10;
-  t01_ += b01;
-  max_prefix_ = std::max(max_prefix_, walk_ + fw.max_prefix);
-  min_prefix_ = std::min(min_prefix_, walk_ + fw.min_prefix);
-  max_suffix_ = std::max<std::int64_t>(
-      {0, static_cast<std::int64_t>(sfx.max_prefix), max_suffix_ + fw.delta});
-  min_suffix_ = std::min<std::int64_t>(
-      {0, static_cast<std::int64_t>(sfx.min_prefix), min_suffix_ + fw.delta});
-  walk_ += fw.delta;
-  cur_block_ones_ += pop;
-  cur_block_fill_ += 8;
-  if (cur_block_fill_ == config_.block_len) finish_block();
-  if (in_window) {
-    if (prev && first) ++w_t11_;
-    else if (prev) ++w_t10_;
-    else if (first) ++w_t01_;
-  }
-  w_t11_ += b11;
-  w_t10_ += b10;
-  w_t01_ += b01;
-  w_ones_ += pop;
+  w_t11_ += fw.t11;
+  w_t10_ += fw.t10;
+  w_t01_ += fw.t01;
+  w_ones_ += fw.ones;
   w_fill_ += 8;
   if (w_fill_ == config_.window_bits) finish_window();
 }
@@ -385,7 +317,7 @@ void SourceTracker::feed_word(std::uint64_t bits, std::size_t nbits) {
     throw std::invalid_argument("SourceTracker::feed_word: nbits > 64");
   }
   while (nbits >= 8 && (n_ % 8) == 0) {
-    step_byte_lsb(static_cast<std::uint8_t>(bits & 0xff));
+    step_byte(static_cast<std::uint8_t>(bits & 0xff), false);
     bits >>= 8;
     nbits -= 8;
   }
@@ -397,7 +329,7 @@ void SourceTracker::feed_word(std::uint64_t bits, std::size_t nbits) {
 void SourceTracker::feed_bytes(const std::uint8_t* data, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) {
     if ((n_ % 8) == 0) {
-      step_byte_msb(data[i]);
+      step_byte(data[i], true);
     } else {
       for (int b = 7; b >= 0; --b) {
         step_bit(((data[i] >> b) & 1u) != 0);

@@ -153,8 +153,7 @@ class SourceTracker {
 
  private:
   void step_bit(bool bit);
-  void step_byte_lsb(std::uint8_t v);
-  void step_byte_msb(std::uint8_t v);
+  void step_byte(std::uint8_t v, bool msb_first);
   void finish_block();
   void finish_window();
 

@@ -1,11 +1,13 @@
 // Dispatch layer for the fast-noise kernels + the scalar tier (this TU
-// compiles simd_noise_kernels.inc with baseline flags; the AVX2/NEON tiers
-// recompile the same include in their own TUs — see CMakeLists.txt).
+// compiles simd_noise_kernels.inc with baseline flags; the NEON tier
+// recompiles the same include, the AVX2 and AVX-512 tiers mirror it in
+// intrinsics — see CMakeLists.txt).
 
 #include "support/simd_noise.h"
 
 #include <atomic>
 #include <cstdlib>
+#include <initializer_list>
 
 #include "support/rng.h"
 
@@ -17,9 +19,10 @@ namespace dhtrng::support::simd {
 
 // Every tier exports the same kernel set; the per-tier namespaces repeat
 // this list (kept as a macro so a new kernel can't be declared for one
-// tier and forgotten for another).
-#define DHTRNG_KERNEL_DECLS                                                   \
-  void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);        \
+// tier and forgotten for another).  The AVX-512 tier exports only the
+// SoA-step kernels (DHTRNG_SOA_KERNEL_DECLS); boxmuller_fill, the serial
+// stream, stays on the AVX2 code under it.
+#define DHTRNG_SOA_KERNEL_DECLS                                               \
   void xoshiro_soa_gaussian_fill(std::uint64_t s[4][64], double* out,         \
                                  std::size_t n);                              \
   void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n); \
@@ -30,16 +33,33 @@ namespace dhtrng::support::simd {
   std::uint64_t uniform_lt_mask64_lo(const std::uint64_t* raw,                \
                                      const double* p);                        \
   void xoshiro_soa_advance(std::uint64_t s[4][64], std::uint64_t* out);
+#define DHTRNG_KERNEL_DECLS                                                   \
+  void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);        \
+  DHTRNG_SOA_KERNEL_DECLS
 
 #if defined(__x86_64__) || defined(_M_X64)
-// Defined in simd_noise_avx2.cpp (compiled with -mavx2 -mfma); only ever
-// called after the runtime CPU check.
+// Defined in simd_noise_avx2.cpp (-mavx2 -mfma) and simd_noise_avx512.cpp
+// (-mavx512f -mavx512dq -mavx512vl); only ever called after the runtime
+// CPU check.
 namespace avx2_k {
 DHTRNG_KERNEL_DECLS
 }  // namespace avx2_k
+namespace avx512_k {
+DHTRNG_SOA_KERNEL_DECLS
+}  // namespace avx512_k
 // `return f(...)` is valid for void f, so one form covers every kernel.
 #define DHTRNG_DISPATCH(call)             \
   switch (active_tier()) {                \
+    case Tier::Avx512:                    \
+      return avx512_k::call;              \
+    case Tier::Avx2:                      \
+      return avx2_k::call;                \
+    default:                              \
+      return scalar_k::call;              \
+  }
+#define DHTRNG_DISPATCH_SERIAL(call)      \
+  switch (active_tier()) {                \
+    case Tier::Avx512:                    \
     case Tier::Avx2:                      \
       return avx2_k::call;                \
     default:                              \
@@ -60,22 +80,38 @@ DHTRNG_KERNEL_DECLS
 #else
 #define DHTRNG_DISPATCH(call) return scalar_k::call;
 #endif
+#ifndef DHTRNG_DISPATCH_SERIAL
+#define DHTRNG_DISPATCH_SERIAL(call) DHTRNG_DISPATCH(call)
+#endif
 
 namespace {
 
-Tier hardware_tier() {
+bool cpu_supports(Tier t) {
+  switch (t) {
+    case Tier::Scalar:
+      return true;
 #if defined(__aarch64__)
-  return Tier::Neon;
-#elif defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return Tier::Avx2;
+    case Tier::Neon:
+      return true;
+#elif (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
+    case Tier::Avx2:
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    case Tier::Avx512:
+      return cpu_supports(Tier::Avx2) && __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512dq") &&
+             __builtin_cpu_supports("avx512vl");
+#endif
+    default:
+      return false;
   }
-#endif
+}
+
+Tier hardware_tier() {
+  for (Tier t : {Tier::Avx512, Tier::Avx2, Tier::Neon}) {
+    if (cpu_supports(t)) return t;
+  }
   return Tier::Scalar;
-#else
-  return Tier::Scalar;
-#endif
 }
 
 std::atomic<Tier>& active_tier_slot() {
@@ -89,6 +125,8 @@ const char* tier_name(Tier t) {
   switch (t) {
     case Tier::Avx2:
       return "avx2";
+    case Tier::Avx512:
+      return "avx512";
     case Tier::Neon:
       return "neon";
     case Tier::Scalar:
@@ -109,12 +147,12 @@ Tier detected_tier() {
 Tier active_tier() { return active_tier_slot().load(std::memory_order_relaxed); }
 
 Tier force_tier(Tier t) {
-  if (t != Tier::Scalar && t != hardware_tier()) t = Tier::Scalar;
+  if (!cpu_supports(t)) t = Tier::Scalar;
   return active_tier_slot().exchange(t, std::memory_order_relaxed);
 }
 
 void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n) {
-  DHTRNG_DISPATCH(boxmuller_fill(s, out, n))
+  DHTRNG_DISPATCH_SERIAL(boxmuller_fill(s, out, n))
 }
 
 void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n) {

@@ -6,15 +6,22 @@
 // waveform digests and cannot be reordered.  The kernels here implement the
 // documented `fast-noise` relaxation: batched Box-Muller and polynomial
 // special functions over whole blocks, laid out so the compiler vectorizes
-// them (AVX2 on x86-64, NEON on aarch64, plain scalar elsewhere).
+// them (AVX2 or AVX-512 on x86-64, NEON on aarch64, plain scalar
+// elsewhere).
 //
-// Dispatch contract: every tier produces *bit-identical* doubles.  All
-// tiers compile the same kernel source (simd_noise_kernels.inc) with
-// contraction disabled and explicit std::fma, and IEEE-754 makes +, -, *,
-// /, sqrt and fma deterministic per lane — so vector width never changes a
-// result, only wall-clock.  tests/noise/test_simd_dispatch.cpp asserts
-// exact equality between the active tier and the forced-scalar path; the
+// Dispatch contract: every tier produces *bit-identical* doubles.  The
+// scalar and NEON tiers compile the same kernel source
+// (simd_noise_kernels.inc) with contraction disabled and explicit std::fma;
+// the AVX2 and AVX-512 tiers repeat that operation sequence in intrinsics,
+// 4 and 8 doubles wide.  IEEE-754 makes +, -, *, /, sqrt and fma
+// deterministic per lane — so vector width never changes a result, only
+// wall-clock.  tests/noise/test_simd_dispatch.cpp asserts exact equality
+// between every tier the CPU supports and the forced-scalar path; the
 // documented compatibility bound for future platforms is <= 2 ulp.
+//
+// The AVX-512 tier (avx512f + avx512dq + avx512vl on top of AVX2/FMA)
+// covers the kernels of the SoA engine's step; boxmuller_fill, the
+// simulator's serial stream, runs the AVX2 code under it.
 //
 // Tier selection: the best tier the CPU supports, clamped to Scalar when
 // the environment variable DHTRNG_FORCE_SCALAR=1 is set (the CI parity
@@ -30,7 +37,7 @@ class Xoshiro256;
 
 namespace dhtrng::support::simd {
 
-enum class Tier { Scalar, Avx2, Neon };
+enum class Tier { Scalar, Avx2, Avx512, Neon };
 
 const char* tier_name(Tier t);
 
@@ -42,8 +49,8 @@ Tier detected_tier();
 /// force_tier() changed it).
 Tier active_tier();
 
-/// Test hook: force dispatch to `t` (clamped to what the CPU supports).
-/// Returns the previously active tier.
+/// Test hook: force dispatch to `t` if the CPU supports it, else to
+/// Scalar.  Returns the previously active tier.
 Tier force_tier(Tier t);
 
 /// Fused fill: advances the xoshiro256** state `s` inline and writes `n`

@@ -6,7 +6,10 @@
 // running sum to the prefix extremes to recover the exact per-bit extremes
 // without visiting individual bits.  Tables exist for both traversal
 // orders because the cumulative-sums test walks the stream forward
-// (LSB-first within a packed word) and backward (MSB-first).
+// (LSB-first within a packed word) and backward (MSB-first).  Each entry
+// also carries the byte's bit and adjacent-pair counts, so the streaming
+// tracker steps a byte with table lookups instead of popcounts (which a
+// baseline x86-64 build compiles to libgcc calls).
 #pragma once
 
 #include <algorithm>
@@ -22,6 +25,11 @@ struct ByteWalk {
   std::int8_t delta;       ///< sum of the eight ±1 steps
   std::int8_t max_prefix;  ///< max over the 8 non-empty prefix sums
   std::int8_t min_prefix;  ///< min over the 8 non-empty prefix sums
+  std::uint8_t ones;         ///< set bits
+  std::uint8_t transitions;  ///< adjacent pairs that differ (of 7)
+  // Adjacent pairs (earlier bit -> later bit) in traversal order.
+  std::uint8_t t11, t10, t01;
+  bool first, last;  ///< first and last bit of the traversal
 };
 
 namespace detail {
@@ -31,15 +39,29 @@ constexpr std::array<ByteWalk, 256> make_walk_table(bool msb_first) {
     int sum = 0;
     int max_prefix = -9;
     int min_prefix = 9;
+    int ones = 0, t11 = 0, t10 = 0, t01 = 0;
+    int prev = 0, first = 0;
     for (int step = 0; step < 8; ++step) {
       const int bit = msb_first ? (value >> (7 - step)) & 1 : (value >> step) & 1;
       sum += bit ? 1 : -1;
       if (sum > max_prefix) max_prefix = sum;
       if (sum < min_prefix) min_prefix = sum;
+      ones += bit;
+      if (step == 0) {
+        first = bit;
+      } else {
+        t11 += prev & bit;
+        t10 += prev & (bit ^ 1);
+        t01 += (prev ^ 1) & bit;
+      }
+      prev = bit;
     }
     table[static_cast<std::size_t>(value)] = {
         static_cast<std::int8_t>(sum), static_cast<std::int8_t>(max_prefix),
-        static_cast<std::int8_t>(min_prefix)};
+        static_cast<std::int8_t>(min_prefix), static_cast<std::uint8_t>(ones),
+        static_cast<std::uint8_t>(t10 + t01), static_cast<std::uint8_t>(t11),
+        static_cast<std::uint8_t>(t10), static_cast<std::uint8_t>(t01),
+        first != 0, prev != 0};
   }
   return table;
 }
@@ -51,6 +73,15 @@ inline constexpr std::array<ByteWalk, 256> kWalkForward =
 /// Walk table for bits taken MSB-first (reverse stream order).
 inline constexpr std::array<ByteWalk, 256> kWalkBackward =
     detail::make_walk_table(true);
+
+/// Set bits of `v` by the SWAR bit-count: the same integer as
+/// std::popcount, without the libgcc call a baseline x86-64 build makes.
+constexpr unsigned popcount64(std::uint64_t v) {
+  v -= (v >> 1) & 0x5555555555555555ULL;
+  v = (v & 0x3333333333333333ULL) + ((v >> 2) & 0x3333333333333333ULL);
+  v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<unsigned>((v * 0x0101010101010101ULL) >> 56);
+}
 
 /// Reverse the low `m` bits of `v` (m <= 64).  Maps an LSB-first window
 /// value to the MSB-first convention used by the scalar pattern kernels.

@@ -4,9 +4,9 @@
 //  * Exact mode is bit-identical to DhTrngArray with 64 cores and the same
 //    master seed (lane l of every output word == the array's core l bit);
 //  * the fast engine is deterministic per seed and tier-independent (the
-//    scalar and AVX2/NEON step kernels compile the same operation sequence
-//    with -ffp-contract=off, so forcing the scalar tier must reproduce the
-//    native words exactly);
+//    scalar and AVX2/AVX-512/NEON step kernels compile the same operation
+//    sequence with -ffp-contract=off, so every supported tier must
+//    reproduce the scalar tier's words exactly);
 //  * the TrngSource surface (next_bit / generate) serves the words in the
 //    documented lane-major round-robin order;
 //  * restart() re-arms the oscillator phases deterministically;
@@ -72,18 +72,25 @@ TEST(DhTrngSoA, FastModeIsDeterministicPerSeed) {
 }
 
 TEST(DhTrngSoA, FastModeScalarTierMatchesNativeTier) {
-  std::vector<std::uint64_t> native(128), scalar(128);
-  {
+  // Every tier the CPU supports (force_tier clamps the others to Scalar)
+  // must reproduce the scalar tier's words exactly.
+  const auto words_on = [](simd::Tier t) {
+    const simd::Tier prev = simd::force_tier(t);
+    const bool supported = simd::active_tier() == t;
+    std::vector<std::uint64_t> words(128);
     DhTrngSoA soa(soa_config(123));
-    soa.generate_words(native.data(), native.size());
-  }
-  {
-    const simd::Tier prev = simd::force_tier(simd::Tier::Scalar);
-    DhTrngSoA soa(soa_config(123));
-    soa.generate_words(scalar.data(), scalar.size());
+    soa.generate_words(words.data(), words.size());
     simd::force_tier(prev);
+    return supported ? words : std::vector<std::uint64_t>{};
+  };
+  const auto scalar = words_on(simd::Tier::Scalar);
+  for (simd::Tier t :
+       {simd::Tier::Avx2, simd::Tier::Avx512, simd::Tier::Neon}) {
+    const auto native = words_on(t);
+    if (!native.empty()) {
+      EXPECT_EQ(native, scalar) << simd::tier_name(t);
+    }
   }
-  EXPECT_EQ(native, scalar);
 }
 
 TEST(DhTrngSoA, NextBitServesWordsLaneMajor) {

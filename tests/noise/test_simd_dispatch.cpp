@@ -1,15 +1,16 @@
 // CPU-dispatch parity for the SIMD noise kernels (support/simd_noise.h).
 //
 // The contract under test is the one docs/architecture.md documents: every
-// dispatch tier (scalar baseline, AVX2, NEON) produces bit-identical
-// doubles — the tiers are compiled from the same operation sequence with
-// -ffp-contract=off, so there is no "documented ulp bound" to allow; the
-// bound is zero.  The tests force the scalar tier via
-// support::simd::force_tier and compare against the hardware tier
-// elementwise with exact equality.  On a machine whose detected tier IS
-// scalar the comparisons degenerate to scalar-vs-scalar and still pass —
-// CI runs the suite once natively and once under DHTRNG_FORCE_SCALAR=1, so
-// both code paths stay covered.
+// dispatch tier (scalar baseline, AVX2, AVX-512, NEON) produces
+// bit-identical doubles — the tiers are compiled from the same operation
+// sequence with -ffp-contract=off, so there is no "documented ulp bound" to
+// allow; the bound is zero.  Each parity test runs the kernel under every
+// vector tier this CPU supports (support::simd::force_tier) and compares
+// it elementwise with the forced-scalar path, with exact equality.  On a
+// machine with no vector tier the loops run zero times — CI runs the suite
+// once natively and once under DHTRNG_FORCE_SCALAR=1, so both code paths
+// stay covered.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -35,6 +36,18 @@ class TierScope {
   simd::Tier prev_;
 };
 
+/// Every vector tier force_tier() accepts on this CPU (it clamps the
+/// others to Scalar).
+std::vector<simd::Tier> vector_tiers() {
+  std::vector<simd::Tier> tiers;
+  for (simd::Tier t :
+       {simd::Tier::Avx2, simd::Tier::Avx512, simd::Tier::Neon}) {
+    TierScope probe(t);
+    if (simd::active_tier() == t) tiers.push_back(t);
+  }
+  return tiers;
+}
+
 std::vector<std::uint64_t> raw_block(std::size_t n, std::uint64_t seed) {
   dhtrng::support::Xoshiro256 rng(seed);
   std::vector<std::uint64_t> raw(n);
@@ -47,9 +60,10 @@ std::vector<std::uint64_t> raw_block(std::size_t n, std::uint64_t seed) {
 TEST(SimdDispatch, DetectedTierIsValidAndNamed) {
   const simd::Tier t = simd::detected_tier();
   EXPECT_TRUE(t == simd::Tier::Scalar || t == simd::Tier::Avx2 ||
-              t == simd::Tier::Neon);
+              t == simd::Tier::Avx512 || t == simd::Tier::Neon);
   EXPECT_STREQ(simd::tier_name(simd::Tier::Scalar), "scalar");
   EXPECT_STREQ(simd::tier_name(simd::Tier::Avx2), "avx2");
+  EXPECT_STREQ(simd::tier_name(simd::Tier::Avx512), "avx512");
   EXPECT_STREQ(simd::tier_name(simd::Tier::Neon), "neon");
   // The active tier starts at the detected tier (modulo an override by a
   // concurrently-registered test, which TierScope prevents).
@@ -72,6 +86,14 @@ TEST(SimdDispatch, ForceTierRestoresAndClampsToHardware) {
 #endif
   }
   EXPECT_EQ(simd::active_tier(), original);
+  // Every tier the CPU supports can be forced, not only the best one: an
+  // AVX-512 host accepts AVX2 too.
+  const auto tiers = vector_tiers();
+  if (std::find(tiers.begin(), tiers.end(), simd::Tier::Avx512) !=
+      tiers.end()) {
+    EXPECT_NE(std::find(tiers.begin(), tiers.end(), simd::Tier::Avx2),
+              tiers.end());
+  }
 }
 
 TEST(SimdDispatch, ForceScalarEnvPinsDetection) {
@@ -86,39 +108,49 @@ TEST(SimdDispatch, ForceScalarEnvPinsDetection) {
 
 TEST(SimdDispatch, XoshiroSoANativeMatchesScalar) {
   constexpr std::size_t kN = 64 * 32;
-  simd::XoshiroSoA a, b;
-  for (std::size_t l = 0; l < 64; ++l) {
-    a.seed_lane(l, 1000 + l);
-    b.seed_lane(l, 1000 + l);
+  const auto fill_on = [](simd::Tier t) {
+    TierScope scope(t);
+    simd::XoshiroSoA x;
+    for (std::size_t l = 0; l < 64; ++l) x.seed_lane(l, 1000 + l);
+    std::vector<std::uint64_t> out(kN);
+    x.fill(out.data(), kN);
+    return out;
+  };
+  const auto scalar = fill_on(simd::Tier::Scalar);
+  for (simd::Tier t : vector_tiers()) {
+    EXPECT_EQ(fill_on(t), scalar) << simd::tier_name(t);
   }
-  std::vector<std::uint64_t> native(kN), scalar(kN);
-  a.fill(native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    b.fill(scalar.data(), kN);
-  }
-  EXPECT_EQ(native, scalar);
 }
 
 TEST(SimdDispatch, BoxmullerFillNativeMatchesScalarBitwise) {
   constexpr std::size_t kN = 4096;
-  // Seed two identical xoshiro states the way Xoshiro256 does (SplitMix64
-  // expansion), advance both through the fused fill on different tiers.
-  std::uint64_t sa[4], sb[4];
-  dhtrng::support::SplitMix64 seeder(0xf05ed);
-  for (int j = 0; j < 4; ++j) sa[j] = sb[j] = seeder.next();
-  std::vector<double> native(kN), scalar(kN);
-  simd::boxmuller_fill(sa, native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::boxmuller_fill(sb, scalar.data(), kN);
+  // Seed identical xoshiro states the way Xoshiro256 does (SplitMix64
+  // expansion), advance each through the fused fill on one tier.  The
+  // fill advances the state identically too — a caller interleaving fused
+  // fills with raw draws stays on one stream across tiers.
+  struct Run {
+    std::vector<double> z;
+    std::vector<std::uint64_t> state;
+  };
+  const auto fill_on = [](simd::Tier t) {
+    TierScope scope(t);
+    std::uint64_t st[4];
+    dhtrng::support::SplitMix64 seeder(0xf05ed);
+    for (auto& w : st) w = seeder.next();
+    Run run{std::vector<double>(kN), {}};
+    simd::boxmuller_fill(st, run.z.data(), kN);
+    run.state.assign(st, st + 4);
+    return run;
+  };
+  const Run scalar = fill_on(simd::Tier::Scalar);
+  for (simd::Tier t : vector_tiers()) {
+    SCOPED_TRACE(simd::tier_name(t));
+    const Run native = fill_on(t);
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(native.z[i], scalar.z[i]) << "draw " << i;
+    }
+    EXPECT_EQ(native.state, scalar.state);
   }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "draw " << i;
-  }
-  // The fill advances the state identically too — a caller interleaving
-  // fused fills with raw draws stays on one stream across tiers.
-  for (int j = 0; j < 4; ++j) ASSERT_EQ(sa[j], sb[j]) << "state word " << j;
 }
 
 TEST(SimdDispatch, BoxmullerFillIsChunkInvariant) {
@@ -169,112 +201,143 @@ TEST(SimdDispatch, BoxmullerFillMomentsAreStandardNormal) {
 TEST(SimdDispatch, XoshiroSoAGaussianFillNativeMatchesScalar) {
   // 832 is the SoA engine's off-refresh draw count: 6 full 64-lane
   // advances plus a partial 7th, so the deterministic-discard tail path
-  // is exercised, not just the aligned path.
-  constexpr std::size_t kN = 832;
-  simd::XoshiroSoA a, b;
-  for (std::size_t l = 0; l < 64; ++l) {
-    a.seed_lane(l, 42 + l);
-    b.seed_lane(l, 42 + l);
+  // is exercised, not just the aligned path.  126 leaves a partial group
+  // of 14 normals, the widest tail the 16-normal AVX-512 group pads.
+  for (std::size_t n : {std::size_t{832}, std::size_t{126}}) {
+    struct Run {
+      std::vector<double> z;
+      std::vector<std::uint64_t> raw;  // the raw fill that follows
+    };
+    const auto fill_on = [n](simd::Tier t) {
+      TierScope scope(t);
+      simd::XoshiroSoA x;
+      for (std::size_t l = 0; l < 64; ++l) x.seed_lane(l, 42 + l);
+      Run run{std::vector<double>(n), std::vector<std::uint64_t>(64)};
+      x.gaussian_fill(run.z.data(), n);
+      x.fill(run.raw.data(), 64);
+      return run;
+    };
+    const Run scalar = fill_on(simd::Tier::Scalar);
+    for (simd::Tier t : vector_tiers()) {
+      SCOPED_TRACE(simd::tier_name(t));
+      const Run native = fill_on(t);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(native.z[i], scalar.z[i]) << "draw " << i << " of " << n;
+      }
+      // Subsequent raw fills stay in lockstep (same words discarded).
+      EXPECT_EQ(native.raw, scalar.raw);
+    }
   }
-  std::vector<double> native(kN), scalar(kN);
-  a.gaussian_fill(native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    b.gaussian_fill(scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "draw " << i;
-  }
-  // Subsequent raw fills must stay in lockstep (same words discarded).
-  std::vector<std::uint64_t> ra(64), rb(64);
-  a.fill(ra.data(), 64);
-  {
-    TierScope s(simd::Tier::Scalar);
-    b.fill(rb.data(), 64);
-  }
-  EXPECT_EQ(ra, rb);
 }
 
 TEST(SimdDispatch, UniformLtMaskHiLoNativeMatchesScalarAndSemantics) {
   const auto raw = raw_block(64 * 8, 0x19);
   std::vector<double> p(64);
   dhtrng::support::Xoshiro256 rng(0x20);
+  const auto tiers = vector_tiers();
   for (int rep = 0; rep < 8; ++rep) {
     for (auto& v : p) v = rng.uniform();
     const std::uint64_t* w = raw.data() + 64 * rep;
-    const std::uint64_t hi_native = simd::uniform_lt_mask64_hi(w, p.data());
-    const std::uint64_t lo_native = simd::uniform_lt_mask64_lo(w, p.data());
+    std::uint64_t hi = 0, lo = 0;
     {
       TierScope s(simd::Tier::Scalar);
-      ASSERT_EQ(hi_native, simd::uniform_lt_mask64_hi(w, p.data()));
-      ASSERT_EQ(lo_native, simd::uniform_lt_mask64_lo(w, p.data()));
+      hi = simd::uniform_lt_mask64_hi(w, p.data());
+      lo = simd::uniform_lt_mask64_lo(w, p.data());
+    }
+    for (simd::Tier t : tiers) {
+      TierScope s(t);
+      ASSERT_EQ(simd::uniform_lt_mask64_hi(w, p.data()), hi)
+          << simd::tier_name(t);
+      ASSERT_EQ(simd::uniform_lt_mask64_lo(w, p.data()), lo)
+          << simd::tier_name(t);
     }
     // Reference semantics: 32-bit halves scaled by 2^-32, strict less-than.
     for (std::size_t l = 0; l < 64; ++l) {
       const double hi_u = static_cast<double>(w[l] >> 32) * 0x1p-32;
       const double lo_u =
           static_cast<double>(w[l] & 0xffffffffu) * 0x1p-32;
-      ASSERT_EQ((hi_native >> l) & 1, hi_u < p[l] ? 1u : 0u);
-      ASSERT_EQ((lo_native >> l) & 1, lo_u < p[l] ? 1u : 0u);
+      ASSERT_EQ((hi >> l) & 1, hi_u < p[l] ? 1u : 0u);
+      ASSERT_EQ((lo >> l) & 1, lo_u < p[l] ? 1u : 0u);
     }
   }
 }
 
 TEST(SimdDispatch, TrimmedBatchesNativeMatchScalarBitwise) {
-  constexpr std::size_t kN = 2048;
   dhtrng::support::Xoshiro256 rng(0x7213);
-  std::vector<double> turns(kN), native(kN), scalar(kN);
-  for (auto& t : turns) t = rng.uniform(0.0, 2.0);
-  simd::sin2pi_batch_trimmed(turns.data(), native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::sin2pi_batch_trimmed(turns.data(), scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "sin2pi_trimmed element " << i;
+  // 2047 is not a multiple of 4 or 8, so every tier's tail path runs.
+  for (std::size_t n : {std::size_t{2048}, std::size_t{2047}}) {
+    std::vector<double> turns(n);
+    for (auto& t : turns) t = rng.uniform(0.0, 2.0);
+    const auto sin_on = [&turns, n](simd::Tier t) {
+      TierScope scope(t);
+      std::vector<double> out(n);
+      simd::sin2pi_batch_trimmed(turns.data(), out.data(), n);
+      return out;
+    };
+    const auto scalar = sin_on(simd::Tier::Scalar);
+    for (simd::Tier t : vector_tiers()) {
+      const auto native = sin_on(t);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(native[i], scalar[i])
+            << simd::tier_name(t) << " sin2pi_trimmed element " << i;
+      }
+    }
   }
 }
 
 TEST(SimdDispatch, GatedTrimmedCdfParityAndSemantics) {
-  constexpr std::size_t kN = 1027;  // non-multiple of 4 exercises the tail
   constexpr double kCut = 4.0;
   dhtrng::support::Xoshiro256 rng(0x6a7e);
-  std::vector<double> xs(kN);
-  // Mostly-far population with scattered near lanes, like the engine's
-  // aperture distances: all-far groups, mixed groups, and a gated tail.
-  for (std::size_t i = 0; i < kN; ++i) {
-    xs[i] = rng.uniform() < 0.2 ? rng.uniform(0.0, kCut)
-                                : rng.uniform(kCut, 40.0);
-  }
-  std::vector<double> native(kN), scalar(kN), ungated(kN);
-  simd::normal_cdf_batch_trimmed_gated(xs.data(), native.data(), kN, kCut);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::normal_cdf_batch_trimmed_gated(xs.data(), scalar.data(), kN, kCut);
-    simd::normal_cdf_batch_trimmed_gated(xs.data(), ungated.data(), kN,
-                                         HUGE_VAL);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "tier mismatch at element " << i;
-    // Per-4-group semantics: 1.0 iff the whole group is at/past the
-    // cutoff; otherwise (and for tail lanes) exactly the ungated batch.
-    const std::size_t g = i - i % 4;
-    bool gated = g + 4 <= kN;
-    for (std::size_t j = g; gated && j < g + 4; ++j) gated = !(xs[j] < kCut);
-    ASSERT_EQ(native[i], gated ? 1.0 : ungated[i]) << "element " << i;
+  // Non-multiples of 8 exercise the tails: 1027 ends in 3 ungated lanes,
+  // 1029 in one full (gated) group of 4 plus one lane.
+  for (std::size_t n : {std::size_t{1027}, std::size_t{1029}}) {
+    std::vector<double> xs(n);
+    // Mostly-far population with scattered near lanes, like the engine's
+    // aperture distances: all-far groups, mixed groups, and a gated tail.
+    for (std::size_t i = 0; i < n; ++i) {
+      xs[i] = rng.uniform() < 0.2 ? rng.uniform(0.0, kCut)
+                                  : rng.uniform(kCut, 40.0);
+    }
+    const auto cdf_on = [&xs, n](simd::Tier t, double cutoff) {
+      TierScope scope(t);
+      std::vector<double> out(n);
+      simd::normal_cdf_batch_trimmed_gated(xs.data(), out.data(), n, cutoff);
+      return out;
+    };
+    const auto scalar = cdf_on(simd::Tier::Scalar, kCut);
+    const auto ungated = cdf_on(simd::Tier::Scalar, HUGE_VAL);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Per-4-group semantics: 1.0 iff the whole group is at/past the
+      // cutoff; otherwise (and for tail lanes) exactly the ungated batch.
+      const std::size_t g = i - i % 4;
+      bool gated = g + 4 <= n;
+      for (std::size_t j = g; gated && j < g + 4; ++j) gated = !(xs[j] < kCut);
+      ASSERT_EQ(scalar[i], gated ? 1.0 : ungated[i]) << "element " << i;
+    }
+    for (simd::Tier t : vector_tiers()) {
+      const auto native = cdf_on(t, kCut);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(native[i], scalar[i])
+            << simd::tier_name(t) << " mismatch at element " << i;
+      }
+    }
   }
 }
 
 TEST(SimdDispatch, GaussianFillFastNativeMatchesScalar) {
   constexpr std::size_t kN = 1000;  // odd-ish size exercises the tail
-  dhtrng::support::Xoshiro256 a(0xfa57), b(0xfa57);
-  std::vector<double> native(kN), scalar(kN);
-  a.gaussian_fill_fast(native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    b.gaussian_fill_fast(scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "draw " << i;
+  const auto fill_on = [](simd::Tier t) {
+    TierScope scope(t);
+    dhtrng::support::Xoshiro256 x(0xfa57);
+    std::vector<double> out(kN);
+    x.gaussian_fill_fast(out.data(), kN);
+    return out;
+  };
+  const auto scalar = fill_on(simd::Tier::Scalar);
+  for (simd::Tier t : vector_tiers()) {
+    const auto native = fill_on(t);
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(native[i], scalar[i]) << simd::tier_name(t) << " draw " << i;
+    }
   }
 }
