@@ -234,7 +234,8 @@ void SourceTracker::step_byte(std::uint8_t v, bool msb_first) {
   const bool had = n_ > 0;
   const bool prev = last_bit_;
   const bool in_window = w_fill_ > 0;
-  const wo::ByteWalk& fw = msb_first ? wo::kWalkBackward[v] : wo::kWalkForward[v];
+  const wo::ByteWalk& fw =
+      msb_first ? wo::kWalkBackward[v] : wo::kWalkForward[v];
   // Prefix extremes of the reversed traversal == suffix extremes of the
   // stream-order walk.
   const wo::ByteWalk& sfx =

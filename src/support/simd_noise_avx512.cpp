@@ -140,9 +140,8 @@ inline __m512d bm_radial8(__m512i ww) {
 // by the angular uniform (low 32 bits), interleave and store 16 normals.
 inline void bm_finish8(__m512i ww, __m512d v, double* out) {
   const __m512d r = _mm512_sqrt_pd(v);
-  const __m512d u2 = _mm512_mul_pd(
-      small_u64_to_double(_mm512_and_si512(ww, _mm512_set1_epi64(0xffffffffLL))),
-      kInvTwo32);
+  const __m512i lo32 = _mm512_and_si512(ww, _mm512_set1_epi64(0xffffffffLL));
+  const __m512d u2 = _mm512_mul_pd(small_u64_to_double(lo32), kInvTwo32);
   __m512d s, c;
   sincos2pi_t(u2, s, c);
   const __m512d rc = _mm512_mul_pd(r, c);
