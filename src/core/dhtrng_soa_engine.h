@@ -4,13 +4,14 @@
 // (dhtrng_soa_kernel*.cpp, which compile dhtrng_soa_engine.inc).
 //
 // Tier model: the step kernel is ONE source file compiled once at the
-// baseline architecture (`scalar_k`) and, on x86-64, twice more: with
-// -mavx2 -mfma (`avx2_k`) and with -mavx512f -mavx512dq -mavx512vl and
-// 512-bit vectors preferred (`avx512_k`).  Every TU builds with
-// -ffp-contract=off, so the floating-point operation sequence per lane is
-// identical and the tiers are bit-identical by construction (the same
-// argument as the support SIMD kernels; on aarch64 the baseline TU already
-// vectorizes with NEON).
+// baseline architecture (`scalar_k`) and, on x86-64, once more with
+// -mavx2 -mfma (`avx2_k`).  Both TUs build with -ffp-contract=off, so the
+// floating-point operation sequence per lane is identical and the tiers
+// are bit-identical by construction (the same argument as the support
+// SIMD kernels; on aarch64 the baseline TU already vectorizes with NEON).
+// The AVX-512 tier runs the `avx2_k` step, whose noise-kernel calls then
+// dispatch to the 8-wide support kernels; a 512-bit build of this source
+// measured no end-to-end gain beyond run-to-run spread.
 // Guarded intrinsic fast paths inside the kernel are restricted to *exact*
 // operations — comparisons, sign-bit gathers, mask expansion — which
 // cannot round differently.  Dispatch keys off support::simd::active_tier()
@@ -107,9 +108,6 @@ std::uint64_t soa_step(EngineState& st);
 namespace avx2_k {
 std::uint64_t soa_step(EngineState& st);
 }
-namespace avx512_k {
-std::uint64_t soa_step(EngineState& st);
-}
 #endif
 
 /// One step of all 64 lanes through the tier support::simd::active_tier()
@@ -118,13 +116,10 @@ std::uint64_t soa_step(EngineState& st);
 /// output word (bit l = lane l's bit).
 inline std::uint64_t step(EngineState& st) {
 #if defined(__x86_64__) || defined(_M_X64)
-  switch (support::simd::active_tier()) {
-    case support::simd::Tier::Avx512:
-      return avx512_k::soa_step(st);
-    case support::simd::Tier::Avx2:
-      return avx2_k::soa_step(st);
-    default:
-      break;
+  const support::simd::Tier tier = support::simd::active_tier();
+  if (tier == support::simd::Tier::Avx2 ||
+      tier == support::simd::Tier::Avx512) {
+    return avx2_k::soa_step(st);
   }
 #endif
   return scalar_k::soa_step(st);

@@ -19,10 +19,9 @@ namespace dhtrng::support::simd {
 
 // Every tier exports the same kernel set; the per-tier namespaces repeat
 // this list (kept as a macro so a new kernel can't be declared for one
-// tier and forgotten for another).  The AVX-512 tier exports only the
-// SoA-step kernels (DHTRNG_SOA_KERNEL_DECLS); boxmuller_fill, the serial
-// stream, stays on the AVX2 code under it.
-#define DHTRNG_SOA_KERNEL_DECLS                                               \
+// tier and forgotten for another).
+#define DHTRNG_KERNEL_DECLS                                                   \
+  void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);        \
   void xoshiro_soa_gaussian_fill(std::uint64_t s[4][64], double* out,         \
                                  std::size_t n);                              \
   void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n); \
@@ -33,9 +32,6 @@ namespace dhtrng::support::simd {
   std::uint64_t uniform_lt_mask64_lo(const std::uint64_t* raw,                \
                                      const double* p);                        \
   void xoshiro_soa_advance(std::uint64_t s[4][64], std::uint64_t* out);
-#define DHTRNG_KERNEL_DECLS                                                   \
-  void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);        \
-  DHTRNG_SOA_KERNEL_DECLS
 
 #if defined(__x86_64__) || defined(_M_X64)
 // Defined in simd_noise_avx2.cpp (-mavx2 -mfma) and simd_noise_avx512.cpp
@@ -45,21 +41,13 @@ namespace avx2_k {
 DHTRNG_KERNEL_DECLS
 }  // namespace avx2_k
 namespace avx512_k {
-DHTRNG_SOA_KERNEL_DECLS
+DHTRNG_KERNEL_DECLS
 }  // namespace avx512_k
 // `return f(...)` is valid for void f, so one form covers every kernel.
 #define DHTRNG_DISPATCH(call)             \
   switch (active_tier()) {                \
     case Tier::Avx512:                    \
       return avx512_k::call;              \
-    case Tier::Avx2:                      \
-      return avx2_k::call;                \
-    default:                              \
-      return scalar_k::call;              \
-  }
-#define DHTRNG_DISPATCH_SERIAL(call)      \
-  switch (active_tier()) {                \
-    case Tier::Avx512:                    \
     case Tier::Avx2:                      \
       return avx2_k::call;                \
     default:                              \
@@ -79,9 +67,6 @@ DHTRNG_KERNEL_DECLS
   }
 #else
 #define DHTRNG_DISPATCH(call) return scalar_k::call;
-#endif
-#ifndef DHTRNG_DISPATCH_SERIAL
-#define DHTRNG_DISPATCH_SERIAL(call) DHTRNG_DISPATCH(call)
 #endif
 
 namespace {
@@ -152,7 +137,7 @@ Tier force_tier(Tier t) {
 }
 
 void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n) {
-  DHTRNG_DISPATCH_SERIAL(boxmuller_fill(s, out, n))
+  DHTRNG_DISPATCH(boxmuller_fill(s, out, n))
 }
 
 void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n) {

@@ -18,11 +18,16 @@ namespace dhtrng::support::simd::avx2_k {
 
 namespace {
 
-const __m256d kMagic = _mm256_castsi256_pd(
-    _mm256_set1_epi64x(0x4330000000000000LL));  // 2^52 with OR-able mantissa
-const __m256d kTwo52 = _mm256_set1_pd(0x1p52);
-const __m256d kInvTwo32 = _mm256_set1_pd(0x1p-32);
-const __m256d kSignBit = _mm256_set1_pd(-0.0);
+// Vector constants are built where they are used (each folds to a
+// constant-pool load).  A namespace-scope __m256d would be initialized by
+// a static constructor that runs AVX stores before main, and so before
+// the CPU check, on every host that links this library.
+inline __m256d magic() {  // 2^52 with OR-able mantissa
+  return _mm256_castsi256_pd(_mm256_set1_epi64x(0x4330000000000000LL));
+}
+inline __m256d two52() { return _mm256_set1_pd(0x1p52); }
+inline __m256d inv_two32() { return _mm256_set1_pd(0x1p-32); }
+inline __m256d sign_bit() { return _mm256_set1_pd(-0.0); }
 
 inline std::uint64_t rotl64(std::uint64_t v, int k) {
   return (v << k) | (v >> (64 - k));
@@ -47,8 +52,8 @@ inline std::uint64_t xoshiro_next(std::uint64_t s[4]) {
 // double(x) for x < 2^52 — mirrors small_u64_to_double.
 inline __m256d small_u64_to_double(__m256i x) {
   return _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(
-                           x, _mm256_castpd_si256(kMagic))),
-                       kTwo52);
+                           x, _mm256_castpd_si256(magic()))),
+                       two52());
 }
 
 // log(x) for x in (0, 1] — mirrors fast_log_t (4-term atanh series,
@@ -128,11 +133,11 @@ inline void sincos2pi_t(__m256d t, __m256d& sin_out, __m256d& cos_out) {
   __m256d s = _mm256_blendv_pd(sinx, cosx, swap_m);
   __m256d c = _mm256_blendv_pd(cosx, sinx, swap_m);
   s = _mm256_xor_pd(s,
-                    _mm256_and_pd(_mm256_castsi256_pd(sneg_bit), kSignBit));
+                    _mm256_and_pd(_mm256_castsi256_pd(sneg_bit), sign_bit()));
   c = _mm256_xor_pd(
       c, _mm256_and_pd(
              _mm256_castsi256_pd(_mm256_xor_si256(swap_bit, sneg_bit)),
-             kSignBit));
+             sign_bit()));
   sin_out = s;
   cos_out = c;
 }
@@ -148,7 +153,7 @@ inline __m256d bm_radial4(__m256i ww) {
   const __m256d u1 = _mm256_mul_pd(
       _mm256_add_pd(small_u64_to_double(_mm256_srli_epi64(ww, 32)),
                     _mm256_set1_pd(1.0)),
-      kInvTwo32);
+      inv_two32());
   return _mm256_mul_pd(_mm256_set1_pd(-2.0), fast_log_t(u1));
 }
 
@@ -159,7 +164,7 @@ inline void bm_finish4(__m256i ww, __m256d v, double* out) {
   const __m256d u2 = _mm256_mul_pd(
       small_u64_to_double(
           _mm256_and_si256(ww, _mm256_set1_epi64x(0xffffffffLL))),
-      kInvTwo32);
+      inv_two32());
   __m256d s, c;
   sincos2pi_t(u2, s, c);
   const __m256d rc = _mm256_mul_pd(r, c);
@@ -271,7 +276,7 @@ namespace {
 // Phi(x) for 4 lanes — mirrors normal_cdf_kernel_trimmed (A&S 7.1.26
 // rational term over the trimmed exponential).
 inline __m256d cdf_group_t(__m256d x) {
-  const __m256d z = _mm256_mul_pd(_mm256_andnot_pd(kSignBit, x),
+  const __m256d z = _mm256_mul_pd(_mm256_andnot_pd(sign_bit(), x),
                                   _mm256_set1_pd(0.7071067811865476));
   const __m256d t = _mm256_div_pd(
       _mm256_set1_pd(1.0),
@@ -282,7 +287,7 @@ inline __m256d cdf_group_t(__m256d x) {
   poly = _mm256_fmadd_pd(poly, t, _mm256_set1_pd(-0.284496736));
   poly = _mm256_fmadd_pd(poly, t, _mm256_set1_pd(0.254829592));
   const __m256d e =
-      fast_exp_t(_mm256_xor_pd(_mm256_mul_pd(z, z), kSignBit));
+      fast_exp_t(_mm256_xor_pd(_mm256_mul_pd(z, z), sign_bit()));
   const __m256d half_erfc = _mm256_mul_pd(
       _mm256_mul_pd(_mm256_set1_pd(0.5), _mm256_mul_pd(poly, t)), e);
   const __m256d neg = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LT_OQ);
@@ -322,7 +327,7 @@ std::uint64_t uniform_lt_mask64_hi(const std::uint64_t* raw,
     const __m256i r =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + 4 * g));
     const __m256d u = _mm256_mul_pd(
-        small_u64_to_double(_mm256_srli_epi64(r, 32)), kInvTwo32);
+        small_u64_to_double(_mm256_srli_epi64(r, 32)), inv_two32());
     const __m256d lt = _mm256_cmp_pd(u, _mm256_loadu_pd(p + 4 * g),
                                      _CMP_LT_OQ);
     mask |= static_cast<std::uint64_t>(
@@ -341,7 +346,7 @@ std::uint64_t uniform_lt_mask64_lo(const std::uint64_t* raw,
     const __m256d u = _mm256_mul_pd(
         small_u64_to_double(
             _mm256_and_si256(r, _mm256_set1_epi64x(0xffffffffLL))),
-        kInvTwo32);
+        inv_two32());
     const __m256d lt = _mm256_cmp_pd(u, _mm256_loadu_pd(p + 4 * g),
                                      _CMP_LT_OQ);
     mask |= static_cast<std::uint64_t>(

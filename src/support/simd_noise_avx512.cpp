@@ -8,8 +8,8 @@
 // bit-identical to the AVX2 and scalar tiers.  The CDF keeps the per-4-lane
 // gate of the other tiers, so pk is identical too.  boxmuller_fill (the
 // simulator's serial stream) has no AVX-512 version: its xoshiro recurrence
-// is serial, and the dispatcher keeps it on the AVX2 code.  Only reached
-// after the runtime avx512f/dq/vl check in simd_noise.cpp.
+// is serial, so it forwards to the AVX2 code.  Only reached after the
+// runtime avx512f/dq/vl check in simd_noise.cpp.
 #if defined(__x86_64__) || defined(_M_X64)
 
 // GCC 12 reports the `__Y = __Y` idiom inside its own AVX-512 intrinsics
@@ -29,24 +29,35 @@
 #include <cstdint>
 #include <initializer_list>
 
-namespace dhtrng::support::simd::avx512_k {
+namespace dhtrng::support::simd {
+
+namespace avx2_k {
+void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);
+}  // namespace avx2_k
+
+namespace avx512_k {
 
 namespace {
 
-const __m512d kMagic = _mm512_castsi512_pd(
-    _mm512_set1_epi64(0x4330000000000000LL));  // 2^52 with OR-able mantissa
-const __m512d kTwo52 = _mm512_set1_pd(0x1p52);
-const __m512d kInvTwo32 = _mm512_set1_pd(0x1p-32);
-const __m512d kSignBit = _mm512_set1_pd(-0.0);
-const __m512d kOne = _mm512_set1_pd(1.0);
+// Vector constants are built where they are used (each folds to a
+// constant-pool load).  A namespace-scope __m512d would be initialized by
+// a static constructor that runs AVX-512 stores before main, and so before
+// the CPU check, on every host that links this library.
+inline __m512d magic() {  // 2^52 with OR-able mantissa
+  return _mm512_castsi512_pd(_mm512_set1_epi64(0x4330000000000000LL));
+}
+inline __m512d two52() { return _mm512_set1_pd(0x1p52); }
+inline __m512d inv_two32() { return _mm512_set1_pd(0x1p-32); }
+inline __m512d sign_bit() { return _mm512_set1_pd(-0.0); }
+inline __m512d one() { return _mm512_set1_pd(1.0); }
 
 constexpr int kFloor = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
 
 // double(x) for x < 2^52 — mirrors small_u64_to_double.
 inline __m512d small_u64_to_double(__m512i x) {
   return _mm512_sub_pd(
-      _mm512_castsi512_pd(_mm512_or_si512(x, _mm512_castpd_si512(kMagic))),
-      kTwo52);
+      _mm512_castsi512_pd(_mm512_or_si512(x, _mm512_castpd_si512(magic()))),
+      two52());
 }
 
 // log(x) for x in (0, 1] — mirrors fast_log_t.  The fold adds m (or 1)
@@ -62,9 +73,9 @@ inline __m512d fast_log_t(__m512d x) {
   const __mmask8 fold = _mm512_cmp_pd_mask(
       m, _mm512_set1_pd(0.70710678118654752440), _CMP_LT_OQ);
   m = _mm512_mask_add_pd(m, fold, m, m);
-  e = _mm512_mask_sub_pd(e, fold, e, kOne);
-  const __m512d r = _mm512_div_pd(_mm512_sub_pd(m, kOne),
-                                  _mm512_add_pd(m, kOne));
+  e = _mm512_mask_sub_pd(e, fold, e, one());
+  const __m512d r = _mm512_div_pd(_mm512_sub_pd(m, one()),
+                                  _mm512_add_pd(m, one()));
   const __m512d r2 = _mm512_mul_pd(r, r);
   __m512d p = _mm512_set1_pd(0.2857142857142857);
   p = _mm512_fmadd_pd(p, r2, _mm512_set1_pd(0.4));
@@ -88,8 +99,8 @@ inline __m512d fast_exp_t(__m512d y) {
   p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(4.1666666666666664e-2));
   p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(0.16666666666666666));
   p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(0.5));
-  p = _mm512_fmadd_pd(p, r, kOne);
-  p = _mm512_fmadd_pd(p, r, kOne);
+  p = _mm512_fmadd_pd(p, r, one());
+  p = _mm512_fmadd_pd(p, r, one());
   const __m512i ni = _mm512_cvttpd_epi64(n);
   const __m512d scale = _mm512_castsi512_pd(_mm512_slli_epi64(
       _mm512_add_epi64(ni, _mm512_set1_epi64(1023)), 52));
@@ -116,23 +127,23 @@ inline void sincos2pi_t(__m512d t, __m512d& sin_out, __m512d& cos_out) {
   cp = _mm512_fmadd_pd(cp, x2, _mm512_set1_pd(-1.3888888888888889e-3));
   cp = _mm512_fmadd_pd(cp, x2, _mm512_set1_pd(4.1666666666666664e-2));
   cp = _mm512_fmadd_pd(cp, x2, _mm512_set1_pd(-0.5));
-  const __m512d cosx = _mm512_fmadd_pd(cp, x2, kOne);
+  const __m512d cosx = _mm512_fmadd_pd(cp, x2, one());
   const __m512i q = _mm512_cvttpd_epi64(k);
   const __mmask8 swap = _mm512_test_epi64_mask(q, _mm512_set1_epi64(1));
   const __mmask8 sneg = _mm512_test_epi64_mask(q, _mm512_set1_epi64(2));
   const __mmask8 cneg = static_cast<__mmask8>(swap ^ sneg);
   const __m512d s = _mm512_mask_blend_pd(swap, sinx, cosx);
   const __m512d c = _mm512_mask_blend_pd(swap, cosx, sinx);
-  sin_out = _mm512_mask_xor_pd(s, sneg, s, kSignBit);
-  cos_out = _mm512_mask_xor_pd(c, cneg, c, kSignBit);
+  sin_out = _mm512_mask_xor_pd(s, sneg, s, sign_bit());
+  cos_out = _mm512_mask_xor_pd(c, cneg, c, sign_bit());
 }
 
 // Radial half of the fused Box-Muller group — mirrors bm_radial4: 8 packed
 // words -> v = -2 log_t(u1), u1 from the words' high 32 bits.
 inline __m512d bm_radial8(__m512i ww) {
   const __m512d u1 = _mm512_mul_pd(
-      _mm512_add_pd(small_u64_to_double(_mm512_srli_epi64(ww, 32)), kOne),
-      kInvTwo32);
+      _mm512_add_pd(small_u64_to_double(_mm512_srli_epi64(ww, 32)), one()),
+      inv_two32());
   return _mm512_mul_pd(_mm512_set1_pd(-2.0), fast_log_t(u1));
 }
 
@@ -141,7 +152,7 @@ inline __m512d bm_radial8(__m512i ww) {
 inline void bm_finish8(__m512i ww, __m512d v, double* out) {
   const __m512d r = _mm512_sqrt_pd(v);
   const __m512i lo32 = _mm512_and_si512(ww, _mm512_set1_epi64(0xffffffffLL));
-  const __m512d u2 = _mm512_mul_pd(small_u64_to_double(lo32), kInvTwo32);
+  const __m512d u2 = _mm512_mul_pd(small_u64_to_double(lo32), inv_two32());
   __m512d s, c;
   sincos2pi_t(u2, s, c);
   const __m512d rc = _mm512_mul_pd(r, c);
@@ -172,21 +183,21 @@ inline void bm_block_fused(const std::uint64_t* w, std::size_t words,
 
 // Phi(x) for 8 lanes — mirrors cdf_group_t.
 inline __m512d cdf_group_t(__m512d x) {
-  const __m512d z = _mm512_mul_pd(_mm512_andnot_pd(kSignBit, x),
+  const __m512d z = _mm512_mul_pd(_mm512_andnot_pd(sign_bit(), x),
                                   _mm512_set1_pd(0.7071067811865476));
   const __m512d t = _mm512_div_pd(
-      kOne, _mm512_fmadd_pd(_mm512_set1_pd(0.3275911), z, kOne));
+      one(), _mm512_fmadd_pd(_mm512_set1_pd(0.3275911), z, one()));
   __m512d poly = _mm512_set1_pd(1.061405429);
   poly = _mm512_fmadd_pd(poly, t, _mm512_set1_pd(-1.453152027));
   poly = _mm512_fmadd_pd(poly, t, _mm512_set1_pd(1.421413741));
   poly = _mm512_fmadd_pd(poly, t, _mm512_set1_pd(-0.284496736));
   poly = _mm512_fmadd_pd(poly, t, _mm512_set1_pd(0.254829592));
-  const __m512d e = fast_exp_t(_mm512_xor_pd(_mm512_mul_pd(z, z), kSignBit));
+  const __m512d e = fast_exp_t(_mm512_xor_pd(_mm512_mul_pd(z, z), sign_bit()));
   const __m512d half_erfc = _mm512_mul_pd(
       _mm512_mul_pd(_mm512_set1_pd(0.5), _mm512_mul_pd(poly, t)), e);
   const __mmask8 neg =
       _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_LT_OQ);
-  return _mm512_mask_blend_pd(neg, _mm512_sub_pd(kOne, half_erfc),
+  return _mm512_mask_blend_pd(neg, _mm512_sub_pd(one(), half_erfc),
                               half_erfc);
 }
 
@@ -198,7 +209,7 @@ std::uint64_t lt_mask64(const std::uint64_t* raw, const double* p,
     const __m512i half =
         lo_half ? _mm512_and_si512(r, _mm512_set1_epi64(0xffffffffLL))
                 : _mm512_srli_epi64(r, 32);
-    const __m512d u = _mm512_mul_pd(small_u64_to_double(half), kInvTwo32);
+    const __m512d u = _mm512_mul_pd(small_u64_to_double(half), inv_two32());
     mask |= static_cast<std::uint64_t>(_mm512_cmp_pd_mask(
                 u, _mm512_loadu_pd(p + 8 * g), _CMP_LT_OQ))
             << (8 * g);
@@ -207,6 +218,10 @@ std::uint64_t lt_mask64(const std::uint64_t* raw, const double* p,
 }
 
 }  // namespace
+
+void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n) {
+  avx2_k::boxmuller_fill(s, out, n);
+}
 
 void xoshiro_soa_advance(std::uint64_t s[4][64], std::uint64_t* out) {
   for (int l = 0; l < 64; l += 8) {
@@ -287,8 +302,8 @@ void normal_cdf_batch_trimmed_gated(const double* x, double* out,
         eval = static_cast<__mmask8>(eval | half);
       }
     }
-    const __m512d v = eval == 0 ? kOne
-                                : _mm512_mask_blend_pd(eval, kOne,
+    const __m512d v = eval == 0 ? one()
+                                : _mm512_mask_blend_pd(eval, one(),
                                                        cdf_group_t(xx));
     _mm512_mask_storeu_pd(out + i, lanes, v);
   }
@@ -304,6 +319,8 @@ std::uint64_t uniform_lt_mask64_lo(const std::uint64_t* raw,
   return lt_mask64(raw, p, true);
 }
 
-}  // namespace dhtrng::support::simd::avx512_k
+}  // namespace avx512_k
+
+}  // namespace dhtrng::support::simd
 
 #endif
