@@ -1,6 +1,6 @@
 // Bulk-generation microbenchmark: the bitsliced SoA backend (DhTrngSoA,
 // 64 instances per 64-bit word) against the scalar per-instance path
-// (DhTrngArray::generate_parallel on one thread), with machine-readable
+// (DhTrngArray::generate on a one-core array), with machine-readable
 // JSON output (BENCH_gen.json) and a perf-trajectory record so CI can
 // track the numbers across commits.
 //
@@ -62,15 +62,14 @@ int main(int argc, char** argv) {
               nbits, static_cast<unsigned long long>(seed), reps,
               quick ? " (--quick)" : "", tier);
 
-  // Scalar path: one DH-TRNG instance advanced on one thread.  The SoA
-  // acceptance metric is per-core, so the scalar side must not be allowed
-  // to fan out.
+  // Scalar path: one DH-TRNG instance advanced on one thread (the SoA
+  // acceptance metric is per-core).
   dhtrng::core::DhTrngArrayConfig scalar_cfg;
   scalar_cfg.core.seed = seed;
   scalar_cfg.cores = 1;
   dhtrng::core::DhTrngArray scalar(scalar_cfg);
   const double scalar_s = dhtrng::bench::best_of_seconds(reps, [&] {
-    dhtrng::support::BitStream bits = scalar.generate_parallel(nbits, 1);
+    dhtrng::support::BitStream bits = scalar.generate(nbits);
     if (bits.size() != nbits) std::abort();
   });
 

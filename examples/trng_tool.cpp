@@ -51,6 +51,7 @@
 #include <thread>
 
 #include "core/dhtrng.h"
+#include "core/dhtrng_array.h"
 #include "core/dhtrng_soa.h"
 #include "core/postprocess.h"
 #include "core/zoo/compare.h"
@@ -107,9 +108,11 @@ std::string valid_backends() {
 // behavioral and event-simulated backends, `soa` the bitsliced
 // 64-instance bulk backend (core::DhTrngSoA — ~an order of magnitude more
 // bits per second, statistically equivalent but not bit-identical to a
-// single DhTrng instance), and `neo`/`klein`/`hbn` the zoo architectures
-// (core/zoo/zoo.h, behavioral models).  Anything else is rejected with
-// the full vocabulary — no silent fallback to the default.
+// single DhTrng instance; with --noise-mode=exact, 64 scalar cores of
+// core::DhTrngArray in the same lane order), and `neo`/`klein`/`hbn` the
+// zoo architectures (core/zoo/zoo.h, behavioral models).  Anything else
+// is rejected with the full vocabulary — no silent fallback to the
+// default.
 struct TrngBackend {
   /// Builds the generator for `seed` (`serve` calls it once per producer
   /// build, with the pool's derived seeds).
@@ -128,15 +131,21 @@ TrngBackend parse_backend(int argc, char** argv) {
   }
   core_cfg.noise_mode = parse_noise_mode(argc, argv, "exact");
   if (backend == "soa") {
-    core::DhTrngSoAConfig cfg;
-    cfg.core = core_cfg;
-    cfg.noise_mode = parse_noise_mode(argc, argv, "fast");
-    return {[cfg](std::uint64_t seed) -> std::unique_ptr<core::TrngSource> {
-              core::DhTrngSoAConfig c = cfg;
-              c.core.seed = seed;
-              return std::make_unique<core::DhTrngSoA>(c);
+    const noise::NoiseMode mode = parse_noise_mode(argc, argv, "fast");
+    return {[core_cfg, mode](std::uint64_t seed)
+                -> std::unique_ptr<core::TrngSource> {
+              core::DhTrngConfig c = core_cfg;
+              c.seed = seed;
+              if (mode == noise::NoiseMode::Exact) {
+                c.backend = core::Backend::Fast;
+                return std::make_unique<core::DhTrngArray>(
+                    core::DhTrngArrayConfig{c, core::kSoaLanes});
+              }
+              core::DhTrngSoAConfig soa;
+              soa.core = c;
+              return std::make_unique<core::DhTrngSoA>(soa);
             },
-            cfg.noise_mode};
+            mode};
   }
   if (backend == "fast" || backend == "gate") {
     if (backend == "gate") core_cfg.backend = core::Backend::GateLevel;

@@ -51,7 +51,8 @@ struct DhTrngConfig {
   /// Noise fidelity (see noise::NoiseMode).  Applies to the gate-level
   /// backend's event simulator; the phase-domain Fast backend has a single
   /// exact-grade stream and ignores it.  The bitsliced bulk backend
-  /// carries its own knob (DhTrngSoAConfig::noise_mode).
+  /// (DhTrngSoA) draws fast-grade noise only; DhTrngArray{cores = 64} is
+  /// its exact-grade counterpart.
   noise::NoiseMode noise_mode = noise::NoiseMode::Exact;
 };
 

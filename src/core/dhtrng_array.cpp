@@ -4,7 +4,6 @@
 
 #include "fpga/slice_packer.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 
 namespace dhtrng::core {
 
@@ -29,38 +28,6 @@ bool DhTrngArray::next_bit() {
   const bool bit = cores_[next_core_].next_bit();
   next_core_ = (next_core_ + 1) % cores_.size();
   return bit;
-}
-
-support::BitStream DhTrngArray::generate_parallel(std::size_t nbits,
-                                                  std::size_t n_threads) {
-  const std::size_t k = cores_.size();
-  if (n_threads == 0) n_threads = support::ThreadPool::hardware_threads();
-
-  // Output position i draws from core (next_core_ + i) % k, so core c owes
-  // ceil((nbits - offset_c) / k) bits where offset_c is c's first turn.
-  std::vector<support::BitStream> per_core(k);
-  const std::size_t start = next_core_;
-  const auto bits_for = [&](std::size_t c) {
-    const std::size_t first = (c + k - start % k) % k;  // c's first position
-    return first >= nbits ? std::size_t{0} : (nbits - first - 1) / k + 1;
-  };
-
-  {
-    support::ThreadPool pool(std::min(n_threads, k));
-    pool.parallel_for(0, k, [&](std::size_t c) {
-      cores_[c].generate(per_core[c], bits_for(c));
-    });
-  }
-
-  support::BitStream out;
-  out.reserve(nbits);
-  std::vector<std::size_t> cursor(k, 0);
-  for (std::size_t i = 0; i < nbits; ++i) {
-    const std::size_t c = (start + i) % k;
-    out.push_back(per_core[c][cursor[c]++]);
-  }
-  next_core_ = (start + nbits) % k;
-  return out;
 }
 
 void DhTrngArray::restart() {

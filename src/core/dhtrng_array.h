@@ -35,17 +35,6 @@ class DhTrngArray final : public TrngSource {
   double throughput_mbps() const override;
   fpga::ActivityEstimate activity() const override;
 
-  /// Multi-threaded generation with the *same* output as the serial path:
-  /// each core's simulation is an independent stream, so workers advance
-  /// cores concurrently and the per-core sub-streams are merged round-robin
-  /// in core order afterwards.  For a given master seed and starting state
-  /// the result is bit-identical to calling generate(nbits) — for any
-  /// n_threads (0 picks the hardware concurrency).  The array's round-robin
-  /// cursor advances exactly as in the serial path, so serial and parallel
-  /// calls can be mixed freely.
-  support::BitStream generate_parallel(std::size_t nbits,
-                                       std::size_t n_threads = 0);
-
   std::size_t cores() const { return cores_.size(); }
   fpga::SliceReport slice_report() const;
 

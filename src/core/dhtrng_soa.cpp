@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "core/chaotic_ring.h"
@@ -22,8 +23,8 @@ constexpr std::uint64_t kEngineRngSeed = 0x3c6ef372fe94f82aULL; // SoA stream
 /// Per-ring seed for ring slot k in {0..5} of the structure seeded `ss`
 /// (0 = RO1a, 1 = RO2a, 2 = RO1b, 3 = RO2b, 4 = C1, 5 = C2): the seeds
 /// the scalar object tree (CouplingStructure -> HybridUnit/ChaoticRing ->
-/// PhaseRo) hands its rings, so lane l of the fast engine is the same
-/// physical instance as lane l of the exact engine.
+/// PhaseRo) hands its rings, so lane l is the same physical instance as
+/// core l of DhTrngArray{cores = 64}.
 std::uint64_t ring_seed(std::uint64_t ss, int k) {
   switch (k) {
     case 0: return ss;
@@ -81,8 +82,8 @@ void init_engine(soa::EngineState& st, const DhTrngSoAConfig& cfg,
         k >= 4 ? central_params[k - 4]->mode_mod_depth * st.dt_ps * 0.5 : 0.0;
   }
 
-  // Per-lane structural mismatch: the exact engine's constructor draws,
-  // lane by lane (same SplitMix64 lane seeds as DhTrngArray).
+  // Per-lane structural mismatch: DhTrngArray{cores = 64}'s constructor
+  // draws, lane by lane (same SplitMix64 lane seeds).
   support::SplitMix64 seeder(core.seed);
   for (int l = 0; l < soa::kLanes; ++l) {
     const std::uint64_t lane_seed = seeder.next();
@@ -175,48 +176,19 @@ void init_engine(soa::EngineState& st, const DhTrngSoAConfig& cfg,
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// FastEngine: heap home of the (large, POD) bitsliced state.
-// ---------------------------------------------------------------------------
-
-struct DhTrngSoA::FastEngine {
-  soa::EngineState st;
-
-  void power_cycle() {
-    // Circuit state back to power-on values; the noise processes (flicker
-    // lattice, supply AR(1), RNG streams) keep evolving — the semantics of
-    // the paper's restart test, matching the scalar fast backend.
-    std::memcpy(st.phase, st.initial_phase, sizeof(st.phase));
-    for (int u = 0; u < soa::kUnits; ++u) {
-      st.frozen[u] = st.frozen_meta[u] = st.frozen_level[u] = 0;
-    }
-    for (int s = 0; s < 2; ++s) st.last_fb[s][0] = st.last_fb[s][1] = 0;
-    st.out_reg = 0;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// DhTrngSoA
-// ---------------------------------------------------------------------------
-
 DhTrngSoA::DhTrngSoA(DhTrngSoAConfig config) : config_(config) {
-  config_.core.backend = Backend::Fast;  // phase-domain lanes only
   if (config_.noise_mode == noise::NoiseMode::Exact) {
-    support::SplitMix64 seeder(config_.core.seed);
-    exact_lanes_.reserve(kSoaLanes);
-    for (std::size_t l = 0; l < kSoaLanes; ++l) {
-      DhTrngConfig per_lane = config_.core;
-      per_lane.seed = seeder.next();
-      exact_lanes_.emplace_back(per_lane);
-    }
-  } else {
-    fast_ = std::make_unique<FastEngine>();
-    const double clock =
-        config_.core.clock_mhz > 0.0
-            ? config_.core.clock_mhz
-            : config_.core.device.max_clock_mhz(2, config_.core.pvt);
-    init_engine(fast_->st, config_, clock);
+    throw std::invalid_argument(
+        "DhTrngSoA: noise_mode Exact is not served; use "
+        "DhTrngArray{cores = kSoaLanes} for 64 exact lanes");
   }
+  config_.core.backend = Backend::Fast;  // phase-domain lanes only
+  st_ = std::make_unique<soa::EngineState>();
+  const double clock =
+      config_.core.clock_mhz > 0.0
+          ? config_.core.clock_mhz
+          : config_.core.device.max_clock_mhz(2, config_.core.pvt);
+  init_engine(*st_, config_, clock);
 }
 
 DhTrngSoA::~DhTrngSoA() = default;
@@ -225,30 +197,15 @@ DhTrngSoA& DhTrngSoA::operator=(DhTrngSoA&&) noexcept = default;
 
 std::string DhTrngSoA::name() const {
   std::string n = "DH-TRNG SoA x64";
-  if (config_.noise_mode == noise::NoiseMode::Exact) n += "/exact";
   if (!config_.core.coupling) n += "/no-coupling";
   if (!config_.core.feedback) n += "/no-feedback";
   return n;
 }
 
-std::uint64_t DhTrngSoA::next_word_exact() {
-  std::uint64_t w = 0;
-  for (std::size_t l = 0; l < kSoaLanes; ++l) {
-    w |= static_cast<std::uint64_t>(exact_lanes_[l].next_bit()) << l;
-  }
-  return w;
-}
-
-std::uint64_t DhTrngSoA::next_word() {
-  return fast_ ? soa::step(fast_->st) : next_word_exact();
-}
+std::uint64_t DhTrngSoA::next_word() { return soa::step(*st_); }
 
 void DhTrngSoA::generate_words(std::uint64_t* out, std::size_t n) {
-  if (fast_) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = soa::step(fast_->st);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = next_word_exact();
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = soa::step(*st_);
 }
 
 bool DhTrngSoA::next_bit() {
@@ -279,26 +236,26 @@ void DhTrngSoA::generate(support::BitStream& out, std::size_t nbits) {
 }
 
 void DhTrngSoA::restart() {
-  if (fast_) {
-    fast_->power_cycle();
-  } else {
-    for (DhTrng& lane : exact_lanes_) lane.restart();
+  // Circuit state back to power-on values; the noise processes (flicker
+  // lattice, supply AR(1), RNG streams) keep evolving — the semantics of
+  // the paper's restart test, matching the scalar fast backend.
+  soa::EngineState& st = *st_;
+  std::memcpy(st.phase, st.initial_phase, sizeof(st.phase));
+  for (int u = 0; u < soa::kUnits; ++u) {
+    st.frozen[u] = st.frozen_meta[u] = st.frozen_level[u] = 0;
   }
+  for (int s = 0; s < 2; ++s) st.last_fb[s][0] = st.last_fb[s][1] = 0;
+  st.out_reg = 0;
   word_ = 0;
   word_pos_ = kSoaLanes;
 }
 
 sim::ResourceCounts DhTrngSoA::resources() const {
-  const sim::ResourceCounts one =
-      exact_lanes_.empty() ? sim::ResourceCounts{23, 4, 14}
-                           : exact_lanes_.front().resources();
-  return {one.luts * kSoaLanes, one.muxes * kSoaLanes, one.dffs * kSoaLanes};
+  // 64x one instance: 23 LUTs, 4 MUXs, 14 DFFs (DhTrng::resources()).
+  return {23 * kSoaLanes, 4 * kSoaLanes, 14 * kSoaLanes};
 }
 
-double DhTrngSoA::clock_mhz() const {
-  if (!exact_lanes_.empty()) return exact_lanes_.front().clock_mhz();
-  return 1e6 / fast_->st.dt_ps;
-}
+double DhTrngSoA::clock_mhz() const { return 1e6 / st_->dt_ps; }
 
 double DhTrngSoA::throughput_mbps() const {
   return clock_mhz() * static_cast<double>(kSoaLanes);
@@ -314,14 +271,9 @@ fpga::ActivityEstimate DhTrngSoA::activity() const {
 }
 
 double DhTrngSoA::metastable_fraction() const {
-  if (fast_) {
-    if (fast_->st.bits_emitted == 0) return 0.0;
-    return static_cast<double>(fast_->st.metastable_bits) /
-           static_cast<double>(fast_->st.bits_emitted);
-  }
-  double sum = 0.0;
-  for (const DhTrng& lane : exact_lanes_) sum += lane.metastable_fraction();
-  return sum / static_cast<double>(kSoaLanes);
+  if (st_->bits_emitted == 0) return 0.0;
+  return static_cast<double>(st_->metastable_bits) /
+         static_cast<double>(st_->bits_emitted);
 }
 
 }  // namespace dhtrng::core

@@ -9,37 +9,29 @@
 // become twelve rows of 64 phase accumulators; one step advances all rows
 // and emits one output word, bit l being lane l's bit for that clock cycle.
 //
-// Two engines behind one interface, selected by DhTrngSoAConfig::noise_mode:
+// All randomness comes from the dispatched SIMD kernels
+// (support/simd_noise.h): a XoshiroSoA raw stream feeding batched
+// Box-Muller normals, Abramowitz-Stegun normal CDFs for the flip-flop
+// apertures, sin2pi for the chaotic-ring mode modulation, and packed-mask
+// Bernoulli draws for the hold-capture and metastable coins.  Per-lane
+// *structural* constants (period mismatch, duty error, power-on phase)
+// replicate the constructor draws of DhTrngArray{cores = 64}'s cores, so
+// lane l is the same physical instance as that array's core l; the *noise
+// stream* is a different (batched, branch-free) one — statistically
+// equivalent but NOT bit-compatible with the array, same contract as
+// noise::NoiseMode::Fast in the event-driven simulator.  Deterministic per
+// seed and bit-identical across dispatch tiers (scalar, AVX2, AVX-512,
+// NEON; see dhtrng_soa_engine.h).  The exact-grade 64-lane stream is
+// DhTrngArray{cores = 64}; this class only runs the bitsliced engine.
 //
-//  * Exact — a vector of 64 ordinary DhTrng fast-backend instances, seeded
-//    with the same SplitMix64 lane-seed derivation DhTrngArray uses.  Output
-//    is bit-identical to DhTrngArray{cores = 64} round-robin interleaving;
-//    tests/core/test_dhtrng_soa*.cpp enforce it lane by lane.  This engine
-//    exists as the differential oracle; it is no faster than the array.
-//
-//  * Fast — the bitsliced engine.  All randomness comes from the dispatched
-//    SIMD kernels (support/simd_noise.h): a XoshiroSoA raw stream feeding
-//    batched Box-Muller normals, Abramowitz-Stegun normal CDFs for the
-//    flip-flop apertures, sin2pi for the chaotic-ring mode modulation, and
-//    packed-mask Bernoulli draws for the hold-capture and metastable coins.
-//    Per-lane *structural* constants (period mismatch, duty error, power-on
-//    phase) replicate the exact engine's constructor draws, so every lane
-//    is the same physical instance in both modes; the *noise stream* is a
-//    different (batched, branch-free) one — statistically equivalent but
-//    NOT bit-compatible with Exact, same contract as noise::NoiseMode::Fast
-//    in the event-driven simulator.  Deterministic per (seed, mode) and
-//    bit-identical across dispatch tiers (scalar, AVX2, AVX-512, NEON;
-//    see dhtrng_soa_engine.h).
-//
-// The fast engine is the bulk-generation path: one EntropyPool producer
-// block (4096 bits) is exactly 64 steps, and trng_tool --backend=soa uses
-// it for `generate`.  bench_gen_soa measures its throughput against the
-// scalar array baseline and CI gates the speedup.
+// This is the bulk-generation path: one EntropyPool producer block (4096
+// bits) is exactly 64 steps, and trng_tool --backend=soa uses it for
+// `generate`.  bench_gen_soa measures its throughput against the scalar
+// array baseline and CI gates the speedup.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/dhtrng.h"
 #include "core/trng.h"
@@ -47,21 +39,26 @@
 
 namespace dhtrng::core {
 
+namespace soa {
+struct EngineState;  // bitsliced state, defined in dhtrng_soa_engine.h
+}  // namespace soa
+
 /// Lane count of the bitsliced backend (one bit of a machine word each).
 inline constexpr std::size_t kSoaLanes = 64;
 
 struct DhTrngSoAConfig {
   /// Per-lane configuration; `seed` is the master seed, per-lane seeds are
   /// SplitMix64-derived from it exactly like DhTrngArray derives per-core
-  /// seeds.  `backend` is ignored (the SoA engines are phase-domain only).
+  /// seeds.  `backend` is ignored (the engine is phase-domain only).
   DhTrngConfig core;
-  /// Exact = 64 scalar DhTrng lanes (the oracle); Fast = bitsliced SIMD
-  /// engine (the production path).  See the header comment.
+  /// Only Fast is accepted; the constructor throws std::invalid_argument
+  /// on Exact (run DhTrngArray{cores = kSoaLanes} for exact lanes).
   noise::NoiseMode noise_mode = noise::NoiseMode::Fast;
 };
 
 class DhTrngSoA final : public TrngSource {
  public:
+  /// Throws std::invalid_argument if config.noise_mode is Exact.
   explicit DhTrngSoA(DhTrngSoAConfig config);
   ~DhTrngSoA() override;
 
@@ -100,13 +97,8 @@ class DhTrngSoA final : public TrngSource {
   const DhTrngSoAConfig& config() const { return config_; }
 
  private:
-  struct FastEngine;  // bitsliced state, defined in dhtrng_soa.cpp
-
-  std::uint64_t next_word_exact();
-
   DhTrngSoAConfig config_;
-  std::vector<DhTrng> exact_lanes_;      // Exact engine (empty in Fast mode)
-  std::unique_ptr<FastEngine> fast_;     // Fast engine (null in Exact mode)
+  std::unique_ptr<soa::EngineState> st_;  // large POD, kept on the heap
 
   // next_bit() buffer: the unread tail of the most recent word.
   std::uint64_t word_ = 0;

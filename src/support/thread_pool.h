@@ -1,5 +1,5 @@
 // Fixed-size worker pool — the concurrency substrate for the parallel
-// generation and statistical-suite paths.
+// statistical-suite paths (run_suite, permutation_iid_test).
 //
 // Design constraints, in order:
 //  * determinism of *results* must never depend on scheduling: callers

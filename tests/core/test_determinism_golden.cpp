@@ -2,8 +2,7 @@
 // every generator in the library.  The determinism contract
 // (docs/architecture.md) says identical (config, seed) pairs reproduce
 // identical bitstreams on any platform across refactors — these vectors
-// make a silent break of that contract a test failure, and they are the
-// anchor the parallel generation path is held to.
+// make a silent break of that contract a test failure.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -177,56 +176,6 @@ TEST(DeterminismGolden, SameSeedSameStreamTwice) {
   DhTrng a({.seed = 7});
   DhTrng b({.seed = 7});
   EXPECT_EQ(a.generate(4096), b.generate(4096));
-}
-
-// --- the parallel path's determinism guarantee ----------------------------
-
-TEST(ParallelDeterminism, BitIdenticalToSerialForAnyThreadCount) {
-  // The acceptance bar of the concurrency layer: generate_parallel must be
-  // a pure performance transform.  Same master seed -> same bits, for
-  // k in {1, 2, 8} worker threads, equal to the serial path.
-  const std::size_t n = 20000;  // not a multiple of cores: uneven shares
-  DhTrngArray serial({.core = {.seed = 42}, .cores = 4});
-  const auto reference = serial.generate(n);
-
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    DhTrngArray parallel({.core = {.seed = 42}, .cores = 4});
-    EXPECT_EQ(parallel.generate_parallel(n, threads), reference)
-        << threads << " threads";
-  }
-}
-
-TEST(ParallelDeterminism, MatchesGoldenVector) {
-  DhTrngArray array({.core = {.seed = 42}, .cores = 4});
-  auto bits = array.generate_parallel(256, 8);
-  std::string hex;
-  for (std::uint8_t b : bits.to_bytes()) {
-    static const char* digits = "0123456789abcdef";
-    hex += digits[b >> 4];
-    hex += digits[b & 0xf];
-  }
-  EXPECT_EQ(hex,
-            "6b565118be1fa8bd41392dacc996f25b8034c02862698801bae6b3ce99184d3e");
-}
-
-TEST(ParallelDeterminism, SerialAndParallelCallsCompose) {
-  // The round-robin cursor advances identically, so serial and parallel
-  // segments of one run concatenate to the same stream.
-  DhTrngArray reference({.core = {.seed = 9}, .cores = 3});
-  const auto whole = reference.generate(3001);
-
-  DhTrngArray mixed({.core = {.seed = 9}, .cores = 3});
-  support::BitStream stitched;
-  stitched.append(mixed.generate(997));               // serial prefix
-  stitched.append(mixed.generate_parallel(1003, 2));  // parallel middle
-  stitched.append(mixed.generate(1001));              // serial suffix
-  EXPECT_EQ(stitched, whole);
-}
-
-TEST(ParallelDeterminism, SingleCoreArrayParallelPath) {
-  DhTrngArray serial({.core = {.seed = 5}, .cores = 1});
-  DhTrngArray parallel({.core = {.seed = 5}, .cores = 1});
-  EXPECT_EQ(parallel.generate_parallel(5000, 8), serial.generate(5000));
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // DhTrngSoA — the bitsliced 64-instance bulk-generation backend.
 //
 // The load-bearing properties:
-//  * Exact mode is bit-identical to DhTrngArray with 64 cores and the same
-//    master seed (lane l of every output word == the array's core l bit);
-//  * the fast engine is deterministic per seed and tier-independent (the
+//  * it serves the bitsliced engine only: NoiseMode::Exact is rejected
+//    (DhTrngArray{cores = 64} is the exact-grade 64-lane path);
+//  * the engine is deterministic per seed and tier-independent (the
 //    scalar and AVX2/AVX-512/NEON step kernels compile the same operation
 //    sequence with -ffp-contract=off, so every supported tier must
 //    reproduce the scalar tier's words exactly);
@@ -12,18 +12,17 @@
 //  * restart() re-arms the oscillator phases deterministically;
 //  * the reported resources/throughput scale by the 64 lanes.
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dhtrng.h"
-#include "core/dhtrng_array.h"
 #include "core/dhtrng_soa.h"
 #include "support/simd_noise.h"
 
 using dhtrng::core::DhTrng;
-using dhtrng::core::DhTrngArray;
-using dhtrng::core::DhTrngArrayConfig;
 using dhtrng::core::DhTrngConfig;
 using dhtrng::core::DhTrngSoA;
 using dhtrng::core::DhTrngSoAConfig;
@@ -32,32 +31,23 @@ namespace simd = dhtrng::support::simd;
 
 namespace {
 
-DhTrngSoAConfig soa_config(std::uint64_t seed,
-                           dhtrng::noise::NoiseMode mode =
-                               dhtrng::noise::NoiseMode::Fast) {
+DhTrngSoAConfig soa_config(std::uint64_t seed) {
   DhTrngSoAConfig cfg;
   cfg.core.seed = seed;
-  cfg.noise_mode = mode;
   return cfg;
 }
 
 }  // namespace
 
-TEST(DhTrngSoA, ExactModeMatchesArrayLaneByLane) {
-  const std::uint64_t seed = 42;
-  DhTrngSoA soa(soa_config(seed, dhtrng::noise::NoiseMode::Exact));
-
-  DhTrngArrayConfig array_cfg;
-  array_cfg.core.seed = seed;
-  array_cfg.cores = kSoaLanes;
-  DhTrngArray array(array_cfg);
-
-  for (int step = 0; step < 12; ++step) {
-    const std::uint64_t word = soa.next_word();
-    for (std::size_t l = 0; l < kSoaLanes; ++l) {
-      ASSERT_EQ((word >> l) & 1u, array.next_bit() ? 1u : 0u)
-          << "step " << step << " lane " << l;
-    }
+TEST(DhTrngSoA, RejectsExactNoiseMode) {
+  DhTrngSoAConfig cfg = soa_config(42);
+  cfg.noise_mode = dhtrng::noise::NoiseMode::Exact;
+  try {
+    DhTrngSoA soa(cfg);
+    FAIL() << "Exact noise mode was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("DhTrngArray"), std::string::npos)
+        << e.what();
   }
 }
 

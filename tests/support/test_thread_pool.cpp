@@ -36,7 +36,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ParallelForWritesDisjointSlots) {
-  // The deterministic-merge pattern used by DhTrngArray::generate_parallel:
+  // The deterministic-merge pattern run_suite uses across SP 800-22 sets:
   // each index writes its own slot, and the merged result is independent of
   // the worker count.
   std::vector<std::size_t> expect(257);
