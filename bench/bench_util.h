@@ -197,7 +197,8 @@ inline int baseline_gate(int argc, char** argv,
                                 : std::atof(json.c_str() + at + tag.size());
     if (want <= 0.0) {
       if (if_missing == IfMissing::Fail) {
-        std::printf("FAIL: baseline has no \"%s\" entry\n", r.key.c_str());
+        std::printf("FAIL: baseline has no \"%s\" entry for %s\n",
+                    r.key.c_str(), r.label.c_str());
         ok = false;
       } else {
         std::printf("baseline: no entry for %s (skipped)\n", r.label.c_str());

@@ -10,26 +10,13 @@
 #include <unordered_set>
 #include <vector>
 
-#include "stats/stats_config.h"
-#include "support/wordops.h"
+#include "stats/kernels.h"
 
-namespace dhtrng::stats::ais31 {
+namespace dhtrng::stats::kernels {
 
-namespace {
-
-constexpr std::size_t kT0Blocks = 1u << 16;
-constexpr std::size_t kT0BlockBits = 48;
-constexpr std::size_t kSeqBits = 20000;
-constexpr std::size_t kSequences = 257;
-constexpr std::size_t kT6Bits = 100000;
-constexpr std::size_t kT7Bits = 100000;
-constexpr std::size_t kT8Blocks = 2560 + 256000;  // Q + K 8-bit blocks
-
-/// First-order transition counts over the `pairs` adjacent pairs starting
-/// at `begin`, 64 pairs per popcount round.  The integers match the scalar
-/// per-bit loop exactly, so any statistic built from them is unchanged.
-std::array<std::array<std::uint64_t, 2>, 2> transition_counts_wordwise(
-    const BitStream& bits, std::size_t begin, std::size_t pairs) {
+TransitionCounts transition_counts(const BitStream& bits, std::size_t begin,
+                                   std::size_t pairs) {
+  // 64 pairs per popcount round.
   std::uint64_t t11 = 0, t10 = 0, t01 = 0;
   for (std::size_t i = 0; i < pairs; i += 64) {
     const std::uint64_t a = bits.chunk64(begin + i);
@@ -44,16 +31,54 @@ std::array<std::array<std::uint64_t, 2>, 2> transition_counts_wordwise(
   return {{{pairs - t11 - t10 - t01, t01}, {t10, t11}}};
 }
 
-/// Run-length histogram for T3-style tests: counts[value][min(len,6)-1].
-std::array<std::array<std::size_t, 6>, 2> run_histogram_wordwise(
-    const BitStream& seq, std::size_t len) {
-  std::array<std::array<std::size_t, 6>, 2> counts{};
-  support::wordops::for_each_run(
-      seq, 0, len, [&](bool v, std::size_t run) {
-        ++counts[v ? 1u : 0u][std::min<std::size_t>(run, 6) - 1];
-      });
-  return counts;
+bool blocks_distinct(const BitStream& bits, std::size_t blocks,
+                     std::size_t block_bits) {
+  // The block value is only a set key: the LSB-first read is a bijective
+  // remap of the MSB-first value, so two blocks collide under one
+  // convention exactly when they collide under the other.
+  const std::uint64_t mask = block_bits == 64
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << block_bits) - 1;
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(blocks * 2);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    if (!seen.insert(bits.chunk64(b * block_bits) & mask).second) return false;
+  }
+  return true;
 }
+
+double coron_g_sum(const BitStream& bits, std::size_t init, std::size_t test,
+                   const std::vector<double>& g) {
+  // The byte value is only a table key (like Maurer's universal test): the
+  // LSB-first read permutes `last[]` slots without changing any distance
+  // b + 1 - last[v], so the g-sum's operation sequence is intact.
+  std::array<std::size_t, 256> last{};
+  const auto block = [&](std::size_t b) {
+    return static_cast<std::size_t>(bits.chunk64(b * 8) & 0xff);
+  };
+  for (std::size_t b = 0; b < init; ++b) last[block(b)] = b + 1;
+  double sum = 0.0;
+  for (std::size_t b = init; b < init + test; ++b) {
+    const std::size_t v = block(b);
+    sum += g[b + 1 - last[v]];
+    last[v] = b + 1;
+  }
+  return sum;
+}
+
+}  // namespace dhtrng::stats::kernels
+
+namespace dhtrng::stats::ais31 {
+
+namespace {
+
+constexpr std::size_t kT0Blocks = 1u << 16;
+constexpr std::size_t kT0BlockBits = 48;
+constexpr std::size_t kSeqBits = 20000;
+constexpr std::size_t kSequences = 257;
+constexpr std::size_t kT6Bits = 100000;
+constexpr std::size_t kT7Bits = 100000;
+constexpr std::size_t kT8Blocks = 2560 + 256000;  // Q + K 8-bit blocks
 
 }  // namespace
 
@@ -63,20 +88,7 @@ std::size_t required_bits() {
 }
 
 bool t0_disjointness(const BitStream& bits) {
-  // The 48-bit block value is only a set key: the wordwise LSB-first read
-  // is a bijective remap of the scalar MSB-first value, so two blocks
-  // collide under one convention exactly when they collide under the other.
-  const bool wordwise = active_engine() == Engine::Wordwise;
-  constexpr std::uint64_t kMask48 = (std::uint64_t{1} << kT0BlockBits) - 1;
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(kT0Blocks * 2);
-  for (std::size_t b = 0; b < kT0Blocks; ++b) {
-    const std::uint64_t w = wordwise
-                                ? (bits.chunk64(b * kT0BlockBits) & kMask48)
-                                : bits.word(b * kT0BlockBits, kT0BlockBits);
-    if (!seen.insert(w).second) return false;
-  }
-  return true;
+  return kernels::blocks_distinct(bits, kT0Blocks, kT0BlockBits);
 }
 
 bool t1_monobit(const BitStream& seq) {
@@ -85,29 +97,9 @@ bool t1_monobit(const BitStream& seq) {
 }
 
 bool t2_poker(const BitStream& seq) {
-  // The nibble value keys a histogram whose chi-square sums c^2 over all 16
-  // slots; the counts are integers with an integer sum of squares, so the
-  // wordwise LSB-first keying (a slot permutation) leaves `sum` exact.
-  std::array<std::size_t, 16> f{};
-  constexpr std::size_t kNibbles = kSeqBits / 4;
-  if (active_engine() == Engine::Wordwise) {
-    for (std::size_t i = 0; i < kNibbles; i += 16) {
-      std::uint64_t w = seq.chunk64(4 * i);
-      const std::size_t cnt = std::min<std::size_t>(16, kNibbles - i);
-      for (std::size_t k = 0; k < cnt; ++k) {
-        ++f[w & 15];
-        w >>= 4;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < kNibbles; ++i) {
-      ++f[seq.word(4 * i, 4)];
-    }
-  }
-  double sum = 0.0;
-  for (std::size_t c : f) {
-    sum += static_cast<double>(c) * static_cast<double>(c);
-  }
+  // The counts are integers, so their sum of squares is exact in a double.
+  const double sum =
+      static_cast<double>(kernels::nibble_square_sum(seq, kSeqBits / 4));
   const double x = (16.0 / 5000.0) * sum - 5000.0;
   return x > 1.03 && x < 57.4;
 }
@@ -118,21 +110,7 @@ bool t3_runs(const BitStream& seq) {
   static constexpr std::array<std::pair<std::size_t, std::size_t>, 6> kBounds =
       {{{2267, 2733}, {1079, 1421}, {502, 748}, {223, 402}, {90, 223},
         {90, 223}}};
-  std::array<std::array<std::size_t, 6>, 2> counts{};
-  if (active_engine() == Engine::Wordwise) {
-    counts = run_histogram_wordwise(seq, kSeqBits);
-  } else {
-    std::size_t run = 1;
-    for (std::size_t i = 1; i <= kSeqBits; ++i) {
-      if (i < kSeqBits && seq[i] == seq[i - 1]) {
-        ++run;
-      } else {
-        const std::size_t bucket = std::min<std::size_t>(run, 6) - 1;
-        ++counts[seq[i - 1] ? 1u : 0u][bucket];
-        run = 1;
-      }
-    }
-  }
+  const kernels::RunHistogram counts = kernels::run_histogram(seq, kSeqBits);
   for (const auto& side : counts) {
     for (std::size_t l = 0; l < 6; ++l) {
       if (side[l] < kBounds[l].first || side[l] > kBounds[l].second) {
@@ -144,20 +122,7 @@ bool t3_runs(const BitStream& seq) {
 }
 
 bool t4_long_run(const BitStream& seq) {
-  if (active_engine() == Engine::Wordwise) {
-    // A run of >= 34 exists iff the longest maximal run reaches 34.
-    std::size_t longest = 0;
-    support::wordops::for_each_run(
-        seq, 0, kSeqBits,
-        [&](bool, std::size_t run) { longest = std::max(longest, run); });
-    return longest < 34;
-  }
-  std::size_t run = 1;
-  for (std::size_t i = 1; i < kSeqBits; ++i) {
-    run = seq[i] == seq[i - 1] ? run + 1 : 1;
-    if (run >= 34) return false;
-  }
-  return true;
+  return kernels::longest_run(seq, kSeqBits) < 34;
 }
 
 bool t5_autocorrelation(const BitStream& seq) {
@@ -187,17 +152,12 @@ bool t6_uniform_distribution(const BitStream& bits, std::string* detail) {
   // and the conditional one-step distributions must be near-uniform.
   const double n = static_cast<double>(kT6Bits);
   const double p1 = static_cast<double>(bits.count_ones(0, kT6Bits)) / n;
+  const kernels::TransitionCounts t =
+      kernels::transition_counts(bits, 0, kT6Bits - 1);
   std::array<std::array<double, 2>, 2> trans{};
-  if (active_engine() == Engine::Wordwise) {
-    const auto t = transition_counts_wordwise(bits, 0, kT6Bits - 1);
-    for (std::size_t a = 0; a < 2; ++a) {
-      for (std::size_t b = 0; b < 2; ++b) {
-        trans[a][b] = static_cast<double>(t[a][b]);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i + 1 < kT6Bits; ++i) {
-      trans[bits[i] ? 1u : 0u][bits[i + 1] ? 1u : 0u] += 1.0;
+  for (std::size_t a = 0; a < 2; ++a) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      trans[a][b] = static_cast<double>(t[a][b]);
     }
   }
   const double p1_given_0 = trans[0][1] / std::max(trans[0][0] + trans[0][1], 1.0);
@@ -219,19 +179,12 @@ bool t7_homogeneity(const BitStream& bits, std::string* detail) {
   // threshold 15.13 corresponds to alpha = 0.0001 at 1 df per transition).
   const std::size_t half = kT7Bits / 2;
   std::array<std::array<std::array<double, 2>, 2>, 2> trans{};
-  if (active_engine() == Engine::Wordwise) {
-    for (std::size_t h = 0; h < 2; ++h) {
-      const auto t = transition_counts_wordwise(bits, h * half, half - 1);
-      for (std::size_t a = 0; a < 2; ++a) {
-        for (std::size_t b = 0; b < 2; ++b) {
-          trans[h][a][b] = static_cast<double>(t[a][b]);
-        }
-      }
-    }
-  } else {
-    for (std::size_t h = 0; h < 2; ++h) {
-      for (std::size_t i = h * half; i + 1 < (h + 1) * half; ++i) {
-        trans[h][bits[i] ? 1u : 0u][bits[i + 1] ? 1u : 0u] += 1.0;
+  for (std::size_t h = 0; h < 2; ++h) {
+    const kernels::TransitionCounts t =
+        kernels::transition_counts(bits, h * half, half - 1);
+    for (std::size_t a = 0; a < 2; ++a) {
+      for (std::size_t b = 0; b < 2; ++b) {
+        trans[h][a][b] = static_cast<double>(t[a][b]);
       }
     }
   }
@@ -258,21 +211,8 @@ bool t7_homogeneity(const BitStream& bits, std::string* detail) {
 
 bool t8_entropy(const BitStream& bits, double* statistic) {
   // Coron's entropy test: L = 8, Q = 2560, K = 256000; pass if f > 7.976.
-  constexpr std::size_t kL = 8;
   constexpr std::size_t kQ = 2560;
   constexpr std::size_t kK = 256000;
-  // The byte value is only a table key (like Maurer's universal test): the
-  // wordwise LSB-first read permutes `last[]` slots without changing any
-  // distance b + 1 - last[v], so the g-sum's operation sequence is intact.
-  const bool wordwise = active_engine() == Engine::Wordwise;
-  std::array<std::size_t, 256> last{};
-  const auto block = [&](std::size_t b) {
-    if (wordwise) {
-      return static_cast<std::size_t>(bits.chunk64(b * kL) & 0xff);
-    }
-    return static_cast<std::size_t>(bits.word(b * kL, kL));
-  };
-  for (std::size_t b = 0; b < kQ; ++b) last[block(b)] = b + 1;
   // Coron's g(j) = (1/ln 2) * sum_{k=1}^{j-1} 1/k; precompute lazily.
   std::vector<double> g(kQ + kK + 2, 0.0);
   double harmonic = 0.0;
@@ -280,12 +220,7 @@ bool t8_entropy(const BitStream& bits, double* statistic) {
     g[j] = harmonic / std::numbers::ln2;
     harmonic += 1.0 / static_cast<double>(j);
   }
-  double sum = 0.0;
-  for (std::size_t b = kQ; b < kQ + kK; ++b) {
-    const std::size_t v = block(b);
-    sum += g[b + 1 - last[v]];
-    last[v] = b + 1;
-  }
+  const double sum = kernels::coron_g_sum(bits, kQ, kK, g);
   const double f = sum / static_cast<double>(kK);
   if (statistic != nullptr) *statistic = f;
   return f > 7.976;

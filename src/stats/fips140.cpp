@@ -5,8 +5,45 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "stats/stats_config.h"
+#include "stats/kernels.h"
 #include "support/wordops.h"
+
+namespace dhtrng::stats::kernels {
+
+RunHistogram run_histogram(const BitStream& bits, std::size_t len) {
+  RunHistogram counts{};
+  support::wordops::for_each_run(bits, 0, len, [&](bool v, std::size_t run) {
+    ++counts[v ? 1u : 0u][std::min<std::size_t>(run, 6) - 1];
+  });
+  return counts;
+}
+
+std::size_t longest_run(const BitStream& bits, std::size_t len) {
+  std::size_t longest = 0;
+  support::wordops::for_each_run(
+      bits, 0, len,
+      [&](bool, std::size_t run) { longest = std::max(longest, run); });
+  return longest;
+}
+
+std::uint64_t nibble_square_sum(const BitStream& bits, std::size_t nibbles) {
+  // The LSB-first nibble is a slot permutation of the MSB-first one, which
+  // leaves the sum of squared counts unchanged.
+  std::array<std::uint64_t, 16> f{};
+  for (std::size_t i = 0; i < nibbles; i += 16) {
+    std::uint64_t w = bits.chunk64(4 * i);
+    const std::size_t cnt = std::min<std::size_t>(16, nibbles - i);
+    for (std::size_t k = 0; k < cnt; ++k) {
+      ++f[w & 15];
+      w >>= 4;
+    }
+  }
+  std::uint64_t sum = 0;
+  for (std::uint64_t c : f) sum += c * c;
+  return sum;
+}
+
+}  // namespace dhtrng::stats::kernels
 
 namespace dhtrng::stats::fips140 {
 
@@ -29,29 +66,9 @@ bool monobit(const support::BitStream& sample, double* ones_out) {
 
 bool poker(const support::BitStream& sample, double* chi2_out) {
   require_size(sample);
-  // Histogram keys may use either bit order: the chi-square sums integer
-  // c^2 over all 16 slots, so the wordwise LSB-first nibble (a slot
-  // permutation of the scalar MSB-first one) gives the exact same sum.
-  std::array<std::size_t, 16> f{};
-  constexpr std::size_t kNibbles = kSampleBits / 4;
-  if (active_engine() == Engine::Wordwise) {
-    for (std::size_t i = 0; i < kNibbles; i += 16) {
-      std::uint64_t w = sample.chunk64(4 * i);
-      const std::size_t cnt = std::min<std::size_t>(16, kNibbles - i);
-      for (std::size_t k = 0; k < cnt; ++k) {
-        ++f[w & 15];
-        w >>= 4;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < kNibbles; ++i) {
-      ++f[sample.word(4 * i, 4)];
-    }
-  }
-  double sum = 0.0;
-  for (std::size_t c : f) {
-    sum += static_cast<double>(c) * static_cast<double>(c);
-  }
+  // The counts are integers, so their sum of squares is exact in a double.
+  const double sum =
+      static_cast<double>(kernels::nibble_square_sum(sample, kSampleBits / 4));
   const double x = (16.0 / 5000.0) * sum - 5000.0;
   if (chi2_out != nullptr) *chi2_out = x;
   return x > 2.16 && x < 46.17;
@@ -67,23 +84,8 @@ bool runs(const support::BitStream& sample) {
                   {251, 373},
                   {111, 201},
                   {111, 201}}};
-  std::array<std::array<std::size_t, 6>, 2> counts{};
-  if (active_engine() == Engine::Wordwise) {
-    support::wordops::for_each_run(
-        sample, 0, kSampleBits, [&](bool v, std::size_t run) {
-          ++counts[v ? 1u : 0u][std::min<std::size_t>(run, 6) - 1];
-        });
-  } else {
-    std::size_t run = 1;
-    for (std::size_t i = 1; i <= kSampleBits; ++i) {
-      if (i < kSampleBits && sample[i] == sample[i - 1]) {
-        ++run;
-      } else {
-        ++counts[sample[i - 1] ? 1u : 0u][std::min<std::size_t>(run, 6) - 1];
-        run = 1;
-      }
-    }
-  }
+  const kernels::RunHistogram counts =
+      kernels::run_histogram(sample, kSampleBits);
   for (const auto& side : counts) {
     for (std::size_t l = 0; l < 6; ++l) {
       if (side[l] < kBounds[l].first || side[l] > kBounds[l].second) {
@@ -96,18 +98,7 @@ bool runs(const support::BitStream& sample) {
 
 bool long_run(const support::BitStream& sample, std::size_t* longest_out) {
   require_size(sample);
-  std::size_t longest = 1;
-  if (active_engine() == Engine::Wordwise) {
-    support::wordops::for_each_run(
-        sample, 0, kSampleBits,
-        [&](bool, std::size_t run) { longest = std::max(longest, run); });
-  } else {
-    std::size_t run = 1;
-    for (std::size_t i = 1; i < kSampleBits; ++i) {
-      run = sample[i] == sample[i - 1] ? run + 1 : 1;
-      longest = std::max(longest, run);
-    }
-  }
+  const std::size_t longest = kernels::longest_run(sample, kSampleBits);
   if (longest_out != nullptr) *longest_out = longest;
   return longest < 26;
 }

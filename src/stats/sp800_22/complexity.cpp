@@ -3,10 +3,23 @@
 #include <array>
 #include <cmath>
 
+#include "stats/kernels.h"
 #include "stats/sp800_22.h"
-#include "stats/stats_config.h"
 #include "support/berlekamp_massey.h"
 #include "support/special_functions.h"
+
+namespace dhtrng::stats::kernels {
+
+std::vector<std::size_t> block_linear_complexities(const BitStream& bits,
+                                                   std::size_t m) {
+  std::vector<std::size_t> l(bits.size() / m);
+  for (std::size_t b = 0; b < l.size(); ++b) {
+    l[b] = support::linear_complexity(bits, b * m, m);
+  }
+  return l;
+}
+
+}  // namespace dhtrng::stats::kernels
 
 namespace dhtrng::stats::sp800_22 {
 
@@ -25,12 +38,8 @@ TestResult linear_complexity(const BitStream& bits, std::size_t block_len) {
                     (md / 3.0 + 2.0 / 9.0) / std::pow(2.0, md);
   const double sign_t = (m % 2 == 0) ? 1.0 : -1.0;  // (-1)^M
 
-  const bool wordwise = active_engine() == Engine::Wordwise;
   std::array<std::size_t, 7> nu{};
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t l = wordwise
-                              ? support::linear_complexity(bits, b * m, m)
-                              : support::linear_complexity_ref(bits, b * m, m);
+  for (std::size_t l : kernels::block_linear_complexities(bits, m)) {
     const double t = sign_t * (static_cast<double>(l) - mu) + 2.0 / 9.0;
     std::size_t cls;
     if (t <= -2.5) cls = 0;

@@ -1,57 +1,48 @@
 // SP 800-22 sections 2.11 and 2.12: Serial and Approximate Entropy.
 // Both count overlapping m-bit patterns on the cyclically extended sequence.
 //
-// The wordwise engine slides an LSB-first window register fed from 64-bit
-// chunks (the scalar engine rebuilds an MSB-first value with a modulo per
-// bit).  The count array is therefore indexed by the bit-reversed pattern
-// value; both psi-squared and phi iterate it in bit-reversed index order so
-// the accumulation visits counts in exactly the scalar sequence, keeping
-// the floating-point results bitwise identical.
+// The kernels slide an LSB-first window register fed from 64-bit chunks
+// instead of rebuilding the MSB-first pattern value bit by bit.  The count
+// array is therefore indexed by the bit-reversed pattern value; both sums
+// iterate it in bit-reversed index order so the accumulation visits counts
+// in MSB-first pattern order, the specification's sequence.
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "stats/kernels.h"
 #include "stats/sp800_22.h"
-#include "stats/stats_config.h"
 #include "support/special_functions.h"
 #include "support/wordops.h"
 
-namespace dhtrng::stats::sp800_22 {
-
-using support::igamc;
+namespace dhtrng::stats::kernels {
 
 namespace {
 
-/// Counts of all overlapping m-bit patterns over the cyclic sequence,
-/// indexed by the MSB-first pattern value.
-std::vector<std::uint32_t> pattern_counts_scalar(const BitStream& bits,
-                                                 std::size_t m) {
-  std::vector<std::uint32_t> counts(std::size_t{1} << m, 0);
-  if (m == 0 || bits.size() == 0) return counts;
-  const std::size_t n = bits.size();
-  const std::uint64_t mask = (std::uint64_t{1} << m) - 1;
-  std::uint64_t window = 0;
-  // Prime with the first m-1 bits.
-  for (std::size_t i = 0; i < m - 1; ++i) {
-    window = ((window << 1) | (bits[i] ? 1u : 0u)) & mask;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool bit = bits[(i + m - 1) % n];  // cyclic extension
-    window = ((window << 1) | (bit ? 1u : 0u)) & mask;
-    ++counts[window];
-  }
-  return counts;
-}
+namespace wo = support::wordops;
 
-/// Same multiset of counts, indexed by the LSB-first pattern value:
-/// counts_lsb[bit_reverse(v, m)] == counts_msb[v].
-std::vector<std::uint32_t> pattern_counts_wordwise(const BitStream& bits,
-                                                   std::size_t m) {
+/// Counts of all overlapping m-bit patterns over the cyclic sequence,
+/// indexed by the LSB-first pattern value: counts[bit_reverse(v, m)] is the
+/// count of MSB-first pattern v.
+std::vector<std::uint32_t> pattern_counts(const BitStream& bits,
+                                          std::size_t m) {
   std::vector<std::uint32_t> counts(std::size_t{1} << m, 0);
   const std::size_t n = bits.size();
   if (m == 0 || n == 0) return counts;
-  if (n < m) return pattern_counts_scalar(bits, m);  // degenerate sizes
   const std::uint64_t mask = (std::uint64_t{1} << m) - 1;
+  if (n < m) {
+    // Degenerate sizes: every window wraps around the sequence.
+    std::uint64_t window = 0;
+    for (std::size_t i = 0; i + 1 < m; ++i) {
+      window = (window >> 1) | (std::uint64_t{bits[i % n]} << (m - 1));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      window = (window >> 1) |
+               (std::uint64_t{bits[(i + m - 1) % n]} << (m - 1));
+      ++counts[window & mask];
+    }
+    return counts;
+  }
   std::uint64_t window = bits.chunk64(0) & mask;
   ++counts[window];
   // Windows 1 .. n-m draw their incoming bit from the stream directly.
@@ -78,41 +69,51 @@ std::vector<std::uint32_t> pattern_counts_wordwise(const BitStream& bits,
   return counts;
 }
 
-double psi_squared(const BitStream& bits, std::size_t m) {
-  if (m == 0) return 0.0;
-  namespace wo = support::wordops;
-  const bool wordwise = active_engine() == Engine::Wordwise;
-  const double n = static_cast<double>(bits.size());
-  const auto counts = wordwise ? pattern_counts_wordwise(bits, m)
-                               : pattern_counts_scalar(bits, m);
+}  // namespace
+
+double pattern_square_sum(const BitStream& bits, std::size_t m) {
+  const auto counts = pattern_counts(bits, m);
   double sum = 0.0;
   for (std::size_t v = 0; v < counts.size(); ++v) {
-    const std::uint32_t c =
-        wordwise ? counts[wo::bit_reverse(v, static_cast<unsigned>(m))]
-                 : counts[v];
+    const std::uint32_t c = counts[wo::bit_reverse(v, static_cast<unsigned>(m))];
     sum += static_cast<double>(c) * static_cast<double>(c);
   }
-  return sum * std::pow(2.0, static_cast<double>(m)) / n - n;
+  return sum;
 }
 
-double phi(const BitStream& bits, std::size_t m) {
-  if (m == 0) return 0.0;
-  namespace wo = support::wordops;
-  const bool wordwise = active_engine() == Engine::Wordwise;
+double pattern_entropy_sum(const BitStream& bits, std::size_t m) {
   const double n = static_cast<double>(bits.size());
-  const auto counts = wordwise ? pattern_counts_wordwise(bits, m)
-                               : pattern_counts_scalar(bits, m);
+  const auto counts = pattern_counts(bits, m);
   double sum = 0.0;
   for (std::size_t v = 0; v < counts.size(); ++v) {
-    const std::uint32_t c =
-        wordwise ? counts[wo::bit_reverse(v, static_cast<unsigned>(m))]
-                 : counts[v];
+    const std::uint32_t c = counts[wo::bit_reverse(v, static_cast<unsigned>(m))];
     if (c > 0) {
       const double p = static_cast<double>(c) / n;
       sum += p * std::log(p);
     }
   }
   return sum;
+}
+
+}  // namespace dhtrng::stats::kernels
+
+namespace dhtrng::stats::sp800_22 {
+
+using support::igamc;
+
+namespace {
+
+double psi_squared(const BitStream& bits, std::size_t m) {
+  if (m == 0) return 0.0;
+  const double n = static_cast<double>(bits.size());
+  return kernels::pattern_square_sum(bits, m) *
+             std::pow(2.0, static_cast<double>(m)) / n -
+         n;
+}
+
+double phi(const BitStream& bits, std::size_t m) {
+  if (m == 0) return 0.0;
+  return kernels::pattern_entropy_sum(bits, m);
 }
 
 }  // namespace

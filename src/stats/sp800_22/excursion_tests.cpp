@@ -6,29 +6,14 @@
 #include <cmath>
 #include <map>
 
+#include "stats/kernels.h"
 #include "stats/sp800_22.h"
-#include "stats/stats_config.h"
 #include "support/special_functions.h"
 
-namespace dhtrng::stats::sp800_22 {
+namespace dhtrng::stats::kernels {
 
-using support::erfc;
-using support::igamc;
-
-namespace {
-
-struct WalkInfo {
-  std::size_t cycles = 0;
-  /// Visit counts per state per cycle-class, for states -4..4 (index 0..8,
-  /// state 0 unused): klass[state][k] = number of cycles visiting `state`
-  /// exactly k times (k clamped to 5).
-  std::array<std::array<std::size_t, 6>, 9> klass{};
-  /// Total visits per state for -9..9 (index 0..18, state 0 unused).
-  std::array<std::size_t, 19> total_visits{};
-};
-
-WalkInfo analyze_walk(const BitStream& bits) {
-  WalkInfo info;
+WalkVisits walk_visits(const BitStream& bits) {
+  WalkVisits info;
   long long s = 0;
   std::array<std::size_t, 9> cycle_visits{};   // -4..4 within current cycle
   const auto flush_cycle = [&] {
@@ -53,30 +38,30 @@ WalkInfo analyze_walk(const BitStream& bits) {
       }
     }
   };
+  // The per-bit state machine is fed from a shifted 64-bit register
+  // instead of per-index container reads.
   const std::size_t n = bits.size();
-  if (active_engine() == Engine::Wordwise) {
-    // Same per-bit state machine, but fed from a shifted 64-bit register
-    // instead of per-index container reads; the visit counts are integers,
-    // so the walk is identical.
-    for (std::size_t base = 0; base < n; base += 64) {
-      std::uint64_t reg = bits.chunk64(base);
-      const std::size_t valid = std::min<std::size_t>(64, n - base);
-      for (std::size_t j = 0; j < valid; ++j) {
-        step((reg & 1u) != 0);
-        reg >>= 1;
-      }
+  for (std::size_t base = 0; base < n; base += 64) {
+    std::uint64_t reg = bits.chunk64(base);
+    const std::size_t valid = std::min<std::size_t>(64, n - base);
+    for (std::size_t j = 0; j < valid; ++j) {
+      step((reg & 1u) != 0);
+      reg >>= 1;
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) step(bits[i]);
   }
   if (s != 0) flush_cycle();  // the final partial cycle counts as one
   return info;
 }
 
-}  // namespace
+}  // namespace dhtrng::stats::kernels
+
+namespace dhtrng::stats::sp800_22 {
+
+using support::erfc;
+using support::igamc;
 
 TestResult random_excursions(const BitStream& bits) {
-  const WalkInfo info = analyze_walk(bits);
+  const kernels::WalkVisits info = kernels::walk_visits(bits);
   TestResult result{"RandomExcursions", {}};
   if (info.cycles < 500) {
     result.applicable = false;
@@ -105,7 +90,7 @@ TestResult random_excursions(const BitStream& bits) {
 }
 
 TestResult random_excursions_variant(const BitStream& bits) {
-  const WalkInfo info = analyze_walk(bits);
+  const kernels::WalkVisits info = kernels::walk_visits(bits);
   TestResult result{"RandomExcursionsVariant", {}};
   if (info.cycles < 500) {
     result.applicable = false;

@@ -1,68 +1,25 @@
 // SP 800-22 sections 2.1-2.4 and 2.13: Frequency, Block Frequency, Runs,
 // Longest Run of Ones, and Cumulative Sums.
 //
-// Each test computes an integer sufficient statistic (peak excursion,
-// transition count, per-block longest run) that the Scalar engine derives
-// bit by bit and the Wordwise engine derives from whole 64-bit words; the
-// statistic is identical by construction, and the p-value formula runs on
-// the shared integer, so the engines agree bitwise.
+// Each test scores an integer sufficient statistic (peak excursion,
+// transition count, per-block longest run) that a kernel derives from
+// whole 64-bit words; the p-value formula runs on that integer.
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 
+#include "stats/kernels.h"
 #include "stats/sp800_22.h"
-#include "stats/stats_config.h"
 #include "support/special_functions.h"
 #include "support/wordops.h"
 
-namespace dhtrng::stats::sp800_22 {
+namespace dhtrng::stats::kernels {
 
-using support::erfc;
-using support::igamc;
-using support::normal_cdf;
-
-TestResult frequency(const BitStream& bits) {
-  const double n = static_cast<double>(bits.size());
-  const double ones = static_cast<double>(bits.count_ones());
-  const double s = std::abs(2.0 * ones - n) / std::sqrt(n);
-  return {"Frequency", {erfc(s / std::sqrt(2.0))}};
-}
-
-TestResult block_frequency(const BitStream& bits, std::size_t block_len) {
-  const std::size_t n = bits.size();
-  const std::size_t blocks = n / block_len;
-  double chi2 = 0.0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double pi = static_cast<double>(
-                          bits.count_ones(b * block_len, block_len)) /
-                      static_cast<double>(block_len);
-    chi2 += (pi - 0.5) * (pi - 0.5);
-  }
-  chi2 *= 4.0 * static_cast<double>(block_len);
-  return {"BlockFrequency",
-          {igamc(static_cast<double>(blocks) / 2.0, chi2 / 2.0)}};
-}
-
-namespace {
-
-/// max_k |S_k| of the ±1 walk, walking forward or backward — bit at a time.
-long long cusum_peak_scalar(const BitStream& bits, bool forward) {
-  const std::size_t n = bits.size();
-  long long s = 0;
-  long long z = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool bit = forward ? bits[i] : bits[n - 1 - i];
-    s += bit ? 1 : -1;
-    z = std::max(z, std::llabs(s));
-  }
-  return z;
-}
-
-/// Same peak via the per-byte walk tables: within a byte the walk's extreme
-/// partial sums are s + max_prefix and s + min_prefix, so the peak |S_k|
-/// over the byte is the larger magnitude of the two.
-long long cusum_peak_wordwise(const BitStream& bits, bool forward) {
+/// Per-byte walk tables: within a byte the walk's extreme partial sums are
+/// s + max_prefix and s + min_prefix, so the peak |S_k| over the byte is
+/// the larger magnitude of the two.
+long long cusum_peak(const BitStream& bits, bool forward) {
   namespace wo = support::wordops;
   const std::size_t n = bits.size();
   const auto words = bits.words();
@@ -95,11 +52,101 @@ long long cusum_peak_wordwise(const BitStream& bits, bool forward) {
   return z;
 }
 
+/// Transition count via popcount(x ^ (x >> 1)) per 64-bit chunk; bit j of
+/// chunk64(i) ^ chunk64(i + 1) flags a transition between positions i + j
+/// and i + j + 1.
+std::size_t runs_count(const BitStream& bits) {
+  const std::size_t n = bits.size();
+  std::size_t v = 1;
+  for (std::size_t i = 0; i + 1 < n; i += 64) {
+    const std::uint64_t t = bits.chunk64(i) ^ bits.chunk64(i + 1);
+    const std::size_t valid = std::min<std::size_t>(64, n - 1 - i);
+    const std::uint64_t mask = valid >= 64 ? ~0ULL : (1ULL << valid) - 1;
+    v += static_cast<std::size_t>(std::popcount(t & mask));
+  }
+  return v;
+}
+
+namespace {
+
+/// Longest run of ones in a 64-bit word (x &= x << 1 peels one bit off every
+/// run per iteration).
+std::size_t word_longest_run(std::uint64_t x) {
+  std::size_t k = 0;
+  while (x != 0) {
+    x &= x << 1;
+    ++k;
+  }
+  return k;
+}
+
+std::size_t block_longest_ones_at(const BitStream& bits, std::size_t base,
+                                  std::size_t m) {
+  std::size_t longest = 0;
+  std::size_t run = 0;  // ones-run carried across chunk boundaries
+  for (std::size_t off = 0; off < m; off += 64) {
+    const std::size_t valid = std::min<std::size_t>(64, m - off);
+    const std::uint64_t x = bits.chunk64(base + off) &
+                            (valid >= 64 ? ~0ULL : (1ULL << valid) - 1);
+    const std::size_t lead = static_cast<std::size_t>(std::countr_one(x));
+    if (lead >= valid) {  // chunk is all ones: the carried run continues
+      run += valid;
+      continue;
+    }
+    longest = std::max(longest, run + lead);
+    longest = std::max(longest, word_longest_run(x));
+    // Ones at the top of the valid window seed the next chunk's carry.
+    run = static_cast<std::size_t>(std::countl_one(x << (64 - valid)));
+  }
+  return std::max(longest, run);
+}
+
+}  // namespace
+
+std::vector<std::size_t> block_longest_ones(const BitStream& bits,
+                                            std::size_t m) {
+  std::vector<std::size_t> longest(bits.size() / m);
+  for (std::size_t b = 0; b < longest.size(); ++b) {
+    longest[b] = block_longest_ones_at(bits, b * m, m);
+  }
+  return longest;
+}
+
+}  // namespace dhtrng::stats::kernels
+
+namespace dhtrng::stats::sp800_22 {
+
+using support::erfc;
+using support::igamc;
+using support::normal_cdf;
+
+TestResult frequency(const BitStream& bits) {
+  const double n = static_cast<double>(bits.size());
+  const double ones = static_cast<double>(bits.count_ones());
+  const double s = std::abs(2.0 * ones - n) / std::sqrt(n);
+  return {"Frequency", {erfc(s / std::sqrt(2.0))}};
+}
+
+TestResult block_frequency(const BitStream& bits, std::size_t block_len) {
+  const std::size_t n = bits.size();
+  const std::size_t blocks = n / block_len;
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const double pi = static_cast<double>(
+                          bits.count_ones(b * block_len, block_len)) /
+                      static_cast<double>(block_len);
+    chi2 += (pi - 0.5) * (pi - 0.5);
+  }
+  chi2 *= 4.0 * static_cast<double>(block_len);
+  return {"BlockFrequency",
+          {igamc(static_cast<double>(blocks) / 2.0, chi2 / 2.0)}};
+}
+
+namespace {
+
 double cusum_p_value(const BitStream& bits, bool forward) {
   const std::size_t n = bits.size();
-  const long long z = active_engine() == Engine::Wordwise
-                          ? cusum_peak_wordwise(bits, forward)
-                          : cusum_peak_scalar(bits, forward);
+  const long long z = kernels::cusum_peak(bits, forward);
   if (z == 0) return 0.0;
   const double zn = static_cast<double>(z);
   const double sqrt_n = std::sqrt(static_cast<double>(n));
@@ -129,76 +176,6 @@ double cusum_p_value(const BitStream& bits, bool forward) {
   return 1.0 - sum1 + sum2;
 }
 
-std::size_t runs_count_scalar(const BitStream& bits) {
-  const std::size_t n = bits.size();
-  std::size_t v = 1;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (bits[i] != bits[i - 1]) ++v;
-  }
-  return v;
-}
-
-/// Transition count via popcount(x ^ (x >> 1)) per 64-bit chunk; bit j of
-/// chunk64(i) ^ chunk64(i + 1) flags a transition between positions i + j
-/// and i + j + 1.
-std::size_t runs_count_wordwise(const BitStream& bits) {
-  const std::size_t n = bits.size();
-  std::size_t v = 1;
-  for (std::size_t i = 0; i + 1 < n; i += 64) {
-    const std::uint64_t t = bits.chunk64(i) ^ bits.chunk64(i + 1);
-    const std::size_t valid = std::min<std::size_t>(64, n - 1 - i);
-    const std::uint64_t mask = valid >= 64 ? ~0ULL : (1ULL << valid) - 1;
-    v += static_cast<std::size_t>(std::popcount(t & mask));
-  }
-  return v;
-}
-
-std::size_t block_longest_run_scalar(const BitStream& bits, std::size_t base,
-                                     std::size_t m) {
-  std::size_t longest = 0, run = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (bits[base + i]) {
-      ++run;
-      longest = std::max(longest, run);
-    } else {
-      run = 0;
-    }
-  }
-  return longest;
-}
-
-/// Longest run of ones in a 64-bit word (x &= x << 1 peels one bit off every
-/// run per iteration).
-std::size_t word_longest_run(std::uint64_t x) {
-  std::size_t k = 0;
-  while (x != 0) {
-    x &= x << 1;
-    ++k;
-  }
-  return k;
-}
-
-std::size_t block_longest_run_wordwise(const BitStream& bits, std::size_t base,
-                                       std::size_t m) {
-  std::size_t longest = 0;
-  std::size_t run = 0;  // ones-run carried across chunk boundaries
-  for (std::size_t off = 0; off < m; off += 64) {
-    const std::size_t valid = std::min<std::size_t>(64, m - off);
-    const std::uint64_t x = bits.chunk64(base + off) &
-                            (valid >= 64 ? ~0ULL : (1ULL << valid) - 1);
-    const std::size_t lead = static_cast<std::size_t>(std::countr_one(x));
-    if (lead >= valid) {  // chunk is all ones: the carried run continues
-      run += valid;
-      continue;
-    }
-    longest = std::max(longest, run + lead);
-    longest = std::max(longest, word_longest_run(x));
-    // Ones at the top of the valid window seed the next chunk's carry.
-    run = static_cast<std::size_t>(std::countl_one(x << (64 - valid)));
-  }
-  return std::max(longest, run);
-}
-
 }  // namespace
 
 TestResult cumulative_sums(const BitStream& bits) {
@@ -214,9 +191,7 @@ TestResult runs(const BitStream& bits) {
   if (std::abs(pi - 0.5) >= 2.0 / std::sqrt(nd)) {
     return {"Runs", {0.0}};
   }
-  const std::size_t v = active_engine() == Engine::Wordwise
-                            ? runs_count_wordwise(bits)
-                            : runs_count_scalar(bits);
+  const std::size_t v = kernels::runs_count(bits);
   const double vd = static_cast<double>(v);
   const double p = erfc(std::abs(vd - 2.0 * nd * pi * (1.0 - pi)) /
                         (2.0 * std::sqrt(2.0 * nd) * pi * (1.0 - pi)));
@@ -239,13 +214,11 @@ TestResult longest_run(const BitStream& bits) {
     m = 8, k = 3, v_min = 1;
     pi = {0.2148, 0.3672, 0.2305, 0.1875};
   }
-  const std::size_t blocks = n / m;
-  const bool wordwise = active_engine() == Engine::Wordwise;
+  const std::vector<std::size_t> longest_per_block =
+      kernels::block_longest_ones(bits, m);
+  const std::size_t blocks = longest_per_block.size();
   std::vector<std::size_t> nu(k + 1, 0);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t longest =
-        wordwise ? block_longest_run_wordwise(bits, b * m, m)
-                 : block_longest_run_scalar(bits, b * m, m);
+  for (std::size_t longest : longest_per_block) {
     std::size_t cls = longest <= v_min ? 0
                       : longest >= v_min + k ? k
                                              : longest - v_min;

@@ -1,26 +1,23 @@
 // SP 800-22 sections 2.5 and 2.6: Binary Matrix Rank and Discrete Fourier
 // Transform (spectral) tests.
 //
-// Wordwise rank fills each 32-bit matrix row with one chunk64 read; the
-// rank itself was already word-parallel.  Wordwise DFT swaps the Bluestein
-// transform for the cached-plan mixed-radix real FFT when the length
-// supports it; because the decision statistic is the integer count of
-// magnitudes below the threshold, the engines agree exactly as long as no
-// magnitude falls inside a guard band around the threshold — and when one
-// does (or the length is unsupported), the wordwise path re-runs the exact
-// transform, so the p-value is identical by construction.
+// Rank fills each 32-bit matrix row with one chunk64 read and ranks the
+// matrix word-parallel.  The DFT uses the cached-plan mixed-radix real FFT
+// when the length supports it; because the decision statistic is the
+// integer count of magnitudes below the threshold, it equals the exact
+// (Bluestein) transform's count as long as no magnitude falls inside a
+// guard band around the threshold — and when one does (or the length is
+// unsupported), the count comes from the exact transform.
 #include <algorithm>
 #include <cmath>
 
+#include "stats/kernels.h"
 #include "stats/sp800_22.h"
-#include "stats/stats_config.h"
 #include "support/fft.h"
 #include "support/gf2.h"
 #include "support/special_functions.h"
 
-namespace dhtrng::stats::sp800_22 {
-
-using support::erfc;
+namespace dhtrng::stats::kernels {
 
 namespace {
 
@@ -44,8 +41,10 @@ std::size_t dft_below_threshold_scalar(const std::vector<double>& x,
   return n1;
 }
 
-std::size_t dft_below_threshold_wordwise(const std::vector<double>& x,
-                                         double threshold) {
+}  // namespace
+
+std::size_t dft_below_threshold(const std::vector<double>& x,
+                                double threshold) {
   if (!support::fast_real_dft_available(x.size())) {
     return dft_below_threshold_scalar(x, threshold);
   }
@@ -63,36 +62,35 @@ std::size_t dft_below_threshold_wordwise(const std::vector<double>& x,
   return n1;
 }
 
-}  // namespace
+RankCounts rank_counts(const BitStream& bits) {
+  constexpr std::size_t kM = 32;
+  RankCounts counts;
+  counts.matrices = bits.size() / (kM * kM);
+  for (std::size_t m = 0; m < counts.matrices; ++m) {
+    support::Gf2Matrix mat(kM, kM);
+    const std::size_t base = m * kM * kM;
+    // Row r is 32 consecutive stream bits; chunk64 is LSB-first, matching
+    // the column-c-is-bit-c row layout of Gf2Matrix.
+    for (std::size_t r = 0; r < kM; ++r) {
+      mat.set_row_bits(r, bits.chunk64(base + r * kM) & 0xFFFFFFFFULL);
+    }
+    const std::size_t rk = mat.rank();
+    if (rk == kM) ++counts.full;
+    else if (rk == kM - 1) ++counts.minus1;
+  }
+  return counts;
+}
+
+}  // namespace dhtrng::stats::kernels
+
+namespace dhtrng::stats::sp800_22 {
+
+using support::erfc;
 
 TestResult rank(const BitStream& bits) {
   constexpr std::size_t kM = 32;
-  constexpr std::size_t kQ = 32;
-  const std::size_t matrices = bits.size() / (kM * kQ);
+  const auto [matrices, full, minus1] = kernels::rank_counts(bits);
   if (matrices == 0) return {"Rank", {0.0}, false};
-
-  const bool wordwise = active_engine() == Engine::Wordwise;
-  std::size_t full = 0, minus1 = 0;
-  for (std::size_t m = 0; m < matrices; ++m) {
-    support::Gf2Matrix mat(kM, kQ);
-    const std::size_t base = m * kM * kQ;
-    if (wordwise) {
-      // Row r is 32 consecutive stream bits; chunk64 is LSB-first, matching
-      // the column-c-is-bit-c row layout of Gf2Matrix.
-      for (std::size_t r = 0; r < kM; ++r) {
-        mat.set_row_bits(r, bits.chunk64(base + r * kQ) & 0xFFFFFFFFULL);
-      }
-    } else {
-      for (std::size_t r = 0; r < kM; ++r) {
-        for (std::size_t c = 0; c < kQ; ++c) {
-          mat.set(r, c, bits[base + r * kQ + c]);
-        }
-      }
-    }
-    const std::size_t rk = mat.rank();
-    if (rk == kM) ++full;
-    else if (rk == kM - 1) ++minus1;
-  }
   const std::size_t rest = matrices - full - minus1;
   const double p_full = support::gf2_full_rank_deficit_probability(kM, 0);
   const double p_m1 = support::gf2_full_rank_deficit_probability(kM, 1);
@@ -114,9 +112,7 @@ TestResult dft(const BitStream& bits) {
   for (std::size_t i = 0; i < n; ++i) x[i] = bits[i] ? 1.0 : -1.0;
   const double nd = static_cast<double>(n);
   const double threshold = std::sqrt(std::log(1.0 / 0.05) * nd);
-  const std::size_t below = active_engine() == Engine::Wordwise
-                                ? dft_below_threshold_wordwise(x, threshold)
-                                : dft_below_threshold_scalar(x, threshold);
+  const std::size_t below = kernels::dft_below_threshold(x, threshold);
   const double n0 = 0.95 * nd / 2.0;
   const double n1 = static_cast<double>(below);
   const double d = (n1 - n0) / std::sqrt(nd * 0.95 * 0.05 / 4.0);

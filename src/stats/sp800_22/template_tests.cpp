@@ -1,47 +1,27 @@
 // SP 800-22 sections 2.7-2.9: Non-overlapping Template Matching,
 // Overlapping Template Matching, and Maurer's Universal Statistical test.
 //
-// The wordwise kernels read windows straight out of the packed words
-// (chunk64 / rolling-register extraction) and key lookup tables by the
-// LSB-first window value instead of the scalar engine's MSB-first value.
-// That remap is a pure permutation of table slots: occurrence lists,
-// match counts and last-seen distances are identical, so every statistic
-// — and every floating-point operation sequence downstream — is unchanged.
+// The kernels read windows straight out of the packed words (chunk64 /
+// rolling-register extraction) and key lookup tables by the LSB-first
+// window value instead of the specification's MSB-first value.  That remap
+// is a pure permutation of table slots: occurrence lists, match counts and
+// last-seen distances are identical, so every statistic — and every
+// floating-point operation sequence downstream — is unchanged.
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 
+#include "stats/kernels.h"
 #include "stats/sp800_22.h"
-#include "stats/stats_config.h"
 #include "support/special_functions.h"
 
-namespace dhtrng::stats::sp800_22 {
-
-using support::erfc;
-using support::igamc;
+namespace dhtrng::stats::kernels {
 
 namespace {
 
-/// Bucket every window position by its m-bit value.  `msb_first` selects the
-/// scalar engine's value convention; wordwise uses LSB-first keys (and keys
-/// its template values the same way, so buckets pair up identically).
-std::vector<std::vector<std::uint32_t>> window_positions_scalar(
-    const BitStream& bits, std::size_t m) {
-  const std::size_t n = bits.size();
-  std::vector<std::vector<std::uint32_t>> positions(std::size_t{1} << m);
-  std::uint32_t window = 0;
-  const std::uint32_t mask = (1u << m) - 1u;
-  for (std::size_t i = 0; i < n; ++i) {
-    window = ((window << 1) | (bits[i] ? 1u : 0u)) & mask;
-    if (i + 1 >= m) {
-      positions[window].push_back(static_cast<std::uint32_t>(i + 1 - m));
-    }
-  }
-  return positions;
-}
-
-std::vector<std::vector<std::uint32_t>> window_positions_wordwise(
+/// Bucket every window position by its LSB-first m-bit value.
+std::vector<std::vector<std::uint32_t>> window_positions(
     const BitStream& bits, std::size_t m) {
   const std::size_t n = bits.size();
   std::vector<std::vector<std::uint32_t>> positions(std::size_t{1} << m);
@@ -63,31 +43,13 @@ std::vector<std::vector<std::uint32_t>> window_positions_wordwise(
   return positions;
 }
 
-std::size_t overlapping_block_matches_scalar(const BitStream& bits,
-                                             std::size_t base,
-                                             std::size_t block_len,
-                                             std::size_t template_len) {
-  std::size_t matches = 0;
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < block_len; ++i) {
-    if (bits[base + i]) {
-      ++run;
-      if (run >= template_len) ++matches;  // overlapping all-ones matches
-    } else {
-      run = 0;
-    }
-  }
-  return matches;
-}
-
 /// Matches at 64 positions at once: bit i of AND_t chunk64(q + t) is set iff
 /// the template_len window starting at q + i is all ones.  Windows may read
 /// past the block end inside chunk64, but only positions within the block's
 /// window range are counted, and those windows lie entirely in the block.
-std::size_t overlapping_block_matches_wordwise(const BitStream& bits,
-                                               std::size_t base,
-                                               std::size_t block_len,
-                                               std::size_t template_len) {
+std::size_t overlapping_matches_at(const BitStream& bits, std::size_t base,
+                                   std::size_t block_len,
+                                   std::size_t template_len) {
   const std::size_t window_count = block_len - template_len + 1;
   std::size_t matches = 0;
   for (std::size_t g = 0; g < window_count; g += 64) {
@@ -104,46 +66,31 @@ std::size_t overlapping_block_matches_wordwise(const BitStream& bits,
 
 }  // namespace
 
-TestResult non_overlapping_template(const BitStream& bits,
-                                    std::size_t template_len) {
-  const std::size_t n = bits.size();
-  constexpr std::size_t kBlocks = 8;
-  const std::size_t block_len = n / kBlocks;
+std::vector<std::array<std::size_t, kTemplateBlocks>> non_overlapping_counts(
+    const BitStream& bits, std::size_t template_len) {
   const std::size_t m = template_len;
-  if (block_len < m) return {"NonOverlappingTemplate", {}, false};
-
+  const std::size_t block_len = bits.size() / kTemplateBlocks;
+  const auto& templates = sp800_22::aperiodic_templates_cached(m);
+  std::vector<std::array<std::size_t, kTemplateBlocks>> counts(
+      templates.size());
+  if (block_len < m) return counts;
   // Bucket every window position by its m-bit value; each template's
   // occurrence list is then one bucket, and greedy non-overlapping counting
   // walks it once.  Total work is O(n + sum of bucket sizes) = O(n).
-  const bool wordwise = active_engine() == Engine::Wordwise;
   const std::vector<std::vector<std::uint32_t>> positions =
-      wordwise ? window_positions_wordwise(bits, m)
-               : window_positions_scalar(bits, m);
-
-  const double md = static_cast<double>(block_len);
-  const double mu = (md - static_cast<double>(m) + 1.0) /
-                    std::pow(2.0, static_cast<double>(m));
-  const double sigma2 =
-      md * (1.0 / std::pow(2.0, static_cast<double>(m)) -
-            (2.0 * static_cast<double>(m) - 1.0) /
-                std::pow(2.0, 2.0 * static_cast<double>(m)));
-
-  TestResult result{"NonOverlappingTemplate", {}};
-  for (const auto& tpl : aperiodic_templates_cached(m)) {
-    std::uint32_t value = 0;
-    if (wordwise) {  // LSB-first, matching the wordwise bucket keys
-      for (std::size_t t = 0; t < tpl.size(); ++t) {
-        value |= (tpl[t] ? 1u : 0u) << t;
-      }
-    } else {
-      for (bool b : tpl) value = (value << 1) | (b ? 1u : 0u);
+      window_positions(bits, m);
+  for (std::size_t k = 0; k < templates.size(); ++k) {
+    const auto& tpl = templates[k];
+    std::uint32_t value = 0;  // LSB-first, matching the bucket keys
+    for (std::size_t t = 0; t < tpl.size(); ++t) {
+      value |= (tpl[t] ? 1u : 0u) << t;
     }
-    std::array<std::size_t, kBlocks> w{};
+    std::array<std::size_t, kTemplateBlocks>& w = counts[k];
     std::size_t last_end = 0;  // next allowed start within the current block
-    std::size_t last_block = kBlocks;  // sentinel
+    std::size_t last_block = kTemplateBlocks;  // sentinel
     for (std::uint32_t pos : positions[value]) {
       const std::size_t block = pos / block_len;
-      if (block >= kBlocks) break;
+      if (block >= kTemplateBlocks) break;
       // The STS scans i in [0, M-m] inside each block; windows spanning a
       // boundary do not count.
       if (pos % block_len > block_len - m) continue;
@@ -156,6 +103,46 @@ TestResult non_overlapping_template(const BitStream& bits,
         last_end = pos + m;
       }
     }
+  }
+  return counts;
+}
+
+std::vector<std::size_t> overlapping_block_matches(const BitStream& bits,
+                                                   std::size_t block_len,
+                                                   std::size_t template_len) {
+  std::vector<std::size_t> matches(bits.size() / block_len);
+  for (std::size_t b = 0; b < matches.size(); ++b) {
+    matches[b] = overlapping_matches_at(bits, b * block_len, block_len,
+                                        template_len);
+  }
+  return matches;
+}
+
+}  // namespace dhtrng::stats::kernels
+
+namespace dhtrng::stats::sp800_22 {
+
+using support::erfc;
+using support::igamc;
+
+TestResult non_overlapping_template(const BitStream& bits,
+                                    std::size_t template_len) {
+  const std::size_t n = bits.size();
+  constexpr std::size_t kBlocks = kernels::kTemplateBlocks;
+  const std::size_t block_len = n / kBlocks;
+  const std::size_t m = template_len;
+  if (block_len < m) return {"NonOverlappingTemplate", {}, false};
+
+  const double md = static_cast<double>(block_len);
+  const double mu = (md - static_cast<double>(m) + 1.0) /
+                    std::pow(2.0, static_cast<double>(m));
+  const double sigma2 =
+      md * (1.0 / std::pow(2.0, static_cast<double>(m)) -
+            (2.0 * static_cast<double>(m) - 1.0) /
+                std::pow(2.0, 2.0 * static_cast<double>(m)));
+
+  TestResult result{"NonOverlappingTemplate", {}};
+  for (const auto& w : kernels::non_overlapping_counts(bits, m)) {
     double chi2 = 0.0;
     for (std::size_t b = 0; b < kBlocks; ++b) {
       const double d = static_cast<double>(w[b]) - mu;
@@ -179,14 +166,9 @@ TestResult overlapping_template(const BitStream& bits,
   if (blocks == 0 || template_len > kBlockLen) {
     return {"OverlappingTemplate", {}, false};
   }
-  const bool wordwise = active_engine() == Engine::Wordwise;
   std::array<std::size_t, kK + 1> nu{};
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t matches =
-        wordwise ? overlapping_block_matches_wordwise(bits, b * kBlockLen,
-                                                      kBlockLen, template_len)
-                 : overlapping_block_matches_scalar(bits, b * kBlockLen,
-                                                    kBlockLen, template_len);
+  for (std::size_t matches :
+       kernels::overlapping_block_matches(bits, kBlockLen, template_len)) {
     ++nu[std::min(matches, kK)];
   }
   double chi2 = 0.0;
@@ -228,36 +210,9 @@ TestResult universal(const BitStream& bits) {
   }
   if (l == 0) return {"Universal", {}, false};
 
-  const bool wordwise = active_engine() == Engine::Wordwise;
-  // The pattern value is only a table key: the wordwise LSB-first read
-  // permutes `last[]` slots but leaves every b - last[pattern] distance —
-  // and hence the log2 sum's exact operation sequence — unchanged.
-  const std::uint64_t lsb_mask = (std::uint64_t{1} << l) - 1;
-  const auto pattern_at = [&](std::size_t b) -> std::size_t {
-    if (wordwise) {
-      return static_cast<std::size_t>(bits.chunk64(b * l) & lsb_mask);
-    }
-    std::size_t pattern = 0;
-    for (std::size_t j = 0; j < l; ++j) {
-      pattern = (pattern << 1) | (bits[b * l + j] ? 1u : 0u);
-    }
-    return pattern;
-  };
-
   const std::size_t q = 10 * (std::size_t{1} << l);
   const std::size_t k = n / l - q;
-  std::vector<std::size_t> last(std::size_t{1} << l, 0);
-  // Initialization segment.
-  for (std::size_t b = 0; b < q; ++b) {
-    last[pattern_at(b)] = b + 1;
-  }
-  // Test segment.
-  double sum = 0.0;
-  for (std::size_t b = q; b < q + k; ++b) {
-    const std::size_t pattern = pattern_at(b);
-    sum += std::log2(static_cast<double>(b + 1 - last[pattern]));
-    last[pattern] = b + 1;
-  }
+  const double sum = kernels::log2_distance_sums(bits, l, q, k).sum;
   const double fn = sum / static_cast<double>(k);
   const double c = 0.7 - 0.8 / static_cast<double>(l) +
                    (4.0 + 32.0 / static_cast<double>(l)) *

@@ -2,12 +2,11 @@
 // estimators (binary alphabet), plus the suite runners.
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
+#include "stats/kernels.h"
 #include "stats/sp800_90b.h"
-#include "stats/stats_config.h"
 
 namespace dhtrng::stats::sp800_90b {
 
@@ -44,10 +43,10 @@ EstimatorResult collision(const BitStream& bits) {
   // time is E[T] = 2 + 2p(1-p); inverting the lower confidence bound of the
   // sample mean gives the binary closed form of the 6.3.2 estimator.
   //
-  // Both engines share this loop: the variance accumulation below walks the
-  // collision-time sequence (a data-dependent mix of 2s and 3s) in order,
-  // so any word-level restructuring that changed the sequence — or the
-  // order of the floating-point sums over it — would change the result.
+  // This loop stays bit at a time: the variance accumulation below walks
+  // the collision-time sequence (a data-dependent mix of 2s and 3s) in
+  // order, so any word-level restructuring that changed the sequence — or
+  // the order of the floating-point sums over it — would change the result.
   const std::size_t n = bits.size();
   std::vector<double> times;
   std::size_t i = 0;
@@ -80,31 +79,15 @@ EstimatorResult collision(const BitStream& bits) {
 EstimatorResult markov(const BitStream& bits) {
   const std::size_t n = bits.size();
   if (n < 2) return make_result("Markov", 1.0);
-  // First-order transition probabilities.  The wordwise engine classifies
-  // 64 transitions per step with popcounts of chunk64 pairs; the counts are
-  // the same integers the scalar loop produces, so every double below —
-  // and the log-space DP it feeds — is bit-identical.
+  // First-order transition probabilities from the integer transition
+  // counts, so every double below — and the log-space DP it feeds — is
+  // exact.
+  const kernels::TransitionCounts tc =
+      kernels::transition_counts(bits, 0, n - 1);
   std::array<std::array<double, 2>, 2> counts{};
-  if (active_engine() == Engine::Wordwise) {
-    const std::size_t pairs = n - 1;  // transitions (i, i+1), i < n - 1
-    std::uint64_t t11 = 0, t10 = 0, t01 = 0;
-    for (std::size_t i = 0; i < pairs; i += 64) {
-      const std::uint64_t a = bits.chunk64(i);
-      const std::uint64_t b = bits.chunk64(i + 1);
-      const std::size_t valid = std::min<std::size_t>(64, pairs - i);
-      const std::uint64_t vm =
-          valid == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << valid) - 1;
-      t11 += static_cast<unsigned>(std::popcount(a & b & vm));
-      t10 += static_cast<unsigned>(std::popcount(a & ~b & vm));
-      t01 += static_cast<unsigned>(std::popcount(~a & b & vm));
-    }
-    counts[1][1] = static_cast<double>(t11);
-    counts[1][0] = static_cast<double>(t10);
-    counts[0][1] = static_cast<double>(t01);
-    counts[0][0] = static_cast<double>(pairs - t11 - t10 - t01);
-  } else {
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      counts[bits[i] ? 1u : 0u][bits[i + 1] ? 1u : 0u] += 1.0;
+  for (std::size_t a = 0; a < 2; ++a) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      counts[a][b] = static_cast<double>(tc[a][b]);
     }
   }
   const double ones = static_cast<double>(bits.count_ones());

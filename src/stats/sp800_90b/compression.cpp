@@ -4,8 +4,35 @@
 #include <limits>
 #include <vector>
 
+#include "stats/kernels.h"
 #include "stats/sp800_90b.h"
-#include "stats/stats_config.h"
+
+namespace dhtrng::stats::kernels {
+
+Log2DistanceSums log2_distance_sums(const BitStream& bits,
+                                    std::size_t block_bits, std::size_t init,
+                                    std::size_t test) {
+  // The block value is only a table key: the LSB-first read permutes
+  // `last[]` slots but leaves every distance b + 1 - last[v] — and with it
+  // the log2 sums' operation sequence — unchanged.
+  const std::uint64_t mask = (std::uint64_t{1} << block_bits) - 1;
+  const auto block_value = [&](std::size_t b) {
+    return static_cast<std::size_t>(bits.chunk64(b * block_bits) & mask);
+  };
+  std::vector<std::size_t> last(std::size_t{1} << block_bits, 0);
+  for (std::size_t b = 0; b < init; ++b) last[block_value(b)] = b + 1;
+  Log2DistanceSums sums;
+  for (std::size_t b = init; b < init + test; ++b) {
+    const std::size_t v = block_value(b);
+    const double lg = std::log2(static_cast<double>(b + 1 - last[v]));
+    sums.sum += lg;
+    sums.sum_sq += lg * lg;
+    last[v] = b + 1;
+  }
+  return sums;
+}
+
+}  // namespace dhtrng::stats::kernels
 
 namespace dhtrng::stats::sp800_90b {
 
@@ -69,35 +96,9 @@ EstimatorResult compression(const BitStream& bits) {
     result.h_min = 0.0;
     return result;
   }
-  std::vector<std::size_t> last(std::size_t{1} << kBlockBits, 0);
-  // The block value is only a table key: the wordwise LSB-first read
-  // permutes `last[]` slots but leaves every distance b + 1 - last[v] —
-  // and with it the log2 sum's operation sequence — unchanged.
-  const bool wordwise = active_engine() == Engine::Wordwise;
-  const auto block_value = [&](std::size_t b) {
-    if (wordwise) {
-      return static_cast<std::size_t>(bits.chunk64(b * kBlockBits) &
-                                      ((std::uint64_t{1} << kBlockBits) - 1));
-    }
-    std::size_t v = 0;
-    for (std::size_t j = 0; j < kBlockBits; ++j) {
-      v = (v << 1) | (bits[b * kBlockBits + j] ? 1u : 0u);
-    }
-    return v;
-  };
-  for (std::size_t b = 0; b < kDictBlocks; ++b) {
-    last[block_value(b)] = b + 1;
-  }
   const std::size_t k = num_blocks - kDictBlocks;
-  double sum = 0.0, sum_sq = 0.0;
-  for (std::size_t b = kDictBlocks; b < num_blocks; ++b) {
-    const std::size_t v = block_value(b);
-    const double dist = static_cast<double>(b + 1 - last[v]);
-    const double lg = std::log2(dist);
-    sum += lg;
-    sum_sq += lg * lg;
-    last[v] = b + 1;
-  }
+  const auto [sum, sum_sq] =
+      kernels::log2_distance_sums(bits, kBlockBits, kDictBlocks, k);
   const double kd = static_cast<double>(k);
   const double mean = sum / kd;
   const double var = (sum_sq - kd * mean * mean) / (kd - 1.0);

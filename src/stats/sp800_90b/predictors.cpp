@@ -13,54 +13,22 @@
 #include <cstdint>
 #include <vector>
 
+#include "stats/kernels.h"
 #include "stats/sp800_90b.h"
-#include "stats/stats_config.h"
 
-namespace dhtrng::stats::sp800_90b {
+namespace dhtrng::stats::kernels {
 
-namespace {
-
-EstimatorResult from_predictions(std::string name, std::size_t correct,
-                                 std::size_t total,
-                                 std::size_t longest_run) {
-  EstimatorResult r;
-  r.name = std::move(name);
-  r.p_max = std::clamp(predictor_p_max(correct, total, longest_run), 1e-12, 1.0);
-  r.h_min = std::min(-std::log2(r.p_max), 1.0);
-  return r;
-}
-
-/// Tracks global correctness statistics.
-struct GlobalScore {
-  std::size_t correct = 0;
-  std::size_t total = 0;
-  std::size_t run = 0;
-  std::size_t longest_run = 0;
-  void observe(bool hit) {
-    ++total;
-    if (hit) {
-      ++correct;
-      ++run;
-      longest_run = std::max(longest_run, run);
-    } else {
-      run = 0;
-    }
-  }
-};
-
-}  // namespace
-
-EstimatorResult multi_mcw(const BitStream& bits) {
-  constexpr std::array<std::size_t, 4> kWindows = {63, 255, 1023, 4095};
+PredictionScore multi_mcw_score(const BitStream& bits) {
+  constexpr const auto& kWindows = kMcwWindows;
   const std::size_t n = bits.size();
-  if (n <= kWindows[0] + 1) return from_predictions("Multi-MCW", 0, 0, 0);
+  PredictionScore global;
+  if (n <= kWindows[0] + 1) return global;
 
   std::array<std::size_t, 4> ones{};    // ones within each window
   std::array<std::size_t, 4> score{};   // sub-predictor scoreboard
-  GlobalScore global;
   // Per-step body of the reference loop: predictions are the most common
   // value in each trailing window (ties -> 1, matching the reference
-  // implementation's >= comparison).
+  // implementation's >= comparison).  It runs while a window still fills.
   const auto scalar_step = [&](std::size_t i) {
     std::array<bool, 4> pred{};
     std::size_t leader = 0;
@@ -86,75 +54,67 @@ EstimatorResult multi_mcw(const BitStream& bits) {
     }
   };
 
-  // Warm-up until every window is full; the integer predictor state is the
-  // same under both engines, so the wordwise path can take over mid-stream.
+  // Warm-up until every window is full.
   const std::size_t split =
       std::min(n, kWindows[3] + 1);  // i >= 4096: all windows active
   std::size_t i = kWindows[0];
   for (; i < split; ++i) scalar_step(i);
 
-  if (active_engine() == Engine::Wordwise) {
-    // Steady state: the incoming bit and the four bits leaving the windows
-    // are read 64 at a time from the packed words; the prediction /
-    // scoreboard updates are the scalar body with every `i >= window`
-    // condition constant-true.
-    for (std::size_t base = i; base < n; base += 64) {
-      const std::size_t cnt = std::min<std::size_t>(64, n - base);
-      const std::uint64_t cur = bits.chunk64(base);
-      std::array<std::uint64_t, 4> leave;
+  // Steady state: the incoming bit and the four bits leaving the windows
+  // are read 64 at a time from the packed words; the prediction /
+  // scoreboard updates are the per-step body with every `i >= window`
+  // condition constant-true.
+  for (std::size_t base = i; base < n; base += 64) {
+    const std::size_t cnt = std::min<std::size_t>(64, n - base);
+    const std::uint64_t cur = bits.chunk64(base);
+    std::array<std::uint64_t, 4> leave;
+    for (std::size_t w = 0; w < 4; ++w) {
+      leave[w] = bits.chunk64(base - kWindows[w]);
+    }
+    for (std::size_t j = 0; j < cnt; ++j) {
+      std::array<bool, 4> pred{};
+      std::size_t leader = 0;
       for (std::size_t w = 0; w < 4; ++w) {
-        leave[w] = bits.chunk64(base - kWindows[w]);
+        pred[w] = 2 * ones[w] >= kWindows[w];
+        if (score[w] > score[leader]) leader = w;
       }
-      for (std::size_t j = 0; j < cnt; ++j) {
-        std::array<bool, 4> pred{};
-        std::size_t leader = 0;
-        for (std::size_t w = 0; w < 4; ++w) {
-          pred[w] = 2 * ones[w] >= kWindows[w];
-          if (score[w] > score[leader]) leader = w;
-        }
-        const bool actual = (cur >> j) & 1;
-        global.observe(pred[leader] == actual);
-        for (std::size_t w = 0; w < 4; ++w) {
-          if (pred[w] == actual) ++score[w];
-          if (actual) ++ones[w];
-          ones[w] -= (leave[w] >> j) & 1;
-        }
+      const bool actual = (cur >> j) & 1;
+      global.observe(pred[leader] == actual);
+      for (std::size_t w = 0; w < 4; ++w) {
+        if (pred[w] == actual) ++score[w];
+        if (actual) ++ones[w];
+        ones[w] -= (leave[w] >> j) & 1;
       }
     }
-  } else {
-    for (; i < n; ++i) scalar_step(i);
   }
-  return from_predictions("Multi-MCW", global.correct, global.total,
-                          global.longest_run);
+  return global;
 }
 
-namespace {
-
-/// Wordwise Lag: the 128 sub-predictor scores are kept as bitsliced
-/// counters (plane p holds bit p of all 128 scores in two words), so one
-/// step's increments — the set of lags that predicted correctly, which is
-/// just the 128-bit trailing history H (or its complement) — are applied
-/// with a ripple-carry add in O(carry depth) word operations instead of
-/// 128 array updates.  The leader is maintained incrementally: with M the
-/// current maximum score and `mask` the set of lags attaining it, an
-/// increment set S either hits the argmax (new maximum M+1, new argmax
-/// mask & S) or leaves M unchanged, in which case the argmax set is
-/// re-derived from the planes by equality match against M.  All state is
-/// integral, so the scores, leaders and predictions — and hence the
-/// global hit statistics — are exactly the scalar engine's.
-EstimatorResult lag_wordwise(const BitStream& bits) {
+/// The 128 sub-predictor scores are kept as bitsliced counters (plane p
+/// holds bit p of all 128 scores in two words), so one step's increments —
+/// the set of lags that predicted correctly, which is just the 128-bit
+/// trailing history H (or its complement) — are applied with a ripple-carry
+/// add in O(carry depth) word operations instead of 128 array updates.  The
+/// leader is maintained incrementally: with M the current maximum score and
+/// `mask` the set of lags attaining it, an increment set S either hits the
+/// argmax (new maximum M+1, new argmax mask & S) or leaves M unchanged, in
+/// which case the argmax set is re-derived from the planes by equality
+/// match against M.  All state is integral, so the scores, leaders and
+/// predictions are exactly those of the per-lag scoreboard.
+PredictionScore lag_score(const BitStream& bits) {
+  static_assert(kLags == 128, "two 64-bit words per plane");
   const std::size_t n = bits.size();
+  PredictionScore global;
+  if (n < 2) return global;
   constexpr std::size_t kPlanes = 48;  // scores < 2^48 always
   std::array<std::array<std::uint64_t, 2>, kPlanes> plane{};
   std::uint64_t m0 = ~std::uint64_t{0}, m1 = ~std::uint64_t{0};  // argmax set
   std::size_t max_score = 0;
   // History: bit d holds bits[i - 1 - d]; bits beyond the stream start stay
-  // zero, matching the scalar engine's "predict 0 before lag d is live".
+  // zero, matching "predict 0 before lag d is live".
   std::uint64_t h0 = bits[0] ? 1u : 0u, h1 = 0;
-  GlobalScore global;
   for (std::size_t i = 1; i < n; ++i) {
-    // Leader: smallest lag index attaining the maximum score — the same
-    // index the scalar engine's strict-> scan settles on.
+    // Leader: smallest lag index attaining the maximum score.
     const std::size_t leader =
         m0 != 0 ? static_cast<std::size_t>(std::countr_zero(m0))
                 : 64 + static_cast<std::size_t>(std::countr_zero(m1));
@@ -206,43 +166,40 @@ EstimatorResult lag_wordwise(const BitStream& bits) {
     h1 = (h1 << 1) | (h0 >> 63);
     h0 = (h0 << 1) | (actual ? 1u : 0u);
   }
-  return from_predictions("Lag", global.correct, global.total,
-                          global.longest_run);
+  return global;
+}
+
+}  // namespace dhtrng::stats::kernels
+
+namespace dhtrng::stats::sp800_90b {
+
+namespace {
+
+EstimatorResult from_predictions(std::string name,
+                                 const kernels::PredictionScore& score) {
+  EstimatorResult r;
+  r.name = std::move(name);
+  r.p_max = std::clamp(
+      predictor_p_max(score.correct, score.total, score.longest_run), 1e-12,
+      1.0);
+  r.h_min = std::min(-std::log2(r.p_max), 1.0);
+  return r;
 }
 
 }  // namespace
 
-EstimatorResult lag(const BitStream& bits) {
-  constexpr std::size_t kLags = 128;
-  const std::size_t n = bits.size();
-  if (n < 2) return from_predictions("Lag", 0, 0, 0);
-  if (active_engine() == Engine::Wordwise) return lag_wordwise(bits);
+EstimatorResult multi_mcw(const BitStream& bits) {
+  return from_predictions("Multi-MCW", kernels::multi_mcw_score(bits));
+}
 
-  std::array<std::size_t, kLags> score{};
-  GlobalScore global;
-  for (std::size_t i = 1; i < n; ++i) {
-    std::size_t leader = 0;
-    for (std::size_t d = 0; d < kLags; ++d) {
-      if (score[d] > score[leader]) leader = d;
-    }
-    const bool actual = bits[i];
-    const std::size_t lag_of_leader = leader + 1;
-    const bool prediction =
-        i >= lag_of_leader ? bits[i - lag_of_leader] : false;
-    global.observe(prediction == actual);
-    for (std::size_t d = 0; d < kLags; ++d) {
-      const std::size_t lag_d = d + 1;
-      if (i >= lag_d && bits[i - lag_d] == actual) ++score[d];
-    }
-  }
-  return from_predictions("Lag", global.correct, global.total,
-                          global.longest_run);
+EstimatorResult lag(const BitStream& bits) {
+  return from_predictions("Lag", kernels::lag_score(bits));
 }
 
 EstimatorResult multi_mmc(const BitStream& bits) {
   constexpr std::size_t kMaxDepth = 16;
   const std::size_t n = bits.size();
-  if (n < kMaxDepth + 2) return from_predictions("Multi-MMC", 0, 0, 0);
+  if (n < kMaxDepth + 2) return from_predictions("Multi-MMC", {});
 
   // Per-depth Markov-model counts: counts[d][context][next].
   std::vector<std::vector<std::array<std::uint32_t, 2>>> counts(kMaxDepth);
@@ -250,7 +207,7 @@ EstimatorResult multi_mmc(const BitStream& bits) {
     counts[d].assign(std::size_t{1} << (d + 1), {0, 0});
   }
   std::array<std::size_t, kMaxDepth> score{};
-  GlobalScore global;
+  kernels::PredictionScore global;
   std::uint64_t history = 0;  // trailing bits, LSB = most recent
   for (std::size_t i = 0; i < n; ++i) {
     const bool actual = bits[i];
@@ -287,15 +244,14 @@ EstimatorResult multi_mmc(const BitStream& bits) {
     }
     history = (history << 1) | (actual ? 1u : 0u);
   }
-  return from_predictions("Multi-MMC", global.correct, global.total,
-                          global.longest_run);
+  return from_predictions("Multi-MMC", global);
 }
 
 EstimatorResult lz78y(const BitStream& bits) {
   constexpr std::size_t kMaxDepth = 16;
   constexpr std::size_t kDictCapacity = 65536;
   const std::size_t n = bits.size();
-  if (n < kMaxDepth + 2) return from_predictions("LZ78Y", 0, 0, 0);
+  if (n < kMaxDepth + 2) return from_predictions("LZ78Y", {});
 
   // Dictionary: per depth, context -> next-bit counts, entries added only
   // while capacity remains (the LZ78-style growth rule).
@@ -306,7 +262,7 @@ EstimatorResult lz78y(const BitStream& bits) {
     present[d].assign(std::size_t{1} << (d + 1), false);
   }
   std::size_t dict_size = 0;
-  GlobalScore global;
+  kernels::PredictionScore global;
   std::uint64_t history = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const bool actual = bits[i];
@@ -340,8 +296,7 @@ EstimatorResult lz78y(const BitStream& bits) {
     }
     history = (history << 1) | (actual ? 1u : 0u);
   }
-  return from_predictions("LZ78Y", global.correct, global.total,
-                          global.longest_run);
+  return from_predictions("LZ78Y", global);
 }
 
 }  // namespace dhtrng::stats::sp800_90b

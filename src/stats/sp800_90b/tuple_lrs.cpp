@@ -1,50 +1,34 @@
 // SP 800-90B sections 6.3.5 and 6.3.6: t-Tuple and Longest Repeated
 // Substring estimators (binary alphabet, windowed counting).
 //
-// The scalar engine rescans the stream once (twice for LRS) per tuple
-// length with flat / hashed window tables.  The wordwise engine refines a
-// partition of window start positions one bit at a time instead: groups of
-// positions whose windows agree on the first L bits are split by bit L,
-// singletons drop out, and the per-length statistics (max count, number of
-// colliding pairs) are read off the group sizes.  Both are multiset
-// statistics of the value -> count map — max is order-free and the pair
-// sum adds integers (C(c,2) <= C(n,2) < 2^53), so the doubles agree
-// bit-for-bit with the scalar engine's accumulation order.
+// The per-length statistics (max count, number of colliding pairs) come
+// from refining a partition of window start positions one bit at a time:
+// groups of positions whose windows agree on the first L bits are split by
+// bit L, singletons drop out, and the statistics are read off the group
+// sizes.  Streams too long for the refiner's 32-bit positions rescan the
+// stream once per length with flat / hashed window tables instead.  Both
+// are multiset statistics of the value -> count map — max is order-free
+// and the pair sum adds integers (C(c,2) <= C(n,2) < 2^53), so the doubles
+// agree bit-for-bit whichever produced them.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "stats/kernels.h"
 #include "stats/sp800_90b.h"
-#include "stats/stats_config.h"
 
-namespace dhtrng::stats::sp800_90b {
+namespace dhtrng::stats::kernels {
 
 namespace {
 
-constexpr double kZ99 = 2.5758293035489004;
 constexpr std::size_t kFlatLimit = 20;  // flat table up to 2^20 counters
 
-EstimatorResult bounded(std::string name, double p_hat, double n) {
-  EstimatorResult r;
-  r.name = std::move(name);
-  const double p_u =
-      std::min(1.0, p_hat + kZ99 * std::sqrt(p_hat * (1.0 - p_hat) / (n - 1.0)));
-  r.p_max = std::clamp(p_u, 1e-12, 1.0);
-  r.h_min = std::min(-std::log2(r.p_max), 1.0);
-  return r;
-}
-
-/// Per-length tuple statistics: the maximum count and the number of pairs
-/// of equal tuples (sum over values of C(c,2)), for overlapping windows of
-/// length `len`.
-struct TupleStats {
-  std::uint64_t max_count = 0;
-  double collision_pairs = 0.0;
-};
+}  // namespace
 
 TupleStats tuple_stats(const BitStream& bits, std::size_t len) {
   TupleStats st;
@@ -84,6 +68,8 @@ TupleStats tuple_stats(const BitStream& bits, std::size_t len) {
   }
   return st;
 }
+
+namespace {
 
 /// Incremental partition refinement over window start positions.  After
 /// `next()` has been called L times, the kept groups are exactly the sets
@@ -159,72 +145,99 @@ class TupleRefiner {
 };
 
 bool use_refiner(const BitStream& bits) {
-  return active_engine() == Engine::Wordwise &&
-         bits.size() < std::numeric_limits<std::uint32_t>::max();
+  return bits.size() < std::numeric_limits<std::uint32_t>::max();
 }
+
+/// The statistics of lengths 1, 2, ... in turn, from the refiner or, for
+/// streams too long for it, from one exact scan per length.
+class LengthSweep {
+ public:
+  explicit LengthSweep(const BitStream& bits) : bits_(bits) {
+    if (use_refiner(bits)) refiner_.emplace(bits);
+  }
+  TupleStats next() {
+    ++len_;
+    return refiner_ ? refiner_->next() : tuple_stats(bits_, len_);
+  }
+
+ private:
+  const BitStream& bits_;
+  std::optional<TupleRefiner> refiner_;
+  std::size_t len_ = 0;
+};
 
 }  // namespace
 
-EstimatorResult t_tuple(const BitStream& bits) {
+double t_tuple_p_hat(const BitStream& bits) {
   const std::size_t n = bits.size();
   // Find t: the largest tuple length whose most common tuple appears at
   // least 35 times; P_max over lengths 1..t of (max_count / windows)^(1/i).
-  const bool wordwise = use_refiner(bits);
-  TupleRefiner refiner(bits);
+  LengthSweep sweep(bits);
   double p_hat = 0.0;
-  for (std::size_t len = 1; len <= 63; ++len) {
-    const TupleStats st =
-        wordwise ? refiner.next() : tuple_stats(bits, len);
-    if (st.max_count < 35) break;
+  for (std::size_t len = 1; len <= kMaxTupleLen; ++len) {
+    const TupleStats st = sweep.next();
+    if (st.max_count < kTupleCutoff) break;
     const double windows = static_cast<double>(n - len + 1);
     const double p_len = std::pow(
         static_cast<double>(st.max_count) / windows,
         1.0 / static_cast<double>(len));
     p_hat = std::max(p_hat, p_len);
   }
-  if (p_hat == 0.0) p_hat = 0.5;
-  return bounded("t-Tuple", p_hat, static_cast<double>(n));
+  return p_hat;
 }
 
-EstimatorResult lrs(const BitStream& bits) {
+double lrs_p_hat(const BitStream& bits) {
   const std::size_t n = bits.size();
-  if (use_refiner(bits)) {
-    // Single refinement sweep: lengths below u (the first length whose most
-    // common tuple appears fewer than 35 times) only advance the partition;
-    // from u on, the pair counts feed the estimate until repeats run out.
-    TupleRefiner refiner(bits);
-    double p_hat = 0.0;
-    bool counting = false;
-    for (std::size_t len = 1; len <= 63; ++len) {
-      const TupleStats st = refiner.next();
-      if (!counting) {
-        if (st.max_count >= 35) continue;
-        counting = true;  // len == u
-      }
-      if (st.collision_pairs < 1.0) break;  // no repeats at this length
-      const double windows = static_cast<double>(n - len + 1);
-      const double total_pairs = 0.5 * windows * (windows - 1.0);
-      const double p_w = st.collision_pairs / total_pairs;
-      p_hat = std::max(p_hat, std::pow(p_w, 1.0 / static_cast<double>(len)));
-    }
-    if (p_hat == 0.0) p_hat = 0.5;
-    return bounded("LRS", p_hat, static_cast<double>(n));
-  }
-  // u: one past the largest length with max count >= 35 (where t-Tuple
-  // stops); v: the longest length that still has any repeated tuple.
-  std::size_t u = 1;
-  while (u <= 63 && tuple_stats(bits, u).max_count >= 35) ++u;
+  // Lengths below u (the first length whose most common tuple appears
+  // fewer than 35 times) only advance the sweep; from u on, the pair counts
+  // feed the estimate until repeats run out.
+  LengthSweep sweep(bits);
   double p_hat = 0.0;
-  for (std::size_t len = u; len <= 63; ++len) {
-    const TupleStats st = tuple_stats(bits, len);
+  bool counting = false;
+  for (std::size_t len = 1; len <= kMaxTupleLen; ++len) {
+    const TupleStats st = sweep.next();
+    if (!counting) {
+      if (st.max_count >= kTupleCutoff) continue;
+      counting = true;  // len == u
+    }
     if (st.collision_pairs < 1.0) break;  // no repeats at this length
     const double windows = static_cast<double>(n - len + 1);
     const double total_pairs = 0.5 * windows * (windows - 1.0);
     const double p_w = st.collision_pairs / total_pairs;
     p_hat = std::max(p_hat, std::pow(p_w, 1.0 / static_cast<double>(len)));
   }
+  return p_hat;
+}
+
+}  // namespace dhtrng::stats::kernels
+
+namespace dhtrng::stats::sp800_90b {
+
+namespace {
+
+constexpr double kZ99 = 2.5758293035489004;
+
+EstimatorResult bounded(std::string name, double p_hat, double n) {
+  EstimatorResult r;
+  r.name = std::move(name);
   if (p_hat == 0.0) p_hat = 0.5;
-  return bounded("LRS", p_hat, static_cast<double>(n));
+  const double p_u =
+      std::min(1.0, p_hat + kZ99 * std::sqrt(p_hat * (1.0 - p_hat) / (n - 1.0)));
+  r.p_max = std::clamp(p_u, 1e-12, 1.0);
+  r.h_min = std::min(-std::log2(r.p_max), 1.0);
+  return r;
+}
+
+}  // namespace
+
+EstimatorResult t_tuple(const BitStream& bits) {
+  return bounded("t-Tuple", kernels::t_tuple_p_hat(bits),
+                 static_cast<double>(bits.size()));
+}
+
+EstimatorResult lrs(const BitStream& bits) {
+  return bounded("LRS", kernels::lrs_p_hat(bits),
+                 static_cast<double>(bits.size()));
 }
 
 }  // namespace dhtrng::stats::sp800_90b

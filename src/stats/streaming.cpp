@@ -1,11 +1,12 @@
 // Streaming certification accumulators (see streaming.h for the model).
 //
-// The snapshot-time formulas below are deliberate replicas of the
-// Engine::Scalar batch kernels — frequency/block_frequency/runs/cusum
-// from sp800_22/frequency_tests.cpp and mcv/markov (+ make_result) from
-// sp800_90b/basic.cpp.  The duplication is the design: the streaming
-// side keeps only integer sufficient statistics and must replay the
-// scalar floating-point sequence exactly at snapshot() time, and the
+// The snapshot-time formulas below are deliberate replicas of the batch
+// suites' scoring — frequency/block_frequency/runs/cusum from
+// sp800_22/frequency_tests.cpp and mcv/markov (+ make_result) from
+// sp800_90b/basic.cpp, whose counting kernels the bit-at-a-time oracle
+// (tests/support/stats_oracle.h) pins.  The duplication is the design: the
+// streaming side keeps only integer sufficient statistics and must replay
+// the batch floating-point sequence exactly at snapshot() time, and the
 // differential battery (tests/stats/test_streaming_differential.cpp)
 // fails the build of any edit that lets the two sides drift.
 #include "stats/streaming.h"

@@ -9,8 +9,9 @@
 //
 // Correctness contract: a SourceTracker fed any chunking of a stream
 // (bits, bytes, words, merges of sub-trackers) yields a snapshot() whose
-// statistics and p-values are *bit-exactly* equal to the retained
-// Engine::Scalar batch kernels over the same bits:
+// statistics and p-values are *bit-exactly* equal to the batch suites
+// over the same bits (whose counting kernels the oracle tests hold to the
+// bit-at-a-time oracle in tests/support/stats_oracle.h):
 //
 //   frequency_p        == sp800_22::frequency(bits)
 //   block_frequency_p  == sp800_22::block_frequency(bits, block_len)
@@ -23,11 +24,11 @@
 // transition counts, ±1-walk prefix/suffix extremes via the
 // support::wordops byte tables, per-block squared deviations); every
 // floating-point operation happens at snapshot() time, replaying the
-// scalar formulas' exact operation sequence.  Block frequency is the one
-// kernel where the scalar code sums doubles in stream order — with
+// batch formulas' exact operation sequence.  Block frequency is the one
+// kernel where the batch code sums doubles in stream order — with
 // block_len a power of two each term (pi - 0.5)^2 = d^2 / block_len^2 is
 // an exactly-representable dyadic rational and the partial sums stay
-// exact below 2^53, so the integer sum of d^2 reconstructs the scalar
+// exact below 2^53, so the integer sum of d^2 reconstructs the batch
 // chi-square bit-for-bit in any order.  The formula replicas live in
 // streaming.cpp and are kept honest by the differential battery
 // (tests/stats/test_streaming_differential.cpp).
@@ -89,7 +90,7 @@ struct Snapshot {
   std::uint64_t markov_t01 = 0;      ///< 0->1 transitions
   std::uint64_t windows = 0;         ///< completed 90B windows
 
-  // SP 800-22 p-values (scalar-engine exact).
+  // SP 800-22 p-values (exactly the batch suite's).
   double frequency_p = 1.0;
   double block_frequency_p = 1.0;
   double runs_p = 1.0;
@@ -100,7 +101,7 @@ struct Snapshot {
   bool runs_valid = false;             ///< bits >= 1
   bool cusum_valid = false;            ///< bits >= 1
 
-  // SP 800-90B min-entropy estimates (scalar-engine exact h_min).
+  // SP 800-90B min-entropy estimates (exactly the batch suite's h_min).
   double mcv_h = 0.0;     ///< cumulative MCV over the whole stream
   double markov_h = 0.0;  ///< cumulative Markov over the whole stream
   bool mcv_valid = false;     ///< bits >= 2

@@ -9,34 +9,6 @@
 
 namespace dhtrng::support {
 
-std::size_t linear_complexity_ref(const BitStream& bits, std::size_t begin,
-                                  std::size_t len) {
-  if (len == 0) return 0;
-  std::vector<std::uint8_t> s(len), c(len, 0), b(len, 0), t(len);
-  for (std::size_t i = 0; i < len; ++i) s[i] = bits[begin + i] ? 1 : 0;
-  c[0] = b[0] = 1;
-  std::size_t l = 0;
-  std::size_t m = static_cast<std::size_t>(-1);  // -1; n - m wraps to n + 1
-  for (std::size_t n = 0; n < len; ++n) {
-    std::uint8_t d = s[n];
-    for (std::size_t i = 1; i <= l; ++i) {
-      d = static_cast<std::uint8_t>(d ^ (c[i] & s[n - i]));
-    }
-    if (d == 0) continue;
-    t = c;
-    const std::size_t shift = n - m;
-    for (std::size_t i = 0; i + shift < len; ++i) {
-      c[i + shift] ^= b[i];  // C(x) ^= B(x) * x^shift
-    }
-    if (2 * l <= n) {
-      l = n + 1 - l;
-      m = n;
-      b = t;
-    }
-  }
-  return l;
-}
-
 std::size_t linear_complexity(const BitStream& bits, std::size_t begin,
                               std::size_t len) {
   if (len == 0) return 0;

@@ -16,9 +16,4 @@ class BitStream;
 std::size_t linear_complexity(const BitStream& bits, std::size_t begin,
                               std::size_t len);
 
-/// Textbook bit-at-a-time Berlekamp–Massey.  Returns the same value as
-/// linear_complexity; kept as the Scalar statistics engine's oracle.
-std::size_t linear_complexity_ref(const BitStream& bits, std::size_t begin,
-                                  std::size_t len);
-
 }  // namespace dhtrng::support

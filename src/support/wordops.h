@@ -1,4 +1,5 @@
-// Word-parallel building blocks shared by the Wordwise statistics engine.
+// Word-parallel building blocks shared by the statistical kernels
+// (src/stats/kernels.h) and the streaming tracker.
 //
 // The byte tables summarise the ±1 random walk of eight bits at a time
 // (bit set -> +1, clear -> -1): the net displacement plus the extreme

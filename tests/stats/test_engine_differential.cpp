@@ -1,7 +1,9 @@
-// Differential fuzz: the Wordwise engine must be bit-for-bit identical to
-// the Scalar oracle.  Every comparison below is exact (`==` on doubles):
-// the wordwise kernels are restricted to transformations that preserve the
-// exact FP operation sequence, so any ulp of drift is a bug, not noise.
+// Differential fuzz: every statistical kernel (src/stats/kernels.h) must be
+// bit-for-bit identical to its bit-at-a-time oracle
+// (tests/support/stats_oracle.h).  Every comparison below is exact (`==`
+// on integers and on the bit patterns of doubles): the kernels are
+// restricted to transformations that preserve the exact FP operation
+// sequence, so any ulp of drift is a bug, not noise.
 //
 // This is the heavyweight lane (label: slow).  The default ctest run keeps
 // a smaller smoke version in test_engine_equivalence.cpp.
@@ -9,16 +11,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "stats/ais31.h"
-#include "stats/fips140.h"
 #include "stats/health.h"
-#include "stats/sp800_22.h"
-#include "stats/sp800_90b.h"
-#include "stats/stats_config.h"
 #include "support/bitstream.h"
 #include "support/rng.h"
+#include "support/stats_oracle.h"
 
 namespace dhtrng::stats {
 namespace {
@@ -58,95 +58,42 @@ BitStream make_stream(std::uint64_t seed, std::size_t n) {
   return bits;
 }
 
-void expect_sp800_22_equal(const BitStream& bits, std::uint64_t seed) {
-  std::vector<sp800_22::TestResult> scalar;
-  {
-    ScopedEngine guard(Engine::Scalar);
-    scalar = sp800_22::run_all(bits);
+void expect_kernels_match_oracle(const BitStream& bits,
+                                 const std::string& suite,
+                                 std::uint64_t seed) {
+  std::size_t compared = 0;
+  for (const oracle::KernelCase& c : oracle::kernel_cases()) {
+    if (c.suite != suite) continue;
+    // Exact equality on purpose; see the file comment.
+    EXPECT_EQ(c.kernel(bits), c.oracle(bits))
+        << "seed=" << seed << " kernel=" << c.name;
+    ++compared;
   }
-  std::vector<sp800_22::TestResult> wordwise;
-  {
-    ScopedEngine guard(Engine::Wordwise);
-    wordwise = sp800_22::run_all(bits);
-  }
-  ASSERT_EQ(scalar.size(), wordwise.size());
-  for (std::size_t t = 0; t < scalar.size(); ++t) {
-    SCOPED_TRACE(testing::Message()
-                 << "seed=" << seed << " test=" << scalar[t].name);
-    EXPECT_EQ(scalar[t].name, wordwise[t].name);
-    EXPECT_EQ(scalar[t].applicable, wordwise[t].applicable);
-    ASSERT_EQ(scalar[t].p_values.size(), wordwise[t].p_values.size());
-    for (std::size_t k = 0; k < scalar[t].p_values.size(); ++k) {
-      // Exact equality on purpose; see the file comment.
-      EXPECT_EQ(scalar[t].p_values[k], wordwise[t].p_values[k])
-          << "sub-test " << k;
-    }
-  }
+  EXPECT_GT(compared, 0u) << "no kernels for suite " << suite;
 }
 
 TEST(EngineDifferential, Sp800_22ExactOnFuzzCorpus) {
-  // >= 100 streams (acceptance criterion), sizes staggered so block
-  // remainders, word tails, and applicability thresholds all vary.
+  // >= 100 streams, sizes staggered so block remainders, word tails, and
+  // applicability thresholds all vary.
   for (std::uint64_t seed = 1; seed <= 104; ++seed) {
     const std::size_t n = 20000 + seed * 773;  // 20.8k .. 100.4k bits
-    expect_sp800_22_equal(make_stream(seed, n), seed);
+    expect_kernels_match_oracle(make_stream(seed, n), "sp800_22", seed);
   }
 }
 
 TEST(EngineDifferential, Sp800_90bExactEstimators) {
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    const BitStream bits = make_stream(seed, 40000 + seed * 1009);
-    std::vector<sp800_90b::EstimatorResult> scalar;
-    {
-      ScopedEngine guard(Engine::Scalar);
-      scalar = sp800_90b::run_all(bits);
-    }
-    std::vector<sp800_90b::EstimatorResult> wordwise;
-    {
-      ScopedEngine guard(Engine::Wordwise);
-      wordwise = sp800_90b::run_all(bits);
-    }
-    ASSERT_EQ(scalar.size(), wordwise.size());
-    for (std::size_t t = 0; t < scalar.size(); ++t) {
-      SCOPED_TRACE(testing::Message()
-                   << "seed=" << seed << " estimator=" << scalar[t].name);
-      EXPECT_EQ(scalar[t].name, wordwise[t].name);
-      EXPECT_EQ(scalar[t].p_max, wordwise[t].p_max);
-      EXPECT_EQ(scalar[t].h_min, wordwise[t].h_min);
-    }
+    expect_kernels_match_oracle(make_stream(seed, 40000 + seed * 1009),
+                                "sp800_90b", seed);
   }
 }
 
 TEST(EngineDifferential, Ais31AndFips140Exact) {
+  // Streams as long as the full AIS-31 procedure, so the 48-bit T0 blocks
+  // number well past the 2^16 the procedure uses.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const BitStream bits = make_stream(seed + 10, ais31::required_bits());
-    std::vector<ais31::TestOutcome> as, aw;
-    std::vector<fips140::Outcome> fs, fw;
-    {
-      ScopedEngine guard(Engine::Scalar);
-      as = ais31::run_all(bits);
-      fs = fips140::run_all(bits.slice(0, fips140::kSampleBits));
-    }
-    {
-      ScopedEngine guard(Engine::Wordwise);
-      aw = ais31::run_all(bits);
-      fw = fips140::run_all(bits.slice(0, fips140::kSampleBits));
-    }
-    ASSERT_EQ(as.size(), aw.size());
-    for (std::size_t t = 0; t < as.size(); ++t) {
-      SCOPED_TRACE(testing::Message()
-                   << "seed=" << seed << " test=" << as[t].name);
-      EXPECT_EQ(as[t].pass, aw[t].pass);
-      EXPECT_EQ(as[t].pass_rate, aw[t].pass_rate);
-      EXPECT_EQ(as[t].detail, aw[t].detail);
-    }
-    ASSERT_EQ(fs.size(), fw.size());
-    for (std::size_t t = 0; t < fs.size(); ++t) {
-      SCOPED_TRACE(testing::Message()
-                   << "seed=" << seed << " test=" << fs[t].name);
-      EXPECT_EQ(fs[t].pass, fw[t].pass);
-      EXPECT_EQ(fs[t].statistic, fw[t].statistic);
-    }
+    expect_kernels_match_oracle(make_stream(seed + 10, ais31::required_bits()),
+                                "ais31_fips140", seed);
   }
 }
 

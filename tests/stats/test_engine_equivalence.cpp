@@ -1,19 +1,18 @@
-// Smoke version of the engine differential: a handful of streams checked
-// for exact Scalar/Wordwise equality in the default ctest lane.  The full
-// >=100-stream fuzz corpus lives in test_engine_differential.cpp (label:
-// slow).
+// Smoke version of the kernel differential: a handful of streams on which
+// every statistical kernel (src/stats/kernels.h) must equal its
+// bit-at-a-time oracle (tests/support/stats_oracle.h) exactly, in the
+// default ctest lane.  The full >=100-stream fuzz corpus lives in
+// test_engine_differential.cpp (label: slow).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
+#include <string>
 
 #include "stats/fips140.h"
 #include "stats/health.h"
-#include "stats/sp800_22.h"
-#include "stats/sp800_90b.h"
-#include "stats/stats_config.h"
 #include "support/bitstream.h"
 #include "support/rng.h"
+#include "support/stats_oracle.h"
 
 namespace dhtrng::stats {
 namespace {
@@ -34,69 +33,36 @@ BitStream make_stream(std::uint64_t seed, std::size_t n) {
   return bits;
 }
 
+/// Every kernel of `suite` equals its oracle on `bits`, exactly.
+void expect_kernels_match_oracle(const BitStream& bits,
+                                 const std::string& suite,
+                                 std::uint64_t seed) {
+  std::size_t compared = 0;
+  for (const oracle::KernelCase& c : oracle::kernel_cases()) {
+    if (c.suite != suite) continue;
+    EXPECT_EQ(c.kernel(bits), c.oracle(bits))
+        << "seed=" << seed << " kernel=" << c.name;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0u) << "no kernels for suite " << suite;
+}
+
 TEST(EngineEquivalence, Sp800_22Exact) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const BitStream bits = make_stream(seed, 30000 + seed * 517);
-    std::vector<sp800_22::TestResult> scalar, wordwise;
-    {
-      ScopedEngine guard(Engine::Scalar);
-      scalar = sp800_22::run_all(bits);
-    }
-    {
-      ScopedEngine guard(Engine::Wordwise);
-      wordwise = sp800_22::run_all(bits);
-    }
-    ASSERT_EQ(scalar.size(), wordwise.size());
-    for (std::size_t t = 0; t < scalar.size(); ++t) {
-      SCOPED_TRACE(testing::Message()
-                   << "seed=" << seed << " test=" << scalar[t].name);
-      EXPECT_EQ(scalar[t].applicable, wordwise[t].applicable);
-      ASSERT_EQ(scalar[t].p_values.size(), wordwise[t].p_values.size());
-      for (std::size_t k = 0; k < scalar[t].p_values.size(); ++k) {
-        EXPECT_EQ(scalar[t].p_values[k], wordwise[t].p_values[k])
-            << "sub-test " << k;
-      }
-    }
+    expect_kernels_match_oracle(make_stream(seed, 30000 + seed * 517),
+                                "sp800_22", seed);
   }
 }
 
 TEST(EngineEquivalence, Sp800_90bExact) {
-  const BitStream bits = make_stream(1, 30000);
-  std::vector<sp800_90b::EstimatorResult> scalar, wordwise;
-  {
-    ScopedEngine guard(Engine::Scalar);
-    scalar = sp800_90b::run_all(bits);
-  }
-  {
-    ScopedEngine guard(Engine::Wordwise);
-    wordwise = sp800_90b::run_all(bits);
-  }
-  ASSERT_EQ(scalar.size(), wordwise.size());
-  for (std::size_t t = 0; t < scalar.size(); ++t) {
-    SCOPED_TRACE(scalar[t].name);
-    EXPECT_EQ(scalar[t].p_max, wordwise[t].p_max);
-    EXPECT_EQ(scalar[t].h_min, wordwise[t].h_min);
-  }
+  expect_kernels_match_oracle(make_stream(1, 30000), "sp800_90b", 1);
 }
 
 TEST(EngineEquivalence, Fips140Exact) {
+  // The FIPS 140-2 and AIS-31 kernels on one 20000-bit sample each.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const BitStream bits = make_stream(seed, fips140::kSampleBits);
-    std::vector<fips140::Outcome> scalar, wordwise;
-    {
-      ScopedEngine guard(Engine::Scalar);
-      scalar = fips140::run_all(bits);
-    }
-    {
-      ScopedEngine guard(Engine::Wordwise);
-      wordwise = fips140::run_all(bits);
-    }
-    ASSERT_EQ(scalar.size(), wordwise.size());
-    for (std::size_t t = 0; t < scalar.size(); ++t) {
-      SCOPED_TRACE(scalar[t].name);
-      EXPECT_EQ(scalar[t].pass, wordwise[t].pass);
-      EXPECT_EQ(scalar[t].statistic, wordwise[t].statistic);
-    }
+    expect_kernels_match_oracle(make_stream(seed, fips140::kSampleBits),
+                                "ais31_fips140", seed);
   }
 }
 

@@ -14,7 +14,6 @@
 #include "core/dhtrng.h"
 #include "stats/sp800_22.h"
 #include "stats/sp800_90b.h"
-#include "stats/stats_config.h"
 #include "stats/streaming.h"
 #include "support/bitstream.h"
 #include "support/rng.h"
@@ -38,11 +37,11 @@ SourceTracker tracker_of(const BitStream& bits, TrackerConfig config = {}) {
   return tracker;
 }
 
-/// The correctness contract: every snapshot statistic equals the
-/// Engine::Scalar batch kernel over the same bits, bit-for-bit.
-void expect_matches_scalar_oracle(const Snapshot& snap,
-                                  const BitStream& bits) {
-  ScopedEngine guard(Engine::Scalar);
+/// The correctness contract: every snapshot statistic equals the batch
+/// suite over the same bits, bit-for-bit.  Its counting kernels equal the
+/// bit-at-a-time oracle (test_engine_equivalence.cpp), so this also pins
+/// the trackers to the oracle.
+void expect_matches_batch(const Snapshot& snap, const BitStream& bits) {
   ASSERT_EQ(snap.bits, bits.size());
   EXPECT_EQ(snap.ones, bits.count_ones());
   if (bits.size() >= 1) {
@@ -96,11 +95,11 @@ TEST(StreamingTracker, EmptySnapshotReportsNoDataDefaults) {
   EXPECT_FALSE(snap.runs_valid);
   EXPECT_FALSE(snap.mcv_valid);
   EXPECT_FALSE(snap.markov_valid);
-  // The scalar frequency/runs kernels are NaN on empty input, so the
-  // no-data default (1.0) stands in; everything else is the scalar value.
+  // The batch frequency/runs tests are NaN on empty input, so the
+  // no-data default (1.0) stands in; everything else is the batch value.
   EXPECT_EQ(snap.frequency_p, 1.0);
   EXPECT_EQ(snap.runs_p, 1.0);
-  EXPECT_EQ(snap.cusum_fwd_p, 0.0);  // scalar z == 0 branch
+  EXPECT_EQ(snap.cusum_fwd_p, 0.0);  // batch z == 0 branch
   EXPECT_EQ(snap.mcv_h, 0.0);
   EXPECT_EQ(snap.live_min_entropy(), 0.0);
   // No evidence yet is not an alarm: an empty tracker passes.
@@ -120,20 +119,20 @@ TEST(StreamingTracker, SingleBitMatchesScalar) {
     EXPECT_EQ(snap.cusum_fwd_peak, 1);
     EXPECT_EQ(snap.cusum_bwd_peak, 1);
     EXPECT_FALSE(snap.mcv_valid);  // below the 2-bit floor
-    expect_matches_scalar_oracle(snap, bits);
+    expect_matches_batch(snap, bits);
   }
 }
 
 TEST(StreamingTracker, SubBlockTailMatchesScalar) {
   // One bit short of the first block: zero complete blocks, so the
-  // block-frequency chi-square is over an empty sum — exactly the scalar
+  // block-frequency chi-square is over an empty sum — exactly the batch
   // result over the same bits.
   const TrackerConfig config{.block_len = 128, .window_bits = 1024};
   const BitStream bits = random_stream(3, config.block_len - 1);
   const Snapshot snap = tracker_of(bits, config).snapshot();
   EXPECT_EQ(snap.blocks, 0u);
   EXPECT_FALSE(snap.block_frequency_valid);
-  expect_matches_scalar_oracle(snap, bits);
+  expect_matches_batch(snap, bits);
 }
 
 TEST(StreamingTracker, BlockAndWindowBoundariesMatchScalar) {
@@ -147,7 +146,7 @@ TEST(StreamingTracker, BlockAndWindowBoundariesMatchScalar) {
     const Snapshot snap = tracker_of(bits, config).snapshot();
     EXPECT_EQ(snap.blocks, n / config.block_len);
     EXPECT_EQ(snap.windows, n / config.window_bits);
-    expect_matches_scalar_oracle(snap, bits);
+    expect_matches_batch(snap, bits);
   }
 }
 
@@ -190,7 +189,7 @@ TEST(StreamingTracker, FeedEntryPointsAgree) {
     EXPECT_EQ(snap.window_mcv_h_min, by_bit.window_mcv_h_min);
     EXPECT_EQ(snap.window_markov_h_min, by_bit.window_markov_h_min);
   }
-  expect_matches_scalar_oracle(by_bit, bits);
+  expect_matches_batch(by_bit, bits);
 }
 
 TEST(StreamingTracker, FeedWordIsLsbFirst) {
@@ -243,7 +242,7 @@ TEST(StreamingTracker, MergeAlignedEqualsSingleFeed) {
   EXPECT_EQ(a.window_markov_h_last, b.window_markov_h_last);
   EXPECT_EQ(a.window_mcv_h_min, b.window_mcv_h_min);
   EXPECT_EQ(a.window_markov_h_min, b.window_markov_h_min);
-  expect_matches_scalar_oracle(b, bits);
+  expect_matches_batch(b, bits);
 }
 
 TEST(StreamingTracker, MergeIntoEmptyAndOfEmpty) {
@@ -333,11 +332,10 @@ TEST(StreamingTracker, LiveMinEntropyPrefersWindowedEvidence) {
             std::min(snap.window_mcv_h_last, snap.window_markov_h_last));
 }
 
-// The scalar MCV estimator used to divide by (n - 1) without a floor and
+// The batch MCV estimator used to divide by (n - 1) without a floor and
 // returned NaN on empty and single-bit streams; the streaming snapshot
 // replicates the guarded behaviour, so pin it here.
 TEST(ScalarMcvEdgeCase, TinyStreamsReturnNoEntropyNotNaN) {
-  ScopedEngine guard(Engine::Scalar);
   BitStream empty;
   const auto r0 = sp800_90b::mcv(empty);
   EXPECT_EQ(r0.p_max, 1.0);
@@ -370,7 +368,7 @@ TEST(StreamingTracker, GoldenKatSeed42) {
   EXPECT_EQ(snap.markov_t10, 1050u);
   EXPECT_EQ(snap.markov_t01, 1050u);
   EXPECT_EQ(snap.windows, 4u);
-  expect_matches_scalar_oracle(snap, bits);
+  expect_matches_batch(snap, bits);
   EXPECT_TRUE(snap.pass());
 }
 

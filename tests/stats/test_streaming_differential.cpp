@@ -1,10 +1,12 @@
 // Differential fuzz: the streaming certification trackers
-// (stats/streaming.h) must be bit-for-bit identical to the Engine::Scalar
-// batch kernels over the same bits, for EVERY chunking of the stream and
-// EVERY aligned merge order.  All comparisons are exact (`==` on
-// doubles): the streaming side keeps integer sufficient statistics and
-// replays the scalar FP sequence at snapshot time, so any ulp of drift is
-// a bug, not noise.
+// (stats/streaming.h) must be bit-for-bit identical to the batch suites
+// over the same bits, for EVERY chunking of the stream and EVERY aligned
+// merge order.  The batch suites' counting kernels are in turn held to the
+// bit-at-a-time oracle (tests/support/stats_oracle.h) by the
+// EngineEquivalence and EngineDifferential tests.  All comparisons are
+// exact (`==` on doubles): the streaming side keeps integer sufficient
+// statistics and replays the batch FP sequence at snapshot time, so any
+// ulp of drift is a bug, not noise.
 //
 // This is the heavyweight lane (labels: slow differential).  The default
 // ctest run keeps a smaller smoke version in test_streaming.cpp.
@@ -16,7 +18,6 @@
 
 #include "stats/sp800_22.h"
 #include "stats/sp800_90b.h"
-#include "stats/stats_config.h"
 #include "stats/streaming.h"
 #include "support/bitstream.h"
 #include "support/rng.h"
@@ -118,10 +119,9 @@ void expect_snapshots_identical(const Snapshot& a, const Snapshot& b) {
   EXPECT_EQ(a.markov_valid, b.markov_valid);
 }
 
-// Exact-equality comparison against the scalar batch kernels.
+// Exact-equality comparison against the batch suites.
 void expect_matches_oracle(const Snapshot& snap, const BitStream& bits,
                            const TrackerConfig& config) {
-  ScopedEngine guard(Engine::Scalar);
   ASSERT_EQ(snap.bits, bits.size());
   EXPECT_EQ(snap.ones, bits.count_ones());
   if (bits.size() >= 1) {
@@ -157,7 +157,7 @@ void expect_matches_oracle(const Snapshot& snap, const BitStream& bits,
 
 TEST(StreamingDifferential, AdversarialChunkingsMatchScalarOracle) {
   // Every chunk schedule must land on the identical snapshot and match
-  // the scalar oracle: 1 bit, 1 byte, primes straddling every block and
+  // the batch suites: 1 bit, 1 byte, primes straddling every block and
   // window boundary, aligned words, and the whole stream at once.
   const TrackerConfig config{.block_len = 128, .window_bits = 1024};
   const std::size_t kChunks[] = {1, 7, 8, 13, 61, 64, 0};  // 0 = whole stream
@@ -208,7 +208,7 @@ TEST(StreamingDifferential, AlignedMergeOrdersAndAssociativity) {
   // Split each stream into segments at multiples of the alignment grain,
   // then check that (a) merging the per-segment trackers left-to-right,
   // (b) a right-leaning merge tree, and (c) pre-merged pairs all equal
-  // the single-tracker feed and the scalar oracle.
+  // the single-tracker feed and the batch suites.
   const TrackerConfig config{.block_len = 64, .window_bits = 512};
   const std::size_t align = 512;
   for (std::uint64_t seed = 81; seed <= 110; ++seed) {

@@ -4,6 +4,7 @@
 
 #include "support/bitstream.h"
 #include "support/rng.h"
+#include "support/stats_oracle.h"
 
 namespace dhtrng::support {
 namespace {
@@ -11,31 +12,6 @@ namespace {
 std::size_t lc(const std::string& s) {
   const BitStream bits = BitStream::from_string(s);
   return linear_complexity(bits, 0, bits.size());
-}
-
-/// Reference O(n^2) Berlekamp-Massey for cross-validation.
-std::size_t lc_naive(const BitStream& bits, std::size_t begin,
-                     std::size_t len) {
-  std::vector<int> s(len), c(len + 1, 0), b(len + 1, 0), t;
-  for (std::size_t i = 0; i < len; ++i) s[i] = bits[begin + i] ? 1 : 0;
-  c[0] = b[0] = 1;
-  std::size_t l = 0;
-  long long m = -1;
-  for (std::size_t n = 0; n < len; ++n) {
-    int d = s[n];
-    for (std::size_t i = 1; i <= l; ++i) d ^= c[i] & s[n - i];
-    if (d == 0) continue;
-    t = c;
-    const std::size_t shift = static_cast<std::size_t>(
-        static_cast<long long>(n) - m);
-    for (std::size_t i = 0; i + shift <= len; ++i) c[i + shift] ^= b[i];
-    if (2 * l <= n) {
-      l = n + 1 - l;
-      m = static_cast<long long>(n);
-      b = t;
-    }
-  }
-  return l;
 }
 
 TEST(BerlekampMassey, AllZerosHasComplexityZero) {
@@ -82,7 +58,7 @@ TEST(BerlekampMassey, MatchesNaiveOnRandomBlocks) {
   for (std::size_t begin : {0u, 500u, 1000u}) {
     for (std::size_t len : {1u, 17u, 64u, 100u, 500u}) {
       EXPECT_EQ(linear_complexity(bits, begin, len),
-                lc_naive(bits, begin, len))
+                stats::oracle::linear_complexity(bits, begin, len))
           << "begin=" << begin << " len=" << len;
     }
   }
