@@ -75,7 +75,8 @@ double pattern_square_sum(const BitStream& bits, std::size_t m) {
   const auto counts = pattern_counts(bits, m);
   double sum = 0.0;
   for (std::size_t v = 0; v < counts.size(); ++v) {
-    const std::uint32_t c = counts[wo::bit_reverse(v, static_cast<unsigned>(m))];
+    const std::uint32_t c =
+        counts[wo::bit_reverse(v, static_cast<unsigned>(m))];
     sum += static_cast<double>(c) * static_cast<double>(c);
   }
   return sum;
@@ -86,7 +87,8 @@ double pattern_entropy_sum(const BitStream& bits, std::size_t m) {
   const auto counts = pattern_counts(bits, m);
   double sum = 0.0;
   for (std::size_t v = 0; v < counts.size(); ++v) {
-    const std::uint32_t c = counts[wo::bit_reverse(v, static_cast<unsigned>(m))];
+    const std::uint32_t c =
+        counts[wo::bit_reverse(v, static_cast<unsigned>(m))];
     if (c > 0) {
       const double p = static_cast<double>(c) / n;
       sum += p * std::log(p);

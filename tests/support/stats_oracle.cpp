@@ -366,8 +366,9 @@ double t_tuple_p_hat(const BitStream& bits) {
     const kernels::TupleStats st = tuple_stats(bits, len);
     if (st.max_count < kernels::kTupleCutoff) break;
     const double windows = static_cast<double>(n - len + 1);
-    p_hat = std::max(p_hat, std::pow(static_cast<double>(st.max_count) / windows,
-                                     1.0 / static_cast<double>(len)));
+    p_hat = std::max(p_hat,
+                     std::pow(static_cast<double>(st.max_count) / windows,
+                              1.0 / static_cast<double>(len)));
   }
   return p_hat;
 }

@@ -210,7 +210,7 @@ TEST(BitStream, WordsViewMatchesBitsAndZeroPadsTail) {
   for (std::size_t i = 0; i < bs.size(); ++i) {
     EXPECT_EQ((words[i >> 6] >> (i & 63)) & 1u, bs[i] ? 1u : 0u) << "i=" << i;
   }
-  // Invariant the word-parallel kernels rely on: bits past size() are zero.
+  // Invariant the wordwise kernels rely on: bits past size() are zero.
   EXPECT_EQ(words[2] >> 2, 0u);
 }
 
