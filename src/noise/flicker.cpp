@@ -64,30 +64,33 @@ void FlickerNoise::fill(double* out, std::size_t n) {
 
 void FlickerNoise::fill_fast(double* out, std::size_t n) {
   const int octaves = static_cast<int>(rows_.size());
-  std::size_t done = 0;
-  double draws[64];
-  while (done < n) {
-    const std::size_t chunk = std::min<std::size_t>(64, n - done);
-    // One gaussian per sample, consumed only when the sample refreshes a
-    // row (countr_zero < octaves; with the default 12 octaves ~1.6% of
-    // draws go unused).  Trading those draws for the skipped pre-count
-    // pass is a net win, and it keeps the stream chunk-aligned: filling
-    // 128 samples in one call or two draws the same sequence.
-    rng_.gaussian_fill_fast(draws, chunk);
-    // Fresh sum per chunk bounds running-sum drift to ~64 updates.
-    double sum = 0.0;
-    for (double r : rows_) sum += r;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      ++counter_;
-      const int row = std::countr_zero(counter_);
-      if (row < octaves) {
-        const double nv = amplitude_ * draws[i];
-        sum += nv - rows_[static_cast<std::size_t>(row)];
-        rows_[static_cast<std::size_t>(row)] = nv;
+  // One gaussian per sample, consumed only when the sample refreshes a row
+  // (countr_zero < octaves; with the default 12 octaves ~1.6% of draws go
+  // unused).  Trading those draws for a pre-count pass is a net win, and
+  // the fused stream is position-fixed, so one draw per kDrawBlock samples
+  // gives the same values as one per 64-sample chunk: filling 128 samples
+  // in one call or two draws the same sequence.
+  constexpr std::size_t kDrawBlock = 256;
+  double draws[kDrawBlock];
+  for (std::size_t block = 0; block < n; block += kDrawBlock) {
+    const std::size_t len = std::min(kDrawBlock, n - block);
+    rng_.gaussian_fill_fast(draws, len);
+    for (std::size_t done = 0; done < len; done += 64) {
+      const std::size_t chunk = std::min<std::size_t>(64, len - done);
+      // Fresh sum per chunk bounds running-sum drift to ~64 updates.
+      double sum = 0.0;
+      for (double r : rows_) sum += r;
+      for (std::size_t i = done; i < done + chunk; ++i) {
+        ++counter_;
+        const int row = std::countr_zero(counter_);
+        if (row < octaves) {
+          const double nv = amplitude_ * draws[i];
+          sum += nv - rows_[static_cast<std::size_t>(row)];
+          rows_[static_cast<std::size_t>(row)] = nv;
+        }
+        out[block + i] = sum;
       }
-      out[done + i] = sum;
     }
-    done += chunk;
   }
 }
 

@@ -35,11 +35,12 @@ class FlickerNoise {
   /// one per sample.
   void fill(double* out, std::size_t n);
 
-  /// Fast-noise variant: same lattice, same per-row draw count, but the
-  /// gaussians come from gaussian_fill_fast and the octave sum is kept as
-  /// a running total (re-summed once per 64-sample chunk to bound FP
-  /// drift) instead of re-added per sample.  NOT bit-compatible with
-  /// next()/fill(); statistically identical.
+  /// Fast-noise variant: same lattice, but one gaussian per sample drawn
+  /// from gaussian_fill_fast in one call per 256 samples (the fused stream
+  /// is position-fixed, so the draw size never changes a value), and the
+  /// octave sum kept as a running total (re-summed once per 64-sample
+  /// chunk to bound FP drift) instead of re-added per sample.  NOT
+  /// bit-compatible with next()/fill(); statistically identical.
   void fill_fast(double* out, std::size_t n);
 
   /// Std-dev of the marginal distribution of samples.

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "support/simd_noise.h"
+
 namespace dhtrng::noise {
 
 SharedSupplyNoise::SharedSupplyNoise(double sigma_ps, std::uint64_t seed,
@@ -73,11 +75,9 @@ void EdgeJitterSource::refill_fast() {
   delay_block_.resize(n);
   rng_.gaussian_fill_fast(white, n);
   flicker_.fill_fast(flicker, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    delay_block_[i] =
-        std::fma(fast_white_gain_, white[i],
-                 std::fma(fast_flicker_gain_, flicker[i], fast_base_));
-  }
+  support::simd::fma_delay_block(white, flicker, fast_white_gain_,
+                                 fast_flicker_gain_, fast_base_,
+                                 delay_block_.data(), n);
   delay_pos_ = 0;
 }
 

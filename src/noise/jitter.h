@@ -115,12 +115,16 @@ class EdgeJitterSource {
 
   /// Fast-noise mode: precompute *complete* per-edge delays instead of
   /// raw components.  Each block entry is
-  ///     base_delay_ps + white_gain * w[i] + flicker_gain * f[i]
+  ///     fma(white_gain, w[i], fma(flicker_gain, f[i], base_delay_ps))
   /// with the gains folded in at refill time (the PvtScaling is
   /// snapshotted here — the simulator's scaling is per-run constant), the
-  /// gaussians drawn via gaussian_fill_fast and the flicker lattice via
-  /// FlickerNoise::fill_fast.  Only the shared-supply term stays per-call
-  /// so cross-gate supply correlation keeps its global consumption order.
+  /// gaussians drawn via gaussian_fill_fast, the flicker lattice via
+  /// FlickerNoise::fill_fast and the block combined by the dispatched
+  /// support::simd::fma_delay_block (the FMA instruction on the vector
+  /// tiers, no libm call).  Only the shared-supply term stays per-call
+  /// so cross-gate supply correlation keeps its global consumption order;
+  /// its one std::fma per edge in next_delay_fast is the only libm fma left
+  /// on a baseline x86-64 build.
   /// NOT bit-compatible with next_edge_jitter (see NoiseMode).
   void enable_fast_delay(double base_delay_ps, double floor_ps,
                          const PvtScaling& scale);

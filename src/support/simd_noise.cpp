@@ -22,6 +22,9 @@ namespace dhtrng::support::simd {
 // tier and forgotten for another).
 #define DHTRNG_KERNEL_DECLS                                                   \
   void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);        \
+  void fma_delay_block(const double* white, const double* flicker,            \
+                       double white_gain, double flicker_gain, double base,   \
+                       double* out, std::size_t n);                           \
   void xoshiro_soa_gaussian_fill(std::uint64_t s[4][64], double* out,         \
                                  std::size_t n);                              \
   void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n); \
@@ -138,6 +141,13 @@ Tier force_tier(Tier t) {
 
 void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n) {
   DHTRNG_DISPATCH(boxmuller_fill(s, out, n))
+}
+
+void fma_delay_block(const double* white, const double* flicker,
+                     double white_gain, double flicker_gain, double base,
+                     double* out, std::size_t n) {
+  DHTRNG_DISPATCH(fma_delay_block(white, flicker, white_gain, flicker_gain,
+                                  base, out, n))
 }
 
 void sin2pi_batch_trimmed(const double* turns, double* out, std::size_t n) {

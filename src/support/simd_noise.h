@@ -20,8 +20,16 @@
 // documented compatibility bound for future platforms is <= 2 ulp.
 //
 // The AVX-512 tier (avx512f + avx512dq + avx512vl on top of AVX2/FMA)
-// covers the kernels of the SoA engine's step; boxmuller_fill, the
-// simulator's serial stream, runs the AVX2 code under it.
+// covers every kernel: the SoA engine's step kernels and the simulator's
+// noise-block refill (boxmuller_fill, fma_delay_block).
+//
+// Kernels:
+//  - boxmuller_fill: fused serial xoshiro + Box-Muller normals (the
+//    simulator's Fast-mode gaussians, Xoshiro256::gaussian_fill_fast);
+//  - fma_delay_block: the gate-level Fast-mode delay block;
+//  - sin2pi_batch_trimmed, normal_cdf_batch_trimmed_gated,
+//    uniform_lt_mask64_hi/_lo and the XoshiroSoA fills: the SoA engine's
+//    step.
 //
 // Tier selection: the best tier the CPU supports, clamped to Scalar when
 // the environment variable DHTRNG_FORCE_SCALAR=1 is set (the CI parity
@@ -61,6 +69,15 @@ Tier force_tier(Tier t);
 /// Position-fixed: normals 2j, 2j+1 depend only on the j-th word after
 /// the incoming state, so chunked fills concatenate exactly.
 void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);
+
+/// out[i] = fma(white_gain, white[i], fma(flicker_gain, flicker[i], base))
+/// for i < n: one block of complete gate delays in fast-noise mode
+/// (noise::EdgeJitterSource).  Every tier rounds each fma once, so the
+/// block is bit-identical across tiers; the vector tiers use the FMA
+/// instruction instead of a libm call.
+void fma_delay_block(const double* white, const double* flicker,
+                     double white_gain, double flicker_gain, double base,
+                     double* out, std::size_t n);
 
 /// out[i] = sin(2*pi*turns[i]) for turns in [0, 2); absolute error < 1e-6
 /// (measured ~3.1e-7).

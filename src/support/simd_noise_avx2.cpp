@@ -11,6 +11,7 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -228,6 +229,26 @@ void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n) {
     for (std::size_t j = 0; j < rem / 2; ++j) pad[j] = xoshiro_next(s);
     bm_group_fused4(pad, tmp);
     for (std::size_t j = 0; j < rem; ++j) out[i + j] = tmp[j];
+  }
+}
+
+void fma_delay_block(const double* white, const double* flicker,
+                     double white_gain, double flicker_gain, double base,
+                     double* out, std::size_t n) {
+  const __m256d wg = _mm256_set1_pd(white_gain);
+  const __m256d fg = _mm256_set1_pd(flicker_gain);
+  const __m256d b = _mm256_set1_pd(base);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d inner =
+        _mm256_fmadd_pd(fg, _mm256_loadu_pd(flicker + i), b);
+    _mm256_storeu_pd(out + i,
+                     _mm256_fmadd_pd(wg, _mm256_loadu_pd(white + i), inner));
+  }
+  // -mfma makes std::fma the scalar FMA instruction, not a libm call.
+  for (; i < n; ++i) {
+    out[i] = std::fma(white_gain, white[i],
+                      std::fma(flicker_gain, flicker[i], base));
   }
 }
 

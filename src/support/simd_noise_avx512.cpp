@@ -1,15 +1,16 @@
-// AVX-512 tier of the fast-noise kernels the SoA engine's step calls (the
-// raw and fused-normal XoshiroSoA fills, the gated trimmed CDF, sin2pi and
-// the sliced Bernoulli masks), 8 doubles wide.  Every kernel repeats the
+// AVX-512 tier of the fast-noise kernels, 8 doubles wide: the SoA engine's
+// step (the raw and fused-normal XoshiroSoA fills, the gated trimmed CDF,
+// sin2pi and the sliced Bernoulli masks) and the simulator's noise-block
+// refill (boxmuller_fill, fma_delay_block).  Every kernel repeats the
 // AVX2 tier's operation sequence (simd_noise_avx2.cpp) lane for lane: the
 // same IEEE-754 basic operations, the same explicit FMAs in the same
 // places, floor as roundscale toward -inf, and compare masks in place of
 // blend vectors — all exact or correctly rounded per lane, so this tier is
 // bit-identical to the AVX2 and scalar tiers.  The CDF keeps the per-4-lane
-// gate of the other tiers, so pk is identical too.  boxmuller_fill (the
-// simulator's serial stream) has no AVX-512 version: its xoshiro recurrence
-// is serial, so it forwards to the AVX2 code.  Only reached after the
-// runtime avx512f/dq/vl check in simd_noise.cpp.
+// gate of the other tiers, so pk is identical too.  boxmuller_fill
+// advances its xoshiro state serially (the recurrence is loop-carried) and
+// runs only the Box-Muller math 8 wide.  Only reached after the runtime
+// avx512f/dq/vl check in simd_noise.cpp.
 #if defined(__x86_64__) || defined(_M_X64)
 
 // GCC 12 reports the `__Y = __Y` idiom inside its own AVX-512 intrinsics
@@ -30,10 +31,6 @@
 #include <initializer_list>
 
 namespace dhtrng::support::simd {
-
-namespace avx2_k {
-void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n);
-}  // namespace avx2_k
 
 namespace avx512_k {
 
@@ -163,6 +160,28 @@ inline void bm_finish8(__m512i ww, __m512d v, double* out) {
   _mm512_storeu_pd(out + 8, _mm512_permutex2var_pd(rc, hi, rs));
 }
 
+inline std::uint64_t rotl64(std::uint64_t v, int k) {
+  return (v << k) | (v >> (64 - k));
+}
+
+// Scalar xoshiro256** advance — mirrors xoshiro_next in
+// simd_noise_kernels.inc (integer ops: identical on every tier).  Each
+// tier TU keeps its own copy: an inline function shared through a header
+// would be a weak symbol here, which the linker may hand to baseline
+// callers (see SimdTierObjects).
+inline std::uint64_t xoshiro_next(std::uint64_t s[4]) {
+  const std::uint64_t s1 = s[1];
+  const std::uint64_t out = rotl64(s1 * 5u, 7) * 9u;
+  const std::uint64_t t = s1 << 17;
+  s[2] ^= s[0];
+  s[3] ^= s1;
+  s[1] = s1 ^ s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl64(s[3], 45);
+  return out;
+}
+
 inline __m512i load_words(const std::uint64_t* w) {
   return _mm512_loadu_si512(static_cast<const void*>(w));
 }
@@ -178,6 +197,24 @@ inline void bm_block_fused(const std::uint64_t* w, std::size_t words,
   }
   for (std::size_t g = 0; g < groups; ++g) {
     bm_finish8(load_words(w + 8 * g), v[g], out + 16 * g);
+  }
+}
+
+// `words` (at most 64) packed words -> 2*words normals: the full groups
+// of 8 through bm_block_fused, a last partial group of 1..7 words padded
+// to 8 and truncated.
+inline void bm_words(const std::uint64_t* w, std::size_t words,
+                     double* out) {
+  const std::size_t full = words / 8 * 8;
+  bm_block_fused(w, full, out);
+  if (full < words) {
+    std::uint64_t pad[8] = {1, 1, 1, 1, 1, 1, 1, 1};
+    double tmp[16];
+    for (std::size_t j = full; j < words; ++j) pad[j - full] = w[j];
+    bm_finish8(load_words(pad), bm_radial8(load_words(pad)), tmp);
+    for (std::size_t j = 0; j < 2 * (words - full); ++j) {
+      out[2 * full + j] = tmp[j];
+    }
   }
 }
 
@@ -220,7 +257,32 @@ std::uint64_t lt_mask64(const std::uint64_t* raw, const double* p,
 }  // namespace
 
 void boxmuller_fill(std::uint64_t s[4], double* out, std::size_t n) {
-  avx2_k::boxmuller_fill(s, out, n);
+  // Blocks of up to 64 serially drawn words, each turned into two normals
+  // 8 words at a time; position-fixed like every other tier.
+  std::uint64_t w[64];
+  for (std::size_t i = 0; i + 2 <= n; i += 128) {
+    const std::size_t words = n - i < 128 ? (n - i) / 2 : 64;
+    for (std::size_t j = 0; j < words; ++j) w[j] = xoshiro_next(s);
+    bm_words(w, words, out + i);
+  }
+}
+
+void fma_delay_block(const double* white, const double* flicker,
+                     double white_gain, double flicker_gain, double base,
+                     double* out, std::size_t n) {
+  const __m512d wg = _mm512_set1_pd(white_gain);
+  const __m512d fg = _mm512_set1_pd(flicker_gain);
+  const __m512d b = _mm512_set1_pd(base);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::size_t left = n - i;
+    const __mmask8 lanes =
+        left >= 8 ? __mmask8{0xff} : static_cast<__mmask8>((1u << left) - 1);
+    const __m512d inner =
+        _mm512_fmadd_pd(fg, _mm512_maskz_loadu_pd(lanes, flicker + i), b);
+    _mm512_mask_storeu_pd(
+        out + i, lanes,
+        _mm512_fmadd_pd(wg, _mm512_maskz_loadu_pd(lanes, white + i), inner));
+  }
 }
 
 void xoshiro_soa_advance(std::uint64_t s[4][64], std::uint64_t* out) {
@@ -251,23 +313,9 @@ void xoshiro_soa_advance(std::uint64_t s[4][64], std::uint64_t* out) {
 void xoshiro_soa_gaussian_fill(std::uint64_t s[4][64], double* out,
                                std::size_t n) {
   std::uint64_t w[64];
-  std::size_t done = 0;
-  while (done < n) {
+  for (std::size_t done = 0; done < n; done += 128) {
     xoshiro_soa_advance(s, w);
-    const std::size_t take = n - done < 128 ? n - done : 128;
-    const std::size_t j = take / 16 * 16;
-    bm_block_fused(w, j / 2, out + done);
-    if (j < take) {
-      // 2..14 normals left: one padded group, first (take - j) kept.
-      std::uint64_t pad[8] = {1, 1, 1, 1, 1, 1, 1, 1};
-      double tmp[16];
-      for (std::size_t kw = 0; kw < (take - j) / 2; ++kw) {
-        pad[kw] = w[j / 2 + kw];
-      }
-      bm_finish8(load_words(pad), bm_radial8(load_words(pad)), tmp);
-      for (std::size_t kw = j; kw < take; ++kw) out[done + kw] = tmp[kw - j];
-    }
-    done += take;
+    bm_words(w, n - done < 128 ? (n - done) / 2 : 64, out + done);
   }
 }
 

@@ -11,14 +11,18 @@
 // once natively and once under DHTRNG_FORCE_SCALAR=1, so both code paths
 // stay covered.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dhtrng.h"
 #include "support/rng.h"
+#include "support/sha256.h"
 #include "support/simd_noise.h"
 
 namespace simd = dhtrng::support::simd;
@@ -150,6 +154,107 @@ TEST(SimdDispatch, BoxmullerFillNativeMatchesScalarBitwise) {
       ASSERT_EQ(native.z[i], scalar.z[i]) << "draw " << i;
     }
     EXPECT_EQ(native.state, scalar.state);
+  }
+}
+
+TEST(SimdDispatch, BoxmullerFillEveryEvenLengthMatchesScalar) {
+  // Every even length up to two full 128-normal blocks plus a tail, so
+  // each tier's partial-group and partial-block paths run at every width.
+  const auto fill_on = [](simd::Tier t, std::size_t n) {
+    TierScope scope(t);
+    std::uint64_t st[4];
+    dhtrng::support::SplitMix64 seeder(0xb0c5 + n);
+    for (auto& w : st) w = seeder.next();
+    std::vector<double> z(n);
+    simd::boxmuller_fill(st, z.data(), n);
+    std::vector<std::uint64_t> state(st, st + 4);
+    return std::make_pair(z, state);
+  };
+  for (std::size_t n = 2; n <= 258; n += 2) {
+    const auto scalar = fill_on(simd::Tier::Scalar, n);
+    for (simd::Tier t : vector_tiers()) {
+      const auto native = fill_on(t, n);
+      ASSERT_EQ(native.first, scalar.first) << simd::tier_name(t) << " n=" << n;
+      ASSERT_EQ(native.second, scalar.second)
+          << simd::tier_name(t) << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdDispatch, FmaDelayBlockMatchesScalarBitwise) {
+  // Signed zeros, subnormals and large gains alongside ordinary normals;
+  // products stay finite, so every result is a number and the tiers must
+  // agree on every bit, the sign of zero included.
+  constexpr std::size_t kMax = 300;
+  const double specials[] = {0.0,     -0.0,     4.9e-324, -4.9e-324,
+                             2.2e-310, -1e-308, 1e150,    -1e150,
+                             1.0,      -1.0};
+  dhtrng::support::Xoshiro256 rng(0xde1a);
+  std::vector<double> white(kMax), flicker(kMax);
+  for (std::size_t i = 0; i < kMax; ++i) {
+    white[i] = i % 7 == 0 ? specials[i / 7 % 10] : rng.gaussian();
+    flicker[i] = i % 5 == 0 ? specials[i / 5 % 10] : rng.gaussian();
+  }
+  struct Gains {
+    double white, flicker, base;
+  };
+  const Gains gains[] = {{1.0, 0.5, 120.0},
+                         {-0.0, 0.0, -0.0},
+                         {2.2e-310, -4.9e-324, 0.0},
+                         {1e150, -1e150, 1e300},
+                         {0.3, 1.7, -85.5}};
+  constexpr double kSentinel = -7.25;
+  const auto bits_of = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> b(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      b[i] = std::bit_cast<std::uint64_t>(v[i]);
+    }
+    return b;
+  };
+  const auto run_on = [&](simd::Tier t, const Gains& g, std::size_t n) {
+    TierScope scope(t);
+    std::vector<double> out(kMax, kSentinel);
+    simd::fma_delay_block(white.data(), flicker.data(), g.white, g.flicker,
+                          g.base, out.data(), n);
+    return bits_of(out);
+  };
+  for (const Gains& g : gains) {
+    for (std::size_t n = 1; n <= kMax; ++n) {
+      const auto scalar = run_on(simd::Tier::Scalar, g, n);
+      ASSERT_EQ(scalar[n - 1],
+                std::bit_cast<std::uint64_t>(std::fma(
+                    g.white, white[n - 1],
+                    std::fma(g.flicker, flicker[n - 1], g.base))));
+      // Nothing past n is written.
+      ASSERT_EQ(std::count(scalar.begin() + static_cast<std::ptrdiff_t>(n),
+                           scalar.end(), std::bit_cast<std::uint64_t>(kSentinel)),
+                static_cast<std::ptrdiff_t>(kMax - n));
+      for (simd::Tier t : vector_tiers()) {
+        ASSERT_EQ(run_on(t, g, n), scalar)
+            << simd::tier_name(t) << " n=" << n << " gains " << g.white;
+      }
+    }
+  }
+}
+
+TEST(SimdDispatch, GateLevelFastDhTrngIsTierInvariant) {
+  // End to end through every noise kernel the simulator refills from: the
+  // same stream and the same event count on every tier.
+  const auto run_on = [](simd::Tier t) {
+    TierScope scope(t);
+    dhtrng::core::DhTrng trng({.seed = 1,
+                               .backend = dhtrng::core::Backend::GateLevel,
+                               .noise_mode = dhtrng::noise::NoiseMode::Fast});
+    const auto bits = trng.generate(20000);
+    return std::make_pair(
+        dhtrng::support::Sha256::hex(
+            dhtrng::support::Sha256::hash(bits.to_bytes())),
+        trng.simulator()->events_processed());
+  };
+  const auto scalar = run_on(simd::Tier::Scalar);
+  EXPECT_GT(scalar.second, 0u);
+  for (simd::Tier t : vector_tiers()) {
+    EXPECT_EQ(run_on(t), scalar) << simd::tier_name(t);
   }
 }
 
