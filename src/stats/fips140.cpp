@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -19,11 +20,24 @@ RunHistogram run_histogram(const BitStream& bits, std::size_t len) {
 }
 
 std::size_t longest_run(const BitStream& bits, std::size_t len) {
+  // A run ends at each bit i < len - 1 whose successor differs: bit i of
+  // w ^ (w >> 1 | next word << 63).  Runs are the gaps between the ends.
+  const auto words = bits.words();
   std::size_t longest = 0;
-  support::wordops::for_each_run(
-      bits, 0, len,
-      [&](bool, std::size_t run) { longest = std::max(longest, run); });
-  return longest;
+  std::size_t start = 0;
+  for (std::size_t k = 0; 64 * k + 1 < len; ++k) {
+    const std::uint64_t next = k + 1 < words.size() ? words[k + 1] : 0;
+    std::uint64_t ends = words[k] ^ ((words[k] >> 1) | (next << 63));
+    const std::size_t pairs = len - 1 - 64 * k;
+    if (pairs < 64) ends &= (std::uint64_t{1} << pairs) - 1;
+    for (; ends != 0; ends &= ends - 1) {
+      const std::size_t end =
+          64 * k + static_cast<std::size_t>(std::countr_zero(ends));
+      longest = std::max(longest, end + 1 - start);
+      start = end + 1;
+    }
+  }
+  return std::max(longest, len - start);
 }
 
 std::uint64_t nibble_square_sum(const BitStream& bits, std::size_t nibbles) {

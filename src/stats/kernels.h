@@ -7,12 +7,13 @@
 // scores — a transition count, a run histogram, a per-block statistic, the
 // distance sums of a Maurer-style table — reading whole 64-bit words
 // (popcounts, shift-and-mask window extraction, byte-table prefix sums).
-// Where a table is keyed by a block or window value, the kernel keys it
-// LSB-first, a permutation of the MSB-first slots the specifications
-// describe; those kernels return only what both orders give exactly (a
-// disjointness verdict, a sum of squared counts, sums over last-seen
-// distances), never the keys.  Floating-point results replay the
-// specification's operation sequence, so they are exact too.
+// Where a table is keyed by a block or window value read LSB-first, a
+// permutation of the MSB-first slots the specifications describe, the
+// kernel returns only what both orders give exactly (a disjointness
+// verdict, a sum of squared counts, sums over last-seen distances), never
+// the keys; the pattern and tuple tables are keyed MSB-first.
+// Floating-point results replay the specification's operation sequence,
+// so they are exact too.
 //
 // tests/support/stats_oracle.h has a bit-at-a-time version of every
 // kernel with the same signature.  The EngineEquivalence and

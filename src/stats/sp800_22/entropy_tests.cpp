@@ -1,11 +1,10 @@
 // SP 800-22 sections 2.11 and 2.12: Serial and Approximate Entropy.
 // Both count overlapping m-bit patterns on the cyclically extended sequence.
 //
-// The kernels slide an LSB-first window register fed from 64-bit chunks
-// instead of rebuilding the MSB-first pattern value bit by bit.  The count
-// array is therefore indexed by the bit-reversed pattern value; both sums
-// iterate it in bit-reversed index order so the accumulation visits counts
-// in MSB-first pattern order, the specification's sequence.
+// The kernels slide an MSB-first window register fed from 64-bit chunks, so
+// the count array is indexed by the pattern value itself and both sums
+// visit it in MSB-first pattern order, the specification's sequence.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -19,51 +18,27 @@ namespace dhtrng::stats::kernels {
 
 namespace {
 
-namespace wo = support::wordops;
-
 /// Counts of all overlapping m-bit patterns over the cyclic sequence,
-/// indexed by the LSB-first pattern value: counts[bit_reverse(v, m)] is the
-/// count of MSB-first pattern v.
+/// indexed by the MSB-first pattern value.
 std::vector<std::uint32_t> pattern_counts(const BitStream& bits,
                                           std::size_t m) {
   std::vector<std::uint32_t> counts(std::size_t{1} << m, 0);
   const std::size_t n = bits.size();
   if (m == 0 || n == 0) return counts;
   const std::uint64_t mask = (std::uint64_t{1} << m) - 1;
-  if (n < m) {
-    // Degenerate sizes: every window wraps around the sequence.
-    std::uint64_t window = 0;
-    for (std::size_t i = 0; i + 1 < m; ++i) {
-      window = (window >> 1) | (std::uint64_t{bits[i % n]} << (m - 1));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      window = (window >> 1) |
-               (std::uint64_t{bits[(i + m - 1) % n]} << (m - 1));
-      ++counts[window & mask];
-    }
-    return counts;
+  // Window i covers bits i .. i+m-1 of the cyclic extension, the last one
+  // least significant; prime it with the first m-1 bits.
+  std::uint64_t window = 0;
+  for (std::size_t j = 0; j + 1 < m; ++j) {
+    window = (window << 1) | (bits[j % n] ? 1u : 0u);
   }
-  std::uint64_t window = bits.chunk64(0) & mask;
-  ++counts[window];
-  // Windows 1 .. n-m draw their incoming bit from the stream directly.
-  std::uint64_t reg = 0;
-  std::size_t reg_left = 0;
-  std::size_t next = m;
-  for (std::size_t i = 1; i + m <= n; ++i) {
-    if (reg_left == 0) {
-      reg = bits.chunk64(next);
-      reg_left = 64;
-    }
-    window = (window >> 1) | ((reg & 1u) << (m - 1));
-    reg >>= 1;
-    --reg_left;
-    ++next;
-    ++counts[window];
-  }
-  // The last m-1 windows wrap around to the front of the sequence.
-  for (std::size_t i = n - m + 1; i < n; ++i) {
-    const std::uint64_t bit = bits[(i + m - 1) % n] ? 1u : 0u;
-    window = (window >> 1) | (bit << (m - 1));
+  // Windows whose last bit lies in the stream (none when n < m).
+  window = support::wordops::feed_msb_first(
+      bits, m - 1, n, window, mask,
+      [&](std::uint64_t w) { ++counts[w]; });
+  // The remaining windows wrap around to the front of the sequence.
+  for (std::size_t j = std::max(m - 1, n); j < n + m - 1; ++j) {
+    window = ((window << 1) | (bits[(j - n) % n] ? 1u : 0u)) & mask;
     ++counts[window];
   }
   return counts;
@@ -72,11 +47,8 @@ std::vector<std::uint32_t> pattern_counts(const BitStream& bits,
 }  // namespace
 
 double pattern_square_sum(const BitStream& bits, std::size_t m) {
-  const auto counts = pattern_counts(bits, m);
   double sum = 0.0;
-  for (std::size_t v = 0; v < counts.size(); ++v) {
-    const std::uint32_t c =
-        counts[wo::bit_reverse(v, static_cast<unsigned>(m))];
+  for (std::uint32_t c : pattern_counts(bits, m)) {
     sum += static_cast<double>(c) * static_cast<double>(c);
   }
   return sum;
@@ -84,11 +56,8 @@ double pattern_square_sum(const BitStream& bits, std::size_t m) {
 
 double pattern_entropy_sum(const BitStream& bits, std::size_t m) {
   const double n = static_cast<double>(bits.size());
-  const auto counts = pattern_counts(bits, m);
   double sum = 0.0;
-  for (std::size_t v = 0; v < counts.size(); ++v) {
-    const std::uint32_t c =
-        counts[wo::bit_reverse(v, static_cast<unsigned>(m))];
+  for (std::uint32_t c : pattern_counts(bits, m)) {
     if (c > 0) {
       const double p = static_cast<double>(c) / n;
       sum += p * std::log(p);

@@ -1,16 +1,20 @@
 // SP 800-90B sections 6.3.5 and 6.3.6: t-Tuple and Longest Repeated
 // Substring estimators (binary alphabet, windowed counting).
 //
-// The per-length statistics (max count, number of colliding pairs) come
-// from refining a partition of window start positions one bit at a time:
+// t-Tuple reads its short lengths (on typical data, every length whose
+// most common tuple reaches the 35-count cutoff) from one flat count table
+// of the longest of them, folded down one length at a time.  LRS, and t-Tuple past the flat lengths, take
+// the per-length statistics (max count, number of colliding pairs) from
+// refining a partition of window start positions one bit at a time:
 // groups of positions whose windows agree on the first L bits are split by
 // bit L, singletons drop out, and the statistics are read off the group
 // sizes.  Streams too long for the refiner's 32-bit positions rescan the
-// stream once per length with flat / hashed window tables instead.  Both
+// stream once per length with flat / hashed window tables instead.  All
 // are multiset statistics of the value -> count map — max is order-free
 // and the pair sum adds integers (C(c,2) <= C(n,2) < 2^53), so the doubles
 // agree bit-for-bit whichever produced them.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,6 +25,7 @@
 
 #include "stats/kernels.h"
 #include "stats/sp800_90b.h"
+#include "support/wordops.h"
 
 namespace dhtrng::stats::kernels {
 
@@ -166,20 +171,70 @@ class LengthSweep {
   std::size_t len_ = 0;
 };
 
+/// max_count[len] for len = 1..top (1 <= top <= min(size, kFlatLimit)):
+/// the count of the most common overlapping window of each length.  One
+/// pass counts the length-`top` windows by MSB-first value; dropping a
+/// window's last bit halves its value, so each shorter length's table folds
+/// from the longer one, plus the one shorter window too late in the stream
+/// to begin a longer one (the stream's last len bits).
+std::vector<std::uint64_t> flat_max_counts(const BitStream& bits,
+                                           std::size_t top) {
+  const std::size_t n = bits.size();
+  std::vector<std::uint32_t> counts(std::size_t{1} << top, 0);
+  const std::uint64_t mask = (std::uint64_t{1} << top) - 1;
+  std::uint64_t window = support::wordops::feed_msb_first(
+      bits, 0, top - 1, 0, mask, [](std::uint64_t) {});
+  window = support::wordops::feed_msb_first(
+      bits, top - 1, n, window, mask, [&](std::uint64_t w) { ++counts[w]; });
+  std::vector<std::uint64_t> max_count(top + 1, 0);
+  for (std::size_t len = top;; --len) {
+    const std::size_t size = std::size_t{1} << len;
+    max_count[len] = *std::max_element(counts.data(), counts.data() + size);
+    if (len == 1) break;
+    for (std::size_t v = 0; v < size / 2; ++v) {
+      counts[v] = counts[2 * v] + counts[2 * v + 1];
+    }
+    ++counts[window & (size / 2 - 1)];
+  }
+  return max_count;
+}
+
 }  // namespace
 
 double t_tuple_p_hat(const BitStream& bits) {
   const std::size_t n = bits.size();
+  if (n == 0) return 0.0;
   // Find t: the largest tuple length whose most common tuple appears at
   // least 35 times; P_max over lengths 1..t of (max_count / windows)^(1/i).
-  LengthSweep sweep(bits);
+  // The flat table reaches two lengths past where an unbiased stream's
+  // expected count n / 2^len falls below the cutoff; a stream whose counts
+  // stay above it continues on the refiner.  Its 32-bit counters hold any
+  // stream the refiner's 32-bit positions do.
+  const std::size_t top =
+      use_refiner(bits)
+          ? std::min({kFlatLimit, n,
+                      static_cast<std::size_t>(
+                          std::bit_width(n / kTupleCutoff)) + 2})
+          : 0;
+  const std::vector<std::uint64_t> flat =
+      top > 0 ? flat_max_counts(bits, top) : std::vector<std::uint64_t>{};
+  std::optional<LengthSweep> sweep;
   double p_hat = 0.0;
   for (std::size_t len = 1; len <= kMaxTupleLen; ++len) {
-    const TupleStats st = sweep.next();
-    if (st.max_count < kTupleCutoff) break;
+    std::uint64_t max_count = 0;
+    if (len <= top) {
+      max_count = flat[len];
+    } else {
+      if (!sweep) {
+        sweep.emplace(bits);
+        for (std::size_t skip = 1; skip < len; ++skip) sweep->next();
+      }
+      max_count = sweep->next().max_count;
+    }
+    if (max_count < kTupleCutoff) break;
     const double windows = static_cast<double>(n - len + 1);
     const double p_len = std::pow(
-        static_cast<double>(st.max_count) / windows,
+        static_cast<double>(max_count) / windows,
         1.0 / static_cast<double>(len));
     p_hat = std::max(p_hat, p_len);
   }

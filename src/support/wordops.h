@@ -84,14 +84,24 @@ constexpr unsigned popcount64(std::uint64_t v) {
   return static_cast<unsigned>((v * 0x0101010101010101ULL) >> 56);
 }
 
-/// Reverse the low `m` bits of `v` (m <= 64).  Maps an LSB-first window
-/// value to the MSB-first convention used by the scalar pattern kernels.
-constexpr std::uint64_t bit_reverse(std::uint64_t v, unsigned m) {
-  std::uint64_t r = 0;
-  for (unsigned i = 0; i < m; ++i) {
-    r = (r << 1) | ((v >> i) & 1u);
+/// Shift bits [begin, end) of the stream into `window`, one at a time and
+/// MSB-first (each new bit enters at bit 0, older bits move up), keep the
+/// low bits selected by `mask`, and call `emit(window)` after each bit.
+/// The bits come 64 per chunk64 load.  Returns the final window.
+template <typename Fn>
+inline std::uint64_t feed_msb_first(const BitStream& bits, std::size_t begin,
+                                    std::size_t end, std::uint64_t window,
+                                    std::uint64_t mask, Fn&& emit) {
+  for (std::size_t j = begin; j < end; j += 64) {
+    std::uint64_t reg = bits.chunk64(j);
+    const std::size_t take = std::min<std::size_t>(64, end - j);
+    for (std::size_t k = 0; k < take; ++k) {
+      window = ((window << 1) | (reg & 1u)) & mask;
+      reg >>= 1;
+      emit(window);
+    }
   }
-  return r;
+  return window;
 }
 
 /// Call `emit(value, length)` for each maximal run of identical bits in

@@ -5,8 +5,10 @@
 
 #include <cmath>
 
+#include "stats/kernels.h"
 #include "stats/sp800_90b.h"
 #include "support/rng.h"
+#include "support/stats_oracle.h"
 
 namespace dhtrng::stats::sp800_90b {
 namespace {
@@ -103,6 +105,24 @@ TEST(TTuple, IdealDataHigh) {
 
 TEST(TTuple, DetectsBias) {
   EXPECT_LT(t_tuple(biased_bits(500000, 0.75, 11)).h_min, 0.55);
+}
+
+TEST(TTuple, FlatTableAndRefinerMatchOracle) {
+  // The kernel reads short lengths from one folded flat table and only the
+  // lengths past it from the refiner: tiny streams (the table as long as
+  // the stream), ideal data (flat table only), and biased and periodic
+  // data whose counts stay above the cutoff past the table.
+  const auto expect_match = [](const BitStream& bits) {
+    EXPECT_EQ(kernels::t_tuple_p_hat(bits), oracle::t_tuple_p_hat(bits))
+        << bits.size() << " bits";
+  };
+  for (std::size_t n = 0; n <= 80; ++n) expect_match(ideal_bits(n, 40 + n));
+  expect_match(ideal_bits(30000, 41));
+  expect_match(biased_bits(30000, 0.8, 42));
+  expect_match(markov_bits(30000, 0.9, 43));
+  BitStream periodic;
+  for (std::size_t i = 0; i < 5000; ++i) periodic.push_back(i % 7 < 3);
+  expect_match(periodic);
 }
 
 TEST(Lrs, IdealDataHigh) {
