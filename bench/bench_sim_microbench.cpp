@@ -1,13 +1,15 @@
-// Gate-level event-engine microbenchmark: the sorted-run engine vs the
-// reference binary-heap scheduler on the DH-TRNG netlist, its companions
-// and the entropy-source zoo, with machine-readable JSON output
-// (BENCH_sim.json) so CI can track the perf trajectory.
+// Gate-level event-engine microbenchmark: the production simulator
+// (sim::Simulator) vs the reference binary-heap engine
+// (sim::ReferenceSimulator from the dhtrng_sim_reference test library,
+// tests/support/sim_reference.h) on the DH-TRNG netlist, its companions and
+// the entropy-source zoo, with machine-readable JSON output (BENCH_sim.json)
+// so CI can track the perf trajectory.
 //
 // For every netlist in core::golden_gate_netlists and
 // core::zoo_gate_netlists the bench runs the same (circuit, config, seed)
-// on both schedulers, asserts the waveforms are bit-identical (event
-// counts, per-net toggle counts, final net values), and reports
-// events/second per engine plus the speedup.  The zoo rows (neo, klein,
+// on both engines, asserts the waveforms are bit-identical (event counts,
+// per-net toggle counts, final net values), and reports events/second per
+// engine plus the speedup.  The zoo rows (neo, klein,
 // hbn) have no baseline entry, so the gate below reports them without
 // bounding them; hbn keeps the most events pending of any shipped netlist
 // and so is the sorted run's worst case.
@@ -43,11 +45,12 @@
 #include "core/netlist.h"
 #include "core/zoo/zoo.h"
 #include "sim/simulator.h"
+#include "support/sim_reference.h"
 
 namespace {
 
 using dhtrng::sim::NetId;
-using dhtrng::sim::Scheduler;
+using dhtrng::sim::ReferenceSimulator;
 using dhtrng::sim::SimConfig;
 using dhtrng::sim::Simulator;
 
@@ -59,16 +62,14 @@ struct EngineRun {
   std::vector<std::uint8_t> final_values;
 };
 
+template <typename Engine>
 EngineRun run_engine_once(const dhtrng::sim::Circuit& circuit,
-                          Scheduler scheduler, std::uint64_t seed,
-                          double horizon_ps,
-                          dhtrng::noise::NoiseMode noise_mode =
-                              dhtrng::noise::NoiseMode::Exact) {
+                          std::uint64_t seed, double horizon_ps,
+                          dhtrng::noise::NoiseMode noise_mode) {
   SimConfig cfg;
   cfg.seed = seed;
-  cfg.scheduler = scheduler;
   cfg.noise_mode = noise_mode;
-  Simulator sim(circuit, cfg);
+  Engine sim(circuit, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   sim.run_until(horizon_ps);
   const auto t1 = std::chrono::steady_clock::now();
@@ -91,16 +92,17 @@ EngineRun run_engine_once(const dhtrng::sim::Circuit& circuit,
 /// clock varies — min is the standard estimator for "time with the least
 /// interference", and the warmup keeps cold caches and lazy CPU-dispatch
 /// init out of every rep, not just the first).
-EngineRun run_engine(const dhtrng::sim::Circuit& circuit, Scheduler scheduler,
-                     std::uint64_t seed, double horizon_ps, int reps,
+template <typename Engine>
+EngineRun run_engine(const dhtrng::sim::Circuit& circuit, std::uint64_t seed,
+                     double horizon_ps, int reps,
                      dhtrng::noise::NoiseMode noise_mode =
                          dhtrng::noise::NoiseMode::Exact) {
-  run_engine_once(circuit, scheduler, seed, horizon_ps, noise_mode);
+  run_engine_once<Engine>(circuit, seed, horizon_ps, noise_mode);
   EngineRun best =
-      run_engine_once(circuit, scheduler, seed, horizon_ps, noise_mode);
+      run_engine_once<Engine>(circuit, seed, horizon_ps, noise_mode);
   for (int i = 1; i < reps; ++i) {
     EngineRun r =
-        run_engine_once(circuit, scheduler, seed, horizon_ps, noise_mode);
+        run_engine_once<Engine>(circuit, seed, horizon_ps, noise_mode);
     if (r.wall_s < best.wall_s) best = std::move(r);
   }
   return best;
@@ -132,7 +134,7 @@ int main(int argc, char** argv) {
       flag_str(argc, argv, "out", "BENCH_sim.json");
 
   dhtrng::bench::header(
-      "sim microbench: sorted-run event engine vs reference heap",
+      "sim microbench: production event engine vs reference heap",
       "event-engine speedup (repo infrastructure; not a paper table)");
   std::printf("config: horizon %.0f ns per engine, seed %llu, best of %d%s\n\n",
               horizon_ps / 1e3, static_cast<unsigned long long>(seed), reps,
@@ -167,9 +169,9 @@ int main(int argc, char** argv) {
   }
   for (const auto& net : nets) {
     const EngineRun prod =
-        run_engine(net.circuit, Scheduler::SortedRun, seed, horizon_ps, reps);
-    const EngineRun ref = run_engine(net.circuit, Scheduler::ReferenceHeap,
-                                     seed, horizon_ps, reps);
+        run_engine<Simulator>(net.circuit, seed, horizon_ps, reps);
+    const EngineRun ref =
+        run_engine<ReferenceSimulator>(net.circuit, seed, horizon_ps, reps);
     const double reference_eps =
         static_cast<double>(ref.events) / ref.wall_s;
     report(net.name, prod, ref, reference_eps);
@@ -179,16 +181,15 @@ int main(int argc, char** argv) {
     // exact-noise reference run as the "dhtrng" row above (so the row
     // answers "how much faster is the optimised engine end to end").
     // The identity check compares fast-production against fast-reference:
-    // fast noise is block-aligned (noise::kNoiseBlock), so the two
-    // schedulers must still agree bit-for-bit *within* the mode — golden
-    // digests of the exact mode do not apply here.
+    // both engines draw the same fast noise blocks (noise::kNoiseBlock), so
+    // they must still agree bit-for-bit *within* the mode — golden digests
+    // of the exact mode do not apply here.
     if (net.name == "dhtrng") {
-      const EngineRun fprod =
-          run_engine(net.circuit, Scheduler::SortedRun, seed, horizon_ps, reps,
-                     dhtrng::noise::NoiseMode::Fast);
+      const EngineRun fprod = run_engine<Simulator>(
+          net.circuit, seed, horizon_ps, reps, dhtrng::noise::NoiseMode::Fast);
       const EngineRun fref =
-          run_engine(net.circuit, Scheduler::ReferenceHeap, seed, horizon_ps,
-                     1, dhtrng::noise::NoiseMode::Fast);
+          run_engine<ReferenceSimulator>(net.circuit, seed, horizon_ps, 1,
+                                         dhtrng::noise::NoiseMode::Fast);
       report("dhtrng_fastnoise", fprod, fref, reference_eps);
     }
   }
@@ -227,7 +228,7 @@ int main(int argc, char** argv) {
               traj_path.c_str());
 
   if (!all_identical) {
-    std::printf("FAIL: schedulers disagree — waveforms not bit-identical\n");
+    std::printf("FAIL: engines disagree — waveforms not bit-identical\n");
     return 1;
   }
 

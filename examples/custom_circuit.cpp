@@ -67,11 +67,7 @@ int main() {
   const auto report = fpga::SlicePacker{}.pack(circuit, "jitter-trng");
   std::printf("\nFPGA mapping:\n%s", report.to_string().c_str());
 
-  fpga::ActivityEstimate activity;
-  activity.clock_mhz = 100.0;
-  activity.flip_flops = 1;
-  activity.logic_toggle_ghz =
-      static_cast<double>(sim.total_toggles()) / sim.now() * 1e3;
+  const auto activity = fpga::activity_from_simulation(sim, 100.0, 1);
   const auto power = fpga::estimate_power(device, activity);
   std::printf("estimated power: %.3f W (static %.3f + PLL %.3f + logic %.4f)\n",
               power.total_w(), power.static_w, power.pll_w, power.logic_w);

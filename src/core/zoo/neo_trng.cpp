@@ -57,7 +57,7 @@ support::BitStream neo_von_neumann(const support::BitStream& raw,
   return out;
 }
 
-std::optional<std::uint8_t> NeoLfsrCombiner::feed(bool bit) {
+std::optional<std::uint8_t> NeoLfsrCombiner::shift_in(bool bit) {
   const bool feedback =
       (std::popcount(static_cast<unsigned>(state_ & kTaps)) & 1) != 0;
   state_ = static_cast<std::uint8_t>((state_ << 1) |
@@ -192,7 +192,7 @@ bool NeoTrng::next_bit() {
     ++vn_stats_.pairs;
     if (pair_first_ == sample) continue;
     ++vn_stats_.accepted;
-    if (const auto byte = combiner_.feed(sample)) {
+    if (const auto byte = combiner_.shift_in(sample)) {
       byte_ = *byte;
       byte_bits_left_ = 8;
     }

@@ -76,9 +76,9 @@ class NeoLfsrCombiner {
   /// De-biased bits folded per emitted byte (neoTRNG's 64:8 compression).
   static constexpr int kBitsPerByte = 64;
 
-  /// Shift one de-biased bit in; returns the output byte when this feed
+  /// Shift one de-biased bit in; returns the output byte when this bit
   /// completes a 64-bit fold, std::nullopt otherwise.
-  std::optional<std::uint8_t> feed(bool bit);
+  std::optional<std::uint8_t> shift_in(bool bit);
 
   std::uint8_t state() const { return state_; }
   void reset() {

@@ -44,8 +44,10 @@ PowerBreakdown estimate_power(const DeviceModel& device,
                                   noise::PvtCondition::nominal());
 
 /// Exact activity from an event-driven simulation run: total toggle counts
-/// divided by simulated time.  This is how the gate-level backend feeds the
-/// power model without analytic estimates.
+/// divided by simulated time, for feeding the power model a simulated
+/// netlist's measured switching instead of an analytic estimate (see
+/// examples/custom_circuit.cpp).  The TRNG backends report their own
+/// analytic TrngSource::activity().
 ActivityEstimate activity_from_simulation(const sim::Simulator& simulator,
                                           double clock_mhz,
                                           std::size_t flip_flops);

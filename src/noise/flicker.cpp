@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 namespace dhtrng::noise {
@@ -92,10 +91,6 @@ void FlickerNoise::fill_fast(double* out, std::size_t n) {
       }
     }
   }
-}
-
-double FlickerNoise::marginal_sigma() const {
-  return amplitude_ * std::sqrt(static_cast<double>(rows_.size()));
 }
 
 }  // namespace dhtrng::noise

@@ -43,9 +43,6 @@ class FlickerNoise {
   /// bit-compatible with next()/fill(); statistically identical.
   void fill_fast(double* out, std::size_t n);
 
-  /// Std-dev of the marginal distribution of samples.
-  double marginal_sigma() const;
-
   int octaves() const { return static_cast<int>(rows_.size()); }
 
  private:

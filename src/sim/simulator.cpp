@@ -118,11 +118,7 @@ void Simulator::schedule(NetId net, bool value, double delay_from_now) {
       t - s.time < config_.min_pulse_ps) {
     // Runt pulse: the pending transition would be undone before it could
     // propagate a full pulse width; swallow both (inertial delay).
-    if (config_.scheduler == Scheduler::SortedRun) {
-      events_.cancel(s.time, s.seq);
-    } else {
-      dead_events_.push_back(s.seq);
-    }
+    events_.cancel(s.time, s.seq);
     s.projected = value_[net];
     s.time = now_;
     ++runts_filtered_;
@@ -133,23 +129,10 @@ void Simulator::schedule(NetId net, bool value, double delay_from_now) {
   s.projected = value ? 1 : 0;
   s.time = t;
   s.seq = ++seq_;
-  if (config_.scheduler == Scheduler::SortedRun) {
-    events_.push(t, seq_, net, value);
-  } else {
-    queue_.push(Event{t, seq_, net, value});
-  }
+  events_.push(t, seq_, net, value);
 }
 
 void Simulator::run_until(double t_ps) {
-  if (config_.scheduler == Scheduler::SortedRun) {
-    run_until_sorted(t_ps);
-  } else {
-    run_until_reference(t_ps);
-  }
-  now_ = std::max(now_, t_ps);
-}
-
-void Simulator::run_until_sorted(double t_ps) {
   SimEvent ev;
   while (events_.pop_if_due(t_ps, ev)) {
     if (++events_processed_ > config_.max_events) throw_budget_exhausted();
@@ -157,27 +140,7 @@ void Simulator::run_until_sorted(double t_ps) {
     if (trace_applied_) applied_events_.push_back(ev);
     apply_net_change(ev.net, ev.value);
   }
-}
-
-void Simulator::run_until_reference(double t_ps) {
-  while (!queue_.empty() && queue_.top().time <= t_ps) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    if (!dead_events_.empty()) {
-      const auto it =
-          std::find(dead_events_.begin(), dead_events_.end(), ev.seq);
-      if (it != dead_events_.end()) {
-        dead_events_.erase(it);
-        continue;
-      }
-    }
-    if (++events_processed_ > config_.max_events) throw_budget_exhausted();
-    now_ = ev.time;
-    if (trace_applied_) {
-      applied_events_.push_back(SimEvent{ev.time, ev.seq, ev.net, ev.value});
-    }
-    apply_net_change(ev.net, ev.value);
-  }
+  now_ = std::max(now_, t_ps);
 }
 
 void Simulator::throw_budget_exhausted() {
@@ -201,21 +164,10 @@ void Simulator::apply_net_change(NetId net, bool value) {
   const FlatNetlist::NetMeta& m = flat_.net_meta[net];
 
   // Clock source nets regenerate their own next edge.
-  if (config_.scheduler == Scheduler::SortedRun) {
-    if (m.clock >= 0) {
-      const ClockSpec& c = circuit_.clocks()[static_cast<std::size_t>(m.clock)];
-      const double high = c.period_ps * c.duty;
-      schedule(net, !value, value ? high : c.period_ps - high);
-    }
-  } else {
-    // Reference oracle keeps the historical linear clock scan.
-    for (const ClockSpec& c : circuit_.clocks()) {
-      if (c.net == net) {
-        const double high = c.period_ps * c.duty;
-        schedule(net, !value, value ? high : c.period_ps - high);
-        break;
-      }
-    }
+  if (m.clock >= 0) {
+    const ClockSpec& c = circuit_.clocks()[static_cast<std::size_t>(m.clock)];
+    const double high = c.period_ps * c.duty;
+    schedule(net, !value, value ? high : c.period_ps - high);
   }
 
   // Rising clock edge: sample every flip-flop on this clock.
@@ -246,26 +198,11 @@ void Simulator::apply_net_change(NetId net, bool value) {
     }
   }
 
-  if (config_.scheduler == Scheduler::SortedRun) {
-    // Hot path: CSR fanout, truth-table gate evaluation.
-    for (std::uint32_t o = m.fanout_begin; o < m.fanout_end; ++o) {
-      const std::uint32_t g = flat_.fanout[o];
-      schedule(flat_.gate_meta[g].output, flat_.evaluate(g, value_.data()),
-               gate_delay_with_jitter(g));
-    }
-  } else {
-    // Reference oracle: the historical per-event-allocating evaluation,
-    // retained unchanged as the baseline the microbench measures against.
-    for (std::uint32_t o = m.fanout_begin; o < m.fanout_end; ++o) {
-      const std::uint32_t g = flat_.fanout[o];
-      const Gate& gate = circuit_.gates()[g];
-      std::vector<bool> ins(gate.inputs.size());
-      for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
-        ins[i] = value_[gate.inputs[i]] != 0;
-      }
-      schedule(gate.output, evaluate_gate(gate.kind, ins),
-               gate_delay_with_jitter(g));
-    }
+  // CSR fanout, truth-table gate evaluation.
+  for (std::uint32_t o = m.fanout_begin; o < m.fanout_end; ++o) {
+    const std::uint32_t g = flat_.fanout[o];
+    schedule(flat_.gate_meta[g].output, flat_.evaluate(g, value_.data()),
+             gate_delay_with_jitter(g));
   }
 }
 

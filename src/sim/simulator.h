@@ -11,24 +11,19 @@
 // (time, seq) — nondecreasing time, insertion order on ties — so a given
 // (circuit, config, seed) triple always reproduces the same waveforms.
 //
-// Two interchangeable schedulers implement that order:
+// The pending events live in one contiguous (time, seq)-sorted vector
+// (event_queue.h); gate evaluation goes through the contiguous CSR netlist
+// view and its per-gate truth tables, built once at elaboration
+// (flat_netlist.h).  Per-gate noise is drawn in noise::kNoiseBlock blocks.
 //
-//  * Scheduler::SortedRun (default) — the pending events kept as one
-//    contiguous (time, seq)-sorted vector (event_queue.h), driving gate
-//    evaluation through the contiguous CSR netlist view and its per-gate
-//    truth tables built once at elaboration (flat_netlist.h).  This is the
-//    production engine.
-//  * Scheduler::ReferenceHeap — the original binary-heap scheduler with
-//    per-event allocation, kept as a slow oracle.  Both schedulers are
-//    waveform-identical event for event; tests/sim/test_differential_fuzz
-//    and the golden digests in tests/sim/test_golden_waveforms enforce it.
-//
-// Both draw the per-gate noise the same way, in noise::kNoiseBlock blocks.
+// The historical binary-heap engine lives on as a test oracle,
+// sim::ReferenceSimulator in tests/support/sim_reference.h: the golden,
+// zoo and differential-fuzz tests require the two to apply the same events
+// in the same order, and bench_sim_microbench times one against the other.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,8 +37,6 @@
 
 namespace dhtrng::sim {
 
-enum class Scheduler { SortedRun, ReferenceHeap };
-
 struct SimConfig {
   std::uint64_t seed = 1;
   /// Base per-gate jitter at the nominal corner; the white component scales
@@ -55,8 +48,6 @@ struct SimConfig {
   double min_pulse_ps = 5.0;
   /// Hard stop against runaway zero-delay loops.
   std::uint64_t max_events = 500'000'000;
-  /// Event engine selection; see the header comment.
-  Scheduler scheduler = Scheduler::SortedRun;
   /// Noise fidelity (see noise::NoiseMode).  Exact is the default and the
   /// only mode the golden-waveform digests apply to; Fast swaps the
   /// per-gate jitter for SIMD-batched pre-combined delay blocks — still
@@ -117,7 +108,7 @@ class Simulator {
   const std::vector<double>& edge_times(NetId net) const;
 
   /// Start recording every applied event as (time, seq, net, value) — the
-  /// observable the differential fuzzer compares across schedulers.
+  /// observable the tests compare against sim::ReferenceSimulator.
   void record_applied_events() { trace_applied_ = true; }
   const std::vector<SimEvent>& applied_events() const {
     return applied_events_;
@@ -137,22 +128,9 @@ class Simulator {
   std::uint64_t runts_filtered() const { return runts_filtered_; }
 
  private:
-  struct Event {
-    double time;
-    std::uint64_t seq;
-    NetId net;
-    bool value;
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-
   void schedule(NetId net, bool value, double delay_from_now);
   void apply_net_change(NetId net, bool value);
   double gate_delay_with_jitter(std::size_t gate_index);
-  void run_until_sorted(double t_ps);
-  void run_until_reference(double t_ps);
   [[noreturn]] void throw_budget_exhausted();
 
   const Circuit& circuit_;
@@ -178,14 +156,9 @@ class Simulator {
   std::vector<double> last_change_;
   std::vector<std::uint64_t> toggles_;
 
-  // Production engine: the sorted run; the runt filter cancels by the
-  // (time, seq) key of a net's latest scheduled event, which sched_
-  // already tracks.
+  // Pending events; the runt filter cancels by the (time, seq) key of a
+  // net's latest scheduled event, which sched_ already tracks.
   SortedEventRun events_;
-
-  // Reference engine: the historical binary heap and cancelled-seq list.
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::vector<std::uint64_t> dead_events_;
 
   noise::SharedSupplyNoise shared_noise_;
   std::vector<noise::EdgeJitterSource> gate_noise_;  // one per gate

@@ -13,18 +13,6 @@ RepetitionCountTest::RepetitionCountTest(double min_entropy_per_bit)
     : cutoff_(1 + static_cast<std::size_t>(
                       std::ceil(20.0 / std::max(min_entropy_per_bit, 1e-3)))) {}
 
-bool RepetitionCountTest::feed(bool bit) {
-  if (alarmed_) return false;
-  if (primed_ && bit == last_) {
-    if (++run_ >= cutoff_) alarmed_ = true;
-  } else {
-    run_ = 1;
-    last_ = bit;
-    primed_ = true;
-  }
-  return !alarmed_;
-}
-
 bool RepetitionCountTest::feed_word(std::uint64_t bits, std::size_t nbits) {
   if (alarmed_) return false;
   std::size_t i = 0;
@@ -44,8 +32,8 @@ bool RepetitionCountTest::feed_word(std::uint64_t bits, std::size_t nbits) {
       primed_ = true;
     }
     if (run_ >= cutoff_) {
-      // The scalar path alarms the moment the counter reaches the cutoff
-      // and freezes: run_ never exceeds cutoff_.
+      // The per-sample test alarms the moment the counter reaches the
+      // cutoff and freezes: run_ never exceeds cutoff_.
       run_ = cutoff_;
       alarmed_ = true;
       return false;
@@ -87,7 +75,7 @@ AdaptiveProportionTest::AdaptiveProportionTest(double min_entropy_per_bit,
                                                std::size_t window)
     : window_(window), cutoff_(apt_cutoff(min_entropy_per_bit, window)) {}
 
-bool AdaptiveProportionTest::feed(bool bit) {
+bool AdaptiveProportionTest::step(bool bit) {
   if (alarmed_) return false;
   if (index_ == 0) {
     // SP 800-90B 4.4.2 step 2: the counter starts at 1, counting the
@@ -107,8 +95,8 @@ bool AdaptiveProportionTest::feed_word(std::uint64_t bits, std::size_t nbits) {
   if (alarmed_) return false;
   std::size_t i = 0;
   while (i < nbits) {
-    if (index_ == 0) {  // window restart: scalar step for the reference bit
-      if (!feed((bits >> i) & 1)) {
+    if (index_ == 0) {  // window restart: one step for the reference bit
+      if (!step((bits >> i) & 1)) {
         // Degenerate cutoff alarm on the reference sample itself; the
         // remaining samples would be swallowed by the sticky alarm anyway.
         return false;
@@ -124,8 +112,8 @@ bool AdaptiveProportionTest::feed_word(std::uint64_t bits, std::size_t nbits) {
         support::wordops::popcount64(reference_ ? seg : ~seg & mask));
     if (matches_ + m >= cutoff_) {
       // The cutoff falls inside this segment: replay it per bit so the
-      // alarm freezes index_/matches_ at exactly the scalar alarm point.
-      for (; i < nbits; ++i) feed((bits >> i) & 1);
+      // alarm freezes index_/matches_ at exactly the per-sample alarm point.
+      for (; i < nbits; ++i) step((bits >> i) & 1);
       return !alarmed_;
     }
     matches_ += m;
@@ -144,12 +132,6 @@ void AdaptiveProportionTest::reset() {
 
 HealthMonitor::HealthMonitor(double min_entropy_per_bit)
     : rct_(min_entropy_per_bit), apt_(min_entropy_per_bit) {}
-
-bool HealthMonitor::feed(bool bit) {
-  const bool a = rct_.feed(bit);
-  const bool b = apt_.feed(bit);
-  return a && b;
-}
 
 bool HealthMonitor::feed_word(std::uint64_t bits, std::size_t nbits) {
   const bool a = rct_.feed_word(bits, nbits);

@@ -1,11 +1,14 @@
 // SP 800-90B section 4.4 continuous health tests: the Repetition Count
 // Test (RCT) and the Adaptive Proportion Test (APT).
 //
-// These run *inside* a deployed entropy source, bit by bit, and raise an
-// alarm when the noise source degrades (a stuck ring, a locked loop, a
-// massive bias).  The paper's DH-TRNG targets exactly such deployments
-// (roots of trust), so the library ships them; the key_generation example
-// and the failure-injection tests exercise them.
+// These run *inside* a deployed entropy source over every raw sample and
+// raise an alarm when the noise source degrades (a stuck ring, a locked
+// loop, a massive bias).  The paper's DH-TRNG targets exactly such
+// deployments (roots of trust), so the library ships them; the entropy
+// pool, the key_generation example and the failure-injection tests run
+// them.  Samples are fed up to 64 at a time through feed_word(); the
+// bit-at-a-time definitions they must match live in the test oracle
+// (tests/support/stats_oracle.h).
 #pragma once
 
 #include <cstddef>
@@ -21,15 +24,12 @@ class RepetitionCountTest {
  public:
   explicit RepetitionCountTest(double min_entropy_per_bit = 0.9);
 
-  /// Feed one bit; returns true while healthy, false once alarmed.
-  bool feed(bool bit);
-
   /// Feed `nbits` <= 64 samples at once, bit i of `bits` being the i-th
-  /// sample (LSB-first emission order).  Runs are consumed with trailing
-  /// zero/one counts instead of per-bit branches; the resulting state —
-  /// including the frozen run length at an alarm — is exactly what the
-  /// equivalent sequence of feed() calls leaves behind, and the return
-  /// value is the conjunction of their return values.
+  /// sample (LSB-first emission order); returns true while healthy, false
+  /// once alarmed.  Runs are consumed with trailing zero/one counts instead
+  /// of per-bit branches; the resulting state — including the frozen run
+  /// length at an alarm — is exactly what feeding the samples one at a time
+  /// leaves behind.
   bool feed_word(std::uint64_t bits, std::size_t nbits);
 
   bool alarmed() const { return alarmed_; }
@@ -56,12 +56,11 @@ class AdaptiveProportionTest {
   explicit AdaptiveProportionTest(double min_entropy_per_bit = 0.9,
                                   std::size_t window = 1024);
 
-  bool feed(bool bit);
-
-  /// Batch counterpart of feed(): `nbits` <= 64 samples, LSB-first.  Window
-  /// segments are matched against the reference with masked popcounts; near
-  /// the cutoff it falls back to per-bit feeding so the alarm fires — and
-  /// freezes the state — at exactly the same sample as the scalar path.
+  /// Feed `nbits` <= 64 samples, LSB-first; returns true while healthy.
+  /// Window segments are matched against the reference with masked
+  /// popcounts; near the cutoff it falls back to per-bit steps so the alarm
+  /// fires — and freezes the state — at exactly the same sample as feeding
+  /// the samples one at a time.
   bool feed_word(std::uint64_t bits, std::size_t nbits);
 
   bool alarmed() const { return alarmed_; }
@@ -69,6 +68,10 @@ class AdaptiveProportionTest {
   void reset();
 
  private:
+  /// One sample: the window's reference sample at a window start, else a
+  /// match test against it.
+  bool step(bool bit);
+
   std::size_t window_;
   std::size_t cutoff_;
   bool reference_ = false;
@@ -82,10 +85,8 @@ class HealthMonitor {
  public:
   explicit HealthMonitor(double min_entropy_per_bit = 0.9);
 
-  /// Returns true while both tests are healthy.
-  bool feed(bool bit);
-
-  /// Feed `nbits` <= 64 samples (LSB-first) to both tests at once.
+  /// Feed `nbits` <= 64 samples (LSB-first) to both tests at once; returns
+  /// true while both tests are healthy.
   bool feed_word(std::uint64_t bits, std::size_t nbits);
 
   bool healthy() const { return !rct_.alarmed() && !apt_.alarmed(); }

@@ -3,16 +3,18 @@
 // netlist level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/dhtrng.h"
 #include "core/drbg.h"
 #include "core/netlist.h"
-#include "core/theory.h"
 #include "fpga/power.h"
 #include "sim/simulator.h"
 #include "stats/health.h"
 #include "stats/sp800_22.h"
 #include "stats/sp800_90b.h"
 #include "support/bitstream.h"
+#include "support/theory.h"
 
 namespace dhtrng::core {
 namespace {
@@ -89,7 +91,12 @@ TEST(Integration, FullStackTrngToKeys) {
   stats::HealthMonitor monitor(0.9);
   const auto tested_bytes = [&](std::size_t n) {
     const auto bits = trng.generate(8 * n);
-    for (std::size_t i = 0; i < bits.size(); ++i) monitor.feed(bits[i]);
+    std::size_t left = bits.size();
+    for (const std::uint64_t word : bits.words()) {
+      const std::size_t nbits = std::min<std::size_t>(left, 64);
+      monitor.feed_word(word, nbits);
+      left -= nbits;
+    }
     return bits.to_bytes();
   };
 

@@ -107,7 +107,7 @@ TEST(NeoLfsrCombiner, PinnedByteKat) {
   for (int w = 0; w < 2; ++w) {
     int fed = 0;
     for (int i = 63; i >= 0; --i) {
-      const auto byte = lfsr.feed(((words[w] >> i) & 1) != 0);
+      const auto byte = lfsr.shift_in(((words[w] >> i) & 1) != 0);
       ++fed;
       if (fed < NeoLfsrCombiner::kBitsPerByte) {
         EXPECT_FALSE(byte.has_value()) << "byte emitted early at feed " << fed;
@@ -125,24 +125,28 @@ TEST(NeoLfsrCombiner, DegenerateInputs) {
   // All-zero input never excites the register (parity of 0 is 0).
   NeoLfsrCombiner zeros;
   for (int i = 0; i < NeoLfsrCombiner::kBitsPerByte - 1; ++i) {
-    EXPECT_FALSE(zeros.feed(false).has_value());
+    EXPECT_FALSE(zeros.shift_in(false).has_value());
   }
-  const auto z = zeros.feed(false);
+  const auto z = zeros.shift_in(false);
   ASSERT_TRUE(z.has_value());
   EXPECT_EQ(*z, 0x00);
 
   // All-one input walks the feedback polynomial: pinned value.
   NeoLfsrCombiner ones;
   std::optional<std::uint8_t> o;
-  for (int i = 0; i < NeoLfsrCombiner::kBitsPerByte; ++i) o = ones.feed(true);
+  for (int i = 0; i < NeoLfsrCombiner::kBitsPerByte; ++i) {
+    o = ones.shift_in(true);
+  }
   ASSERT_TRUE(o.has_value());
   EXPECT_EQ(*o, 0xc8);
 
   // reset() really does zero the fold.
   ones.reset();
   EXPECT_EQ(ones.state(), 0x00);
-  for (int i = 0; i < NeoLfsrCombiner::kBitsPerByte - 1; ++i) ones.feed(false);
-  const auto again = ones.feed(false);
+  for (int i = 0; i < NeoLfsrCombiner::kBitsPerByte - 1; ++i) {
+    ones.shift_in(false);
+  }
+  const auto again = ones.shift_in(false);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(*again, 0x00);
 }

@@ -7,8 +7,9 @@
 //     for the DH-TRNG netlists).  Regenerate after an intentional change:
 //       DHTRNG_REGEN_GOLDEN=1 ./test_zoo_differential
 //           --gtest_filter='ZooGoldenWaveforms*'
-//  2. Reference-scheduler equality — the sorted run and the binary heap
-//     oracle must agree on every zoo waveform.
+//  2. Reference-engine equality — the production simulator and the
+//     binary-heap oracle (tests/support/sim_reference.h) must apply the
+//     same events in the same order and end in the same state.
 //  3. Gate-vs-behavioral differential — both backends of each source must
 //     land in the same statistical regime on the raw (pre-extraction)
 //     stream; the backends share the post-processing code, so raw parity
@@ -32,6 +33,7 @@
 #include "stats/correlation.h"
 #include "support/bitstream.h"
 #include "support/sha256.h"
+#include "support/sim_reference.h"
 
 namespace dhtrng::core {
 namespace {
@@ -75,15 +77,16 @@ struct Digests {
   std::string state;
 };
 
-Digests run_case(const NamedGateNetlist& net, const GoldenCase& gc,
-                 sim::Scheduler scheduler) {
-  const fpga::DeviceModel device = fpga::DeviceModel::artix7();
+sim::SimConfig golden_config(const GoldenCase& gc) {
   sim::SimConfig cfg;
   cfg.seed = gc.seed;
-  cfg.scaling = device.scaling({gc.temperature_c, gc.voltage_v});
-  cfg.scheduler = scheduler;
+  cfg.scaling =
+      fpga::DeviceModel::artix7().scaling({gc.temperature_c, gc.voltage_v});
+  return cfg;
+}
 
-  sim::Simulator sim(net.circuit, cfg);
+Digests run_case(const NamedGateNetlist& net, const GoldenCase& gc) {
+  sim::Simulator sim(net.circuit, golden_config(gc));
   sim::VcdTrace trace(net.circuit, sim, net.watch, kResolutionPs);
   trace.run_until(kHorizonPs);
 
@@ -117,8 +120,7 @@ TEST(ZooGoldenWaveforms, SortedRunMatchesPinnedDigests) {
   const auto nets = zoo_gate_netlists(fpga::DeviceModel::artix7());
   const bool regen = std::getenv("DHTRNG_REGEN_GOLDEN") != nullptr;
   for (const GoldenCase& gc : kGolden) {
-    const Digests d =
-        run_case(find_netlist(nets, gc.netlist), gc, sim::Scheduler::SortedRun);
+    const Digests d = run_case(find_netlist(nets, gc.netlist), gc);
     if (regen) {
       std::printf("    {\"%s\", %llu, %.1f, %.1f,\n     \"%s\",\n     \"%s\"},\n",
                   gc.netlist, static_cast<unsigned long long>(gc.seed),
@@ -139,13 +141,11 @@ TEST(ZooGoldenWaveforms, SortedRunMatchesPinnedDigests) {
 TEST(ZooGoldenWaveforms, ReferenceSchedulerProducesIdenticalDigests) {
   const auto nets = zoo_gate_netlists(fpga::DeviceModel::artix7());
   for (const GoldenCase& gc : kGolden) {
-    const auto& net = find_netlist(nets, gc.netlist);
-    const Digests prod = run_case(net, gc, sim::Scheduler::SortedRun);
-    const Digests ref = run_case(net, gc, sim::Scheduler::ReferenceHeap);
-    EXPECT_EQ(prod.vcd, ref.vcd)
-        << gc.netlist << " seed " << gc.seed << ": schedulers disagree";
-    EXPECT_EQ(prod.state, ref.state)
-        << gc.netlist << " seed " << gc.seed << ": schedulers disagree";
+    EXPECT_EQ(sim::compare_with_reference(
+                  find_netlist(nets, gc.netlist).circuit, golden_config(gc),
+                  kHorizonPs),
+              "")
+        << gc.netlist << " seed " << gc.seed << ": engines disagree";
   }
 }
 

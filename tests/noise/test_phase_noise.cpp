@@ -1,4 +1,4 @@
-#include "noise/phase_noise.h"
+#include "support/noise_models.h"
 
 #include <gtest/gtest.h>
 

@@ -6,9 +6,10 @@
 // shows up as a digest mismatch, which is the point: the production
 // engine must reproduce the waveforms bit for bit, forever.
 //
-// Every case also re-runs under Scheduler::ReferenceHeap and must produce
-// the *same* digests — the reference oracle and the production engine are
-// interchangeable per the determinism contract.
+// Every case also runs on the reference engine (sim::ReferenceSimulator,
+// tests/support/sim_reference.h), which must apply the same events in the
+// same order and end in the same state.  That is stronger than comparing
+// VCD digests, which only sample the events on the trace grid.
 //
 // Regenerating (after an intentional engine/netlist change):
 //   DHTRNG_REGEN_GOLDEN=1 ./test_sim --gtest_filter='GoldenWaveforms*'
@@ -27,6 +28,7 @@
 #include "sim/simulator.h"
 #include "sim/vcd.h"
 #include "support/sha256.h"
+#include "support/sim_reference.h"
 
 namespace dhtrng::sim {
 namespace {
@@ -82,15 +84,16 @@ struct Digests {
   std::string state;
 };
 
-Digests run_case(const core::NamedGateNetlist& net, const GoldenCase& gc,
-                 Scheduler scheduler) {
-  const fpga::DeviceModel device = fpga::DeviceModel::artix7();
+SimConfig golden_config(const GoldenCase& gc) {
   SimConfig cfg;
   cfg.seed = gc.seed;
-  cfg.scaling = device.scaling({gc.temperature_c, gc.voltage_v});
-  cfg.scheduler = scheduler;
+  cfg.scaling =
+      fpga::DeviceModel::artix7().scaling({gc.temperature_c, gc.voltage_v});
+  return cfg;
+}
 
-  Simulator sim(net.circuit, cfg);
+Digests run_case(const core::NamedGateNetlist& net, const GoldenCase& gc) {
+  Simulator sim(net.circuit, golden_config(gc));
   VcdTrace trace(net.circuit, sim, net.watch, kResolutionPs);
   trace.run_until(kHorizonPs);
 
@@ -126,8 +129,7 @@ TEST(GoldenWaveforms, SortedRunMatchesPinnedDigests) {
       core::golden_gate_netlists(fpga::DeviceModel::artix7());
   const bool regen = std::getenv("DHTRNG_REGEN_GOLDEN") != nullptr;
   for (const GoldenCase& gc : kGolden) {
-    const Digests d =
-        run_case(find_netlist(nets, gc.netlist), gc, Scheduler::SortedRun);
+    const Digests d = run_case(find_netlist(nets, gc.netlist), gc);
     if (regen) {
       std::printf("    {\"%s\", %llu, %.1f, %.1f,\n     \"%s\",\n     \"%s\"},\n",
                   gc.netlist, static_cast<unsigned long long>(gc.seed),
@@ -149,15 +151,11 @@ TEST(GoldenWaveforms, ReferenceSchedulerProducesIdenticalDigests) {
   const auto nets =
       core::golden_gate_netlists(fpga::DeviceModel::artix7());
   for (const GoldenCase& gc : kGolden) {
-    const auto& net = find_netlist(nets, gc.netlist);
-    const Digests prod = run_case(net, gc, Scheduler::SortedRun);
-    const Digests ref = run_case(net, gc, Scheduler::ReferenceHeap);
-    EXPECT_EQ(prod.vcd, ref.vcd)
+    EXPECT_EQ(compare_with_reference(find_netlist(nets, gc.netlist).circuit,
+                                     golden_config(gc), kHorizonPs),
+              "")
         << gc.netlist << " seed " << gc.seed << " @ (" << gc.temperature_c
-        << " C, " << gc.voltage_v << " V): schedulers disagree on waveforms";
-    EXPECT_EQ(prod.state, ref.state)
-        << gc.netlist << " seed " << gc.seed << " @ (" << gc.temperature_c
-        << " C, " << gc.voltage_v << " V): schedulers disagree on state";
+        << " C, " << gc.voltage_v << " V): engines disagree";
   }
 }
 

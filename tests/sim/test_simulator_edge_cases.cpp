@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "sim/simulator.h"
+#include "support/sim_reference.h"
 
 namespace dhtrng::sim {
 namespace {
@@ -200,25 +201,30 @@ TEST(SimulatorEdge, BudgetErrorCarriesDiagnostics) {
 }
 
 TEST(SimulatorEdge, BudgetErrorIdenticalAcrossSchedulers) {
-  // Both engines must trip the guard at the same event with the same
-  // diagnostics — the budget is part of the deterministic contract.
+  // The production engine must trip the guard at the same event with the
+  // same diagnostics as the reference engine — the budget is part of the
+  // deterministic contract.
   Circuit c;
   const NetId loop = c.add_net("loop");
   c.add_gate(GateKind::Inv, {loop}, loop, 0.01);
-  const auto probe = [&](Scheduler s) {
-    SimConfig cfg = quiet();
-    cfg.scheduler = s;
-    cfg.max_events = 2000;
-    Simulator sim(c, cfg);
+  SimConfig cfg = quiet();
+  cfg.max_events = 2000;
+  const auto probe = [&](auto& sim) {
     try {
       sim.run_until(1e9);
     } catch (const BudgetExhaustedError& e) {
       return std::make_tuple(e.events(), e.hottest_net(),
-                             e.hottest_net_toggles(), e.sim_time_ps());
+                             e.hottest_net_toggles(), e.sim_time_ps(),
+                             std::string(e.what()));
     }
-    return std::make_tuple(std::uint64_t{0}, NetId{0}, std::uint64_t{0}, 0.0);
+    return std::make_tuple(std::uint64_t{0}, NetId{0}, std::uint64_t{0}, 0.0,
+                           std::string());
   };
-  EXPECT_EQ(probe(Scheduler::SortedRun), probe(Scheduler::ReferenceHeap));
+  Simulator prod(c, cfg);
+  ReferenceSimulator ref(c, cfg);
+  const auto tripped = probe(prod);
+  EXPECT_EQ(std::get<0>(tripped), 2001u);
+  EXPECT_EQ(tripped, probe(ref));
 }
 
 }  // namespace

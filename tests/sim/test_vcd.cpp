@@ -8,6 +8,7 @@
 
 #include "core/ro.h"
 #include "support/sha256.h"
+#include "support/vcd_parse.h"
 
 namespace dhtrng::sim {
 namespace {

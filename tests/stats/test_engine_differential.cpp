@@ -98,9 +98,9 @@ TEST(EngineDifferential, Ais31AndFips140Exact) {
 }
 
 TEST(EngineDifferential, HealthFeedWordMatchesPerBitFeeds) {
-  // feed_word must reproduce per-bit feeding exactly: same return values,
-  // same alarm points, same frozen post-alarm state — across word sizes
-  // from 1 to 64 chosen at random.
+  // feed_word must reproduce the per-sample RCT/APT oracle exactly: same
+  // return values, same alarm points, same frozen post-alarm state — across
+  // word sizes from 1 to 64 chosen at random.
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     support::SplitMix64 rng(seed * 977);
     std::vector<bool> stream;
@@ -114,8 +114,10 @@ TEST(EngineDifferential, HealthFeedWordMatchesPerBitFeeds) {
         default: stream.push_back((rng.next() % 100) < 60); break;
       }
     }
-    HealthMonitor serial(0.9);
     HealthMonitor batch(0.9);
+    oracle::HealthFeeds serial{
+        oracle::RepetitionCount(batch.rct().cutoff()),
+        oracle::AdaptiveProportion(batch.apt().cutoff())};
     std::size_t i = 0;
     while (i < n) {
       const std::size_t nbits =
@@ -129,9 +131,9 @@ TEST(EngineDifferential, HealthFeedWordMatchesPerBitFeeds) {
       const bool batch_ok = batch.feed_word(word, nbits);
       ASSERT_EQ(serial_ok, batch_ok) << "seed=" << seed << " at bit " << i;
       ASSERT_EQ(serial.healthy(), batch.healthy()) << "seed=" << seed;
-      ASSERT_EQ(serial.rct().alarmed(), batch.rct().alarmed())
+      ASSERT_EQ(serial.rct.alarmed(), batch.rct().alarmed())
           << "seed=" << seed;
-      ASSERT_EQ(serial.apt().alarmed(), batch.apt().alarmed())
+      ASSERT_EQ(serial.apt.alarmed(), batch.apt().alarmed())
           << "seed=" << seed;
       i += nbits;
     }

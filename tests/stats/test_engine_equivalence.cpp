@@ -67,13 +67,16 @@ TEST(EngineEquivalence, Fips140Exact) {
 }
 
 TEST(EngineEquivalence, HealthFeedWordMatchesPerBitFeeds) {
+  // feed_word against the per-sample RCT/APT oracle.
   support::SplitMix64 rng(7);
-  HealthMonitor serial(0.9);
   HealthMonitor batch(0.9);
+  oracle::HealthFeeds serial{oracle::RepetitionCount(batch.rct().cutoff()),
+                             oracle::AdaptiveProportion(batch.apt().cutoff())};
   const std::size_t n = 8192;
   std::size_t i = 0;
   while (i < n) {
-    const std::size_t nbits = std::min<std::size_t>(1 + (rng.next() % 64), n - i);
+    const std::size_t nbits =
+        std::min<std::size_t>(1 + (rng.next() % 64), n - i);
     std::uint64_t word = 0;
     bool serial_ok = true;
     for (std::size_t j = 0; j < nbits; ++j) {

@@ -16,8 +16,8 @@ TEST(RepetitionCountTest, CutoffFollowsSpec) {
 
 TEST(RepetitionCountTest, AlarmsOnStuckSource) {
   RepetitionCountTest rct(1.0);
-  for (int i = 0; i < 20; ++i) EXPECT_TRUE(rct.feed(true));
-  EXPECT_FALSE(rct.feed(true));  // 21st repetition
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE(rct.feed_word(true, 1));
+  EXPECT_FALSE(rct.feed_word(true, 1));  // 21st repetition
   EXPECT_TRUE(rct.alarmed());
 }
 
@@ -25,17 +25,17 @@ TEST(RepetitionCountTest, HealthyOnIdealSource) {
   support::Xoshiro256 rng(1);
   RepetitionCountTest rct(1.0);
   for (int i = 0; i < 1000000; ++i) {
-    ASSERT_TRUE(rct.feed(rng.bernoulli(0.5))) << "at bit " << i;
+    ASSERT_TRUE(rct.feed_word(rng.bernoulli(0.5), 1)) << "at bit " << i;
   }
 }
 
 TEST(RepetitionCountTest, ResetClearsAlarm) {
   RepetitionCountTest rct(1.0);
-  for (int i = 0; i < 30; ++i) rct.feed(true);
+  for (int i = 0; i < 30; ++i) rct.feed_word(true, 1);
   ASSERT_TRUE(rct.alarmed());
   rct.reset();
   EXPECT_FALSE(rct.alarmed());
-  EXPECT_TRUE(rct.feed(true));
+  EXPECT_TRUE(rct.feed_word(true, 1));
 }
 
 TEST(AdaptiveProportionTest, CutoffNearStandardValue) {
@@ -49,7 +49,7 @@ TEST(AdaptiveProportionTest, AlarmsOnHeavyBias) {
   AdaptiveProportionTest apt(1.0);
   bool healthy = true;
   for (int i = 0; i < 1024 * 8 && healthy; ++i) {
-    healthy = apt.feed(rng.bernoulli(0.75));
+    healthy = apt.feed_word(rng.bernoulli(0.75), 1);
   }
   EXPECT_FALSE(healthy);
 }
@@ -58,7 +58,7 @@ TEST(AdaptiveProportionTest, HealthyOnIdealSource) {
   support::Xoshiro256 rng(3);
   AdaptiveProportionTest apt(1.0);
   for (int i = 0; i < 1024 * 200; ++i) {
-    ASSERT_TRUE(apt.feed(rng.bernoulli(0.5))) << "window " << i / 1024;
+    ASSERT_TRUE(apt.feed_word(rng.bernoulli(0.5), 1)) << "window " << i / 1024;
   }
 }
 
@@ -71,7 +71,7 @@ TEST(AdaptiveProportionTest, AlarmsExactlyAtSpecCutoff) {
   ASSERT_GT(c, 2u);
   ASSERT_LT(c, 64u);
   bool healthy = true;
-  for (std::size_t i = 0; i < c; ++i) healthy = apt.feed(true);
+  for (std::size_t i = 0; i < c; ++i) healthy = apt.feed_word(true, 1);
   EXPECT_FALSE(healthy);
   EXPECT_TRUE(apt.alarmed());
 }
@@ -82,8 +82,12 @@ TEST(AdaptiveProportionTest, OneBelowCutoffStaysHealthy) {
   AdaptiveProportionTest apt(1.0, 64);
   const std::size_t c = apt.cutoff();
   for (int window = 0; window < 2; ++window) {
-    for (std::size_t i = 0; i < c - 1; ++i) ASSERT_TRUE(apt.feed(true));
-    for (std::size_t i = c - 1; i < 64; ++i) ASSERT_TRUE(apt.feed(false));
+    for (std::size_t i = 0; i < c - 1; ++i) {
+      ASSERT_TRUE(apt.feed_word(true, 1));
+    }
+    for (std::size_t i = c - 1; i < 64; ++i) {
+      ASSERT_TRUE(apt.feed_word(false, 1));
+    }
   }
   EXPECT_FALSE(apt.alarmed());
 }
@@ -103,7 +107,7 @@ TEST(HealthMonitor, PassesOnDhTrng) {
     core::DhTrng trng({.seed = run.seed});
     HealthMonitor monitor(0.9);
     for (int i = 0; i < run.bits; ++i) {
-      ASSERT_TRUE(monitor.feed(trng.next_bit()))
+      ASSERT_TRUE(monitor.feed_word(trng.next_bit(), 1))
           << "seed " << run.seed << " at bit " << i;
     }
     EXPECT_TRUE(monitor.healthy());
@@ -119,7 +123,7 @@ TEST(HealthMonitor, CatchesDegradedGenerator) {
   HealthMonitor monitor(0.9);
   bool alarmed = false;
   for (int i = 0; i < 2000000 && !alarmed; ++i) {
-    alarmed = !monitor.feed(trng.next_bit());
+    alarmed = !monitor.feed_word(trng.next_bit(), 1);
   }
   // A fully-degenerate source must alarm; a merely-structured one may pass
   // RCT/APT (they only catch gross failures) — accept either alarm or a
@@ -127,14 +131,14 @@ TEST(HealthMonitor, CatchesDegradedGenerator) {
   HealthMonitor stuck_monitor(0.9);
   bool stuck_alarm = false;
   for (int i = 0; i < 100 && !stuck_alarm; ++i) {
-    stuck_alarm = !stuck_monitor.feed(true);
+    stuck_alarm = !stuck_monitor.feed_word(true, 1);
   }
   EXPECT_TRUE(stuck_alarm);
 }
 
 TEST(HealthMonitor, ResetRestoresHealth) {
   HealthMonitor monitor(0.9);
-  for (int i = 0; i < 100; ++i) monitor.feed(true);
+  for (int i = 0; i < 100; ++i) monitor.feed_word(true, 1);
   ASSERT_FALSE(monitor.healthy());
   monitor.reset();
   EXPECT_TRUE(monitor.healthy());

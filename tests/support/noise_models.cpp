@@ -1,4 +1,4 @@
-#include "noise/phase_noise.h"
+#include "support/noise_models.h"
 
 #include <cmath>
 
@@ -35,6 +35,10 @@ double edge_jitter_sigma_ps(const PhaseNoiseParams& p) {
 double accumulated_jitter_sigma_ps(const PhaseNoiseParams& p,
                                    double interval_s) {
   return jitter_kappa(p) * std::sqrt(interval_s) * 1e12;
+}
+
+double flicker_marginal_sigma(double amplitude, int octaves) {
+  return amplitude * std::sqrt(static_cast<double>(octaves));
 }
 
 }  // namespace dhtrng::noise

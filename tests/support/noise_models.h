@@ -1,5 +1,9 @@
-// Hajimiri ring-oscillator phase-noise model (the paper's Equation 1) and
-// its conversion to per-edge timing jitter.
+// Analytic noise references for the noise tests: the Hajimiri
+// ring-oscillator phase-noise model (the paper's Equation 1) with its
+// conversion to per-edge timing jitter, and the marginal sigma of the
+// Voss-McCartney flicker process (noise::FlickerNoise).
+//
+// Equation 1:
 //
 //   L_min{df} = (8N / 3eta) * (kT / P) * (Vdd/Vchar + Vdd/(I*R)) * (f0/df)^2
 //
@@ -48,5 +52,9 @@ double edge_jitter_sigma_ps(const PhaseNoiseParams& p);
 /// Accumulated jitter sigma (ps) over a sampling interval `interval_s`.
 double accumulated_jitter_sigma_ps(const PhaseNoiseParams& p,
                                    double interval_s);
+
+/// Std-dev of the marginal distribution of a FlickerNoise(amplitude,
+/// octaves, seed) sample: amplitude * sqrt(octaves).
+double flicker_marginal_sigma(double amplitude, int octaves);
 
 }  // namespace dhtrng::noise

@@ -577,4 +577,32 @@ const std::vector<KernelCase>& kernel_cases() {
   return cases;
 }
 
+bool RepetitionCount::feed(bool bit) {
+  if (alarmed_) return false;
+  if (primed_ && bit == last_) {
+    if (++run_ >= cutoff_) alarmed_ = true;
+  } else {
+    run_ = 1;
+    last_ = bit;
+    primed_ = true;
+  }
+  return !alarmed_;
+}
+
+bool AdaptiveProportion::feed(bool bit) {
+  if (alarmed_) return false;
+  if (index_ == 0) {
+    // SP 800-90B 4.4.2 step 2: the counter starts at 1, counting the
+    // window's reference sample itself — the cutoff is a bound on the total
+    // occurrence count within the window, reference included.
+    reference_ = bit;
+    matches_ = 1;
+    if (matches_ >= cutoff_) alarmed_ = true;  // degenerate W=1 windows
+  } else if (bit == reference_) {
+    if (++matches_ >= cutoff_) alarmed_ = true;
+  }
+  if (++index_ >= window_) index_ = 0;
+  return !alarmed_;
+}
+
 }  // namespace dhtrng::stats::oracle

@@ -87,4 +87,55 @@ struct KernelCase {
 /// depend on the stream length are derived from the stream each call.
 const std::vector<KernelCase>& kernel_cases();
 
+/// SP 800-90B 4.4.1 Repetition Count Test, one sample at a time: the oracle
+/// of stats::RepetitionCountTest::feed_word.
+class RepetitionCount {
+ public:
+  explicit RepetitionCount(std::size_t cutoff) : cutoff_(cutoff) {}
+  /// Feed one bit; returns true while healthy, false once alarmed.
+  bool feed(bool bit);
+  bool alarmed() const { return alarmed_; }
+
+ private:
+  std::size_t cutoff_;
+  bool last_ = false;
+  std::size_t run_ = 0;
+  bool alarmed_ = false;
+  bool primed_ = false;
+};
+
+/// SP 800-90B 4.4.2 Adaptive Proportion Test, one sample at a time: the
+/// oracle of stats::AdaptiveProportionTest::feed_word.
+class AdaptiveProportion {
+ public:
+  explicit AdaptiveProportion(std::size_t cutoff, std::size_t window = 1024)
+      : window_(window), cutoff_(cutoff) {}
+  bool feed(bool bit);
+  bool alarmed() const { return alarmed_; }
+
+ private:
+  std::size_t window_;
+  std::size_t cutoff_;
+  bool reference_ = false;
+  std::size_t index_ = 0;
+  std::size_t matches_ = 0;
+  bool alarmed_ = false;
+};
+
+/// Both tests side by side, the oracle of stats::HealthMonitor::feed_word.
+/// The cutoffs come from the monitor under test: deriving them from the
+/// claimed min-entropy is not what the comparison checks.
+struct HealthFeeds {
+  RepetitionCount rct;
+  AdaptiveProportion apt;
+
+  /// Returns true while both tests are healthy.
+  bool feed(bool bit) {
+    const bool a = rct.feed(bit);
+    const bool b = apt.feed(bit);
+    return a && b;
+  }
+  bool healthy() const { return !rct.alarmed() && !apt.alarmed(); }
+};
+
 }  // namespace dhtrng::stats::oracle

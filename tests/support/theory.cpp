@@ -1,4 +1,4 @@
-#include "core/theory.h"
+#include "support/theory.h"
 
 #include <algorithm>
 #include <cmath>

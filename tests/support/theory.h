@@ -1,6 +1,6 @@
 // The paper's analytical randomness results (Section 3.1, Eqs. 3-5),
-// implemented directly so benches and tests can check the simulated
-// circuits against the theory.
+// implemented directly so tests can check the simulated circuits against
+// the theory (tests/core/test_theory.cpp, test_integration.cpp).
 #pragma once
 
 #include <cstddef>
