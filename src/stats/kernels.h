@@ -18,7 +18,8 @@
 // tests/support/stats_oracle.h has a bit-at-a-time version of every
 // kernel with the same signature.  The EngineEquivalence and
 // EngineDifferential tests and bench_stats_microbench require the two to
-// agree exactly.
+// agree exactly.  The scorers in scores.h turn these counts into p-values
+// and do no counting, so they have no oracle twin.
 #pragma once
 
 #include <array>

@@ -1,24 +1,17 @@
 #include "stats/restart_matrix.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "stats/scores.h"
 
 namespace dhtrng::stats {
 
 namespace {
 
-/// MCV min-entropy with the 99% upper confidence bound (6.3.1) of a
-/// bit-count over n samples.
+/// MCV min-entropy (6.3.1) of n samples with `ones` ones.
 double mcv_h(std::size_t ones, std::size_t n) {
-  if (n == 0) return 0.0;
-  const double nd = static_cast<double>(n);
-  const double p_hat =
-      std::max(static_cast<double>(ones), nd - static_cast<double>(ones)) / nd;
-  const double p_u = std::min(
-      1.0, p_hat + 2.5758293035489004 *
-                       std::sqrt(p_hat * (1.0 - p_hat) / (nd - 1.0)));
-  return std::min(-std::log2(p_u), 1.0);
+  return scores::min_entropy(scores::mcv_p_max(n, ones)).h_min;
 }
 
 }  // namespace

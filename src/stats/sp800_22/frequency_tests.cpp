@@ -3,13 +3,15 @@
 //
 // Each test scores an integer sufficient statistic (peak excursion,
 // transition count, per-block longest run) that a kernel derives from
-// whole 64-bit words; the p-value formula runs on that integer.
+// whole 64-bit words; the p-value formula (a scorer of stats/scores.h for
+// the tests the streaming tracker also scores) runs on that integer.
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 
 #include "stats/kernels.h"
+#include "stats/scores.h"
 #include "stats/sp800_22.h"
 #include "support/special_functions.h"
 #include "support/wordops.h"
@@ -114,39 +116,36 @@ std::vector<std::size_t> block_longest_ones(const BitStream& bits,
 
 }  // namespace dhtrng::stats::kernels
 
-namespace dhtrng::stats::sp800_22 {
+namespace dhtrng::stats::scores {
 
 using support::erfc;
 using support::igamc;
 using support::normal_cdf;
 
-TestResult frequency(const BitStream& bits) {
-  const double n = static_cast<double>(bits.size());
-  const double ones = static_cast<double>(bits.count_ones());
+double frequency_p(std::uint64_t n_bits, std::uint64_t ones_bits) {
+  const double n = static_cast<double>(n_bits);
+  const double ones = static_cast<double>(ones_bits);
   const double s = std::abs(2.0 * ones - n) / std::sqrt(n);
-  return {"Frequency", {erfc(s / std::sqrt(2.0))}};
+  return erfc(s / std::sqrt(2.0));
 }
 
-TestResult block_frequency(const BitStream& bits, std::size_t block_len) {
-  const std::size_t n = bits.size();
-  const std::size_t blocks = n / block_len;
-  double chi2 = 0.0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double pi = static_cast<double>(
-                          bits.count_ones(b * block_len, block_len)) /
-                      static_cast<double>(block_len);
-    chi2 += (pi - 0.5) * (pi - 0.5);
-  }
-  chi2 *= 4.0 * static_cast<double>(block_len);
-  return {"BlockFrequency",
-          {igamc(static_cast<double>(blocks) / 2.0, chi2 / 2.0)}};
+double block_frequency_p(std::uint64_t blocks, double sum_sq_dev,
+                         std::size_t block_len) {
+  const double chi2 = sum_sq_dev * (4.0 * static_cast<double>(block_len));
+  return igamc(static_cast<double>(blocks) / 2.0, chi2 / 2.0);
 }
 
-namespace {
+double runs_p(std::uint64_t n, std::uint64_t ones, std::uint64_t v) {
+  const double nd = static_cast<double>(n);
+  const double pi = static_cast<double>(ones) / nd;
+  // Prerequisite frequency check (SP 800-22 2.3.4 step 2).
+  if (std::abs(pi - 0.5) >= 2.0 / std::sqrt(nd)) return 0.0;
+  const double vd = static_cast<double>(v);
+  return erfc(std::abs(vd - 2.0 * nd * pi * (1.0 - pi)) /
+              (2.0 * std::sqrt(2.0 * nd) * pi * (1.0 - pi)));
+}
 
-double cusum_p_value(const BitStream& bits, bool forward) {
-  const std::size_t n = bits.size();
-  const long long z = kernels::cusum_peak(bits, forward);
+double cusum_p(std::uint64_t n, std::int64_t z) {
   if (z == 0) return 0.0;
   const double zn = static_cast<double>(z);
   const double sqrt_n = std::sqrt(static_cast<double>(n));
@@ -176,26 +175,41 @@ double cusum_p_value(const BitStream& bits, bool forward) {
   return 1.0 - sum1 + sum2;
 }
 
-}  // namespace
+}  // namespace dhtrng::stats::scores
+
+namespace dhtrng::stats::sp800_22 {
+
+using support::igamc;
+
+TestResult frequency(const BitStream& bits) {
+  return {"Frequency", {scores::frequency_p(bits.size(), bits.count_ones())}};
+}
+
+TestResult block_frequency(const BitStream& bits, std::size_t block_len) {
+  const std::size_t blocks = bits.size() / block_len;
+  // Summed in stream order, which is the formula for any block length
+  // (the streaming tracker's integer sum needs a power of two).
+  double sum_sq_dev = 0.0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const double pi = static_cast<double>(
+                          bits.count_ones(b * block_len, block_len)) /
+                      static_cast<double>(block_len);
+    sum_sq_dev += (pi - 0.5) * (pi - 0.5);
+  }
+  return {"BlockFrequency",
+          {scores::block_frequency_p(blocks, sum_sq_dev, block_len)}};
+}
 
 TestResult cumulative_sums(const BitStream& bits) {
+  const std::size_t n = bits.size();
   return {"CumulativeSums",
-          {cusum_p_value(bits, true), cusum_p_value(bits, false)}};
+          {scores::cusum_p(n, kernels::cusum_peak(bits, true)),
+           scores::cusum_p(n, kernels::cusum_peak(bits, false))}};
 }
 
 TestResult runs(const BitStream& bits) {
-  const std::size_t n = bits.size();
-  const double nd = static_cast<double>(n);
-  const double pi = static_cast<double>(bits.count_ones()) / nd;
-  // Prerequisite frequency check (SP 800-22 2.3.4 step 2).
-  if (std::abs(pi - 0.5) >= 2.0 / std::sqrt(nd)) {
-    return {"Runs", {0.0}};
-  }
-  const std::size_t v = kernels::runs_count(bits);
-  const double vd = static_cast<double>(v);
-  const double p = erfc(std::abs(vd - 2.0 * nd * pi * (1.0 - pi)) /
-                        (2.0 * std::sqrt(2.0 * nd) * pi * (1.0 - pi)));
-  return {"Runs", {p}};
+  return {"Runs", {scores::runs_p(bits.size(), bits.count_ones(),
+                                  kernels::runs_count(bits))}};
 }
 
 TestResult longest_run(const BitStream& bits) {

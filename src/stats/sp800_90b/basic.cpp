@@ -6,35 +6,86 @@
 #include <cstdint>
 
 #include "stats/kernels.h"
+#include "stats/scores.h"
 #include "stats/sp800_90b.h"
+
+namespace dhtrng::stats::scores {
+
+double mcv_p_max(std::uint64_t n_bits, std::uint64_t ones_bits) {
+  // Below two samples the confidence-interval width divides by n - 1 = 0
+  // and the result went NaN; report the no-information bound instead
+  // (p_max = 1, zero extractable entropy), like markov_p_max does.
+  if (n_bits < 2) return 1.0;
+  const double n = static_cast<double>(n_bits);
+  const double ones = static_cast<double>(ones_bits);
+  const double p_hat = std::max(ones, n - ones) / n;
+  return std::min(1.0,
+                  p_hat + kZ99 * std::sqrt(p_hat * (1.0 - p_hat) / (n - 1.0)));
+}
+
+double markov_p_max(std::uint64_t n, std::uint64_t ones_bits,
+                    const kernels::TransitionCounts& tc) {
+  if (n < 2) return 1.0;
+  // First-order transition probabilities from the integer transition
+  // counts, so every double below — and the log-space DP it feeds — is
+  // exact.
+  const double ones = static_cast<double>(ones_bits);
+  const double nd = static_cast<double>(n);
+  const std::array<double, 2> p_init = {1.0 - ones / nd, ones / nd};
+  std::array<std::array<double, 2>, 2> t{};
+  for (std::size_t a = 0; a < 2; ++a) {
+    const double row =
+        static_cast<double>(tc[a][0]) + static_cast<double>(tc[a][1]);
+    for (std::size_t b = 0; b < 2; ++b) {
+      t[a][b] = row > 0.0 ? static_cast<double>(tc[a][b]) / row : 0.5;
+    }
+  }
+  // Most likely 128-step path (dynamic programming in log space).
+  constexpr int kSteps = 128;
+  std::array<double, 2> logp = {
+      p_init[0] > 0 ? std::log2(p_init[0]) : -1e300,
+      p_init[1] > 0 ? std::log2(p_init[1]) : -1e300};
+  for (int step = 1; step < kSteps; ++step) {
+    std::array<double, 2> next = {-1e300, -1e300};
+    for (std::size_t a = 0; a < 2; ++a) {
+      for (std::size_t b = 0; b < 2; ++b) {
+        if (t[a][b] <= 0.0) continue;
+        next[b] = std::max(next[b], logp[a] + std::log2(t[a][b]));
+      }
+    }
+    logp = next;
+  }
+  return std::pow(2.0, std::max(logp[0], logp[1]) / kSteps);
+}
+
+MinEntropy min_entropy(double p_max) {
+  MinEntropy m;
+  m.p_max = std::clamp(p_max, 1e-12, 1.0);
+  m.h_min = std::min(-std::log2(m.p_max), 1.0);
+  return m;
+}
+
+}  // namespace dhtrng::stats::scores
 
 namespace dhtrng::stats::sp800_90b {
 
+using scores::kZ99;
+
 namespace {
 
-constexpr double kZ99 = 2.5758293035489004;  // 99% two-sided normal quantile
-
 EstimatorResult make_result(std::string name, double p_max) {
+  const scores::MinEntropy m = scores::min_entropy(p_max);
   EstimatorResult r;
   r.name = std::move(name);
-  r.p_max = std::clamp(p_max, 1e-12, 1.0);
-  r.h_min = std::min(-std::log2(r.p_max), 1.0);
+  r.p_max = m.p_max;
+  r.h_min = m.h_min;
   return r;
 }
 
 }  // namespace
 
 EstimatorResult mcv(const BitStream& bits) {
-  // Below two samples the confidence-interval width divides by n - 1 = 0
-  // and the result went NaN; report the no-information bound instead
-  // (p_max = 1, zero extractable entropy), like markov() already does.
-  if (bits.size() < 2) return make_result("MCV", 1.0);
-  const double n = static_cast<double>(bits.size());
-  const double ones = static_cast<double>(bits.count_ones());
-  const double p_hat = std::max(ones, n - ones) / n;
-  const double p_u =
-      std::min(1.0, p_hat + kZ99 * std::sqrt(p_hat * (1.0 - p_hat) / (n - 1.0)));
-  return make_result("MCV", p_u);
+  return make_result("MCV", scores::mcv_p_max(bits.size(), bits.count_ones()));
 }
 
 EstimatorResult collision(const BitStream& bits) {
@@ -79,53 +130,10 @@ EstimatorResult collision(const BitStream& bits) {
 EstimatorResult markov(const BitStream& bits) {
   const std::size_t n = bits.size();
   if (n < 2) return make_result("Markov", 1.0);
-  // First-order transition probabilities from the integer transition
-  // counts, so every double below — and the log-space DP it feeds — is
-  // exact.
-  const kernels::TransitionCounts tc =
-      kernels::transition_counts(bits, 0, n - 1);
-  std::array<std::array<double, 2>, 2> counts{};
-  for (std::size_t a = 0; a < 2; ++a) {
-    for (std::size_t b = 0; b < 2; ++b) {
-      counts[a][b] = static_cast<double>(tc[a][b]);
-    }
-  }
-  const double ones = static_cast<double>(bits.count_ones());
-  std::array<double, 2> p_init = {1.0 - ones / static_cast<double>(n),
-                                  ones / static_cast<double>(n)};
-  std::array<std::array<double, 2>, 2> t{};
-  for (int a = 0; a < 2; ++a) {
-    const double row = counts[static_cast<std::size_t>(a)][0] +
-                       counts[static_cast<std::size_t>(a)][1];
-    for (int b = 0; b < 2; ++b) {
-      t[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-          row > 0.0 ? counts[static_cast<std::size_t>(a)]
-                            [static_cast<std::size_t>(b)] /
-                          row
-                    : 0.5;
-    }
-  }
-  // Most likely 128-step path (dynamic programming in log space).
-  constexpr int kSteps = 128;
-  std::array<double, 2> logp = {
-      p_init[0] > 0 ? std::log2(p_init[0]) : -1e300,
-      p_init[1] > 0 ? std::log2(p_init[1]) : -1e300};
-  for (int step = 1; step < kSteps; ++step) {
-    std::array<double, 2> next = {-1e300, -1e300};
-    for (int a = 0; a < 2; ++a) {
-      for (int b = 0; b < 2; ++b) {
-        const double tr = t[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
-        if (tr <= 0.0) continue;
-        next[static_cast<std::size_t>(b)] =
-            std::max(next[static_cast<std::size_t>(b)],
-                     logp[static_cast<std::size_t>(a)] + std::log2(tr));
-      }
-    }
-    logp = next;
-  }
-  const double best = std::max(logp[0], logp[1]);
-  const double p_max = std::pow(2.0, best / kSteps);
-  return make_result("Markov", p_max);
+  return make_result("Markov",
+                     scores::markov_p_max(n, bits.count_ones(),
+                                          kernels::transition_counts(
+                                              bits, 0, n - 1)));
 }
 
 std::vector<EstimatorResult> run_all(const BitStream& bits) {

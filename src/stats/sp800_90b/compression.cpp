@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "stats/kernels.h"
+#include "stats/scores.h"
 #include "stats/sp800_90b.h"
 
 namespace dhtrng::stats::kernels {
@@ -38,7 +39,7 @@ namespace dhtrng::stats::sp800_90b {
 
 namespace {
 
-constexpr double kZ99 = 2.5758293035489004;
+using scores::kZ99;
 constexpr std::size_t kBlockBits = 6;       // b
 constexpr std::size_t kDictBlocks = 1000;   // d
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "stats/kernels.h"
+#include "stats/scores.h"
 #include "stats/sp800_90b.h"
 #include "support/wordops.h"
 
@@ -270,7 +271,7 @@ namespace dhtrng::stats::sp800_90b {
 
 namespace {
 
-constexpr double kZ99 = 2.5758293035489004;
+using scores::kZ99;
 
 EstimatorResult bounded(std::string name, double p_hat, double n) {
   EstimatorResult r;

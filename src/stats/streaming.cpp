@@ -1,157 +1,35 @@
 // Streaming certification accumulators (see streaming.h for the model).
 //
-// The snapshot-time formulas below are deliberate replicas of the batch
-// suites' scoring — frequency/block_frequency/runs/cusum from
-// sp800_22/frequency_tests.cpp and mcv/markov (+ make_result) from
-// sp800_90b/basic.cpp, whose counting kernels the bit-at-a-time oracle
-// (tests/support/stats_oracle.h) pins.  The duplication is the design: the
-// streaming side keeps only integer sufficient statistics and must replay
-// the batch floating-point sequence exactly at snapshot() time, and the
-// differential battery (tests/stats/test_streaming_differential.cpp)
-// fails the build of any edit that lets the two sides drift.
+// The tracker only counts; snapshot() and the window close score the
+// counts with the batch suites' own scorers (stats/scores.h), so a
+// streaming p-value or h_min equals the batch one whenever the counts do.
 #include "stats/streaming.h"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <stdexcept>
 
-#include "support/special_functions.h"
+#include "stats/scores.h"
 #include "support/wordops.h"
 
 namespace dhtrng::stats::streaming {
 
 namespace {
 
-using support::erfc;
-using support::igamc;
-using support::normal_cdf;
 namespace wo = support::wordops;
-
-constexpr double kZ99 = 2.5758293035489004;  // mirrors sp800_90b/basic.cpp
 
 bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
-double replica_frequency_p(std::uint64_t n_, std::uint64_t ones_) {
-  const double n = static_cast<double>(n_);
-  const double ones = static_cast<double>(ones_);
-  const double s = std::abs(2.0 * ones - n) / std::sqrt(n);
-  return erfc(s / std::sqrt(2.0));
+double mcv_h(std::uint64_t n, std::uint64_t ones) {
+  return scores::min_entropy(scores::mcv_p_max(n, ones)).h_min;
 }
 
-double replica_block_frequency_p(std::uint64_t blocks, std::uint64_t sum_sq,
-                                 std::size_t block_len) {
-  // With block_len = 2^k every scalar term (pi - 0.5)^2 = d^2/block_len^2
-  // is an exact dyadic rational and the scalar running sum stays exact
-  // below 2^53, so the integer sum of d^2 reconstructs the scalar
-  // chi-square bit-for-bit in any summation order.
-  double chi2 = static_cast<double>(sum_sq) /
-                (static_cast<double>(block_len) * static_cast<double>(block_len));
-  chi2 *= 4.0 * static_cast<double>(block_len);
-  return igamc(static_cast<double>(blocks) / 2.0, chi2 / 2.0);
-}
-
-double replica_runs_p(std::uint64_t n_, std::uint64_t ones_, std::uint64_t v_) {
-  const double nd = static_cast<double>(n_);
-  const double pi = static_cast<double>(ones_) / nd;
-  if (std::abs(pi - 0.5) >= 2.0 / std::sqrt(nd)) {
-    return 0.0;  // prerequisite frequency check failed (2.3.4 step 2)
-  }
-  const double vd = static_cast<double>(v_);
-  return erfc(std::abs(vd - 2.0 * nd * pi * (1.0 - pi)) /
-              (2.0 * std::sqrt(2.0 * nd) * pi * (1.0 - pi)));
-}
-
-double replica_cusum_p(std::uint64_t n, std::int64_t z_) {
-  if (z_ == 0) return 0.0;
-  const double zn = static_cast<double>(z_);
-  const double sqrt_n = std::sqrt(static_cast<double>(n));
-  const double nd = static_cast<double>(n);
-  double sum1 = 0.0;
-  {
-    const long long lo = static_cast<long long>((-nd / zn + 1.0) / 4.0);
-    const long long hi = static_cast<long long>((nd / zn - 1.0) / 4.0);
-    for (long long k = lo; k <= hi; ++k) {
-      const double kd = static_cast<double>(k);
-      sum1 += normal_cdf((4.0 * kd + 1.0) * zn / sqrt_n) -
-              normal_cdf((4.0 * kd - 1.0) * zn / sqrt_n);
-    }
-  }
-  double sum2 = 0.0;
-  {
-    const long long lo = static_cast<long long>((-nd / zn - 3.0) / 4.0);
-    const long long hi = static_cast<long long>((nd / zn - 1.0) / 4.0);
-    for (long long k = lo; k <= hi; ++k) {
-      const double kd = static_cast<double>(k);
-      sum2 += normal_cdf((4.0 * kd + 3.0) * zn / sqrt_n) -
-              normal_cdf((4.0 * kd + 1.0) * zn / sqrt_n);
-    }
-  }
-  return 1.0 - sum1 + sum2;
-}
-
-/// make_result's p_max -> h_min mapping (clamp, -log2, cap at 1 bit).
-double h_from_p_max(double p_max) {
-  const double clamped = std::clamp(p_max, 1e-12, 1.0);
-  return std::min(-std::log2(clamped), 1.0);
-}
-
-double replica_mcv_h(std::uint64_t n_, std::uint64_t ones_) {
-  if (n_ < 2) return h_from_p_max(1.0);  // matches the scalar n < 2 guard
-  const double n = static_cast<double>(n_);
-  const double ones = static_cast<double>(ones_);
-  const double p_hat = std::max(ones, n - ones) / n;
-  const double p_u = std::min(
-      1.0, p_hat + kZ99 * std::sqrt(p_hat * (1.0 - p_hat) / (n - 1.0)));
-  return h_from_p_max(p_u);
-}
-
-double replica_markov_h(std::uint64_t n_, std::uint64_t ones_,
-                        std::uint64_t t11, std::uint64_t t10,
-                        std::uint64_t t01) {
-  if (n_ < 2) return h_from_p_max(1.0);
-  const std::uint64_t pairs = n_ - 1;
-  std::array<std::array<double, 2>, 2> counts{};
-  counts[1][1] = static_cast<double>(t11);
-  counts[1][0] = static_cast<double>(t10);
-  counts[0][1] = static_cast<double>(t01);
-  counts[0][0] = static_cast<double>(pairs - t11 - t10 - t01);
-  const double ones = static_cast<double>(ones_);
-  std::array<double, 2> p_init = {1.0 - ones / static_cast<double>(n_),
-                                  ones / static_cast<double>(n_)};
-  std::array<std::array<double, 2>, 2> t{};
-  for (int a = 0; a < 2; ++a) {
-    const double row = counts[static_cast<std::size_t>(a)][0] +
-                       counts[static_cast<std::size_t>(a)][1];
-    for (int b = 0; b < 2; ++b) {
-      t[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-          row > 0.0 ? counts[static_cast<std::size_t>(a)]
-                            [static_cast<std::size_t>(b)] /
-                          row
-                    : 0.5;
-    }
-  }
-  constexpr int kSteps = 128;
-  std::array<double, 2> logp = {
-      p_init[0] > 0 ? std::log2(p_init[0]) : -1e300,
-      p_init[1] > 0 ? std::log2(p_init[1]) : -1e300};
-  for (int step = 1; step < kSteps; ++step) {
-    std::array<double, 2> next = {-1e300, -1e300};
-    for (int a = 0; a < 2; ++a) {
-      for (int b = 0; b < 2; ++b) {
-        const double tr =
-            t[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
-        if (tr <= 0.0) continue;
-        next[static_cast<std::size_t>(b)] =
-            std::max(next[static_cast<std::size_t>(b)],
-                     logp[static_cast<std::size_t>(a)] + std::log2(tr));
-      }
-    }
-    logp = next;
-  }
-  const double best = std::max(logp[0], logp[1]);
-  const double p_max = std::pow(2.0, best / kSteps);
-  return h_from_p_max(p_max);
+double markov_h(std::uint64_t n, std::uint64_t ones, std::uint64_t t11,
+                std::uint64_t t10, std::uint64_t t01) {
+  // The fourth kind of pair, 0 -> 0, is the rest of the n - 1 pairs.
+  const std::uint64_t t00 = n > 0 ? n - 1 - t11 - t10 - t01 : 0;
+  return scores::min_entropy(
+             scores::markov_p_max(n, ones, {{{t00, t01}, {t10, t11}}}))
+      .h_min;
 }
 
 }  // namespace
@@ -192,55 +70,19 @@ SourceTracker::SourceTracker(TrackerConfig config) : config_(config) {
   }
 }
 
-void SourceTracker::step_bit(bool bit) {
+// Every feed is whole bytes, so n_ % 8 == 0 on entry; block and window
+// lengths are powers of two >= 8, so a byte never straddles a block or
+// window boundary.  Bytes unpack MSB-first: the walk table of that order
+// gives the byte's counts and prefix extremes, and the table of the
+// reverse order its suffix extremes.
+void SourceTracker::step_byte(std::uint8_t v) {
   const bool had = n_ > 0;
   const bool prev = last_bit_;
   const bool in_window = w_fill_ > 0;
-  ++n_;
-  ones_ += bit ? 1 : 0;
-  if (!had) {
-    first_bit_ = bit;
-  } else if (prev != bit) {
-    ++transitions_;
-  }
-  last_bit_ = bit;
-  if (had) {
-    if (prev && bit) ++t11_;
-    else if (prev) ++t10_;
-    else if (bit) ++t01_;
-  }
-  const std::int64_t d = bit ? 1 : -1;
-  max_prefix_ = std::max(max_prefix_, walk_ + d);
-  min_prefix_ = std::min(min_prefix_, walk_ + d);
-  max_suffix_ = std::max<std::int64_t>(0, max_suffix_ + d);
-  min_suffix_ = std::min<std::int64_t>(0, min_suffix_ + d);
-  walk_ += d;
-  cur_block_ones_ += bit ? 1 : 0;
-  if (++cur_block_fill_ == config_.block_len) finish_block();
-  if (in_window) {
-    if (prev && bit) ++w_t11_;
-    else if (prev) ++w_t10_;
-    else if (bit) ++w_t01_;
-  }
-  w_ones_ += bit ? 1 : 0;
-  if (++w_fill_ == config_.window_bits) finish_window();
-}
-
-// The byte step requires n_ % 8 == 0 on entry (the feed entry points
-// guarantee it); block and window boundaries are then byte-aligned, so a
-// byte never straddles one.  `msb_first` picks the stream order within the
-// byte; the walk table of that order gives the byte's counts and prefix
-// extremes, and the table of the reverse order its suffix extremes.
-void SourceTracker::step_byte(std::uint8_t v, bool msb_first) {
-  const bool had = n_ > 0;
-  const bool prev = last_bit_;
-  const bool in_window = w_fill_ > 0;
-  const wo::ByteWalk& fw =
-      msb_first ? wo::kWalkBackward[v] : wo::kWalkForward[v];
+  const wo::ByteWalk& fw = wo::kWalkBackward[v];
   // Prefix extremes of the reversed traversal == suffix extremes of the
   // stream-order walk.
-  const wo::ByteWalk& sfx =
-      msb_first ? wo::kWalkForward[v] : wo::kWalkBackward[v];
+  const wo::ByteWalk& sfx = wo::kWalkForward[v];
   const bool first = fw.first;
 
   n_ += 8;
@@ -293,10 +135,9 @@ void SourceTracker::finish_block() {
 }
 
 void SourceTracker::finish_window() {
-  const double mcv =
-      replica_mcv_h(config_.window_bits, w_ones_);
-  const double markov = replica_markov_h(config_.window_bits, w_ones_, w_t11_,
-                                         w_t10_, w_t01_);
+  const double mcv = mcv_h(config_.window_bits, w_ones_);
+  const double markov =
+      markov_h(config_.window_bits, w_ones_, w_t11_, w_t10_, w_t01_);
   w_mcv_last_ = mcv;
   w_markov_last_ = markov;
   if (windows_ == 0) {
@@ -312,32 +153,8 @@ void SourceTracker::finish_window() {
   w_fill_ = 0;
 }
 
-void SourceTracker::feed_bit(bool bit) { step_bit(bit); }
-
-void SourceTracker::feed_word(std::uint64_t bits, std::size_t nbits) {
-  if (nbits > 64) {
-    throw std::invalid_argument("SourceTracker::feed_word: nbits > 64");
-  }
-  while (nbits >= 8 && (n_ % 8) == 0) {
-    step_byte(static_cast<std::uint8_t>(bits & 0xff), false);
-    bits >>= 8;
-    nbits -= 8;
-  }
-  for (std::size_t i = 0; i < nbits; ++i) {
-    step_bit(((bits >> i) & 1u) != 0);
-  }
-}
-
 void SourceTracker::feed_bytes(const std::uint8_t* data, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    if ((n_ % 8) == 0) {
-      step_byte(data[i], true);
-    } else {
-      for (int b = 7; b >= 0; --b) {
-        step_bit(((data[i] >> b) & 1u) != 0);
-      }
-    }
-  }
+  for (std::size_t i = 0; i < len; ++i) step_byte(data[i]);
 }
 
 void SourceTracker::merge(const SourceTracker& rhs) {
@@ -427,14 +244,19 @@ Snapshot SourceTracker::snapshot() const {
   // well-defined for every n and computed unconditionally, matching the
   // scalar result exactly (cusum: z = 0 -> 0.0; block frequency with 0
   // blocks: igamc(0, 0) = 1.0; mcv/markov: p_max = 1.0 below 2 bits).
-  if (s.frequency_valid) s.frequency_p = replica_frequency_p(n_, ones_);
-  s.block_frequency_p =
-      replica_block_frequency_p(blocks_, block_sum_sq_, config_.block_len);
-  if (s.runs_valid) s.runs_p = replica_runs_p(n_, ones_, s.runs_v);
-  s.cusum_fwd_p = replica_cusum_p(n_, s.cusum_fwd_peak);
-  s.cusum_bwd_p = replica_cusum_p(n_, s.cusum_bwd_peak);
-  s.mcv_h = replica_mcv_h(n_, ones_);
-  s.markov_h = replica_markov_h(n_, ones_, t11_, t10_, t01_);
+  if (s.frequency_valid) s.frequency_p = scores::frequency_p(n_, ones_);
+  // With block_len = 2^k each batch term (pi - 0.5)^2 = d^2 / block_len^2
+  // is an exact dyadic rational and the batch running sum stays exact
+  // below 2^53, so the integer sum of d^2 gives the batch sum bit for bit.
+  const double block_len = static_cast<double>(config_.block_len);
+  s.block_frequency_p = scores::block_frequency_p(
+      blocks_, static_cast<double>(block_sum_sq_) / (block_len * block_len),
+      config_.block_len);
+  if (s.runs_valid) s.runs_p = scores::runs_p(n_, ones_, s.runs_v);
+  s.cusum_fwd_p = scores::cusum_p(n_, s.cusum_fwd_peak);
+  s.cusum_bwd_p = scores::cusum_p(n_, s.cusum_bwd_peak);
+  s.mcv_h = mcv_h(n_, ones_);
+  s.markov_h = markov_h(n_, ones_, t11_, t10_, t01_);
   if (windows_ > 0) {
     s.window_mcv_h_last = w_mcv_last_;
     s.window_markov_h_last = w_markov_last_;

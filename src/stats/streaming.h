@@ -7,11 +7,12 @@
 // stream (bits that passed the RCT/APT health gate), not an offline
 // sample.
 //
-// Correctness contract: a SourceTracker fed any chunking of a stream
-// (bits, bytes, words, merges of sub-trackers) yields a snapshot() whose
-// statistics and p-values are *bit-exactly* equal to the batch suites
-// over the same bits (whose counting kernels the oracle tests hold to the
-// bit-at-a-time oracle in tests/support/stats_oracle.h):
+// Correctness contract: a SourceTracker fed any byte chunking of a
+// stream (single bytes, runs of bytes, aligned merges of sub-trackers)
+// yields a snapshot() whose statistics and p-values are *bit-exactly*
+// equal to the batch suites over the same bits (whose counting kernels
+// the oracle tests hold to the bit-at-a-time oracle in
+// tests/support/stats_oracle.h):
 //
 //   frequency_p        == sp800_22::frequency(bits)
 //   block_frequency_p  == sp800_22::block_frequency(bits, block_len)
@@ -22,16 +23,16 @@
 //
 // The streaming state is purely integer sufficient statistics (popcounts,
 // transition counts, ±1-walk prefix/suffix extremes via the
-// support::wordops byte tables, per-block squared deviations); every
-// floating-point operation happens at snapshot() time, replaying the
-// batch formulas' exact operation sequence.  Block frequency is the one
-// kernel where the batch code sums doubles in stream order — with
+// support::wordops byte tables, per-block squared deviations).  Every
+// floating-point operation happens in the batch suites' own scorers
+// (stats/scores.h), called at snapshot() time and when a window closes,
+// so the two sides share one formula per statistic.  Block frequency is
+// the one test where the batch code sums doubles in stream order — with
 // block_len a power of two each term (pi - 0.5)^2 = d^2 / block_len^2 is
 // an exactly-representable dyadic rational and the partial sums stay
-// exact below 2^53, so the integer sum of d^2 reconstructs the batch
-// chi-square bit-for-bit in any order.  The formula replicas live in
-// streaming.cpp and are kept honest by the differential battery
-// (tests/stats/test_streaming_differential.cpp).
+// exact below 2^53, so the integer sum of d^2 gives the batch sum
+// bit-for-bit in any order.  The differential battery
+// (tests/stats/test_streaming_differential.cpp) checks the counting.
 //
 // Merge semantics: merge(rhs) appends rhs's stream after this tracker's.
 // The result is exact when this tracker's bit count is a multiple of
@@ -125,21 +126,13 @@ struct Snapshot {
   bool pass(const Thresholds& t = {}) const;
 };
 
-/// Incremental certification state for one bit stream.  Feed order is
-/// stream order; the three feed entry points only differ in how the bits
-/// are packed:
-///  * feed_bit(b)              — one bit;
-///  * feed_word(w, nbits)      — nbits <= 64 samples, LSB-first (the
-///                               HealthMonitor::feed_word convention);
-///  * feed_bytes(p, len)       — bytes unpacked MSB-first (the pool's
-///                               emission packing and
-///                               BitStream::from_bytes convention).
+/// Incremental certification state for one bit stream, fed whole bytes
+/// in stream order.  Bytes unpack MSB-first (the pool's emission packing
+/// and the BitStream::from_bytes convention).
 class SourceTracker {
  public:
   explicit SourceTracker(TrackerConfig config = {});
 
-  void feed_bit(bool bit);
-  void feed_word(std::uint64_t bits, std::size_t nbits);
   void feed_bytes(const std::uint8_t* data, std::size_t len);
 
   /// Append rhs's stream after this tracker's.  Exact only when
@@ -153,8 +146,7 @@ class SourceTracker {
   const TrackerConfig& config() const { return config_; }
 
  private:
-  void step_bit(bool bit);
-  void step_byte(std::uint8_t v, bool msb_first);
+  void step_byte(std::uint8_t v);
   void finish_block();
   void finish_window();
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/dhtrng.h"
+#include "stats/sp800_90b.h"
 #include "support/rng.h"
 
 namespace dhtrng::stats {
@@ -76,6 +79,47 @@ TEST(RestartMatrix, RejectsDegenerateInput) {
   std::vector<support::BitStream> ragged = {support::BitStream(8, false),
                                             support::BitStream(9, false)};
   EXPECT_THROW(analyze_restart_matrix(ragged), std::invalid_argument);
+}
+
+TEST(RestartMatrix, EstimatesAreTheBatchMcvExactly) {
+  // Rows and columns are scored by the batch MCV estimator's own formula,
+  // so each minimum equals sp800_90b::mcv over the same bits, bit for bit.
+  constexpr std::size_t kRows = 50;
+  constexpr std::size_t kCols = 64;
+  std::vector<support::BitStream> rows;
+  support::Xoshiro256 rng(11);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    support::BitStream row;
+    // Per-row bias from 0.5 to ~0.75 so the estimates spread out.
+    const double p = 0.5 + 0.005 * static_cast<double>(r);
+    for (std::size_t c = 0; c < kCols; ++c) row.push_back(rng.bernoulli(p));
+    rows.push_back(row);
+  }
+  const auto result = analyze_restart_matrix(rows);
+
+  double row_min = 1.0;
+  for (const auto& row : rows) {
+    row_min = std::min(row_min, sp800_90b::mcv(row).h_min);
+  }
+  double col_min = 1.0;
+  for (std::size_t c = 0; c < kCols; ++c) {
+    support::BitStream column;
+    for (const auto& row : rows) column.push_back(row[c]);
+    col_min = std::min(col_min, sp800_90b::mcv(column).h_min);
+  }
+  EXPECT_EQ(result.row_min_entropy, row_min);
+  EXPECT_EQ(result.column_min_entropy, col_min);
+}
+
+TEST(RestartMatrix, SingleRestartColumnsScoreZero) {
+  // One restart gives one-sample columns: below MCV's two-sample floor,
+  // so every column claims no entropy (p_max = 1).
+  support::Xoshiro256 rng(12);
+  support::BitStream row;
+  for (int c = 0; c < 64; ++c) row.push_back(rng.bernoulli(0.5));
+  const auto result = analyze_restart_matrix({row});
+  EXPECT_EQ(result.column_min_entropy, 0.0);
+  EXPECT_EQ(result.row_min_entropy, sp800_90b::mcv(row).h_min);
 }
 
 TEST(RestartMatrix, IdealMatrixScoresHigh) {

@@ -1,10 +1,10 @@
 // Unit tests for the streaming certification trackers
-// (stats/streaming.h): edge-case tail semantics (empty, one bit, block
-// and window boundaries ±1), feed entry-point agreement, merge alignment
-// rules, threshold behaviour, and known-answer snapshots pinned on the
-// golden seed-42 DhTrng stream (the same stream the determinism-golden
-// vectors anchor).  The heavyweight chunking/merge fuzz lives in
-// test_streaming_differential.cpp (label: slow).
+// (stats/streaming.h): edge-case tail semantics (empty, one byte, block
+// and window boundaries ±8 bits), byte-feed and merge agreement, the
+// MSB-first byte packing, merge alignment rules, threshold behaviour, and
+// known-answer snapshots pinned on the golden seed-42 DhTrng stream (the
+// same stream the determinism-golden vectors anchor).  The chunking/merge
+// fuzz lives in test_streaming_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,9 +31,11 @@ BitStream random_stream(std::uint64_t seed, std::size_t n) {
   return bits;
 }
 
+/// A tracker fed `bits` (whole bytes) one byte per feed_bytes call.
 SourceTracker tracker_of(const BitStream& bits, TrackerConfig config = {}) {
+  EXPECT_EQ(bits.size() % 8, 0u);
   SourceTracker tracker(config);
-  for (std::size_t i = 0; i < bits.size(); ++i) tracker.feed_bit(bits[i]);
+  for (const std::uint8_t byte : bits.to_bytes()) tracker.feed_bytes(&byte, 1);
   return tracker;
 }
 
@@ -107,28 +109,28 @@ TEST(StreamingTracker, EmptySnapshotReportsNoDataDefaults) {
 }
 
 TEST(StreamingTracker, SingleBitMatchesScalar) {
-  for (const bool bit : {false, true}) {
+  // The smallest feed is one byte: all zeros or all ones, a single run.
+  for (const std::uint8_t byte : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
     SourceTracker tracker;
-    tracker.feed_bit(bit);
-    BitStream bits;
-    bits.push_back(bit);
+    tracker.feed_bytes(&byte, 1);
+    const BitStream bits = BitStream::from_bytes({byte});
     const Snapshot snap = tracker.snapshot();
-    EXPECT_EQ(snap.bits, 1u);
-    EXPECT_EQ(snap.ones, bit ? 1u : 0u);
+    EXPECT_EQ(snap.bits, 8u);
+    EXPECT_EQ(snap.ones, byte != 0 ? 8u : 0u);
     EXPECT_EQ(snap.runs_v, 1u);
-    EXPECT_EQ(snap.cusum_fwd_peak, 1);
-    EXPECT_EQ(snap.cusum_bwd_peak, 1);
-    EXPECT_FALSE(snap.mcv_valid);  // below the 2-bit floor
+    EXPECT_EQ(snap.cusum_fwd_peak, 8);
+    EXPECT_EQ(snap.cusum_bwd_peak, 8);
+    EXPECT_TRUE(snap.mcv_valid);
     expect_matches_batch(snap, bits);
   }
 }
 
 TEST(StreamingTracker, SubBlockTailMatchesScalar) {
-  // One bit short of the first block: zero complete blocks, so the
+  // One byte short of the first block: zero complete blocks, so the
   // block-frequency chi-square is over an empty sum — exactly the batch
   // result over the same bits.
   const TrackerConfig config{.block_len = 128, .window_bits = 1024};
-  const BitStream bits = random_stream(3, config.block_len - 1);
+  const BitStream bits = random_stream(3, config.block_len - 8);
   const Snapshot snap = tracker_of(bits, config).snapshot();
   EXPECT_EQ(snap.blocks, 0u);
   EXPECT_FALSE(snap.block_frequency_valid);
@@ -138,9 +140,9 @@ TEST(StreamingTracker, SubBlockTailMatchesScalar) {
 TEST(StreamingTracker, BlockAndWindowBoundariesMatchScalar) {
   const TrackerConfig config{.block_len = 32, .window_bits = 256};
   for (const std::size_t n :
-       {std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{255},
-        std::size_t{256}, std::size_t{257}, std::size_t{512},
-        std::size_t{513}}) {
+       {std::size_t{24}, std::size_t{32}, std::size_t{40}, std::size_t{248},
+        std::size_t{256}, std::size_t{264}, std::size_t{504},
+        std::size_t{512}, std::size_t{520}}) {
     SCOPED_TRACE(testing::Message() << "n=" << n);
     const BitStream bits = random_stream(17 + n, n);
     const Snapshot snap = tracker_of(bits, config).snapshot();
@@ -151,51 +153,50 @@ TEST(StreamingTracker, BlockAndWindowBoundariesMatchScalar) {
 }
 
 TEST(StreamingTracker, FeedEntryPointsAgree) {
-  // The same stream via bits, MSB-first bytes, and LSB-first words must
-  // produce identical snapshots (all statistics, not just p-values).
+  // The same stream one byte per call, in one call, and as an aligned
+  // merge of sub-trackers must produce identical snapshots (all
+  // statistics, not just p-values).
   const std::size_t n = 4096;
+  const TrackerConfig config{};  // block_len = 128, window_bits = 1024
+  const std::size_t align = 1024;
   const BitStream bits = random_stream(99, n);
   const std::vector<std::uint8_t> bytes = bits.to_bytes();
 
-  const Snapshot by_bit = tracker_of(bits).snapshot();
+  const Snapshot by_byte = tracker_of(bits, config).snapshot();
 
-  SourceTracker by_byte;
-  by_byte.feed_bytes(bytes.data(), bytes.size());
+  SourceTracker whole(config);
+  whole.feed_bytes(bytes.data(), bytes.size());
 
-  SourceTracker by_word;
-  for (std::size_t i = 0; i < n; i += 64) {
-    std::uint64_t w = 0;
-    const std::size_t nbits = std::min<std::size_t>(64, n - i);
-    for (std::size_t j = 0; j < nbits; ++j) {
-      if (bits[i + j]) w |= std::uint64_t{1} << j;
-    }
-    by_word.feed_word(w, nbits);
+  SourceTracker merged(config);
+  for (std::size_t i = 0; i < n; i += align) {
+    merged.merge(tracker_of(bits.slice(i, align), config));
   }
 
-  for (const Snapshot& snap : {by_byte.snapshot(), by_word.snapshot()}) {
-    EXPECT_EQ(snap.ones, by_bit.ones);
-    EXPECT_EQ(snap.runs_v, by_bit.runs_v);
-    EXPECT_EQ(snap.cusum_fwd_peak, by_bit.cusum_fwd_peak);
-    EXPECT_EQ(snap.cusum_bwd_peak, by_bit.cusum_bwd_peak);
-    EXPECT_EQ(snap.block_sum_sq, by_bit.block_sum_sq);
-    EXPECT_EQ(snap.markov_t11, by_bit.markov_t11);
-    EXPECT_EQ(snap.markov_t10, by_bit.markov_t10);
-    EXPECT_EQ(snap.markov_t01, by_bit.markov_t01);
-    EXPECT_EQ(snap.frequency_p, by_bit.frequency_p);
-    EXPECT_EQ(snap.block_frequency_p, by_bit.block_frequency_p);
-    EXPECT_EQ(snap.runs_p, by_bit.runs_p);
-    EXPECT_EQ(snap.cusum_fwd_p, by_bit.cusum_fwd_p);
-    EXPECT_EQ(snap.cusum_bwd_p, by_bit.cusum_bwd_p);
-    EXPECT_EQ(snap.window_mcv_h_min, by_bit.window_mcv_h_min);
-    EXPECT_EQ(snap.window_markov_h_min, by_bit.window_markov_h_min);
+  for (const Snapshot& snap : {whole.snapshot(), merged.snapshot()}) {
+    EXPECT_EQ(snap.ones, by_byte.ones);
+    EXPECT_EQ(snap.runs_v, by_byte.runs_v);
+    EXPECT_EQ(snap.cusum_fwd_peak, by_byte.cusum_fwd_peak);
+    EXPECT_EQ(snap.cusum_bwd_peak, by_byte.cusum_bwd_peak);
+    EXPECT_EQ(snap.block_sum_sq, by_byte.block_sum_sq);
+    EXPECT_EQ(snap.markov_t11, by_byte.markov_t11);
+    EXPECT_EQ(snap.markov_t10, by_byte.markov_t10);
+    EXPECT_EQ(snap.markov_t01, by_byte.markov_t01);
+    EXPECT_EQ(snap.frequency_p, by_byte.frequency_p);
+    EXPECT_EQ(snap.block_frequency_p, by_byte.block_frequency_p);
+    EXPECT_EQ(snap.runs_p, by_byte.runs_p);
+    EXPECT_EQ(snap.cusum_fwd_p, by_byte.cusum_fwd_p);
+    EXPECT_EQ(snap.cusum_bwd_p, by_byte.cusum_bwd_p);
+    EXPECT_EQ(snap.window_mcv_h_min, by_byte.window_mcv_h_min);
+    EXPECT_EQ(snap.window_markov_h_min, by_byte.window_markov_h_min);
   }
-  expect_matches_batch(by_bit, bits);
+  expect_matches_batch(by_byte, bits);
 }
 
-TEST(StreamingTracker, FeedWordIsLsbFirst) {
-  // 0b0000'0001 over 8 bits is a 1 followed by seven 0s in stream order.
+TEST(StreamingTracker, FeedBytesIsMsbFirst) {
+  // 0b1000'0000 is a 1 followed by seven 0s in stream order.
   SourceTracker tracker;
-  tracker.feed_word(0x01, 8);
+  const std::uint8_t byte = 0x80;
+  tracker.feed_bytes(&byte, 1);
   const Snapshot snap = tracker.snapshot();
   EXPECT_EQ(snap.ones, 1u);
   EXPECT_EQ(snap.runs_v, 2u);       // "1" then "0000000"
@@ -208,7 +209,7 @@ TEST(StreamingTracker, FeedWordIsLsbFirst) {
 TEST(StreamingTracker, MergeAlignedEqualsSingleFeed) {
   const TrackerConfig config{.block_len = 32, .window_bits = 128};
   const std::size_t align = 128;  // max(block_len, window_bits)
-  const BitStream bits = random_stream(7, 3 * align + 77);
+  const BitStream bits = random_stream(7, 3 * align + 72);
 
   SourceTracker whole = tracker_of(bits, config);
   SourceTracker left = tracker_of(bits.slice(0, align), config);
@@ -246,7 +247,7 @@ TEST(StreamingTracker, MergeAlignedEqualsSingleFeed) {
 }
 
 TEST(StreamingTracker, MergeIntoEmptyAndOfEmpty) {
-  const BitStream bits = random_stream(5, 300);
+  const BitStream bits = random_stream(5, 296);
   const SourceTracker fed = tracker_of(bits);
   SourceTracker empty;
   empty.merge(fed);  // 0 % align == 0: always legal
@@ -268,7 +269,7 @@ TEST(StreamingTracker, MergeIntoEmptyAndOfEmpty) {
 
 TEST(StreamingTracker, MergeMisalignedThrows) {
   const TrackerConfig config{.block_len = 32, .window_bits = 128};
-  SourceTracker left = tracker_of(random_stream(1, 100), config);  // 100 % 128 != 0
+  SourceTracker left = tracker_of(random_stream(1, 96), config);  // 96 % 128 != 0
   const SourceTracker right = tracker_of(random_stream(2, 64), config);
   EXPECT_THROW(left.merge(right), std::invalid_argument);
 }
@@ -289,8 +290,6 @@ TEST(StreamingTracker, ConfigValidation) {
   EXPECT_THROW(SourceTracker({.block_len = 128, .window_bits = 100}),
                std::invalid_argument);
   EXPECT_NO_THROW(SourceTracker({.block_len = 8, .window_bits = 8}));
-  SourceTracker tracker;
-  EXPECT_THROW(tracker.feed_word(0, 65), std::invalid_argument);
 }
 
 TEST(StreamingTracker, PassFlipsOnHeavyBias) {
@@ -298,34 +297,36 @@ TEST(StreamingTracker, PassFlipsOnHeavyBias) {
   // below any sane alpha, and for the windowed MCV to undercut the
   // min-entropy floor.
   const TrackerConfig config{.block_len = 128, .window_bits = 1024};
-  SourceTracker tracker(config);
   support::SplitMix64 rng(404);
+  BitStream biased;
   for (std::size_t i = 0; i < 8192; ++i) {
-    tracker.feed_bit((rng.next() % 100) < 80);
+    biased.push_back((rng.next() % 100) < 80);
   }
-  const Snapshot snap = tracker.snapshot();
+  const Snapshot snap = tracker_of(biased, config).snapshot();
   EXPECT_LT(snap.frequency_p, 1e-6);
   EXPECT_LT(snap.window_mcv_h_last, 0.5);
   EXPECT_FALSE(snap.pass());
   EXPECT_LT(snap.live_min_entropy(), 0.5);
   // A balanced stream of the same shape passes the same thresholds.
-  SourceTracker good(config);
-  for (std::size_t i = 0; i < 8192; ++i) good.feed_bit(rng.next() & 1);
-  EXPECT_TRUE(good.snapshot().pass());
-  EXPECT_GT(good.snapshot().live_min_entropy(), 0.5);
+  BitStream balanced;
+  for (std::size_t i = 0; i < 8192; ++i) balanced.push_back(rng.next() & 1);
+  const Snapshot good = tracker_of(balanced, config).snapshot();
+  EXPECT_TRUE(good.pass());
+  EXPECT_GT(good.live_min_entropy(), 0.5);
 }
 
 TEST(StreamingTracker, LiveMinEntropyPrefersWindowedEvidence) {
   const TrackerConfig config{.block_len = 8, .window_bits = 64};
+  // Below one window (one byte short): the cumulative estimators are the
+  // only evidence.
+  const std::vector<std::uint8_t> bytes = random_stream(11, 64).to_bytes();
   SourceTracker tracker(config);
-  support::SplitMix64 rng(11);
-  // Below one window: the cumulative estimators are the only evidence.
-  for (std::size_t i = 0; i < 63; ++i) tracker.feed_bit(rng.next() & 1);
+  tracker.feed_bytes(bytes.data(), bytes.size() - 1);
   Snapshot snap = tracker.snapshot();
   EXPECT_EQ(snap.windows, 0u);
   EXPECT_EQ(snap.live_min_entropy(), std::min(snap.mcv_h, snap.markov_h));
   // Past the first window boundary, the windowed estimates take over.
-  tracker.feed_bit(true);
+  tracker.feed_bytes(&bytes.back(), 1);
   snap = tracker.snapshot();
   EXPECT_EQ(snap.windows, 1u);
   EXPECT_EQ(snap.live_min_entropy(),
@@ -333,8 +334,8 @@ TEST(StreamingTracker, LiveMinEntropyPrefersWindowedEvidence) {
 }
 
 // The batch MCV estimator used to divide by (n - 1) without a floor and
-// returned NaN on empty and single-bit streams; the streaming snapshot
-// replicates the guarded behaviour, so pin it here.
+// returned NaN on empty and single-bit streams; the streaming snapshot and
+// the restart matrix score with the same guarded formula, so pin it here.
 TEST(ScalarMcvEdgeCase, TinyStreamsReturnNoEntropyNotNaN) {
   BitStream empty;
   const auto r0 = sp800_90b::mcv(empty);
@@ -368,6 +369,20 @@ TEST(StreamingTracker, GoldenKatSeed42) {
   EXPECT_EQ(snap.markov_t10, 1050u);
   EXPECT_EQ(snap.markov_t01, 1050u);
   EXPECT_EQ(snap.windows, 4u);
+  // The scored values, pinned exactly: tracker and batch share the
+  // scorers (stats/scores.h), so agreement alone would not see a change
+  // to a formula.
+  EXPECT_EQ(snap.frequency_p, 0x1.0172fed79a879p-3);
+  EXPECT_EQ(snap.block_frequency_p, 0x1.7c2a2c115cbbep-1);
+  EXPECT_EQ(snap.runs_p, 0x1.71d6b52f21806p-4);
+  EXPECT_EQ(snap.cusum_fwd_p, 0x1.9d2e804457975p-3);
+  EXPECT_EQ(snap.cusum_bwd_p, 0x1.bf758bd6250b9p-4);
+  EXPECT_EQ(snap.mcv_h, 0x1.d20fb57bb3c43p-1);
+  EXPECT_EQ(snap.markov_h, 0x1.ed3d4d780a24ap-1);
+  EXPECT_EQ(snap.window_mcv_h_last, 0x1.b9909001fb394p-1);
+  EXPECT_EQ(snap.window_markov_h_last, 0x1.e899d26a14496p-1);
+  EXPECT_EQ(snap.window_mcv_h_min, 0x1.a8c0a3cddb0adp-1);
+  EXPECT_EQ(snap.window_markov_h_min, 0x1.e4bb5f55cdde3p-1);
   expect_matches_batch(snap, bits);
   EXPECT_TRUE(snap.pass());
 }

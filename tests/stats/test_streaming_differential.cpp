@@ -1,15 +1,15 @@
 // Differential fuzz: the streaming certification trackers
 // (stats/streaming.h) must be bit-for-bit identical to the batch suites
-// over the same bits, for EVERY chunking of the stream and EVERY aligned
-// merge order.  The batch suites' counting kernels are in turn held to the
-// bit-at-a-time oracle (tests/support/stats_oracle.h) by the
+// over the same bits, for EVERY byte chunking of the stream and EVERY
+// aligned merge order.  The batch suites' counting kernels are in turn
+// held to the bit-at-a-time oracle (tests/support/stats_oracle.h) by the
 // EngineEquivalence and EngineDifferential tests.  All comparisons are
 // exact (`==` on doubles): the streaming side keeps integer sufficient
-// statistics and replays the batch FP sequence at snapshot time, so any
-// ulp of drift is a bug, not noise.
+// statistics and scores them with the batch suites' own scorers
+// (stats/scores.h), so any ulp of drift is a counting bug, not noise.
 //
-// This is the heavyweight lane (labels: slow differential).  The default
-// ctest run keeps a smaller smoke version in test_streaming.cpp.
+// Label: differential (it runs in the default lane).  test_streaming.cpp
+// holds the edge cases and the known-answer snapshots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,28 +61,16 @@ BitStream make_stream(std::uint64_t seed, std::size_t n) {
   return bits;
 }
 
-// Feed `bits` into a tracker in chunks of `chunk` bits via feed_word
-// (LSB-first packing).  chunk == 0 means one whole-stream byte pass.
+// Feed `bits` (whole bytes) into a tracker in chunks of `chunk` bytes.
+// chunk == 0 means the whole stream in one call.
 SourceTracker feed_chunked(const BitStream& bits, std::size_t chunk,
                            TrackerConfig config) {
+  EXPECT_EQ(bits.size() % 8, 0u);
+  const std::vector<std::uint8_t> bytes = bits.to_bytes();
+  if (chunk == 0) chunk = bytes.size();
   SourceTracker tracker(config);
-  if (chunk == 0) {
-    const std::vector<std::uint8_t> bytes = bits.to_bytes();
-    // to_bytes zero-pads the tail; only feed whole bytes this way.
-    const std::size_t whole = bits.size() / 8;
-    tracker.feed_bytes(bytes.data(), whole);
-    for (std::size_t i = whole * 8; i < bits.size(); ++i) {
-      tracker.feed_bit(bits[i]);
-    }
-    return tracker;
-  }
-  for (std::size_t i = 0; i < bits.size(); i += chunk) {
-    const std::size_t nbits = std::min(chunk, bits.size() - i);
-    std::uint64_t w = 0;
-    for (std::size_t j = 0; j < nbits; ++j) {
-      if (bits[i + j]) w |= std::uint64_t{1} << j;
-    }
-    tracker.feed_word(w, nbits);
+  for (std::size_t i = 0; i < bytes.size(); i += chunk) {
+    tracker.feed_bytes(bytes.data() + i, std::min(chunk, bytes.size() - i));
   }
   return tracker;
 }
@@ -156,15 +144,16 @@ void expect_matches_oracle(const Snapshot& snap, const BitStream& bits,
 }
 
 TEST(StreamingDifferential, AdversarialChunkingsMatchScalarOracle) {
-  // Every chunk schedule must land on the identical snapshot and match
-  // the batch suites: 1 bit, 1 byte, primes straddling every block and
-  // window boundary, aligned words, and the whole stream at once.
+  // Every byte-chunk schedule must land on the identical snapshot and
+  // match the batch suites: 1 byte, odd sizes and primes straddling every
+  // block and window boundary, and the whole stream at once.
   const TrackerConfig config{.block_len = 128, .window_bits = 1024};
-  const std::size_t kChunks[] = {1, 7, 8, 13, 61, 64, 0};  // 0 = whole stream
+  const std::size_t kChunks[] = {1, 3, 7, 13, 61, 0};  // 0 = whole stream
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    // Sizes staggered so word tails, partial blocks, and partial windows
-    // all vary (including exact multiples).
-    const std::size_t n = seed % 8 == 0 ? seed * 1024 : 5000 + seed * 997;
+    // Whole-byte sizes staggered so partial blocks and partial windows
+    // vary (including exact multiples).
+    const std::size_t n =
+        seed % 8 == 0 ? seed * 1024 : (5000 + seed * 997) / 8 * 8;
     const BitStream bits = make_stream(seed, n);
     SCOPED_TRACE(testing::Message() << "seed=" << seed << " n=" << n);
     const Snapshot reference = feed_chunked(bits, 1, config).snapshot();
@@ -179,26 +168,22 @@ TEST(StreamingDifferential, AdversarialChunkingsMatchScalarOracle) {
 }
 
 TEST(StreamingDifferential, RandomMixedChunkingsMatchScalarOracle) {
-  // Random word sizes 1..64 per feed call — the schedule the pool's
-  // health path uses, and the nastiest alignment case (byte fast path
-  // engages and disengages mid-stream).
+  // Random chunk sizes of 1..64 bytes per feed call, so feed edges land
+  // anywhere relative to block and window boundaries.
   const TrackerConfig config{.block_len = 32, .window_bits = 256};
   for (std::uint64_t seed = 41; seed <= 80; ++seed) {
-    const std::size_t n = 3000 + seed * 331;
+    const std::size_t n = (3000 + seed * 331) / 8 * 8;
     const BitStream bits = make_stream(seed, n);
     SCOPED_TRACE(testing::Message() << "seed=" << seed << " n=" << n);
+    const std::vector<std::uint8_t> bytes = bits.to_bytes();
     support::SplitMix64 sched(seed * 7919);
     SourceTracker tracker(config);
     std::size_t i = 0;
-    while (i < n) {
-      const std::size_t nbits =
-          std::min<std::size_t>(1 + (sched.next() % 64), n - i);
-      std::uint64_t w = 0;
-      for (std::size_t j = 0; j < nbits; ++j) {
-        if (bits[i + j]) w |= std::uint64_t{1} << j;
-      }
-      tracker.feed_word(w, nbits);
-      i += nbits;
+    while (i < bytes.size()) {
+      const std::size_t len =
+          std::min<std::size_t>(1 + (sched.next() % 64), bytes.size() - i);
+      tracker.feed_bytes(bytes.data() + i, len);
+      i += len;
     }
     expect_matches_oracle(tracker.snapshot(), bits, config);
   }
@@ -213,26 +198,18 @@ TEST(StreamingDifferential, AlignedMergeOrdersAndAssociativity) {
   const std::size_t align = 512;
   for (std::uint64_t seed = 81; seed <= 110; ++seed) {
     const std::size_t segments = 2 + seed % 4;
-    const std::size_t tail = (seed % 3 == 0) ? 0 : seed % align;
+    const std::size_t tail = (seed % 3 == 0) ? 0 : seed % align / 8 * 8;
     const std::size_t n = segments * align + tail;
     const BitStream bits = make_stream(seed, n);
     SCOPED_TRACE(testing::Message()
                  << "seed=" << seed << " segments=" << segments
                  << " tail=" << tail);
 
+    // The final segment also carries the unaligned tail.
     std::vector<SourceTracker> parts;
     for (std::size_t s = 0; s < segments; ++s) {
-      SourceTracker t(config);
-      const BitStream slice = bits.slice(s * align, align);
-      const std::vector<std::uint8_t> bytes = slice.to_bytes();
-      t.feed_bytes(bytes.data(), bytes.size());
-      if (s + 1 == segments && tail > 0) {
-        // The final segment also carries the unaligned tail.
-        for (std::size_t i = segments * align; i < n; ++i) {
-          t.feed_bit(bits[i]);
-        }
-      }
-      parts.push_back(std::move(t));
+      const std::size_t len = s + 1 == segments ? align + tail : align;
+      parts.push_back(feed_chunked(bits.slice(s * align, len), 0, config));
     }
 
     const Snapshot reference = feed_chunked(bits, 1, config).snapshot();
@@ -269,25 +246,25 @@ TEST(StreamingDifferential, AlignedMergeOrdersAndAssociativity) {
 }
 
 TEST(StreamingDifferential, SmallConfigsSweepBoundaries) {
-  // Tiny block/window geometries put a boundary inside nearly every byte
-  // and word, hammering the finish_block/finish_window seams.
+  // Tiny block/window geometries put a boundary at nearly every byte,
+  // hammering the finish_block/finish_window seams.
   for (const TrackerConfig config :
        {TrackerConfig{.block_len = 8, .window_bits = 8},
         TrackerConfig{.block_len = 8, .window_bits = 64},
         TrackerConfig{.block_len = 256, .window_bits = 16}}) {
     for (std::uint64_t seed = 111; seed <= 125; ++seed) {
-      const std::size_t n = 900 + seed * 53;
+      const std::size_t n = (900 + seed * 53) / 8 * 8;
       const BitStream bits = make_stream(seed, n);
       SCOPED_TRACE(testing::Message()
                    << "block_len=" << config.block_len
                    << " window_bits=" << config.window_bits << " seed="
                    << seed);
-      const Snapshot by_bit = feed_chunked(bits, 1, config).snapshot();
-      expect_matches_oracle(by_bit, bits, config);
-      expect_snapshots_identical(by_bit,
+      const Snapshot by_byte = feed_chunked(bits, 1, config).snapshot();
+      expect_matches_oracle(by_byte, bits, config);
+      expect_snapshots_identical(by_byte,
                                  feed_chunked(bits, 0, config).snapshot());
-      expect_snapshots_identical(by_bit,
-                                 feed_chunked(bits, 64, config).snapshot());
+      expect_snapshots_identical(by_byte,
+                                 feed_chunked(bits, 8, config).snapshot());
     }
   }
 }
