@@ -6,10 +6,10 @@
 // streaming tracker's O(1) state) produces, and is defined in the batch
 // translation unit that calls it, like the kernels in kernels.h.  Its
 // callers are the batch tests (sp800_22::{frequency, block_frequency,
-// runs, cumulative_sums}, sp800_90b::{mcv, markov}), the streaming
-// tracker's snapshot and window close, and the restart matrix.  They run
-// the same floating-point operations on the same integers, so their
-// results agree bit for bit.
+// runs, cumulative_sums}, sp800_90b::{mcv, markov, t_tuple, lrs}), the
+// streaming tracker's snapshot and window close, and the restart matrix.
+// They run the same floating-point operations on the same integers, so
+// their results agree bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +44,11 @@ double cusum_p(std::uint64_t n, std::int64_t z);
 /// 6.3.1 Most Common Value: the 99% upper bound on the most common
 /// value's probability; 1 below two samples.
 double mcv_p_max(std::uint64_t n, std::uint64_t ones);
+
+/// The 99% upper confidence bound min(1, p + kZ99 * sqrt(p(1-p)/(n-1)))
+/// on a probability estimated as `p_hat` from n >= 2 samples: MCV's
+/// p_max, and the t-Tuple and LRS bounds (sp800_90b/tuple_lrs.cpp).
+double p_upper_99(double p_hat, double n);
 
 /// 6.3.3 Markov: the per-bit probability of the most likely 128-bit path
 /// under the first-order model of n bits with `ones` ones and the

@@ -18,7 +18,10 @@ double mcv_p_max(std::uint64_t n_bits, std::uint64_t ones_bits) {
   if (n_bits < 2) return 1.0;
   const double n = static_cast<double>(n_bits);
   const double ones = static_cast<double>(ones_bits);
-  const double p_hat = std::max(ones, n - ones) / n;
+  return p_upper_99(std::max(ones, n - ones) / n, n);
+}
+
+double p_upper_99(double p_hat, double n) {
   return std::min(1.0,
                   p_hat + kZ99 * std::sqrt(p_hat * (1.0 - p_hat) / (n - 1.0)));
 }
@@ -61,7 +64,9 @@ double markov_p_max(std::uint64_t n, std::uint64_t ones_bits,
 MinEntropy min_entropy(double p_max) {
   MinEntropy m;
   m.p_max = std::clamp(p_max, 1e-12, 1.0);
-  m.h_min = std::min(-std::log2(m.p_max), 1.0);
+  // 0 - log2, not -log2: at p_max = 1 this is +0, where -log2 gives -0
+  // (which renders as "-0"); every other value is the same.
+  m.h_min = std::min(0.0 - std::log2(m.p_max), 1.0);
   return m;
 }
 

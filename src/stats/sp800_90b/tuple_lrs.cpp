@@ -271,16 +271,14 @@ namespace dhtrng::stats::sp800_90b {
 
 namespace {
 
-using scores::kZ99;
-
 EstimatorResult bounded(std::string name, double p_hat, double n) {
+  if (p_hat == 0.0) p_hat = 0.5;
+  const scores::MinEntropy m =
+      scores::min_entropy(scores::p_upper_99(p_hat, n));
   EstimatorResult r;
   r.name = std::move(name);
-  if (p_hat == 0.0) p_hat = 0.5;
-  const double p_u =
-      std::min(1.0, p_hat + kZ99 * std::sqrt(p_hat * (1.0 - p_hat) / (n - 1.0)));
-  r.p_max = std::clamp(p_u, 1e-12, 1.0);
-  r.h_min = std::min(-std::log2(r.p_max), 1.0);
+  r.p_max = m.p_max;
+  r.h_min = m.h_min;
   return r;
 }
 

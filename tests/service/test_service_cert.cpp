@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -23,6 +24,7 @@
 
 #include "service/client.h"
 #include "service/entropy_server.h"
+#include "service/metrics.h"
 #include "stats/streaming.h"
 #include "support/fault_sources.h"
 
@@ -119,6 +121,23 @@ TEST(ServiceCert, CertVerbReportsPerSourceAndMergedSnapshots) {
   EXPECT_EQ(kv_u64(stats, "pool_source_0_pass"), 1u);
   EXPECT_EQ(kv_u64(stats, "pool_source_1_pass"), 1u);
   EXPECT_GT(kv_u64(stats, "pool_source_0_bits"), 0u);
+}
+
+// An empty tracker has no entropy to claim, and claims +0: no CERT line
+// renders as "-0".
+TEST(ServiceCert, EmptyTrackerRendersNoNegativeZero) {
+  core::PoolCertSnapshot cert;
+  cert.producers.push_back(SourceTracker().snapshot());
+  cert.merged = SourceTracker().snapshot();
+  const auto kv = parse_kv(render_cert(cert));
+  std::size_t h_lines = 0;
+  for (const auto& [key, value] : kv) {
+    if (key.find("_h") == std::string::npos) continue;
+    ++h_lines;
+    EXPECT_NE(value.front(), '-') << key << " " << value;
+    EXPECT_FALSE(std::signbit(std::stod(value))) << key;
+  }
+  EXPECT_EQ(h_lines, 2u * 7u);  // h_live, mcv, markov and four window lines
 }
 
 TEST(ServiceCert, BiasFaultCrossesCertThresholdAtExactWindow) {

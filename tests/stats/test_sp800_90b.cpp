@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "stats/kernels.h"
 #include "stats/sp800_90b.h"
@@ -54,6 +55,14 @@ TEST(Mcv, DetectsBias) {
 
 TEST(Mcv, ConstantDataNearZero) {
   EXPECT_LT(mcv(BitStream(10000, true)).h_min, 0.01);
+}
+
+// p_max = 1 is zero entropy, and it must be +0: -log2(1) is -0, which a
+// report or a CERT line renders as "-0".
+TEST(Mcv, OneBitIsPositiveZeroEntropy) {
+  const EstimatorResult r = mcv(BitStream(1, true));
+  EXPECT_EQ(r.h_min, 0.0);
+  EXPECT_FALSE(std::signbit(r.h_min));
 }
 
 TEST(Collision, IdealDataConservativeButHigh) {
@@ -107,6 +116,13 @@ TEST(TTuple, DetectsBias) {
   EXPECT_LT(t_tuple(biased_bits(500000, 0.75, 11)).h_min, 0.55);
 }
 
+TEST(TTuple, AllOnesIsPositiveZeroEntropy) {
+  const EstimatorResult r = t_tuple(BitStream(4096, true));
+  EXPECT_EQ(r.p_max, 1.0);
+  EXPECT_EQ(r.h_min, 0.0);
+  EXPECT_FALSE(std::signbit(r.h_min));
+}
+
 TEST(TTuple, FlatTableAndRefinerMatchOracle) {
   // The kernel reads short lengths from one folded flat table and only the
   // lengths past it from the refiner: tiny streams (the table as long as
@@ -123,6 +139,24 @@ TEST(TTuple, FlatTableAndRefinerMatchOracle) {
   BitStream periodic;
   for (std::size_t i = 0; i < 5000; ++i) periodic.push_back(i % 7 < 3);
   expect_match(periodic);
+}
+
+// t-Tuple and LRS report the 99% upper bound on their p-hat (written out
+// here, not read from the shared scorer), then -log2 of it.
+TEST(TupleLrsBound, IsTheUpperConfidenceBoundOnPHat) {
+  const BitStream bits = biased_bits(30000, 0.7, 44);
+  const double n = static_cast<double>(bits.size());
+  for (const auto& [r, p_hat] :
+       {std::pair{t_tuple(bits), oracle::t_tuple_p_hat(bits)},
+        std::pair{lrs(bits), oracle::lrs_p_hat(bits)}}) {
+    ASSERT_GT(p_hat, 0.0) << r.name;
+    ASSERT_LT(p_hat, 1.0) << r.name;
+    const double half_width =
+        2.5758293035489004 * std::sqrt(p_hat * (1.0 - p_hat) / (n - 1.0));
+    const double p_u = p_hat + half_width;
+    EXPECT_DOUBLE_EQ(r.p_max, p_u) << r.name;
+    EXPECT_DOUBLE_EQ(r.h_min, -std::log2(p_u)) << r.name;
+  }
 }
 
 TEST(Lrs, IdealDataHigh) {
