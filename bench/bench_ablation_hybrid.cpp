@@ -37,6 +37,7 @@ support::BitStream generate_units(const core::HybridUnitParams& params,
 }  // namespace
 
 int main(int argc, char** argv) {
+  dhtrng::bench::accept_flags(argc, argv, {"bits", "units"});
   const auto bits = static_cast<std::size_t>(
       dhtrng::bench::flag(argc, argv, "bits", 300000));
   const auto units = static_cast<int>(dhtrng::bench::flag(argc, argv, "units", 4));

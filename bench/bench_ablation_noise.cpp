@@ -25,6 +25,7 @@ double h_overall(const dhtrng::support::BitStream& bits) {
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 150000));
 
   bench::header("Ablation - noise model mechanisms",

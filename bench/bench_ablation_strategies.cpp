@@ -37,6 +37,7 @@ double max_abs_acf(const support::BitStream& bits, std::size_t lags) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  dhtrng::bench::accept_flags(argc, argv, {"bits"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 400000));
 
   bench::header("Ablation - coupling and feedback strategies",

@@ -17,6 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 200000));
 
   bench::header("Extension - ML next-bit prediction attack",

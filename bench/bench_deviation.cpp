@@ -8,6 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits", "sets"});
   const auto sets = static_cast<std::size_t>(bench::flag(argc, argv, "sets", 10));
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 1000000));
 

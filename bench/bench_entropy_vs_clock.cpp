@@ -30,6 +30,7 @@ double h_min(const dhtrng::support::BitStream& bits) {
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 200000));
   const auto a7 = fpga::DeviceModel::artix7();
 

@@ -11,6 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"side"});
   const auto side = static_cast<std::size_t>(bench::flag(argc, argv, "side", 256));
 
   bench::header("Figure 7 - bitstream image", "DH-TRNG paper, Section 4.3");

@@ -11,6 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits", "lags"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 1000000));
   const auto lags = static_cast<std::size_t>(bench::flag(argc, argv, "lags", 100));
 

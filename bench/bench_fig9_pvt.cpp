@@ -25,6 +25,7 @@ double corner_min_entropy(const dhtrng::support::BitStream& bits) {
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 300000));
 
   bench::header("Figure 9 - PVT test", "DH-TRNG paper, Section 4.5");

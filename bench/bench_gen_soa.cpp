@@ -37,6 +37,10 @@
 #include "support/simd_noise.h"
 
 int main(int argc, char** argv) {
+  dhtrng::bench::accept_flags(argc, argv,
+                              {"bits", "reps", "seed", "out", "trajectory",
+                               "baseline", "max-regress-pct"},
+                              {"quick"});
   using dhtrng::bench::flag;
   using dhtrng::bench::flag_set;
   using dhtrng::bench::flag_str;

@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"us"});
   const double sim_us = static_cast<double>(bench::flag(argc, argv, "us", 4));
 
   bench::header("Model validation - gate-level oscillator jitter",

@@ -13,6 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"restarts"});
   const auto restarts = static_cast<std::size_t>(bench::flag(argc, argv, "restarts", 6));
 
   bench::header("Restart test", "DH-TRNG paper, Section 4.2");

@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 100000));
 
   bench::header("Extension - multi-core DH-TRNG scaling",

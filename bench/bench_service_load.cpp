@@ -296,6 +296,11 @@ PhaseResult run_phase(service::EntropyServer& server, std::size_t conns,
 }  // namespace
 
 int main(int argc, char** argv) {
+  dhtrng::bench::accept_flags(argc, argv,
+                              {"connections", "drivers", "request-bytes",
+                               "shards", "warmup-ms", "window-ms", "out",
+                               "trajectory", "baseline", "max-regress-pct"},
+                              {"quick"});
   using dhtrng::bench::flag;
   using dhtrng::bench::flag_set;
   using dhtrng::bench::flag_str;

@@ -120,6 +120,10 @@ struct CaseResult {
 }  // namespace
 
 int main(int argc, char** argv) {
+  dhtrng::bench::accept_flags(argc, argv,
+                              {"ns", "reps", "seed", "out", "trajectory",
+                               "baseline", "max-regress-pct"},
+                              {"quick"});
   using dhtrng::bench::flag;
   using dhtrng::bench::flag_set;
   using dhtrng::bench::flag_str;

@@ -77,6 +77,10 @@ double best_seconds(const F& fn, const BitStream& bits, int reps,
 }  // namespace
 
 int main(int argc, char** argv) {
+  dhtrng::bench::accept_flags(argc, argv,
+                              {"kbits", "reps", "seed", "out", "trajectory",
+                               "baseline", "max-regress-pct"},
+                              {"quick"});
   using dhtrng::bench::flag;
   using dhtrng::bench::flag_set;
   using dhtrng::bench::flag_str;

@@ -51,6 +51,10 @@
 #include "stats/streaming.h"
 
 int main(int argc, char** argv) {
+  dhtrng::bench::accept_flags(argc, argv,
+                              {"kbytes", "reps", "seed", "out", "trajectory",
+                               "baseline", "max-regress-pct"},
+                              {"quick"});
   using dhtrng::bench::flag;
   using dhtrng::bench::flag_set;
   using dhtrng::bench::flag_str;

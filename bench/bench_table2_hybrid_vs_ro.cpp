@@ -27,6 +27,7 @@ double measured_min_entropy(const dhtrng::support::BitStream& bits) {
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits", "seeds"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 200000));
   const auto seeds = static_cast<std::uint64_t>(bench::flag(argc, argv, "seeds", 4));
 

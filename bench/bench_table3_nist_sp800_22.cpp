@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits", "sets", "threads"});
   const auto sets = static_cast<std::size_t>(bench::flag(argc, argv, "sets", 4));
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 1000000));
   // --threads=0 -> hardware concurrency; sets are dispatched one per task,

@@ -9,6 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
+  bench::accept_flags(argc, argv, {"bits"});
   const auto bits = static_cast<std::size_t>(bench::flag(argc, argv, "bits", 1000000));
 
   bench::header("Table 4 - NIST SP 800-90B test",

@@ -12,8 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
-  (void)argc;
-  (void)argv;
+  bench::accept_flags(argc, argv, {});
 
   bench::header("Table 5 - AIS-31 test", "DH-TRNG paper, Table 5 (4.1.3)");
   std::printf("config: %zu bits per device (paper: 7,200,000)\n",

@@ -45,8 +45,7 @@ Row measure(dhtrng::core::TrngSource& trng, const std::string& name,
 
 int main(int argc, char** argv) {
   using namespace dhtrng;
-  (void)argc;
-  (void)argv;
+  bench::accept_flags(argc, argv, {});
 
   bench::header("Table 6 / Figure 1(b) - comparison with prior art",
                 "DH-TRNG paper, Table 6 (Section 4.6), all on Artix-7");

@@ -6,6 +6,7 @@
 // paper-vs-measured record summarized in EXPERIMENTS.md.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,14 +14,50 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "fpga/device.h"
 
 namespace dhtrng::bench {
+
+/// Exit with status 2 before the bench does any work unless every
+/// argument is "--name=value" for a name in `values` or "--name" for a
+/// name in `switches`.  The readers below ignore what they are not asked
+/// for, so without this a `--help` would run the full bench and a
+/// misspelt `--baseline` would skip the ratio gate.
+using FlagNames = std::initializer_list<std::string_view>;
+inline void accept_flags(int argc, char** argv, FlagNames values,
+                         FlagNames switches = {}) {
+  const auto listed = [](FlagNames names, std::string_view name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--")) {
+      const std::string_view body = arg.substr(2);
+      const std::size_t eq = body.find('=');
+      if (eq == std::string_view::npos ? listed(switches, body)
+                                       : listed(values, body.substr(0, eq))) {
+        continue;
+      }
+    }
+    std::fprintf(stderr, "%s: unknown argument '%s'; accepted:", argv[0],
+                 argv[i]);
+    for (const std::string_view v : values) {
+      std::fprintf(stderr, " --%.*s=", static_cast<int>(v.size()), v.data());
+    }
+    for (const std::string_view v : switches) {
+      std::fprintf(stderr, " --%.*s", static_cast<int>(v.size()), v.data());
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+}
 
 /// Parse "--name=value" (integer) from argv, else return fallback.
 inline long long flag(int argc, char** argv, const char* name,

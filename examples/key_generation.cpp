@@ -82,12 +82,12 @@ int main(int argc, char** argv) {
     print_hex("  GCM nonce   : ", nonce);
   }
 
+  const core::PoolHealthSnapshot health = pool.snapshot();
   std::printf("\n%zu producers, %zu healthy at exit; %zu source quarantine "
               "event(s)\n",
-              pool.producers(), pool.healthy_producers(),
-              pool.quarantine_events());
+              health.producers, health.healthy, health.quarantines);
   std::printf("%zu blocks screened, %zu rejected; %zu bytes drawn from the "
               "pool in total\n",
-              blocks_tested, blocks_rejected, pool.bytes_produced());
+              blocks_tested, blocks_rejected, health.bytes_produced);
   return 0;
 }

@@ -168,28 +168,8 @@ void EntropyPool::stop() {
   }
 }
 
-std::size_t EntropyPool::healthy_producers() const {
-  std::size_t healthy = 0;
-  for (const auto& st : states_) {
-    if (!st->retired.load(std::memory_order_acquire)) ++healthy;
-  }
-  return healthy;
-}
-
-std::size_t EntropyPool::retired_producers() const {
-  return retired_count_.load(std::memory_order_acquire);
-}
-
-bool EntropyPool::exhausted() const {
-  return retired_producers() == states_.size();
-}
-
 std::uint64_t EntropyPool::quarantine_events() const {
   return quarantines_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t EntropyPool::reseed_events() const {
-  return reseeds_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t EntropyPool::bytes_produced() const {
@@ -216,10 +196,10 @@ PoolCertSnapshot EntropyPool::cert_snapshot() const {
 PoolHealthSnapshot EntropyPool::snapshot() const {
   PoolHealthSnapshot snap;
   snap.producers = states_.size();
-  snap.retired = retired_producers();
+  snap.retired = retired_count_.load(std::memory_order_acquire);
   snap.healthy = snap.producers - snap.retired;
   snap.quarantines = quarantine_events();
-  snap.reseeds = reseed_events();
+  snap.reseeds = reseeds_.load(std::memory_order_relaxed);
   snap.bytes_produced = bytes_produced();
   snap.exhausted = snap.retired == snap.producers;
   return snap;

@@ -140,22 +140,13 @@ class EntropyPool {
   /// calls it).  After stop(), get_bytes() drains the buffer then throws.
   void stop();
 
-  std::size_t producers() const { return states_.size(); }
-  /// Producers not permanently retired.
-  std::size_t healthy_producers() const;
-  /// Producers permanently retired.
-  std::size_t retired_producers() const;
-  /// True once every producer has been retired (get_bytes() will throw as
-  /// soon as the buffered remainder drains).
-  bool exhausted() const;
   /// Total health alarms observed (each triggers a quarantine + reseed,
   /// or the retirement once `max_reseeds` is exceeded).
   std::uint64_t quarantine_events() const;
-  /// Quarantines that ended in a rebuild (quarantines minus retirements).
-  std::uint64_t reseed_events() const;
   /// Bytes that passed the health gate into the buffer.
   std::uint64_t bytes_produced() const;
-  /// All of the above in one struct (see PoolHealthSnapshot).
+  /// Producer counts (total, healthy, retired, exhausted) and the
+  /// failure-policy counters in one struct (see PoolHealthSnapshot).
   PoolHealthSnapshot snapshot() const;
   /// Per-producer + merged streaming-certification snapshots.
   PoolCertSnapshot cert_snapshot() const;

@@ -40,7 +40,6 @@ EntropyServer::EntropyServer(EntropyServerConfig config,
       pool_(config_.pool, std::move(factory)),
       global_bucket_(config_.global_rate_bytes_per_s,
                      config_.global_burst_bytes, config_.clock) {
-  if (config_.degraded_after_retired == 0) config_.degraded_after_retired = 1;
   // HmacDrbg rejects a zero interval, and a shard keys its DRBG lazily.
   if (config_.drbg.reseed_interval == 0) config_.drbg.reseed_interval = 1;
   const std::size_t nshards = std::max<std::size_t>(1, config_.shards);
@@ -80,24 +79,6 @@ EntropyServer::EntropyServer(EntropyServerConfig config,
   }
 }
 
-std::unique_ptr<EntropyServer> EntropyServer::of_dhtrng(
-    EntropyServerConfig config, core::DhTrngConfig core) {
-  // Only the gate-level backend honours noise_mode; the phase-domain Fast
-  // backend always draws its exact-grade stream.
-  config.noise_mode_label = core.backend == core::Backend::GateLevel &&
-                                    core.noise_mode == noise::NoiseMode::Fast
-                                ? "fast"
-                                : "exact";
-  return std::make_unique<EntropyServer>(
-      std::move(config),
-      [core](std::size_t, std::uint64_t seed)
-          -> std::unique_ptr<core::TrngSource> {
-        core::DhTrngConfig per_producer = core;
-        per_producer.seed = seed;
-        return std::make_unique<core::DhTrng>(per_producer);
-      });
-}
-
 EntropyServer::~EntropyServer() { stop(); }
 
 void EntropyServer::stop() {
@@ -125,10 +106,7 @@ void EntropyServer::stop() {
 ServiceState EntropyServer::state() const {
   const core::PoolHealthSnapshot snap = pool_.snapshot();
   if (snap.healthy == 0) return ServiceState::Exhausted;
-  if (snap.retired >= config_.degraded_after_retired) {
-    return ServiceState::Degraded;
-  }
-  return ServiceState::Healthy;
+  return snap.retired > 0 ? ServiceState::Degraded : ServiceState::Healthy;
 }
 
 bool EntropyServer::using_epoll() const {
@@ -455,10 +433,10 @@ void EntropyServer::serve_payload(Shard& shard, Connection& conn,
     metrics_.stats_requests.fetch_add(1, std::memory_order_relaxed);
     const core::PoolCertSnapshot cert = pool_.cert_snapshot();
     text = render_stats(metrics_, state(), pool_.snapshot(), &cert,
-                        config_.cert, config_.noise_mode_label);
+                        config_.noise_mode_label);
   } else {  // Opcode::Cert
     metrics_.cert_requests.fetch_add(1, std::memory_order_relaxed);
-    text = render_cert(pool_.cert_snapshot(), config_.cert);
+    text = render_cert(pool_.cert_snapshot());
   }
   enqueue_frame(shard, conn,
                 encode_response_frame(
@@ -501,11 +479,12 @@ bool EntropyServer::finish_get(Shard& shard, Connection& conn) {
                       : "entropy pool exhausted mid-request");
     return true;
   }
-  metrics_.count_served(get.quality, get.out.size(), get.degraded);
-  enqueue_frame(shard, conn,
-                encode_response_frame(Status::Ok,
-                                      get.degraded ? kFlagDegraded : 0,
-                                      get.out));
+  if (enqueue_frame(shard, conn,
+                    encode_response_frame(Status::Ok,
+                                          get.degraded ? kFlagDegraded : 0,
+                                          get.out))) {
+    metrics_.count_served(get.quality, get.out.size(), get.degraded);
+  }
   get = PendingDraw{};
   return true;
 }
@@ -534,18 +513,19 @@ void EntropyServer::resume_parked(Shard& shard) {
 
 void EntropyServer::enqueue_error(Shard& shard, Connection& conn,
                                   Status status, const std::string& detail) {
-  metrics_.count_error(status);
-  enqueue_frame(shard, conn, encode_error_frame(status, detail));
+  if (enqueue_frame(shard, conn, encode_error_frame(status, detail))) {
+    metrics_.count_error(status);
+  }
 }
 
-void EntropyServer::enqueue_frame(Shard& shard, Connection& conn,
+bool EntropyServer::enqueue_frame(Shard& shard, Connection& conn,
                                   std::vector<std::uint8_t> frame) {
-  if (!conn.sock.valid()) return;
+  if (!conn.sock.valid()) return false;
   if (conn.write_bytes + frame.size() > config_.max_write_queue_bytes) {
     // The peer stopped reading: bounded back-pressure means we refuse to
     // buffer further.  Drop this frame, append one small structured Busy
     // (a constant-size overshoot of the cap) and close once it flushes.
-    if (conn.close_after_flush) return;  // overflow already answered
+    if (conn.close_after_flush) return false;  // overflow already answered
     metrics_.write_queue_overflows.fetch_add(1, std::memory_order_relaxed);
     metrics_.count_error(Status::Busy);
     auto busy = encode_error_frame(Status::Busy, "write queue overflow");
@@ -554,10 +534,11 @@ void EntropyServer::enqueue_frame(Shard& shard, Connection& conn,
     conn.close_after_flush = true;
     conn.read_closed = true;
     update_interest(shard, conn);
-    return;
+    return false;
   }
   conn.write_bytes += frame.size();
   conn.write_q.push_back(std::move(frame));
+  return true;
 }
 
 void EntropyServer::flush_writes(Shard& shard, Connection& conn) {
@@ -652,12 +633,13 @@ void EntropyServer::push_subscription(Shard& shard, Connection& conn) {
   }
 
   const auto end_stream = [&](Status status, const char* detail) {
-    metrics_.count_error(status);
-    enqueue_frame(shard, conn,
-                  encode_response_frame(
-                      status, kFlagPush,
-                      std::vector<std::uint8_t>(detail,
-                                                detail + std::strlen(detail))));
+    if (enqueue_frame(shard, conn,
+                      encode_response_frame(
+                          status, kFlagPush,
+                          std::vector<std::uint8_t>(
+                              detail, detail + std::strlen(detail))))) {
+      metrics_.count_error(status);
+    }
     end_subscription(conn);
     conn.close_after_flush = true;
     conn.read_closed = true;

@@ -43,14 +43,14 @@
 // Failure policy (the SP 800-90B section 4.3 deployment behaviour, wired
 // to core::EntropyPool's quarantine/reseed/retire state machine):
 //
-//   HEALTHY    fewer than `degraded_after_retired` producers retired —
-//              every quality is served from live pool output.
-//   DEGRADED   at least `degraded_after_retired` producers retired but
-//              survivors remain — all qualities transparently fall back
-//              to the shard's HMAC_DRBG (re-keyed from the surviving
-//              producers' pool bytes after every pool quarantine) and
-//              every response is flagged kFlagDegraded so the client can
-//              apply its own policy.
+//   HEALTHY    no producer retired — every quality is served from live
+//              pool output.
+//   DEGRADED   at least one producer retired but survivors remain —
+//              all qualities transparently fall back to the shard's
+//              HMAC_DRBG (re-keyed from the surviving producers' pool
+//              bytes after every pool quarantine) and every response is
+//              flagged kFlagDegraded so the client can apply its own
+//              policy.
 //   EXHAUSTED  every producer retired — the service fails closed: GET
 //              returns a structured Status::Exhausted error and a live
 //              subscription ends with one kFlagPush-flagged Exhausted
@@ -58,6 +58,10 @@
 //              its last seed, and even if health-gated bytes remain
 //              buffered) instead of hanging or serving entropy with no
 //              live noise source behind it.
+//
+// The ladder is fixed: no setting moves the DEGRADED edge off the first
+// retirement, and the CERT/STATS pass verdicts use the fixed floors
+// stats::streaming::kAlpha and kMinEntropy (see service/metrics.h).
 //
 // Backpressure: per-request byte cap (`max_request_bytes`), a global and
 // a per-connection token bucket (Status::RateLimited, all-or-nothing so
@@ -79,7 +83,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/dhtrng.h"
 #include "core/drbg.h"
 #include "core/entropy_pool.h"
 #include "service/frame_assembler.h"
@@ -115,18 +118,10 @@ struct EntropyServerConfig {
   std::uint64_t per_conn_rate_bytes_per_s = 0;
   std::uint64_t per_conn_burst_bytes = 1 << 16;
 
-  /// Retired producers at or above which the ladder reads DEGRADED.
-  std::size_t degraded_after_retired = 1;
-
-  /// Decision thresholds applied to the streaming-certification
-  /// snapshots in CERT/STATS output.
-  stats::streaming::Thresholds cert;
-
   /// Noise fidelity label reported as `noise_mode` in STATS output
   /// ("exact" or "fast").  Purely informational — the actual mode lives
-  /// in the producer configs the SourceFactory captures; of_dhtrng sets
-  /// this automatically: "fast" only for a GateLevel DhTrngConfig with
-  /// NoiseMode::Fast, since the phase-domain backend ignores the mode.
+  /// in the producer configs the SourceFactory captures, so whoever
+  /// builds the factory sets the label to match.
   std::string noise_mode_label = "exact";
 
   /// Parameters of each shard's DRBG, which serves the Drbg quality and
@@ -158,10 +153,6 @@ class EntropyServer {
   /// fault-injection tests drive the degradation ladder through it.
   EntropyServer(EntropyServerConfig config,
                 core::EntropyPool::SourceFactory factory);
-
-  /// Convenience: a server over a pool of DhTrng producers.
-  static std::unique_ptr<EntropyServer> of_dhtrng(EntropyServerConfig config,
-                                                  core::DhTrngConfig core = {});
 
   ~EntropyServer();
 
@@ -314,7 +305,10 @@ class EntropyServer {
   void update_interest(Shard& shard, Connection& conn);
   void enqueue_error(Shard& shard, Connection& conn, Status status,
                      const std::string& detail);
-  void enqueue_frame(Shard& shard, Connection& conn,
+  /// Queues `frame`; false when it was dropped because the write queue
+  /// is full (the connection then gets one Busy frame and closes), so
+  /// callers count only what is queued.
+  bool enqueue_frame(Shard& shard, Connection& conn,
                      std::vector<std::uint8_t> frame);
   /// Batched non-blocking flush; closes the connection on write error or
   /// once drained with close_after_flush set.

@@ -13,11 +13,10 @@ namespace {
 /// Emit every field of one streaming snapshot as "<prefix>_key value"
 /// lines (shared between the merged and per-producer sections).
 void render_snapshot_lines(std::ostream& out, const std::string& prefix,
-                           const stats::streaming::Snapshot& s,
-                           const stats::streaming::Thresholds& t) {
+                           const stats::streaming::Snapshot& s) {
   out << prefix << "_bits " << s.bits << '\n'
       << prefix << "_ones " << s.ones << '\n'
-      << prefix << "_pass " << (s.pass(t) ? 1 : 0) << '\n'
+      << prefix << "_pass " << (s.pass() ? 1 : 0) << '\n'
       << prefix << "_h_live " << s.live_min_entropy() << '\n'
       << prefix << "_frequency_p " << s.frequency_p << '\n'
       << prefix << "_block_frequency_p " << s.block_frequency_p << '\n'
@@ -92,7 +91,6 @@ void Metrics::count_error(Status status) {
 std::string render_stats(const Metrics& m, ServiceState state,
                          const core::PoolHealthSnapshot& pool,
                          const core::PoolCertSnapshot* cert,
-                         const stats::streaming::Thresholds& thresholds,
                          const std::string& noise_mode_label) {
   const auto v = [](const std::atomic<std::uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
@@ -149,13 +147,12 @@ std::string render_stats(const Metrics& m, ServiceState state,
       << "pool_exhausted " << (pool.exhausted ? 1 : 0) << '\n';
   if (cert != nullptr) {
     out << std::setprecision(std::numeric_limits<double>::max_digits10);
-    out << "cert_pass " << (cert->merged.pass(thresholds) ? 1 : 0) << '\n'
+    out << "cert_pass " << (cert->merged.pass() ? 1 : 0) << '\n'
         << "cert_h_live " << cert->merged.live_min_entropy() << '\n';
     for (std::size_t i = 0; i < cert->producers.size(); ++i) {
       const auto& s = cert->producers[i];
       out << "pool_source_" << i << "_bits " << s.bits << '\n'
-          << "pool_source_" << i << "_pass " << (s.pass(thresholds) ? 1 : 0)
-          << '\n'
+          << "pool_source_" << i << "_pass " << (s.pass() ? 1 : 0) << '\n'
           << "pool_source_" << i << "_h_live " << s.live_min_entropy()
           << '\n';
     }
@@ -163,19 +160,18 @@ std::string render_stats(const Metrics& m, ServiceState state,
   return out.str();
 }
 
-std::string render_cert(const core::PoolCertSnapshot& cert,
-                        const stats::streaming::Thresholds& thresholds) {
+std::string render_cert(const core::PoolCertSnapshot& cert) {
   std::ostringstream out;
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
   out << "cert_sources " << cert.producers.size() << '\n'
       << "cert_block_len " << cert.tracker.block_len << '\n'
       << "cert_window_bits " << cert.tracker.window_bits << '\n'
-      << "cert_alpha " << thresholds.alpha << '\n'
-      << "cert_min_entropy " << thresholds.min_entropy << '\n';
-  render_snapshot_lines(out, "merged", cert.merged, thresholds);
+      << "cert_alpha " << stats::streaming::kAlpha << '\n'
+      << "cert_min_entropy " << stats::streaming::kMinEntropy << '\n';
+  render_snapshot_lines(out, "merged", cert.merged);
   for (std::size_t i = 0; i < cert.producers.size(); ++i) {
     render_snapshot_lines(out, "source_" + std::to_string(i),
-                          cert.producers[i], thresholds);
+                          cert.producers[i]);
   }
   return out.str();
 }

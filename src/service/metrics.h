@@ -17,7 +17,15 @@
 //    pool_doorbell_wakeups counts doorbell rings — a producer publishing
 //    enough to cover a shard's armed shortfall (or finding the pool full,
 //    or the pool closing).  With one shard, one parked GET and a block
-//    that covers it, both read exactly 1.
+//    that covers it, both read exactly 1;
+//  * write_queue_overflows counts connections closed after one Busy
+//    "write queue overflow" frame because the peer stopped reading; the
+//    reply that overflowed is dropped and counts only as that Busy.
+//
+// Every `_pass` line (cert_pass, pool_source_<i>_pass and the CERT
+// dump's) is streaming::Snapshot::pass() against the fixed floors
+// stats::streaming::kAlpha and kMinEntropy, which CERT echoes as
+// cert_alpha and cert_min_entropy.
 #pragma once
 
 #include <atomic>
@@ -108,14 +116,12 @@ struct Metrics {
 std::string render_stats(const Metrics& metrics, ServiceState state,
                          const core::PoolHealthSnapshot& pool,
                          const core::PoolCertSnapshot* cert = nullptr,
-                         const stats::streaming::Thresholds& thresholds = {},
                          const std::string& noise_mode_label = "exact");
 
 /// Plaintext CERT dump: the full per-producer + merged streaming
 /// certification snapshots, same "key value" line format as STATS.
 /// Doubles are printed with max_digits10 precision so test oracles can
 /// compare them bit-exactly after a stod round trip.
-std::string render_cert(const core::PoolCertSnapshot& cert,
-                        const stats::streaming::Thresholds& thresholds = {});
+std::string render_cert(const core::PoolCertSnapshot& cert);
 
 }  // namespace dhtrng::service

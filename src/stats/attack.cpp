@@ -8,15 +8,21 @@ namespace dhtrng::stats {
 
 namespace {
 
+constexpr std::size_t kWindow = 24;  ///< history bits used as features
+/// Pairwise-XOR features b[i]^b[i+1], ...
+constexpr std::size_t kInteractions = 12;
+constexpr double kLearningRate = 0.01;
+/// Head of the stream used for training.
+constexpr double kTrainFraction = 0.6;
+
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 }  // namespace
 
-AttackResult logistic_attack(const support::BitStream& bits,
-                             AttackConfig config) {
-  const std::size_t w = config.window;
-  const std::size_t k = std::min(config.interactions, w > 0 ? w - 1 : 0);
-  if (bits.size() < 4 * w || w == 0) {
+AttackResult logistic_attack(const support::BitStream& bits) {
+  constexpr std::size_t w = kWindow;
+  constexpr std::size_t k = std::min(kInteractions, w - 1);
+  if (bits.size() < 4 * w) {
     throw std::invalid_argument("logistic_attack: stream too short");
   }
   const std::size_t features = w + k;
@@ -28,7 +34,7 @@ AttackResult logistic_attack(const support::BitStream& bits,
   const std::size_t total = bits.size() - first;
   const std::size_t train_end =
       first + static_cast<std::size_t>(
-                  static_cast<double>(total) * config.train_fraction);
+                  static_cast<double>(total) * kTrainFraction);
 
   AttackResult result;
   std::vector<double> x(features);
@@ -55,9 +61,9 @@ AttackResult logistic_attack(const support::BitStream& bits,
     const double y = bits[i] ? 1.0 : 0.0;
     if ((p >= 0.5) == bits[i]) ++train_hits;
     const double grad = y - p;
-    bias += config.learning_rate * grad;
+    bias += kLearningRate * grad;
     for (std::size_t f = 0; f < features; ++f) {
-      weights[f] += config.learning_rate * grad * x[f];
+      weights[f] += kLearningRate * grad * x[f];
     }
   }
 

@@ -23,13 +23,6 @@
 
 namespace dhtrng::stats {
 
-struct AttackConfig {
-  std::size_t window = 24;        ///< history bits used as features
-  std::size_t interactions = 12;  ///< pairwise-XOR features b[i]^b[i+1]..
-  double learning_rate = 0.01;
-  double train_fraction = 0.6;    ///< head of the stream used for training
-};
-
 struct AttackResult {
   std::size_t train_bits = 0;
   std::size_t test_bits = 0;
@@ -43,8 +36,8 @@ struct AttackResult {
   }
 };
 
-/// Train on the head of `bits`, score on the tail.
-AttackResult logistic_attack(const support::BitStream& bits,
-                             AttackConfig config = {});
+/// Train on the first 60 % of `bits` after a 24-bit history window,
+/// score on the rest.
+AttackResult logistic_attack(const support::BitStream& bits);
 
 }  // namespace dhtrng::stats

@@ -27,7 +27,6 @@ struct TestResult {
   std::string name;
   std::vector<double> p_values;  ///< one per sub-test
   bool applicable = true;        ///< random-excursions tests may not apply
-  double wall_s = 0.0;           ///< wall time of this test (set by run_all)
 
   /// Representative p-value: the average over sub-tests (the paper's *
   /// convention; identical to the single p-value for simple tests).
@@ -63,12 +62,9 @@ TestResult linear_complexity(const BitStream& bits,
 std::vector<TestResult> run_all(const BitStream& bits);
 
 /// Aperiodic templates of the given length (the non-overlapping template
-/// test's template set; 148 templates for length 9).
-std::vector<std::vector<bool>> aperiodic_templates(std::size_t len);
-
-/// Cached variant: enumerated once per length, then served from a
-/// process-wide table (thread-safe).  The returned reference stays valid
-/// for the process lifetime.
+/// test's template set; 148 templates for length 9), enumerated once per
+/// length, then served from a process-wide table (thread-safe).  The
+/// returned reference stays valid for the process lifetime.
 const std::vector<std::vector<bool>>& aperiodic_templates_cached(
     std::size_t len);
 
@@ -78,7 +74,6 @@ struct SuiteRow {
   double p_value = 0.0;      ///< uniformity p-value (averaged over sub-tests)
   std::size_t passed = 0;    ///< sets passing the whole test
   std::size_t total = 0;     ///< applicable sets
-  double wall_s = 0.0;       ///< total wall time of this test across sets
 };
 
 /// `n_threads` parallelizes over the independent sets (the dominant cost

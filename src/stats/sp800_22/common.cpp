@@ -1,6 +1,5 @@
 #include "stats/sp800_22.h"
 
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -79,34 +78,23 @@ const std::vector<std::vector<bool>>& aperiodic_templates_cached(
   return it->second;  // map nodes are stable; safe to hand out
 }
 
-std::vector<std::vector<bool>> aperiodic_templates(std::size_t len) {
-  return aperiodic_templates_cached(len);
-}
-
 std::vector<TestResult> run_all(const BitStream& bits) {
-  using Clock = std::chrono::steady_clock;
-  const auto timed = [&](TestResult (*test)(const BitStream&)) {
-    const auto t0 = Clock::now();
-    TestResult r = test(bits);
-    r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    return r;
-  };
   return {
-      timed([](const BitStream& b) { return frequency(b); }),
-      timed([](const BitStream& b) { return block_frequency(b); }),
-      timed([](const BitStream& b) { return cumulative_sums(b); }),
-      timed([](const BitStream& b) { return runs(b); }),
-      timed([](const BitStream& b) { return longest_run(b); }),
-      timed([](const BitStream& b) { return rank(b); }),
-      timed([](const BitStream& b) { return dft(b); }),
-      timed([](const BitStream& b) { return non_overlapping_template(b); }),
-      timed([](const BitStream& b) { return overlapping_template(b); }),
-      timed([](const BitStream& b) { return universal(b); }),
-      timed([](const BitStream& b) { return approximate_entropy(b); }),
-      timed([](const BitStream& b) { return random_excursions(b); }),
-      timed([](const BitStream& b) { return random_excursions_variant(b); }),
-      timed([](const BitStream& b) { return serial(b); }),
-      timed([](const BitStream& b) { return linear_complexity(b); }),
+      frequency(bits),
+      block_frequency(bits),
+      cumulative_sums(bits),
+      runs(bits),
+      longest_run(bits),
+      rank(bits),
+      dft(bits),
+      non_overlapping_template(bits),
+      overlapping_template(bits),
+      universal(bits),
+      approximate_entropy(bits),
+      random_excursions(bits),
+      random_excursions_variant(bits),
+      serial(bits),
+      linear_complexity(bits),
   };
 }
 
@@ -158,7 +146,6 @@ std::vector<SuiteRow> run_suite(std::span<const BitStream> sets,
                       ? uniformity_sum / static_cast<double>(uniformity_cols)
                       : 0.0;
     for (const auto& results : by_set) {
-      row.wall_s += results[t].wall_s;
       if (!results[t].applicable) continue;
       ++row.total;
       if (results[t].pass(alpha)) ++row.passed;

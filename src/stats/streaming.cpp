@@ -40,20 +40,19 @@ double Snapshot::live_min_entropy() const {
   return 0.0;
 }
 
-bool Snapshot::pass(const Thresholds& t) const {
-  if (frequency_valid && frequency_p < t.alpha) return false;
-  if (block_frequency_valid && block_frequency_p < t.alpha) return false;
-  if (runs_valid && runs_p < t.alpha) return false;
-  if (cusum_valid && (cusum_fwd_p < t.alpha || cusum_bwd_p < t.alpha)) {
+bool Snapshot::pass() const {
+  if (frequency_valid && frequency_p < kAlpha) return false;
+  if (block_frequency_valid && block_frequency_p < kAlpha) return false;
+  if (runs_valid && runs_p < kAlpha) return false;
+  if (cusum_valid && (cusum_fwd_p < kAlpha || cusum_bwd_p < kAlpha)) {
     return false;
   }
   if (windows > 0) {
-    if (window_mcv_h_last < t.min_entropy ||
-        window_markov_h_last < t.min_entropy) {
+    if (window_mcv_h_last < kMinEntropy ||
+        window_markov_h_last < kMinEntropy) {
       return false;
     }
-  } else if (mcv_valid &&
-             (mcv_h < t.min_entropy || markov_h < t.min_entropy)) {
+  } else if (mcv_valid && (mcv_h < kMinEntropy || markov_h < kMinEntropy)) {
     return false;
   }
   return true;

@@ -58,15 +58,14 @@ struct TrackerConfig {
   std::size_t window_bits = 1024;
 };
 
-/// Decision thresholds for Snapshot::pass().  The default alpha is far
-/// below SP 800-22's offline 0.01: an online monitor evaluates the same
-/// growing stream at every snapshot, so the per-kernel false-alarm rate
-/// has to sit near the AIS-31 online-test regime rather than the
-/// one-shot-test regime.
-struct Thresholds {
-  double alpha = 1e-6;       ///< SP 800-22 p-value floor
-  double min_entropy = 0.5;  ///< windowed 90B h_min floor (per bit)
-};
+/// Decision thresholds for Snapshot::pass().  kAlpha is far below
+/// SP 800-22's offline 0.01: an online monitor evaluates the same growing
+/// stream at every snapshot, so the per-kernel false-alarm rate has to
+/// sit near the AIS-31 online-test regime rather than the one-shot-test
+/// regime.
+inline constexpr double kAlpha = 1e-6;  ///< SP 800-22 p-value floor
+/// Windowed 90B h_min floor (per bit): the CERT floor.
+inline constexpr double kMinEntropy = 0.5;
 
 /// One coherent view of a tracker's state: the integer sufficient
 /// statistics (pinned by the KAT tests) plus the derived p-values and
@@ -119,11 +118,11 @@ struct Snapshot {
   /// estimates, else 0 entropy claimed (no data).
   double live_min_entropy() const;
 
-  /// Online pass/fail: every valid SP 800-22 p-value >= alpha and the
+  /// Online pass/fail: every valid SP 800-22 p-value >= kAlpha and the
   /// last-window 90B estimates (the AIS-31 "current window" decision)
-  /// >= min_entropy.  Trackers with no completed window fall back to the
+  /// >= kMinEntropy.  Trackers with no completed window fall back to the
   /// cumulative estimates once they are valid.
-  bool pass(const Thresholds& t = {}) const;
+  bool pass() const;
 };
 
 /// Incremental certification state for one bit stream, fed whole bytes

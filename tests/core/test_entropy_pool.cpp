@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -22,32 +21,15 @@ using testsupport::BiasedSource;
 using testsupport::IdealSource;
 using testsupport::IntermittentDropoutSource;
 using testsupport::StuckSource;
-
-/// Polls `done` with a bounded grace window (producer threads advance on
-/// their own schedule; the fault schedules themselves are bit-exact).
-template <typename Predicate>
-bool eventually(Predicate done, int timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-EntropyPool::SourceFactory ideal_factory() {
-  return [](std::size_t, std::uint64_t seed) {
-    return std::make_unique<IdealSource>(seed);
-  };
-}
+using testsupport::eventually;
+using testsupport::ideal_factory;
 
 TEST(EntropyPool, ServesRequestedBytes) {
   EntropyPool pool({.producers = 3, .buffer_bytes = 1024, .block_bits = 256},
                    ideal_factory());
   const auto bytes = pool.get_bytes(512);
   EXPECT_EQ(bytes.size(), 512u);
-  EXPECT_EQ(pool.healthy_producers(), 3u);
+  EXPECT_EQ(pool.snapshot().healthy, 3u);
   EXPECT_EQ(pool.quarantine_events(), 0u);
 }
 
@@ -186,7 +168,7 @@ TEST(EntropyPool, QuarantinesAndReseedsFailingProducer) {
   }));
   EXPECT_GE(pool.quarantine_events(), 1u);
   EXPECT_GE(builds_of_producer0.load(), 2);  // initial + >= 1 reseed
-  EXPECT_EQ(pool.healthy_producers(), 2u);
+  EXPECT_EQ(pool.snapshot().healthy, 2u);
 }
 
 TEST(EntropyPool, StuckProducerNeverContaminatesOutput) {
@@ -208,7 +190,7 @@ TEST(EntropyPool, StuckProducerNeverContaminatesOutput) {
   // A stuck block is 32 all-zero bytes; an ideal stream of 16 KiB has
   // ~2e-9 probability of even 4 consecutive zero bytes.
   EXPECT_LT(worst_run, 4u);
-  EXPECT_EQ(pool.healthy_producers(), 1u);  // the stuck one retired
+  EXPECT_EQ(pool.snapshot().healthy, 1u);  // the stuck one retired
   EXPECT_GE(pool.quarantine_events(), 1u);
 }
 
@@ -222,7 +204,7 @@ TEST(EntropyPool, RefusesOnlyWhenAllProducersUnhealthy) {
         return std::make_unique<StuckSource>(seed, 0);
       });
   EXPECT_THROW(pool.get_bytes(64), EntropyExhausted);
-  EXPECT_EQ(pool.healthy_producers(), 0u);
+  EXPECT_EQ(pool.snapshot().healthy, 0u);
   EXPECT_EQ(pool.bytes_produced(), 0u);
 }
 
@@ -276,10 +258,10 @@ TEST(EntropyPool, ReseedCuresProducerAtMaxReseedsBoundary) {
            pool.quarantine_events() >= kMaxReseeds;
   }));
   EXPECT_EQ(pool.quarantine_events(), kMaxReseeds);
-  EXPECT_EQ(pool.reseed_events(), kMaxReseeds);
-  EXPECT_EQ(pool.retired_producers(), 0u);
-  EXPECT_EQ(pool.healthy_producers(), 2u);
-  EXPECT_FALSE(pool.exhausted());
+  EXPECT_EQ(pool.snapshot().reseeds, kMaxReseeds);
+  EXPECT_EQ(pool.snapshot().retired, 0u);
+  EXPECT_EQ(pool.snapshot().healthy, 2u);
+  EXPECT_FALSE(pool.snapshot().exhausted);
   EXPECT_EQ(pool.get_bytes(512).size(), 512u);  // still serving
 }
 
@@ -294,11 +276,11 @@ TEST(EntropyPool, RetiresProducerOneAlarmPastMaxReseeds) {
         if (index == 0) return std::make_unique<StuckSource>(seed, 0);
         return std::make_unique<IdealSource>(seed);
       });
-  ASSERT_TRUE(eventually([&] { return pool.retired_producers() == 1; }));
+  ASSERT_TRUE(eventually([&] { return pool.snapshot().retired == 1; }));
   EXPECT_EQ(pool.quarantine_events(), kMaxReseeds + 1);
-  EXPECT_EQ(pool.reseed_events(), kMaxReseeds);
-  EXPECT_EQ(pool.healthy_producers(), 1u);
-  EXPECT_FALSE(pool.exhausted());
+  EXPECT_EQ(pool.snapshot().reseeds, kMaxReseeds);
+  EXPECT_EQ(pool.snapshot().healthy, 1u);
+  EXPECT_FALSE(pool.snapshot().exhausted);
   const PoolHealthSnapshot snap = pool.snapshot();
   EXPECT_EQ(snap.producers, 2u);
   EXPECT_EQ(snap.retired, 1u);
@@ -323,9 +305,9 @@ TEST(EntropyPool, IntermittentDropoutQuarantinesWithoutRetiring) {
       });
   ASSERT_TRUE(eventually([&] { return pool.quarantine_events() >= 1; }));
   EXPECT_EQ(pool.quarantine_events(), 1u);
-  EXPECT_EQ(pool.reseed_events(), 1u);
-  EXPECT_EQ(pool.retired_producers(), 0u);
-  EXPECT_EQ(pool.healthy_producers(), 2u);
+  EXPECT_EQ(pool.snapshot().reseeds, 1u);
+  EXPECT_EQ(pool.snapshot().retired, 0u);
+  EXPECT_EQ(pool.snapshot().healthy, 2u);
   EXPECT_EQ(pool.get_bytes(512).size(), 512u);
 }
 
@@ -340,9 +322,9 @@ TEST(EntropyPool, BiasedProducerIsCaughtAndRetired) {
         if (index == 0) return std::make_unique<BiasedSource>(seed, 0, 0.95);
         return std::make_unique<IdealSource>(seed);
       });
-  ASSERT_TRUE(eventually([&] { return pool.retired_producers() == 1; }));
+  ASSERT_TRUE(eventually([&] { return pool.snapshot().retired == 1; }));
   EXPECT_GE(pool.quarantine_events(), 3u);
-  EXPECT_EQ(pool.healthy_producers(), 1u);
+  EXPECT_EQ(pool.snapshot().healthy, 1u);
   EXPECT_EQ(pool.get_bytes(256).size(), 256u);
 }
 
@@ -369,13 +351,12 @@ TEST(EntropyPool, StaggeredRetirementEndsInEntropyExhausted) {
       EntropyExhausted);
   EXPECT_GT(served, 0u);          // the healthy prefix was served...
   EXPECT_LE(served, 20000u / 8);  // ...and only the healthy prefix
-  EXPECT_EQ(pool.healthy_producers(), 0u);
-  EXPECT_EQ(pool.retired_producers(), 2u);
-  EXPECT_TRUE(pool.exhausted());
+  EXPECT_EQ(pool.snapshot().healthy, 0u);
+  EXPECT_EQ(pool.snapshot().retired, 2u);
   EXPECT_TRUE(pool.snapshot().exhausted);
   // Per producer: max_reseeds + 1 = 2 alarms, 1 cure-attempt reseed.
   EXPECT_EQ(pool.quarantine_events(), 4u);
-  EXPECT_EQ(pool.reseed_events(), 2u);
+  EXPECT_EQ(pool.snapshot().reseeds, 2u);
   // Exhaustion is sticky: later requests must keep refusing.
   EXPECT_THROW(pool.get_bytes(1), EntropyExhausted);
 }
@@ -386,7 +367,7 @@ TEST(EntropyPool, DhTrngConvenienceFactory) {
       {.seed = 99});
   const auto bytes = pool.get_bytes(128);
   EXPECT_EQ(bytes.size(), 128u);
-  EXPECT_EQ(pool.healthy_producers(), 2u);
+  EXPECT_EQ(pool.snapshot().healthy, 2u);
 }
 
 TEST(EntropyPool, CertSnapshotClampsGeometryToBlockBits) {

@@ -15,9 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +25,7 @@
 #include "service/metrics.h"
 #include "stats/streaming.h"
 #include "support/fault_sources.h"
+#include "support/service_helpers.h"
 
 namespace dhtrng::service {
 namespace {
@@ -35,35 +34,10 @@ using stats::streaming::Snapshot;
 using stats::streaming::SourceTracker;
 using testsupport::BiasedSource;
 using testsupport::IdealSource;
-
-core::EntropyPool::SourceFactory ideal_factory() {
-  return [](std::size_t, std::uint64_t seed) {
-    return std::make_unique<IdealSource>(seed);
-  };
-}
-
-/// Parse a plaintext STATS/CERT dump into raw key -> string values.
-std::map<std::string, std::string> parse_kv(const std::string& text) {
-  std::map<std::string, std::string> kv;
-  std::istringstream in(text);
-  std::string key, value;
-  while (in >> key >> value) kv[key] = value;
-  return kv;
-}
-
-std::uint64_t kv_u64(const std::map<std::string, std::string>& kv,
-                     const std::string& key) {
-  const auto it = kv.find(key);
-  EXPECT_NE(it, kv.end()) << "missing key: " << key;
-  return it == kv.end() ? ~std::uint64_t{0} : std::stoull(it->second);
-}
-
-double kv_f64(const std::map<std::string, std::string>& kv,
-              const std::string& key) {
-  const auto it = kv.find(key);
-  EXPECT_NE(it, kv.end()) << "missing key: " << key;
-  return it == kv.end() ? -1.0 : std::stod(it->second);
-}
+using testsupport::ideal_factory;
+using testsupport::kv_f64;
+using testsupport::kv_u64;
+using testsupport::parse_kv;
 
 TEST(ServiceCert, CertVerbReportsPerSourceAndMergedSnapshots) {
   EntropyServerConfig cfg;

@@ -22,13 +22,8 @@ namespace dhtrng::service {
 namespace {
 
 using testsupport::IdealSource;
+using testsupport::ideal_factory;
 using testsupport::staggered_death_factory;
-
-core::EntropyPool::SourceFactory ideal_factory() {
-  return [](std::size_t, std::uint64_t seed) {
-    return std::make_unique<IdealSource>(seed);
-  };
-}
 
 /// Parse the plaintext STATS dump into a key -> value map (numeric values
 /// only; the `state` line is kept as a string).
@@ -97,7 +92,6 @@ TEST(ServiceDegradation, FullLadderHealthyToDegradedToExhausted) {
   cfg.pool.buffer_bytes = 1024;
   cfg.pool.block_bits = 512;
   cfg.pool.max_reseeds = 1;
-  cfg.degraded_after_retired = 1;
   cfg.shards = 2;
   // Make every degraded DRBG draw pull fresh pool entropy so the client's
   // fetch loop keeps pumping producer 1 toward its own failure point.

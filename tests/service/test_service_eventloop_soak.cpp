@@ -9,7 +9,6 @@
 // data-race coverage.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,17 +26,7 @@ namespace dhtrng::service {
 namespace {
 
 using testsupport::IdealSource;
-
-template <typename Predicate>
-bool eventually(Predicate done, int timeout_ms = 20000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
+using testsupport::eventually;
 
 /// Everything one worker thread observed; summed after the join, so no
 /// synchronization is needed while the soak runs.
@@ -140,7 +129,8 @@ TEST(ServiceEventLoopSoak, SixteenShardMixedWorkloadBalancesExactly) {
   Tally total;
   for (const auto& tally : tallies) total.add(tally);
 
-  ASSERT_TRUE(eventually([&] { return server.active_connections() == 0; }))
+  ASSERT_TRUE(
+      eventually([&] { return server.active_connections() == 0; }, 20000))
       << "connection slots never drained";
 
   // Exact cross-check: the client threads were this server's only

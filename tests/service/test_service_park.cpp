@@ -16,12 +16,8 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 
-#include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +25,7 @@
 #include "service/client.h"
 #include "service/entropy_server.h"
 #include "support/fault_sources.h"
+#include "support/service_helpers.h"
 #include "support/sha256.h"
 
 namespace dhtrng::service {
@@ -37,49 +34,12 @@ namespace {
 using testsupport::IdealSource;
 using testsupport::Latch;
 using testsupport::StallingSource;
+using testsupport::eventually;
+using testsupport::kv_u64;
+using testsupport::parse_kv;
+using testsupport::read_response;
 
 constexpr std::uint32_t kGetBytes = 4096;
-
-template <typename Predicate>
-bool eventually(Predicate done, int timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-std::map<std::string, std::string> parse_kv(const std::string& text) {
-  std::map<std::string, std::string> kv;
-  std::istringstream in(text);
-  std::string key, value;
-  while (in >> key >> value) kv[key] = value;
-  return kv;
-}
-
-std::uint64_t kv_u64(const std::map<std::string, std::string>& kv,
-                     const std::string& key) {
-  const auto it = kv.find(key);
-  EXPECT_NE(it, kv.end()) << "missing key: " << key;
-  return it == kv.end() ? ~std::uint64_t{0} : std::stoull(it->second);
-}
-
-/// Read one response frame off a raw socket; nullopt on EOF/closure.
-std::optional<Response> read_response(Socket& sock) {
-  std::uint8_t header[kLenPrefixBytes];
-  if (!sock.read_exact(header, sizeof(header))) return std::nullopt;
-  const std::uint32_t len = read_u32le(header);
-  if (len < kResponseHeaderBytes || len > (1u << 26)) return std::nullopt;
-  std::vector<std::uint8_t> payload(len);
-  if (!sock.read_exact(payload.data(), payload.size())) return std::nullopt;
-  Response resp;
-  if (!decode_response_payload(payload.data(), payload.size(), resp)) {
-    return std::nullopt;
-  }
-  return resp;
-}
 
 bool readable_within(const Socket& sock, int timeout_ms) {
   pollfd p{sock.fd(), POLLIN, 0};

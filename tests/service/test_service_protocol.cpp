@@ -27,28 +27,15 @@
 #include "service/socket.h"
 #include "support/fault_sources.h"
 #include "support/rng.h"
+#include "support/service_helpers.h"
 
 namespace dhtrng::service {
 namespace {
 
 using testsupport::IdealSource;
-
-core::EntropyPool::SourceFactory ideal_factory() {
-  return [](std::size_t, std::uint64_t seed) {
-    return std::make_unique<IdealSource>(seed);
-  };
-}
-
-template <typename Predicate>
-bool eventually(Predicate done, int timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
+using testsupport::eventually;
+using testsupport::ideal_factory;
+using testsupport::read_response;
 
 // ---------------------------------------------------------------- codec
 
@@ -311,21 +298,6 @@ struct ServerFixture {
   }
 };
 
-/// Read one response frame off a raw socket; nullopt on EOF/closure.
-std::optional<Response> read_response(Socket& sock) {
-  std::uint8_t header[kLenPrefixBytes];
-  if (!sock.read_exact(header, sizeof(header))) return std::nullopt;
-  const std::uint32_t len = read_u32le(header);
-  if (len < kResponseHeaderBytes || len > (1u << 26)) return std::nullopt;
-  std::vector<std::uint8_t> payload(len);
-  if (!sock.read_exact(payload.data(), payload.size())) return std::nullopt;
-  Response resp;
-  if (!decode_response_payload(payload.data(), payload.size(), resp)) {
-    return std::nullopt;
-  }
-  return resp;
-}
-
 // --------------------------------------------------- framing robustness
 
 TEST(ServiceProtocol, ServesWellFormedRequests) {
@@ -340,30 +312,6 @@ TEST(ServiceProtocol, ServesWellFormedRequests) {
   EXPECT_NE(stats.find("bytes_served_raw 256"), std::string::npos);
   client.close();
   EXPECT_TRUE(fx.drained());
-}
-
-TEST(ServiceProtocol, StatsNoiseModeIsFastOnlyForGateLevelFastNoise) {
-  // The phase-domain Fast backend ignores DhTrngConfig::noise_mode and
-  // always draws its exact-grade stream, so STATS must say so.
-  const auto noise_mode_line = [](core::Backend backend) {
-    EntropyServerConfig cfg;
-    cfg.pool.producers = 1;
-    cfg.pool.block_bits = 64;
-    cfg.pool.buffer_bytes = 64;
-    core::DhTrngConfig core;
-    core.backend = backend;
-    core.noise_mode = noise::NoiseMode::Fast;
-    auto server = EntropyServer::of_dhtrng(cfg, core);
-    auto client = EntropyClient::connect_tcp("127.0.0.1", server->tcp_port());
-    const std::string stats = client.stats();
-    client.close();
-    const std::size_t at = stats.find("noise_mode ");
-    return at == std::string::npos
-               ? std::string()
-               : stats.substr(at, stats.find('\n', at) - at);
-  };
-  EXPECT_EQ(noise_mode_line(core::Backend::Fast), "noise_mode exact");
-  EXPECT_EQ(noise_mode_line(core::Backend::GateLevel), "noise_mode fast");
 }
 
 TEST(ServiceProtocol, ZeroLengthFrameGetsStructuredError) {
@@ -519,6 +467,63 @@ TEST(ServiceProtocol, BusyWhenConnectionSlotsExhausted) {
   holder.close();
   EXPECT_TRUE(fx.drained());
   EXPECT_EQ(fx.server->metrics().responses_busy.load(), 1u);
+}
+
+TEST(ServiceProtocol, WriteQueueOverflowAnswersOneBusyThenCloses) {
+  // A peer that pipelines GETs and never reads: once the kernel socket
+  // buffers are full, replies pile up in the connection's write queue
+  // until max_write_queue_bytes, and the server answers with one Busy
+  // frame and a close instead of buffering without bound.
+  EntropyServerConfig cfg;
+  cfg.max_write_queue_bytes = 256 << 10;
+  ServerFixture fx(cfg);
+  const Metrics& m = fx.server->metrics();
+  Socket s = fx.raw_connect();
+  constexpr std::uint32_t kGetBytes = 64 << 10;
+  constexpr int kGetsPerBatch = 16;  // 1 MiB of replies per batch
+  const auto get = encode_get_request(Quality::Raw, kGetBytes);
+  std::vector<std::uint8_t> batch;
+  for (int i = 0; i < kGetsPerBatch; ++i) {
+    batch.insert(batch.end(), get.begin(), get.end());
+  }
+  // The loopback buffers absorb a few MiB first; each batch is served
+  // (or overflows the queue) before the next is sent.
+  std::uint64_t sent = 0;
+  for (int b = 0; b < 64 && m.write_queue_overflows.load() == 0; ++b) {
+    ASSERT_TRUE(s.write_all(batch.data(), batch.size()));
+    sent += kGetsPerBatch;
+    ASSERT_TRUE(eventually([&] {
+      return m.write_queue_overflows.load() > 0 ||
+             m.responses_ok.load() == sent;
+    }));
+  }
+  ASSERT_EQ(m.write_queue_overflows.load(), 1u);
+
+  // Reading now drains whole Ok replies, then exactly one Busy, then EOF.
+  std::size_t ok = 0;
+  std::size_t busy = 0;
+  while (const auto resp = read_response(s)) {
+    if (resp->status == Status::Ok) {
+      EXPECT_EQ(busy, 0u) << "Ok reply after the Busy frame";
+      EXPECT_EQ(resp->payload.size(), kGetBytes);
+      ++ok;
+      continue;
+    }
+    EXPECT_EQ(resp->status, Status::Busy);
+    EXPECT_EQ(resp->text(), "write queue overflow");
+    ++busy;
+  }
+  EXPECT_GT(ok, 0u);
+  EXPECT_EQ(busy, 1u);
+  s.close();
+  EXPECT_TRUE(fx.drained());
+  EXPECT_EQ(m.write_queue_overflows.load(), 1u);
+  EXPECT_EQ(m.connections_active.load(), 0u);
+  // The GET whose reply was dropped counts as the one Busy response, not
+  // as an Ok one: the counters match what the client read.
+  EXPECT_EQ(m.responses_ok.load(), ok);
+  EXPECT_EQ(m.responses_busy.load(), 1u);
+  EXPECT_EQ(m.bytes_served_total.load(), ok * kGetBytes);
 }
 
 TEST(ServiceProtocol, TooLargeRequestKeepsConnectionUsable) {

@@ -8,13 +8,11 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/client.h"
@@ -25,24 +23,9 @@ namespace dhtrng::service {
 namespace {
 
 using testsupport::IdealSource;
+using testsupport::eventually;
+using testsupport::ideal_factory;
 using testsupport::staggered_death_factory;
-
-core::EntropyPool::SourceFactory ideal_factory() {
-  return [](std::size_t, std::uint64_t seed) {
-    return std::make_unique<IdealSource>(seed);
-  };
-}
-
-template <typename Predicate>
-bool eventually(Predicate done, int timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
 
 std::map<std::string, std::uint64_t> parse_counters(const std::string& text) {
   std::map<std::string, std::uint64_t> counters;
@@ -201,7 +184,6 @@ TEST(ServiceSubscribe, LadderEndsStreamWithPushFlaggedExhaustedFrame) {
   cfg.pool.buffer_bytes = 1024;
   cfg.pool.block_bits = 512;
   cfg.pool.max_reseeds = 1;
-  cfg.degraded_after_retired = 1;
   cfg.shards = 2;
   cfg.drbg.reseed_interval = 1;  // degraded pushes keep pumping the pool
 

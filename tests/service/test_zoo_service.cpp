@@ -9,9 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +19,7 @@
 #include "service/entropy_server.h"
 #include "stats/streaming.h"
 #include "support/fault_sources.h"
+#include "support/service_helpers.h"
 
 namespace dhtrng::service {
 namespace {
@@ -28,6 +27,9 @@ namespace {
 using stats::streaming::Snapshot;
 using stats::streaming::SourceTracker;
 using testsupport::DegradingSource;
+using testsupport::kv_f64;
+using testsupport::kv_u64;
+using testsupport::parse_kv;
 using testsupport::staggered_death_factory;
 
 std::unique_ptr<core::TrngSource> zoo_source(const std::string& arch,
@@ -35,28 +37,6 @@ std::unique_ptr<core::TrngSource> zoo_source(const std::string& arch,
   core::ZooOptions opt;
   opt.seed = seed;
   return core::make_zoo_source(arch, opt);
-}
-
-std::map<std::string, std::string> parse_kv(const std::string& text) {
-  std::map<std::string, std::string> kv;
-  std::istringstream in(text);
-  std::string key, value;
-  while (in >> key >> value) kv[key] = value;
-  return kv;
-}
-
-std::uint64_t kv_u64(const std::map<std::string, std::string>& kv,
-                     const std::string& key) {
-  const auto it = kv.find(key);
-  EXPECT_NE(it, kv.end()) << "missing key: " << key;
-  return it == kv.end() ? ~std::uint64_t{0} : std::stoull(it->second);
-}
-
-double kv_f64(const std::map<std::string, std::string>& kv,
-              const std::string& key) {
-  const auto it = kv.find(key);
-  EXPECT_NE(it, kv.end()) << "missing key: " << key;
-  return it == kv.end() ? -1.0 : std::stod(it->second);
 }
 
 class ZooServiceTest : public ::testing::TestWithParam<std::string> {};
@@ -111,7 +91,6 @@ TEST_P(ZooServiceTest, FullLadderHealthyToDegradedToExhausted) {
   cfg.pool.buffer_bytes = 1024;
   cfg.pool.block_bits = 512;
   cfg.pool.max_reseeds = 1;
-  cfg.degraded_after_retired = 1;
   cfg.shards = 2;
   cfg.drbg.reseed_interval = 1;
 

@@ -88,10 +88,7 @@ TEST(LogisticAttack, ReportsSplitSizes) {
   support::Xoshiro256 rng(5);
   BitStream bs;
   for (int i = 0; i < 50024; ++i) bs.push_back(rng.bernoulli(0.5));
-  AttackConfig cfg;
-  cfg.window = 24;
-  cfg.train_fraction = 0.6;
-  const auto r = logistic_attack(bs, cfg);
+  const auto r = logistic_attack(bs);
   EXPECT_EQ(r.train_bits + r.test_bits, 50024u - 24u);
   EXPECT_NEAR(static_cast<double>(r.train_bits) /
                   static_cast<double>(r.train_bits + r.test_bits),

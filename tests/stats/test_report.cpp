@@ -61,5 +61,18 @@ TEST(CharacterizationReport, MentionsGeneratorIdentity) {
   EXPECT_NE(report.text.find("Mbps"), std::string::npos);
 }
 
+TEST(CharacterizationReport, OneSeedGivesOneReportText) {
+  ReportOptions opts;
+  opts.sample_bits = 100000;
+  core::DhTrng first({.seed = 22});
+  core::DhTrng second({.seed = 22});
+  const auto a = characterize(first, opts);
+  const auto b = characterize(second, opts);
+  ASSERT_NE(a.text.find("SP 800-22"), std::string::npos) << a.text;
+  ASSERT_NE(a.text.find("restart matrix"), std::string::npos) << a.text;
+  EXPECT_EQ(a.text, b.text);
+  EXPECT_EQ(a.all_clear, b.all_clear);
+}
+
 }  // namespace
 }  // namespace dhtrng::stats

@@ -54,7 +54,7 @@ TEST(NonOverlappingTemplate, PlantedTemplateIsDetected) {
 
 TEST(NonOverlappingTemplate, SubtestCountMatchesTemplateCount) {
   const auto r = non_overlapping_template(ideal_bits(200000, 4));
-  EXPECT_EQ(r.p_values.size(), aperiodic_templates(9).size());
+  EXPECT_EQ(r.p_values.size(), aperiodic_templates_cached(9).size());
 }
 
 TEST(OverlappingTemplate, AllOnesStreamFails) {

@@ -204,17 +204,17 @@ TEST(NistVectors, ApproximateEntropyExample) {
 
 TEST(NistVectors, AperiodicTemplateCountForM9) {
   // The STS ships 148 aperiodic templates of length 9.
-  EXPECT_EQ(aperiodic_templates(9).size(), 148u);
+  EXPECT_EQ(aperiodic_templates_cached(9).size(), 148u);
 }
 
 TEST(NistVectors, AperiodicTemplateCountForM2) {
   // For m = 2 the aperiodic templates are 01 and 10.
-  const auto ts = aperiodic_templates(2);
+  const auto ts = aperiodic_templates_cached(2);
   EXPECT_EQ(ts.size(), 2u);
 }
 
 TEST(NistVectors, TemplatesAreActuallyAperiodic) {
-  for (const auto& t : aperiodic_templates(5)) {
+  for (const auto& t : aperiodic_templates_cached(5)) {
     // No non-trivial self-overlap.
     for (std::size_t s = 1; s < t.size(); ++s) {
       bool overlaps = true;

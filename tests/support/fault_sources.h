@@ -11,15 +11,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/entropy_pool.h"
 #include "core/trng.h"
 #include "support/rng.h"
 
@@ -317,6 +320,26 @@ staggered_death_factory(
     return std::make_unique<MortalSource>(healthy(seed),
                                           index == 0 ? first : second);
   };
+}
+
+/// SourceFactory of IdealSource producers, seeded from the pool.
+inline dhtrng::core::EntropyPool::SourceFactory ideal_factory() {
+  return [](std::size_t, std::uint64_t seed) {
+    return std::make_unique<IdealSource>(seed);
+  };
+}
+
+/// Polls `done` with a bounded grace window (producer threads advance on
+/// their own schedule; the fault schedules themselves are bit-exact).
+template <typename Predicate>
+bool eventually(Predicate done, int timeout_ms = 10000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 }  // namespace dhtrng::testsupport
