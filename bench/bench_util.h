@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -59,13 +60,23 @@ inline void accept_flags(int argc, char** argv, FlagNames values,
   }
 }
 
-/// Parse "--name=value" (integer) from argv, else return fallback.
+/// Parse "--name=value" (integer) from argv, else return fallback.  A
+/// value that is not one whole integer (`--bits=1e5`, `--bits=`) exits
+/// with status 2 rather than run on the digits it starts with.
 inline long long flag(int argc, char** argv, const char* name,
                       long long fallback) {
   const std::string prefix = std::string("--") + name + "=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atoll(argv[i] + prefix.size());
+      const std::string_view text = argv[i] + prefix.size();
+      long long value = 0;
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), value);
+      if (ec != std::errc() || end != text.data() + text.size()) {
+        std::fprintf(stderr, "%s: %s is not an integer\n", argv[0], argv[i]);
+        std::exit(2);
+      }
+      return value;
     }
   }
   return fallback;

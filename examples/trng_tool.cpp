@@ -61,6 +61,7 @@
 #include "stats/correlation.h"
 #include "stats/report.h"
 #include "stats/sp800_90b.h"
+#include "trng_noise_mode.h"
 
 namespace {
 
@@ -75,18 +76,6 @@ std::string flag(int argc, char** argv, const char* name,
     }
   }
   return fallback;
-}
-
-/// Validated --noise-mode parse; `fallback` is the command's default
-/// ("exact" everywhere except the soa backend's bulk engine).  Exits the
-/// usual flag-error way (return via throw) on anything else.
-noise::NoiseMode parse_noise_mode(int argc, char** argv,
-                                  const std::string& fallback) {
-  const std::string mode = flag(argc, argv, "noise-mode", fallback);
-  if (mode == "fast") return noise::NoiseMode::Fast;
-  if (mode == "exact") return noise::NoiseMode::Exact;
-  throw std::runtime_error("unknown --noise-mode=" + mode +
-                           " (expected fast|exact)");
 }
 
 /// The complete --backend vocabulary, for error messages: the DH-TRNG
@@ -117,9 +106,7 @@ struct TrngBackend {
   /// Builds the generator for `seed` (`serve` calls it once per producer
   /// build, with the pool's derived seeds).
   std::function<std::unique_ptr<core::TrngSource>(std::uint64_t seed)> make;
-  /// The noise fidelity the generator actually draws — STATS `noise_mode`.
-  /// Only the soa engine and a gate-level DH-TRNG honour --noise-mode; the
-  /// phase-domain backends draw their exact-grade stream whatever it says.
+  /// The noise fidelity the generator draws (tool::drawn_noise_mode).
   noise::NoiseMode noise_mode = noise::NoiseMode::Exact;
 };
 
@@ -129,14 +116,15 @@ TrngBackend parse_backend(int argc, char** argv) {
   if (flag(argc, argv, "device", "artix7") == "virtex6") {
     core_cfg.device = fpga::DeviceModel::virtex6();
   }
-  core_cfg.noise_mode = parse_noise_mode(argc, argv, "exact");
+  const noise::NoiseMode mode =
+      tool::drawn_noise_mode(backend, flag(argc, argv, "noise-mode", ""));
+  core_cfg.noise_mode = mode;
   if (backend == "soa") {
-    const noise::NoiseMode mode = parse_noise_mode(argc, argv, "fast");
-    return {[core_cfg, mode](std::uint64_t seed)
+    return {[core_cfg](std::uint64_t seed)
                 -> std::unique_ptr<core::TrngSource> {
               core::DhTrngConfig c = core_cfg;
               c.seed = seed;
-              if (mode == noise::NoiseMode::Exact) {
+              if (c.noise_mode == noise::NoiseMode::Exact) {
                 c.backend = core::Backend::Fast;
                 return std::make_unique<core::DhTrngArray>(
                     core::DhTrngArrayConfig{c, core::kSoaLanes});
@@ -155,7 +143,7 @@ TrngBackend parse_backend(int argc, char** argv) {
               c.seed = seed;
               return std::make_unique<core::DhTrng>(c);
             },
-            backend == "gate" ? core_cfg.noise_mode : noise::NoiseMode::Exact};
+            mode};
   }
   const auto& zoo = core::zoo_source_names();
   if (std::find(zoo.begin(), zoo.end(), backend) == zoo.end()) {
@@ -163,13 +151,12 @@ TrngBackend parse_backend(int argc, char** argv) {
   }
   core::ZooOptions opt;
   opt.device = core_cfg.device;
-  opt.noise_mode = core_cfg.noise_mode;
   return {[backend, opt](std::uint64_t seed) {
             core::ZooOptions o = opt;
             o.seed = seed;
             return core::make_zoo_source(backend, o);
           },
-          noise::NoiseMode::Exact};
+          mode};
 }
 
 std::unique_ptr<core::TrngSource> make_trng(int argc, char** argv) {
@@ -184,13 +171,13 @@ int cmd_generate(int argc, char** argv) {
 
   const std::string post = flag(argc, argv, "post", "none");
   if (post == "vn") {
-    bits = core::von_neumann_extract(bits);
+    bits = core::peres_extract(bits, 1);
   } else if (post == "peres") {
     bits = core::peres_extract(bits);
   } else if (post == "xor4") {
     bits = core::xor_compress(bits, 4);
   } else if (post == "sha256") {
-    bits = core::sha256_condition(bits, 1024);
+    bits = core::sha256_condition(bits);
   } else if (post != "none") {
     std::fprintf(stderr, "unknown --post=%s\n", post.c_str());
     return 2;
@@ -272,8 +259,7 @@ int cmd_serve(int argc, char** argv) {
       static_cast<std::uint64_t>(rate_mbps * 1e6 / 8.0);
 
   const TrngBackend backend = parse_backend(argc, argv);
-  cfg.noise_mode_label =
-      backend.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
+  cfg.noise_mode_label = tool::noise_mode_name(backend.noise_mode);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
@@ -372,7 +358,8 @@ int cmd_subscribe(int argc, char** argv) {
   // refuse a mismatched stream instead of silently delivering the other
   // grade.
   if (flag(argc, argv, "noise-mode", "") != "") {
-    const noise::NoiseMode want = parse_noise_mode(argc, argv, "exact");
+    const std::string want_name = tool::noise_mode_name(
+        tool::parse_noise_mode(flag(argc, argv, "noise-mode", "")));
     const std::string stats = client.stats();
     std::string server_mode = "unknown";
     const std::string tag = "noise_mode ";
@@ -381,8 +368,6 @@ int cmd_subscribe(int argc, char** argv) {
       const std::size_t end = stats.find('\n', at);
       server_mode = stats.substr(at + tag.size(), end - at - tag.size());
     }
-    const std::string want_name =
-        want == noise::NoiseMode::Fast ? "fast" : "exact";
     if (server_mode != want_name) {
       std::fprintf(stderr,
                    "noise-mode mismatch: requested %s, server serves %s\n",

@@ -1,21 +1,9 @@
 #include "core/postprocess.h"
 
 #include <stdexcept>
-
-#include "support/sha256.h"
+#include <vector>
 
 namespace dhtrng::core {
-
-support::BitStream von_neumann_extract(const support::BitStream& raw) {
-  support::BitStream out;
-  out.reserve(raw.size() / 4);
-  for (std::size_t i = 0; i + 1 < raw.size(); i += 2) {
-    const bool a = raw[i];
-    const bool b = raw[i + 1];
-    if (a != b) out.push_back(a);  // 01 -> 0, 10 -> 1
-  }
-  return out;
-}
 
 support::BitStream peres_extract(const support::BitStream& raw,
                                  std::size_t depth) {
@@ -53,21 +41,24 @@ support::BitStream xor_compress(const support::BitStream& raw,
   return out;
 }
 
-support::BitStream sha256_condition(const support::BitStream& raw,
-                                    std::size_t input_block_bits) {
-  if (input_block_bits == 0) {
-    throw std::invalid_argument("sha256_condition: empty input block");
+support::Sha256::Digest sha256_condition_block(
+    std::span<const std::uint8_t, kConditionInputBytes> input) {
+  support::Sha256 sha;
+  sha.update(input.data(), input.size());
+  return sha.finish();
+}
+
+support::BitStream sha256_condition(const support::BitStream& raw) {
+  const std::vector<std::uint8_t> bytes = raw.to_bytes();
+  std::vector<std::uint8_t> out;
+  // Whole bytes only: to_bytes() zero-pads a partial final byte.
+  for (std::size_t at = 0; at + kConditionInputBytes <= raw.size() / 8;
+       at += kConditionInputBytes) {
+    const auto digest = sha256_condition_block(
+        std::span(bytes).subspan(at).first<kConditionInputBytes>());
+    out.insert(out.end(), digest.begin(), digest.end());
   }
-  support::BitStream out;
-  for (std::size_t begin = 0; begin + input_block_bits <= raw.size();
-       begin += input_block_bits) {
-    const auto block = raw.slice(begin, input_block_bits);
-    const auto digest = support::Sha256::hash(block.to_bytes());
-    for (std::uint8_t byte : digest) {
-      for (int bit = 7; bit >= 0; --bit) out.push_back((byte >> bit) & 1);
-    }
-  }
-  return out;
+  return support::BitStream::from_bytes(out);
 }
 
 }  // namespace dhtrng::core

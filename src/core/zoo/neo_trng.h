@@ -59,7 +59,7 @@ struct VonNeumannStats {
 /// (bit 2k first, bit 2k+1 second; a trailing odd bit is ignored).
 /// neoTRNG's "edge" convention: emit the *second* bit of a discordant
 /// pair, so 01 -> 1 (rising edge) and 10 -> 0 (falling edge).  Note the
-/// opposite convention from core::von_neumann_extract (postprocess.h),
+/// opposite convention from core::peres_extract(raw, 1) (postprocess.h),
 /// which emits classic 01 -> 0 / 10 -> 1; both de-bias i.i.d. inputs.
 support::BitStream neo_von_neumann(const support::BitStream& raw,
                                    VonNeumannStats* stats = nullptr);

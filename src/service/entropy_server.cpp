@@ -12,7 +12,7 @@
 #include <unistd.h>
 #include <utility>
 
-#include "support/sha256.h"
+#include "core/postprocess.h"
 
 namespace dhtrng::service {
 
@@ -792,14 +792,12 @@ bool EntropyServer::fill_draw(Shard& shard, PendingDraw& draw) {
     shard.drbg->generate(draw.out.data(), n);
     return true;
   }
-  // Vetted conditioning (SP 800-90B 3.1.5.1.2): SHA-256 over 64-byte
-  // pool blocks, 2:1 compression — 512 health-gated input bits per 256
-  // output bits.
+  // Vetted conditioning (SP 800-90B 3.1.5.1.2): one SHA-256 digest per
+  // conditioner input block of health-gated pool bytes.
   while (draw.filled < n) {
-    if (!gather(draw.input.size())) return false;
-    support::Sha256 sha;
-    sha.update(draw.input.data(), draw.input.size());
-    const support::Sha256::Digest digest = sha.finish();
+    if (!gather(core::kConditionInputBytes)) return false;
+    const auto digest = core::sha256_condition_block(
+        std::span(draw.input).first<core::kConditionInputBytes>());
     const std::size_t take = std::min(digest.size(), n - draw.filled);
     std::copy_n(digest.begin(), take,
                 draw.out.begin() + static_cast<std::ptrdiff_t>(draw.filled));

@@ -66,41 +66,37 @@ CharacterizationReport characterize(core::TrngSource& trng,
      << attack.test_accuracy << " accuracy (z=" << attack.z_score << ")\n";
 
   // --- SP 800-22 quick battery ------------------------------------------------
-  if (options.include_sp800_22) {
-    const auto results = sp800_22::run_all(bits);
-    std::size_t passed = 0, total = 0;
-    for (const auto& r : results) {
-      if (!r.applicable) continue;
-      ++total;
-      passed += r.pass() ? 1u : 0u;
+  const auto results = sp800_22::run_all(bits);
+  std::size_t passed = 0, total = 0;
+  for (const auto& r : results) {
+    if (!r.applicable) continue;
+    ++total;
+    passed += r.pass() ? 1u : 0u;
+  }
+  os << "[" << flag(passed + 1 >= total) << "] SP 800-22            "
+     << passed << "/" << total << " tests\n";
+  for (const auto& r : results) {
+    os << "       " << r.name;
+    for (std::size_t pad = r.name.size(); pad < 24; ++pad) os << ' ';
+    if (r.applicable) {
+      os << "p " << r.p_value();
+    } else {
+      os << "not applicable";
     }
-    os << "[" << flag(passed + 1 >= total) << "] SP 800-22            "
-       << passed << "/" << total << " tests\n";
-    for (const auto& r : results) {
-      os << "       " << r.name;
-      for (std::size_t pad = r.name.size(); pad < 24; ++pad) os << ' ';
-      if (r.applicable) {
-        os << "p " << r.p_value();
-      } else {
-        os << "not applicable";
-      }
-      os << "\n";
-    }
+    os << "\n";
   }
 
   // --- restart behaviour -------------------------------------------------------
-  if (options.include_restart) {
-    const auto rt = restart_test(trng);
-    os << "[" << flag(rt.all_distinct) << "] restart words        "
-       << (rt.all_distinct ? "all distinct" : "REPEATED") << "\n";
-    // 200 x 200: small enough to be quick, large enough that the min over
-    // per-row/column MCV confidence bounds clears the h/2 gate on a
-    // healthy source.
-    const auto rm = restart_matrix_test(trng, 200, 200, 32);
-    os << "[" << flag(rm.passes(options.claimed_min_entropy))
-       << "] restart matrix       rows " << rm.row_min_entropy << " cols "
-       << rm.column_min_entropy << " (startup discard 32)\n";
-  }
+  const auto rt = restart_test(trng);
+  os << "[" << flag(rt.all_distinct) << "] restart words        "
+     << (rt.all_distinct ? "all distinct" : "REPEATED") << "\n";
+  // 200 x 200: small enough to be quick, large enough that the min over
+  // per-row/column MCV confidence bounds clears the h/2 gate on a
+  // healthy source.
+  const auto rm = restart_matrix_test(trng, 200, 200, 32);
+  os << "[" << flag(rm.passes(options.claimed_min_entropy))
+     << "] restart matrix       rows " << rm.row_min_entropy << " cols "
+     << rm.column_min_entropy << " (startup discard 32)\n";
 
   os << "\nverdict: " << (ok ? "ALL CLEAR" : "ISSUES FOUND") << "\n";
   CharacterizationReport report;

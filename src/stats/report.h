@@ -13,14 +13,12 @@ namespace dhtrng::stats {
 struct ReportOptions {
   std::size_t sample_bits = 300000;   ///< statistical sample volume
   std::size_t iid_permutations = 120; ///< 90B permutation count
-  bool include_sp800_22 = true;       ///< 15-test battery (costlier)
-  bool include_restart = true;        ///< restart + restart-matrix tests
   double claimed_min_entropy = 0.9;
 };
 
 struct CharacterizationReport {
   std::string text;        ///< rendered report
-  bool all_clear = false;  ///< every included check acceptable
+  bool all_clear = false;  ///< every check acceptable
 };
 
 /// Drive `trng` through the screen and render the report.

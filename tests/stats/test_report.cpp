@@ -30,7 +30,6 @@ TEST(CharacterizationReport, DhTrngAllClear) {
   core::DhTrng trng({.seed = 20});
   ReportOptions opts;
   opts.sample_bits = 200000;
-  opts.include_sp800_22 = false;  // keep the unit test quick
   const auto report = characterize(trng, opts);
   EXPECT_TRUE(report.all_clear) << report.text;
   EXPECT_NE(report.text.find("ALL CLEAR"), std::string::npos);
@@ -42,8 +41,6 @@ TEST(CharacterizationReport, BrokenGeneratorFlagged) {
   BrokenTrng trng;
   ReportOptions opts;
   opts.sample_bits = 100000;
-  opts.include_sp800_22 = false;
-  opts.include_restart = false;
   const auto report = characterize(trng, opts);
   EXPECT_FALSE(report.all_clear);
   EXPECT_NE(report.text.find("ISSUES FOUND"), std::string::npos);
@@ -54,8 +51,6 @@ TEST(CharacterizationReport, MentionsGeneratorIdentity) {
   core::DhTrng trng({.seed = 21});
   ReportOptions opts;
   opts.sample_bits = 60000;
-  opts.include_sp800_22 = false;
-  opts.include_restart = false;
   const auto report = characterize(trng, opts);
   EXPECT_NE(report.text.find("DH-TRNG"), std::string::npos);
   EXPECT_NE(report.text.find("Mbps"), std::string::npos);
